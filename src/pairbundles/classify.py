@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,9 +34,11 @@ from .normal_forms import (
     BShape,
     BundleLabel,
     BundleParams,
+    _wrap_phase_halfturn,
     canonicalize_params,
     representative,
     representative_A,
+    validate_params,
 )
 
 __all__ = [
@@ -59,10 +61,9 @@ _T = (1.0 / math.sqrt(2.0)) * np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)
 class ToleranceConfig:
     rank_tol: float = 1e-6
     eig_cluster_tol: float = 1e-6
-    unit_circle_tol: float = 1e-12
 
     def __post_init__(self):
-        for name in ("rank_tol", "eig_cluster_tol", "unit_circle_tol"):
+        for name in ("rank_tol", "eig_cluster_tol"):
             v = getattr(self, name)
             if not (0.0 < v <= 1e-2):
                 raise ValidationError(f"{name} must lie in (0, 1e-2]")
@@ -359,9 +360,7 @@ def stabilizer_reduce_B(a_label: ALabel, B: SymMat2,
 def _reduce_B_zero(B, tol, amb):
     label, P, _, amb2 = classify_B(B, tol)
     amb.extend(amb2)
-    shape = {BLabel.ZERO: BShape.ZERO, BLabel.RANK1: BShape.RANK1,
-             BLabel.RANK2: BShape.RANK2}[label]
-    return shape, BundleParams(), GroupElement(1.0, P)
+    return BShape(label.value), BundleParams(), GroupElement(1.0, P)
 
 
 def _reduce_B_one_zero(B, tol, amb):
@@ -460,9 +459,7 @@ def _reduce_B_tau(B, tol, amb):
         rho = abs(b11) ** -0.5
         psi = -0.5 * cmath.phase(b12)
         phi_raw = cmath.phase(b11) - cmath.phase(b12)
-        phi = math.fmod(phi_raw, math.pi)
-        if phi < 0.0:
-            phi += math.pi
+        phi = _wrap_phase_halfturn(phi_raw)
         halfturns = round((phi_raw - phi) / math.pi)
         if halfturns % 2:
             psi += 0.5 * math.pi
@@ -481,9 +478,7 @@ def _reduce_B_tau(B, tol, amb):
         rho = abs(b22) ** 0.5
         psi = -0.5 * cmath.phase(b12)
         phi_raw = cmath.phase(b22) - cmath.phase(b12)
-        phi = math.fmod(phi_raw, math.pi)
-        if phi < 0.0:
-            phi += math.pi
+        phi = _wrap_phase_halfturn(phi_raw)
         halfturns = round((phi_raw - phi) / math.pi)
         if halfturns % 2:
             psi += 0.5 * math.pi
@@ -617,7 +612,6 @@ def _rot(z):
     return np.array([[c, s], [-s, c]], dtype=complex)
 
 
-_SHALF = _T @ np.diag([1.0, 1j]) @ _T          # symmetric sqrt of [[0,1],[1,0]]
 _SHALF_INV = _T @ np.diag([1.0, -1j]) @ _T
 
 
@@ -684,11 +678,11 @@ def _reduce_B_one_plus_minus(B, tol, amb):
             raise ClassificationFailureError(
                 f"defective invariant with eigenvalue {lam_m!r} off the catalog"
             )
-        return _opm_swap_off_diag(arr, math.sqrt(lam_m.real), tol)
+        return _opm_swap_off_diag(arr, math.sqrt(lam_m.real))
     # distinct eigenvalues
     if abs(lam[0].imag) > 1e-6 * n_scale:
         # conjugate pair d^2 e^{+-i theta}: the 1 (+) d e^{i theta} swap cell
-        return _opm_swap_one_de_itheta(arr, lam, tol)
+        return _opm_swap_one_de_itheta(arr, lam)
     lam_r = sorted(lam.real)
     if lam_r[0] <= 0:
         raise ClassificationFailureError(
@@ -765,50 +759,7 @@ def _jordan_chain(N, lam):
     return np.column_stack([v1, v2])
 
 
-def _gauss_newton_congruence(B1, B_td, R0, iters=60):
-    """Polish R so that R^T B1 R = B_td and R* J R = J, from initial R0."""
-
-    def resid(R):
-        r1 = R.T @ B1 @ R - B_td
-        r2 = R.conj().T @ _J @ R - _J
-        return np.array([
-            r1[0, 0].real, r1[0, 0].imag, r1[0, 1].real, r1[0, 1].imag,
-            r1[1, 1].real, r1[1, 1].imag,
-            r2[0, 0].real, r2[1, 1].real, r2[0, 1].real, r2[0, 1].imag,
-        ])
-
-    def unpack(p):
-        return (p[:4] + 1j * p[4:]).reshape(2, 2)
-
-    p = np.concatenate([R0.real.ravel(), R0.imag.ravel()])
-    lam_lm = 1e-8
-    f = resid(unpack(p))
-    for _ in range(iters):
-        Jm = np.zeros((10, 8))
-        h = 1e-7
-        for j in range(8):
-            dp = np.zeros(8)
-            dp[j] = h
-            Jm[:, j] = (resid(unpack(p + dp)) - resid(unpack(p - dp))) / (2 * h)
-        try:
-            step = np.linalg.solve(Jm.T @ Jm + lam_lm * np.eye(8), -Jm.T @ f)
-        except np.linalg.LinAlgError:
-            break
-        p_new = p + step
-        f_new = resid(unpack(p_new))
-        if np.linalg.norm(f_new) < np.linalg.norm(f):
-            p, f = p_new, f_new
-            lam_lm = max(lam_lm * 0.3, 1e-12)
-            if np.linalg.norm(f) < 1e-13:
-                break
-        else:
-            lam_lm *= 10.0
-            if lam_lm > 1e6:
-                break
-    return unpack(p), float(np.linalg.norm(f))
-
-
-def _opm_swap_off_diag(arr, b, tol):
+def _opm_swap_off_diag(arr, b):
     B_sw = np.array([[0.0, b], [b, 1.0]], dtype=complex)
     B_td = _T @ B_sw @ _T
     N1 = _J @ np.conj(arr) @ _J @ arr
@@ -841,20 +792,16 @@ def _opm_swap_off_diag(arr, b, tol):
             if best is None or r < best[2]:
                 best = (R, c, r)
     if best is None or best[2] > 1e-7 * max(1.0, max_norm(arr)):
-        R0 = best[0] if best else V @ Uci
-        R, r = _gauss_newton_congruence(arr, B_td, R0)
-        r = max(r, _u11_membership(R))
-        if r > 1e-7 * max(1.0, max_norm(arr)):
-            raise ClassificationFailureError(
-                f"defective-invariant reduction did not converge (residual {r:.3e})"
-            )
-        best = (R, 1.0, r)
+        raise ClassificationFailureError(
+            "defective-invariant reduction failed "
+            f"(residual {best[2] if best else math.inf:.3e})"
+        )
     P = best[0] @ _T
     return (BShape.SWAP_OFF_DIAG_B_ONE, BundleParams(b=float(b)),
             GroupElement(best[1], Mat2(P)))
 
 
-def _opm_swap_one_de_itheta(arr, lam, tol):
+def _opm_swap_one_de_itheta(arr, lam):
     lam_p = lam[0] if lam[0].imag > 0 else lam[1]
     d = abs(lam_p)
     theta = abs(cmath.phase(lam_p))
@@ -882,14 +829,10 @@ def _opm_swap_one_de_itheta(arr, lam, tol):
         if best is None or r < best[1]:
             best = (R, r)
     if best is None or best[1] > 1e-7 * max(1.0, max_norm(arr)):
-        # polish with the generic solver
-        R0 = best[0] if best else V @ np.linalg.inv(Uc)
-        R, r = _gauss_newton_congruence(arr, B_td, R0)
-        if r > 1e-8 * max(1.0, max_norm(arr)):
-            raise ClassificationFailureError(
-                f"conjugate-pair reduction did not converge (residual {r:.3e})"
-            )
-        best = (R, r)
+        raise ClassificationFailureError(
+            "conjugate-pair reduction failed "
+            f"(residual {best[1] if best else math.inf:.3e})"
+        )
     P = best[0] @ _T
     return (BShape.SWAP_ONE_DE_ITHETA, BundleParams(d=float(d), theta=float(theta)),
             GroupElement(1.0, Mat2(P)))
@@ -918,9 +861,9 @@ def classify_pair(x: PairAB, tol: ToleranceConfig | None = None) -> Classificati
     merged = BundleParams(**{**_asdict(a_params), **_asdict(b_params)})
     merged = canonicalize_params(label, merged)
     total = group_compose(g1, g2)
-    target = representative(label, merged) if not _missing(label, merged) else None
-    if target is None:
+    if validate_params(label, merged):
         raise ClassificationFailureError(f"incomplete parameters for {label}")
+    target = representative(label, merged)
     residual = pair_distance(apply_action(total, x), target)
     scale = max(1.0, max_norm(x.A), max_norm(x.B))
     ambiguous = tuple(amb1) + tuple(amb2)
@@ -934,8 +877,3 @@ def classify_pair(x: PairAB, tol: ToleranceConfig | None = None) -> Classificati
 def _asdict(p: BundleParams) -> dict:
     return {k: v for k, v in p.__dict__.items() if v is not None}
 
-
-def _missing(label, params) -> bool:
-    from .normal_forms import param_fields, validate_params
-
-    return bool(validate_params(label, params))

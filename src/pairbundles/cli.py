@@ -279,12 +279,12 @@ def cmd_witness(args) -> int:
         _emit(report.to_json(), args)
         return EXIT_OK if report.status == "verified" else EXIT_VERIFY
     # repair
-    fam2 = witness_repair(fam, tol=args.tol)
+    fam2, repair = witness_repair(fam, tol=args.tol)
     report = witness_verify(fam2, tol=args.tol)
-    _emit({"name": fam2.name, "status": fam2.status,
+    _emit({"name": fam2.name, "status": repair.status,
            "provenance": fam2.provenance,
            "verify": report.to_json()}, args)
-    ok = fam2.status in ("verified", "repaired")
+    ok = repair.status in ("verified", "repaired")
     return EXIT_OK if ok else EXIT_VERIFY
 
 
@@ -317,7 +317,8 @@ def _suite_bounds(args):
             np.random.default_rng([args.seed, _STREAMS["detxe"], t]))
         worst = min(worst, rep.margin)
         bad += rep.margin < 0
-    checks.append({"id": "bound-detxe", "pass": bad == 0, "margin": worst})
+    checks.append({"id": "bound-detxe", "pass": bad == 0, "margin": worst,
+                   "samples": trials, "skipped": 0})
     for mode in ("PAE", "cE", "PBF", "part3"):
         worst = float("inf")
         bad = skipped = 0
@@ -330,7 +331,7 @@ def _suite_bounds(args):
             worst = min(worst, rep.margin)
             bad += rep.margin < 0
         checks.append({"id": f"bound-lemadet-{mode}", "pass": bad == 0,
-                       "margin": worst})
+                       "margin": worst, "samples": trials, "skipped": skipped})
     return checks
 
 
@@ -340,7 +341,8 @@ def _suite_graph(args):
         rep = monte_carlo_neighborhood(cell, None, args.epsilon, args.trials,
                                        seed=args.seed)
         checks.append({"id": f"mc-{cell}", "pass": not rep.violations,
-                       "margin": float(-len(rep.violations))})
+                       "margin": float(-len(rep.violations)),
+                       "failures": rep.failures, "ambiguous": rep.ambiguous})
     return checks
 
 
@@ -349,13 +351,12 @@ def _suite_witness(args):
     for fam in CATALOG:
         report = witness_verify(fam, tol=args.tol)
         if report.status != "verified":
-            fam = witness_repair(fam, tol=args.tol)
-            report = witness_verify(fam, tol=args.tol)
-        ok = report.status == "verified"
+            fam, report = witness_repair(fam, tol=args.tol)
+        ok = report.status in ("verified", "repaired")
         margin = (args.tol - report.residuals[-1]) if report.residuals else \
             float("-inf")
         checks.append({"id": f"witness-{fam.name}", "pass": ok,
-                       "margin": margin, "status": fam.status})
+                       "margin": margin, "status": report.status})
     return checks
 
 

@@ -45,7 +45,6 @@ __all__ = [
     "ClosureGraphPsi",
     "PSI2_GRAPH",
     "PSI1_GRAPH",
-    "b_rank",
     "shape_rank",
     "shape_min_rank",
     "is_path_psi2",
@@ -67,13 +66,6 @@ class SuspectEdgeWarning(UserWarning):
 # closure order is the rank chain 0 -> 1 -> 2
 # ---------------------------------------------------------------------------
 
-_B_RANK = {BLabel.ZERO: 0, BLabel.RANK1: 1, BLabel.RANK2: 2}
-
-
-def b_rank(label: BLabel) -> int:
-    return _B_RANK[label]
-
-
 class ClosureGraphPsi2:
     """Reflexive-transitive closure of the chain Zero -> Rank1 -> Rank2."""
 
@@ -81,7 +73,7 @@ class ClosureGraphPsi2:
     edges = ((BLabel.ZERO, BLabel.RANK1), (BLabel.RANK1, BLabel.RANK2))
 
     def is_path(self, src: BLabel, dst: BLabel) -> bool:
-        return _B_RANK[src] <= _B_RANK[dst]
+        return src.rank <= dst.rank
 
     def successors(self, src: BLabel) -> set[BLabel]:
         return {x for x in BLabel if self.is_path(src, x)}

@@ -30,8 +30,6 @@ __all__ = [
     "group_identity",
 ]
 
-#: default relative tolerance for the scale-aware checks in this module
-DEFAULT_RTOL = 1e-9
 UNIT_CIRCLE_TOL = 1e-12
 MIN_ABS_DET = 1e-300
 

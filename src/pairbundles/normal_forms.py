@@ -35,7 +35,6 @@ __all__ = [
     "canonicalize_params",
     "validate_params",
     "param_fields",
-    "all_labels",
     "label_from_string",
     "GENERIC_PARAMS",
 ]
@@ -463,12 +462,7 @@ def _canonical_zeta_star(z: complex) -> complex:
     """Representative of the identification z ~ -z: argument in [0, pi)."""
     if z == 0:
         return z
-    ang = cmath.phase(z)
-    if ang < 0.0 or ang >= math.pi - 1e-300:
-        # phase in [-pi, 0) or exactly pi: flip
-        if not (0.0 <= ang < math.pi):
-            return -z
-    return z
+    return z if 0.0 <= cmath.phase(z) < math.pi else -z
 
 
 def canonicalize_params(label: BundleLabel, params: BundleParams) -> BundleParams:
@@ -496,7 +490,3 @@ def canonicalize_params(label: BundleLabel, params: BundleParams) -> BundleParam
         if p.a is not None and p.d is not None and p.a > p.d:
             updates["a"], updates["d"] = p.d, p.a
     return replace(p, **updates) if updates else p
-
-
-def all_labels() -> tuple[BundleLabel, ...]:
-    return CELLS

@@ -36,6 +36,7 @@ from .core import (
     pair_distance,
 )
 from .normal_forms import (
+    GENERIC_PARAMS,
     ALabel,
     BundleLabel,
     BundleParams,
@@ -66,8 +67,6 @@ __all__ = [
 ]
 
 _MATCH_TOL = 1e-9
-GENERIC_PARAMS = BundleParams(theta=1.0, tau=0.5, phi=0.7, a=1.0, b=1.0,
-                              d=2.0, zeta=0.3 + 0.4j, zeta_star=1.0 + 1.0j)
 _COMPLEX_FIELDS = ("zeta", "zeta_star")
 
 

@@ -7,14 +7,19 @@ instances (A(s), B(s)) inside the target bundle such that
 
 as s -> 0+, where (A~, B~) is the representative of the source bundle.
 Families are entered with their printed closed-form constants; a few are
-known to carry misprinted constants and ship unverified until
-`witness_repair` fixes them (the repair log, not the printed constants,
-is the ground truth).
+known to carry misprinted constants.  `witness_repair` fixes those by exact
+corrections only: a constant scale on P, a quarter-turn phase on c, or the
+transposition of P (the repair log, not the printed constants, is the
+ground truth).
+
+Families are immutable and carry no trust status: `witness_verify` is a
+pure function, and a family's status lives only in the `VerifyReport` that
+`witness_verify` or `witness_repair` returns.
 """
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -24,7 +29,6 @@ from .core import (
     Mat2,
     PairAB,
     SymMat2,
-    ValidationError,
     apply_action,
     pair_distance,
 )
@@ -52,7 +56,7 @@ DEFAULT_GRID_RATIO = 0.5
 DEFAULT_TOL = 1e-4
 
 
-@dataclass
+@dataclass(frozen=True)
 class WitnessFamily:
     """One closed-form degeneration family for a single closure-graph edge."""
 
@@ -63,7 +67,6 @@ class WitnessFamily:
     P_of_s: Callable[[float], np.ndarray]
     target_instance_of_s: Callable[[float], PairAB]
     provenance: str
-    status: str = "unverified"
     s_max: float = DEFAULT_S_MAX
 
     @property
@@ -122,7 +125,7 @@ def witness_verify(f: WitnessFamily,
 
     verified: residuals non-increasing and the final one below tol.
     refuted: residuals bounded away from zero over the whole grid.
-    Anything in between leaves the status at unverified.
+    Anything in between is reported unverified.
     """
     grid = tuple(s_grid) if s_grid is not None else default_grid(f.s_max)
     if len(grid) < 2:
@@ -141,8 +144,6 @@ def witness_verify(f: WitnessFamily,
         status = "unverified"
         msg = ("residuals not monotone" if not monotone
                else f"final residual {residuals[-1]:.3e} >= {tol}")
-    if not (f.status == "repaired" and status == "verified"):
-        f.status = status
     return VerifyReport(f.name, grid, residuals, status, msg)
 
 
@@ -181,69 +182,36 @@ def _corrected(f: WitnessFamily, t: float, psi: float,
         f,
         c_of_s=c,
         P_of_s=P,
-        status="repaired",
         provenance=f.provenance + "; repaired: " + ", ".join(notes),
     )
 
 
-def witness_repair(f: WitnessFamily,
-                   tol: float = DEFAULT_TOL) -> WitnessFamily:
-    """Fit a correction (scale on P, phase on c, optional transposition).
+def witness_repair(f: WitnessFamily, tol: float = DEFAULT_TOL):
+    """Fit an exact correction (scale on P, phase on c, optional
+    transposition of P) to a family whose printed constants are garbled.
 
-    Already-verified families are returned unchanged.  When no correction
-    in the search space converges the family is returned marked refuted.
+    Returns (family, report).  report.status is "verified" when f already
+    converges (f is returned unchanged), "repaired" when a correction
+    converges (the corrected family is returned, with the correction
+    recorded in its provenance), and "refuted" when none does (f is
+    returned unchanged).
     """
-    if f.status != "verified":
-        witness_verify(f, tol=tol)
-    if f.status == "verified":
-        return f
-
+    report = witness_verify(f, tol=tol)
+    if report.status == "verified":
+        return f, report
     grid = default_grid(f.s_max)
-
-    def final_residual(candidate):
-        try:
-            return witness_eval(candidate, grid[-1])[2]
-        except (ValueError, ValidationError):
-            return math.inf
-
-    # exact constants first: misprints are dropped factors, not noise
+    # misprints are dropped factors, not noise: only exact constants are tried
     for transpose in (False, True):
         for t in _PREFERRED_SCALES:
             for psi in _PREFERRED_PHASES:
                 if not transpose and t == 1.0 and psi == 0.0:
                     continue
                 cand = _corrected(f, t, psi, transpose)
-                if witness_verify(cand, grid, tol).status == "verified":
-                    cand.status = "repaired"
-                    return cand
-
-    # coarse continuous sweep, then local refinement of the scale
-    best = (math.inf, None)
-    for transpose in (False, True):
-        for t in np.geomspace(0.1, 10.0, 41):
-            for psi in np.linspace(0.0, 2 * math.pi, 16, endpoint=False):
-                r = final_residual(_corrected(f, float(t), float(psi), transpose))
-                if r < best[0]:
-                    best = (r, (float(t), float(psi), transpose))
-    if best[1] is not None:
-        t, psi, transpose = best[1]
-        lo, hi = t / 1.3, t * 1.3
-        for _ in range(60):
-            mid = math.sqrt(lo * hi)
-            probe = [lo, mid, hi]
-            vals = [final_residual(_corrected(f, x, psi, transpose))
-                    for x in probe]
-            k = int(np.argmin(vals))
-            lo, hi = (lo, mid) if k == 0 else (mid, hi) if k == 2 else (
-                math.sqrt(lo * mid), math.sqrt(mid * hi))
-        t = math.sqrt(lo * hi)
-        cand = _corrected(f, t, psi, transpose)
-        if witness_verify(cand, grid, tol).status == "verified":
-            cand.status = "repaired"
-            return cand
-
-    f.status = "refuted"
-    return f
+                cand_report = witness_verify(cand, grid, tol)
+                if cand_report.status == "verified":
+                    return cand, replace(cand_report, status="repaired")
+    return f, replace(report, status="refuted",
+                      message=f"no exact correction converges; {report.message}")
 
 
 def witness_lookup(src: BundleLabel, dst: BundleLabel):

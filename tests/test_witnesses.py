@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import unittest
 import warnings
@@ -5,10 +7,12 @@ import warnings
 import numpy as np
 import pytest
 
+from pairbundles import cli
 from pairbundles.closure import SuspectEdgeWarning, bundle_graph
 from pairbundles.normal_forms import label_from_string as L
 from pairbundles.witnesses import (
     CATALOG,
+    WitnessFamily,
     default_grid,
     witness_eval,
     witness_lookup,
@@ -42,15 +46,14 @@ class TestCatalogShape(unittest.TestCase):
             self.assertNotEqual(f.source_label, f.target, msg=f.name)
 
     def test_ships_unverified(self):
-        # the default status of a freshly built family is unverified; the
-        # catalog does not pre-trust any printed constants
-        import dataclasses
-        from pairbundles.witnesses import WitnessFamily
-        defaults = {f.name: f.default for f in dataclasses.fields(WitnessFamily)}
-        self.assertEqual(defaults["status"], "unverified")
+        # a family carries no trust status of its own; the catalog does not
+        # pre-trust any printed constants, and only a report says whether
+        # a family converges
+        fields = {f.name for f in dataclasses.fields(WitnessFamily)}
+        self.assertNotIn("status", fields)
         for f in CATALOG:
-            self.assertIn(f.status,
-                          ("unverified", "verified", "repaired", "refuted"))
+            self.assertIn(witness_verify(f).status,
+                          ("unverified", "verified", "refuted"))
 
 
 class TestLookup(unittest.TestCase):
@@ -120,7 +123,7 @@ class TestVerify(unittest.TestCase):
             f = _by_name(name)
             rep = witness_verify(f)
             self.assertEqual(rep.status, "verified", msg=rep.message)
-            self.assertEqual(f.status, "verified")
+            self.assertEqual(rep.family, f.name)
             self.assertLess(rep.residuals[-1], 1e-4)
 
     def test_report_is_serializable(self):
@@ -130,12 +133,10 @@ class TestVerify(unittest.TestCase):
 
     def test_wrong_source_is_refuted(self):
         # evaluating the rank-2 family against a far-away source
-        import dataclasses
         f = dataclasses.replace(
             _by_name("rank1-in-rank2"),
-            source=(L("one_plus_minus/zero"), None))
-        f.source = (L("one_plus_minus/zero"),
-                    _by_name("rank1-in-rank2").source[1])
+            source=(L("one_plus_minus/zero"),
+                    _by_name("rank1-in-rank2").source[1]))
         rep = witness_verify(f)
         self.assertEqual(rep.status, "refuted")
 
@@ -144,25 +145,35 @@ class TestRepair(unittest.TestCase):
     def test_scale_typo_family(self):
         f = _by_name("plus-minus-in-jordan")
         self.assertEqual(witness_verify(f).status, "refuted")
-        g = witness_repair(f)
-        self.assertEqual(g.status, "repaired")
+        g, rep = witness_repair(f)
+        self.assertEqual(rep.status, "repaired")
         self.assertIn("scaled by t=1.414213562", g.provenance)
         self.assertEqual(witness_verify(g).status, "verified")
-        self.assertEqual(g.status, "repaired")  # sticky after re-verify
+        self.assertEqual(witness_repair(f)[1], rep)  # sticky after re-verify
 
     def test_transposition_typo_family(self):
         f = _by_name("plus-minus-in-swap-one-zero")
         self.assertEqual(witness_verify(f).status, "refuted")
-        g = witness_repair(f)
-        self.assertEqual(g.status, "repaired")
+        g, rep = witness_repair(f)
+        self.assertEqual(rep.status, "repaired")
         self.assertIn("transposed", g.provenance)
         self.assertEqual(witness_verify(g).status, "verified")
 
     def test_verified_family_returned_unchanged(self):
         f = _by_name("jordan-in-tau")
         witness_verify(f)
-        self.assertIs(witness_repair(f), f)
-        self.assertEqual(f.status, "verified")
+        g, rep = witness_repair(f)
+        self.assertIs(g, f)
+        self.assertEqual(rep.status, "verified")
+
+    def test_unrepairable_family_is_refuted(self):
+        f = dataclasses.replace(
+            _by_name("rank1-in-rank2"),
+            source=(L("one_plus_minus/zero"),
+                    _by_name("rank1-in-rank2").source[1]))
+        g, rep = witness_repair(f)
+        self.assertIs(g, f)
+        self.assertEqual(rep.status, "refuted")
 
 
 @pytest.mark.parametrize("family", CATALOG, ids=lambda f: f.name)
@@ -170,10 +181,23 @@ def test_full_catalog_verifies_after_repair(family):
     """Every family ends verified or repaired, monotone along the grid."""
     rep = witness_verify(family)
     if rep.status != "verified":
-        family = witness_repair(family)
+        family, repair = witness_repair(family)
         rep = witness_verify(family)
-        assert family.status == "repaired"
+        assert repair.status == "repaired"
     assert rep.status == "verified", rep.message
     assert rep.residuals[-1] < 1e-4
     for a, b in zip(rep.residuals, rep.residuals[1:]):
         assert b <= a * (1 + 1e-9) + 1e-15
+
+
+def test_catalog_is_never_mutated(capsys):
+    before = [dataclasses.replace(f) for f in CATALOG]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        CATALOG[0].provenance = "edited"
+    outputs = []
+    for _ in range(2):
+        assert cli.main(["verify", "witness"]) == 0
+        outputs.append(json.loads(capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+    assert [c["status"] for c in outputs[0]["checks"]].count("repaired") == 2
+    assert list(CATALOG) == before
