@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import warnings
 
@@ -307,10 +308,18 @@ def _suite_dims(args):
     return checks
 
 
+def _margin(value: float, reason: str) -> dict:
+    """The margin fields of a check: JSON has no infinity, so a margin
+    that no sample or residual bounds is null, with the reason."""
+    if math.isfinite(value):
+        return {"margin": value}
+    return {"margin": None, "margin_reason": reason}
+
+
 def _suite_bounds(args):
     checks = []
     trials = args.trials
-    worst = float("inf")
+    worst = math.inf
     bad = 0
     for t in range(trials):
         rep = sample_detxe_case(
@@ -320,18 +329,21 @@ def _suite_bounds(args):
     checks.append({"id": "bound-detxe", "pass": bad == 0, "margin": worst,
                    "samples": trials, "skipped": 0})
     for mode in ("PAE", "cE", "PBF", "part3"):
-        worst = float("inf")
-        bad = skipped = 0
+        worst = math.inf
+        bad = skipped = redraws = 0
         for t in range(trials):
-            rep = sample_lemadet_case(
+            rep, attempts = sample_lemadet_case(
                 mode, np.random.default_rng([args.seed, _STREAMS[mode], t]))
+            redraws += attempts - 1
             if not rep.hypothesis_ok:
                 skipped += 1
                 continue
             worst = min(worst, rep.margin)
             bad += rep.margin < 0
         checks.append({"id": f"bound-lemadet-{mode}", "pass": bad == 0,
-                       "margin": worst, "samples": trials, "skipped": skipped})
+                       **_margin(worst, "every sample skipped"),
+                       "samples": trials, "skipped": skipped,
+                       "redraws": redraws})
     return checks
 
 
@@ -354,9 +366,10 @@ def _suite_witness(args):
             fam, report = witness_repair(fam, tol=args.tol)
         ok = report.status in ("verified", "repaired")
         margin = (args.tol - report.residuals[-1]) if report.residuals else \
-            float("-inf")
+            -math.inf
         checks.append({"id": f"witness-{fam.name}", "pass": ok,
-                       "margin": margin, "status": report.status})
+                       **_margin(margin, "no residuals"),
+                       "status": report.status})
     return checks
 
 

@@ -200,10 +200,11 @@ def _j2c(doc) -> complex:
 
 
 def dumps(obj, **kw) -> str:
-    """Serialize any of the core value types (or a plain dict) to JSON."""
+    """Serialize any of the core value types (or a plain dict) to JSON.
+    NaN and infinities raise ValueError: JSON has no such values."""
     if hasattr(obj, "to_json"):
         obj = obj.to_json()
-    return json.dumps(obj, **kw)
+    return json.dumps(obj, allow_nan=False, **kw)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ Everything is measured in the entrywise max-norm.
 
 import cmath
 import dataclasses
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -396,10 +397,12 @@ def sample_detxe_case(rng) -> BoundReport:
     return detxe_bound(X, D)
 
 
-def sample_lemadet_case(mode: str, rng) -> BoundReport:
-    """One random in-hypothesis check of the given mode.  The defect is
-    planted by construction, so the hypothesis holds up to resampling."""
-    for _attempt in range(20):
+def sample_lemadet_case(mode: str, rng) -> tuple[BoundReport, int]:
+    """One random in-hypothesis check of the given mode, and the number of
+    draws it took.  The defect is planted by construction, so the
+    hypothesis holds up to resampling: a draw outside it is redrawn, up to
+    20 draws in all."""
+    for attempts in range(1, 21):
         c, P = sample_group_element(rng)
         Pi = np.linalg.inv(P)
         if mode in ("PAE", "cE"):
@@ -439,8 +442,8 @@ def sample_lemadet_case(mode: str, rng) -> BoundReport:
         else:
             raise ValueError(f"unknown mode {mode!r}")
         if rep.hypothesis_ok:
-            return rep
-    return rep  # give up; caller sees hypothesis_ok=False
+            return rep, attempts
+    return rep, attempts  # give up; caller sees hypothesis_ok=False
 
 
 # ---------------------------------------------------------------------------
@@ -857,6 +860,94 @@ def _coords_to_params(fields, coords):
     return BundleParams(**kw)
 
 
+def _spectral_norm(m00, m01, m10, m11) -> float:
+    """Largest singular value of [[m00, m01], [m10, m11]]: the square root
+    of the largest eigenvalue of the Hermitian M*M = [[h00, h01], [., h11]].
+    Both terms under the outer root are nonnegative, so the result keeps
+    full relative accuracy when the two singular values coincide."""
+    h00 = m00.real * m00.real + m00.imag * m00.imag \
+        + m10.real * m10.real + m10.imag * m10.imag
+    h11 = m01.real * m01.real + m01.imag * m01.imag \
+        + m11.real * m11.real + m11.imag * m11.imag
+    h01 = m00.conjugate() * m01 + m10.conjugate() * m11
+    return math.sqrt(0.5 * (h00 + h11)
+                     + math.hypot(0.5 * (h00 - h11), abs(h01)))
+
+
+def _distance_kernel(x: PairAB, target: BundleLabel, norm: str):
+    """(objective, surrogate) of ``distance_to_bundle`` as functions of the
+    search vector (phase of c, the 8 real entries of P, the coordinates of
+    the target's free parameters).
+
+    Both are inf where |det P| < 1e-12 or the parameters leave the
+    target's domain.  Each evaluation multiplies Python complex scalars in the
+    association ((c P*) A) P - xA and (P^T B) P - xB.  The target's
+    representative is memoised on its parameter coordinates, since the
+    search moves c and P far more often than the parameters; a miss goes
+    through ``validate_params`` and ``representative``.
+    """
+    if norm not in ("max", "spectral"):
+        raise ValidationError(f"unknown norm {norm!r}")
+    fields = param_fields(target)
+    x00, x01, x10, x11 = (complex(z) for z in x.A.array.ravel())
+    y00, y01, y10, y11 = (complex(z) for z in x.B.array.ravel())
+
+    @functools.lru_cache(maxsize=8)
+    def target_entries(coords):
+        params = _coords_to_params(fields, coords)
+        if validate_params(target, params):
+            return None
+        rep = representative(target, params)
+        return tuple(complex(z) for z in (*rep.A.array.ravel(),
+                                          *rep.B.array.ravel()))
+
+    def moved(vec):
+        """The 4 + 4 entries of the moved target minus x, or None."""
+        p00, p01 = complex(vec[1], vec[2]), complex(vec[3], vec[4])
+        p10, p11 = complex(vec[5], vec[6]), complex(vec[7], vec[8])
+        if abs(p00 * p11 - p01 * p10) < 1e-12:
+            return None
+        entries = target_entries(tuple(vec[9:]))
+        if entries is None:
+            return None
+        a00, a01, a10, a11, b00, b01, b10, b11 = entries
+        c = cmath.exp(1j * vec[0])
+        # c P*
+        s00, s01 = c * p00.conjugate(), c * p10.conjugate()
+        s10, s11 = c * p01.conjugate(), c * p11.conjugate()
+        # (c P*) A
+        t00, t01 = s00 * a00 + s01 * a10, s00 * a01 + s01 * a11
+        t10, t11 = s10 * a00 + s11 * a10, s10 * a01 + s11 * a11
+        # P^T B
+        u00, u01 = p00 * b00 + p10 * b10, p00 * b01 + p10 * b11
+        u10, u11 = p01 * b00 + p11 * b10, p01 * b01 + p11 * b11
+        return (t00 * p00 + t01 * p10 - x00, t00 * p01 + t01 * p11 - x01,
+                t10 * p00 + t11 * p10 - x10, t10 * p01 + t11 * p11 - x11,
+                u00 * p00 + u01 * p10 - y00, u00 * p01 + u01 * p11 - y01,
+                u10 * p00 + u11 * p10 - y10, u10 * p01 + u11 * p11 - y11)
+
+    if norm == "max":
+        def objective(vec):
+            d = moved(vec)
+            return math.inf if d is None else max(map(abs, d))
+    else:
+        def objective(vec):
+            d = moved(vec)
+            if d is None:
+                return math.inf
+            return max(_spectral_norm(*d[:4]), _spectral_norm(*d[4:]))
+
+    def surrogate(vec):
+        # smooth stand-in for the nonsmooth max-norm; coordinate descent
+        # stalls far less often on it
+        d = moved(vec)
+        if d is None:
+            return math.inf
+        return sum(z.real * z.real + z.imag * z.imag for z in d)
+
+    return objective, surrogate
+
+
 def distance_to_bundle(x: PairAB, target: BundleLabel, budget: int = 32,
                        seed: int = 0, *, starts=(), norm: str = "max"):
     """Upper bound on the distance from a pair to a bundle.
@@ -869,47 +960,17 @@ def distance_to_bundle(x: PairAB, target: BundleLabel, budget: int = 32,
     everywhere else) or "spectral" (largest singular value, the gauge in
     which the rank-drop separation constant of the symmetric component is
     sharp; see the provenance notes on the non-edge floors).
+
+    Each evaluation runs in Python complex scalars (``_distance_kernel``):
+    the target's representative is memoised on the parameter coordinates,
+    so ``representative`` runs only when the search moves a parameter,
+    and the spectral gauge uses the closed-form largest singular value of
+    a 2x2 matrix.
     """
     if budget < 1:
         raise ValidationError("budget must be >= 1")
-    if norm == "max":
-        def _gauge(M):
-            return float(np.abs(M).max())
-    elif norm == "spectral":
-        def _gauge(M):
-            return float(np.linalg.norm(M, 2))
-    else:
-        raise ValidationError(f"unknown norm {norm!r}")
+    objective, surrogate = _distance_kernel(x, target, norm)
     fields = param_fields(target)
-    xA, xB = x.A.array, x.B.array
-
-    def _moved(vec):
-        c = cmath.exp(1j * vec[0])
-        P = np.array([[vec[1] + 1j * vec[2], vec[3] + 1j * vec[4]],
-                      [vec[5] + 1j * vec[6], vec[7] + 1j * vec[8]]])
-        if abs(_det(P)) < 1e-12:
-            return None
-        params = _coords_to_params(fields, vec[9:])
-        if validate_params(target, params):
-            return None
-        rep = representative(target, params)
-        return (c * P.conj().T @ rep.A.array @ P - xA,
-                P.T @ rep.B.array @ P - xB)
-
-    def objective(vec):
-        diffs = _moved(vec)
-        if diffs is None:
-            return float("inf")
-        return max(_gauge(diffs[0]), _gauge(diffs[1]))
-
-    def surrogate(vec):
-        # smooth stand-in for the nonsmooth max-norm; coordinate descent
-        # stalls far less often on it
-        diffs = _moved(vec)
-        if diffs is None:
-            return float("inf")
-        return float((np.abs(diffs[0]) ** 2).sum()
-                     + (np.abs(diffs[1]) ** 2).sum())
 
     def search(vec, fn, max_sweeps=25):
         vec = list(vec)

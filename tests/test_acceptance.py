@@ -126,7 +126,7 @@ def test_determinant_bounds_hold(mode):
     while in_hypothesis < 10_000:
         attempts += 1
         assert attempts <= 12_000, "hypothesis sampler starved"
-        rep = sample_lemadet_case(mode, rng)
+        rep, _draws = sample_lemadet_case(mode, rng)
         if not rep.hypothesis_ok:
             continue
         in_hypothesis += 1

@@ -3,8 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from pairbundles import cli, core
 from pairbundles.cli import main
 from pairbundles.core import Mat2, PairAB, SymMat2
+from pairbundles.numerics import BoundReport
+from pairbundles.witnesses import VerifyReport
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -19,6 +22,10 @@ def run(capsys, argv, stdin=None, monkeypatch=None):
         code = exc.code if isinstance(exc.code, int) else 1
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 def pair_doc(A, B):
@@ -204,6 +211,47 @@ class TestVerifySuites:
         assert lines[0] == "id,status,margin"
         assert len(lines) == 6  # detxe + four modes
         assert all(line.split(",")[1] == "pass" for line in lines[1:])
+
+    def test_bounds_suite_counts_redraws(self, capsys):
+        code, out, _ = run(capsys, ["verify", "bounds", "--seed", "0",
+                                    "--trials", "200"])
+        assert code == 0
+        checks = {c["id"]: c for c in json.loads(out)["checks"]}
+        redraws = {mode: checks[f"bound-lemadet-{mode}"]["redraws"]
+                   for mode in ("PAE", "cE", "PBF", "part3")}
+        assert redraws == {"PAE": 0, "cE": 0, "PBF": 44, "part3": 0}
+        assert "redraws" not in checks["bound-detxe"]
+
+    def test_all_skipped_bound_has_null_margin(self, capsys, monkeypatch):
+        def never_in_hypothesis(mode, rng):
+            nan = float("nan")
+            return BoundReport(False, nan, nan, nan, name=mode), 20
+
+        monkeypatch.setattr(cli, "sample_lemadet_case", never_in_hypothesis)
+        code, out, _ = run(capsys, ["verify", "bounds", "--trials", "3"])
+        assert code == 0
+        doc = json.loads(out, parse_constant=_reject_constant)
+        for c in doc["checks"][1:]:
+            assert c["margin"] is None
+            assert c["margin_reason"] == "every sample skipped"
+            assert (c["skipped"], c["redraws"]) == (3, 57)
+        assert isinstance(doc["checks"][0]["margin"], float)
+
+    def test_witness_without_residuals_has_null_margin(self, capsys,
+                                                       monkeypatch):
+        def empty_report(fam, tol):
+            return VerifyReport(fam.name, (), (), "verified", "")
+
+        monkeypatch.setattr(cli, "witness_verify", empty_report)
+        code, out, _ = run(capsys, ["verify", "witness"])
+        assert code == 0
+        doc = json.loads(out, parse_constant=_reject_constant)
+        assert all(c["margin"] is None and c["margin_reason"] == "no residuals"
+                   for c in doc["checks"])
+
+    def test_dumps_refuses_non_finite_numbers(self):
+        with pytest.raises(ValueError):
+            core.dumps({"margin": float("inf")})
 
     def test_witness_suite(self, capsys):
         code, out, _ = run(capsys, ["verify", "witness"])

@@ -11,16 +11,22 @@ from pairbundles.core import (
     PairAB,
     SymMat2,
     ValidationError,
+    apply_action,
     max_norm,
 )
 from pairbundles.normal_forms import (
     CELLS,
     BundleParams,
     label_from_string as L,
+    param_fields,
     representative,
     table_dimension,
+    validate_params,
 )
 from pairbundles.numerics import (
+    _distance_kernel,
+    _param_coords,
+    _spectral_norm,
     bundle_dimension_numeric,
     detxe_bound,
     distance_to_bundle,
@@ -368,3 +374,121 @@ class TestMonteCarlo(unittest.TestCase):
 def test_generic_params_are_valid(cell):
     rep = representative(cell, generic_params(cell))
     assert rep.A.array.shape == (2, 2)
+
+
+# ---------------------------------------------------------------------------
+# the objective kernel of distance_to_bundle against a numpy recomputation
+
+def _random_params(cell, rng):
+    """Random parameters inside the cell's domain."""
+    kw = {}
+    for f in param_fields(cell):
+        if f == "theta":
+            kw[f] = rng.uniform(0.1, math.pi - 0.1)
+        elif f == "tau":
+            kw[f] = rng.uniform(0.05, 0.95)
+        elif f == "phi":
+            kw[f] = rng.uniform(-3.0, 3.0)
+        elif f in ("zeta", "zeta_star"):
+            kw[f] = complex(*rng.standard_normal(2))
+        else:
+            kw[f] = math.exp(rng.standard_normal())
+    if "a" in kw and "d" in kw:  # a < d where the cell asks for it
+        kw["a"], kw["d"] = sorted((kw["a"], kw["d"]))
+    return BundleParams(**kw)
+
+
+def _search_vector(cell, c, P, params):
+    return ([cmath.phase(c)] + [w for z in P.ravel() for w in (z.real, z.imag)]
+            + _param_coords(param_fields(cell), params))
+
+
+def _numpy_objectives(x, cell, params, c, P, norm):
+    """(objective, surrogate) recomputed with numpy 2x2 products."""
+    rep = representative(cell, params)
+    dA = c * P.conj().T @ rep.A.array @ P - x.A.array
+    dB = P.T @ rep.B.array @ P - x.B.array
+    gauge = ((lambda M: np.abs(M).max()) if norm == "max"
+             else (lambda M: np.linalg.norm(M, 2)))
+    return (max(gauge(dA), gauge(dB)),
+            (np.abs(dA) ** 2).sum() + (np.abs(dB) ** 2).sum())
+
+
+@pytest.mark.parametrize("norm", ["max", "spectral"])
+@pytest.mark.parametrize("cell", CELLS, ids=str)
+def test_distance_kernel_matches_numpy(cell, norm):
+    rng = np.random.default_rng([CELLS.index(cell), norm == "spectral"])
+    x = PairAB(Mat2(_rand_mat(rng)), SymMat2.from_array(_rand_sym(rng)))
+    objective, surrogate = _distance_kernel(x, cell, norm)
+    for _ in range(20):
+        c, P = sample_group_element(rng)
+        params = _random_params(cell, rng)
+        assert validate_params(cell, params) == []
+        vec = _search_vector(cell, c, P, params)
+        want_obj, want_sur = _numpy_objectives(x, cell, params, c, P, norm)
+        assert abs(objective(vec) - want_obj) <= 1e-12 * want_obj
+        assert abs(surrogate(vec) - want_sur) <= 1e-12 * want_sur
+    singular = _search_vector(cell, 1.0, np.array([[1.0, 2.0], [2.0, 4.0]]),
+                              _random_params(cell, rng))
+    assert objective(singular) == math.inf
+    assert surrogate(singular) == math.inf
+
+
+@pytest.mark.parametrize("cell,params", [
+    ("tau_form/zero", BundleParams(tau=1.2)),
+    ("one_theta/zero", BundleParams(theta=0.0)),
+    ("identity/diag_ad", BundleParams(a=2.0, d=2.0)),
+    ("identity/diag_ad", BundleParams(a=3.0, d=2.0)),
+    ("one_theta/full_hermitian_like",
+     BundleParams(theta=1.0, a=1.0, d=2.0, zeta_star=0j)),
+])
+def test_distance_kernel_rejects_out_of_domain_params(cell, params):
+    cell = L(cell)
+    x = representative(cell, generic_params(cell))
+    for norm in ("max", "spectral"):
+        objective, surrogate = _distance_kernel(x, cell, norm)
+        ok = _search_vector(cell, 1.0, np.eye(2), generic_params(cell))
+        assert objective(ok) == 0.0
+        bad = _search_vector(cell, 1.0, np.eye(2), params)
+        assert objective(bad) == math.inf
+        assert surrogate(bad) == math.inf
+
+
+def _scaled_unitaries(count):
+    for seed in range(count):
+        rng = np.random.default_rng([31, seed])
+        U = np.linalg.qr(_rand_mat(rng))[0]
+        yield math.exp(rng.standard_normal()) * U
+
+
+def test_spectral_closed_form_at_equal_singular_values():
+    # the form sqrt((f + sqrt(f^2 - 4|det|^2)) / 2), f = |M|_F^2, loses
+    # half the digits on these: f^2 - 4|det|^2 cancels to rounding noise
+    cases = [*_scaled_unitaries(50), 3.0 * np.eye(2, dtype=complex),
+             np.zeros((2, 2), dtype=complex)]
+    for M in cases:
+        want = np.linalg.norm(M, 2)
+        got = _spectral_norm(*(complex(z) for z in M.ravel()))
+        assert abs(got - want) <= 1e-14 * want, M
+
+
+_FLOOR_JOBS = [(src, dst, 2, "max") for src, dst in (
+    ("one_theta/zero", "tau_form/zero"),
+    ("tau_form/zero", "one_theta/zero"),
+    ("identity/zero", "one_plus_minus/zero"),
+    ("nilpotent/zero", "jordan_i/zero"),
+    ("one_theta/zero", "one_zero/zero"),
+)] + [("zero/rank2", "zero/rank1", 4, norm) for norm in ("max", "spectral")]
+
+
+@pytest.mark.parametrize("src,dst,budget,norm", _FLOOR_JOBS)
+def test_distance_equals_gauge_at_returned_witness(src, dst, budget, norm):
+    x = representative(L(src), generic_params(L(src)))
+    d, (g, params) = distance_to_bundle(x, L(dst), budget=budget, seed=0,
+                                        norm=norm)
+    assert validate_params(L(dst), params) == []
+    moved = apply_action(g, representative(L(dst), params))
+    gauge = max_norm if norm == "max" else (lambda M: np.linalg.norm(M, 2))
+    again = max(gauge(moved.A.array - x.A.array),
+                gauge(moved.B.array - x.B.array))
+    assert abs(d - again) <= 1e-12 * max(1.0, again)
