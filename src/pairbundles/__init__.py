@@ -36,7 +36,6 @@ from .classify import (
     AmbiguityError,
     Classification,
     ClassificationFailureError,
-    ToleranceConfig,
     classify_pair,
 )
 from .closure import (

@@ -11,6 +11,9 @@ import cmath
 
 import numpy as np
 
+# singular values closer than this, relative to the largest, form one block
+_GROUP_TOL = 1e-8
+
 
 def _sqrtm_unitary_symmetric(Z: np.ndarray) -> np.ndarray:
     """Principal square root of a (small) unitary symmetric matrix."""
@@ -27,7 +30,7 @@ def _sqrtm_unitary_symmetric(Z: np.ndarray) -> np.ndarray:
     return 0.5 * (Q + Q.T)
 
 
-def takagi(B: np.ndarray, group_tol: float = 1e-8):
+def takagi(B: np.ndarray):
     """Factor symmetric B as U diag(s) U^T; returns (s, U)."""
     B = np.asarray(B, dtype=complex)
     V, s, Wh = np.linalg.svd(B)
@@ -38,11 +41,11 @@ def takagi(B: np.ndarray, group_tol: float = 1e-8):
     groups = []
     start = 0
     for j in range(1, len(s) + 1):
-        if j == len(s) or abs(s[j] - s[start]) > group_tol * scale:
+        if j == len(s) or abs(s[j] - s[start]) > _GROUP_TOL * scale:
             groups.append(list(range(start, j)))
             start = j
     for idx in groups:
-        if s[idx[0]] <= group_tol * scale:
+        if s[idx[0]] <= _GROUP_TOL * scale:
             # null-space block: any orthonormal basis works
             U[:, idx] = V[:, idx]
             continue

@@ -20,7 +20,6 @@ from .core import (
     Mat2,
     PairAB,
     SymMat2,
-    ValidationError,
     apply_action,
     apply_psi2,
     cosquare,
@@ -34,6 +33,7 @@ from .normal_forms import (
     BShape,
     BundleLabel,
     BundleParams,
+    _SWAP_SHAPES,
     _wrap_phase_halfturn,
     canonicalize_params,
     representative,
@@ -42,7 +42,6 @@ from .normal_forms import (
 )
 
 __all__ = [
-    "ToleranceConfig",
     "Classification",
     "AmbiguityError",
     "ClassificationFailureError",
@@ -56,17 +55,10 @@ _J = np.diag([1.0, -1.0]).astype(complex)
 _S12 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _T = (1.0 / math.sqrt(2.0)) * np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)
 
-
-@dataclass(frozen=True)
-class ToleranceConfig:
-    rank_tol: float = 1e-6
-    eig_cluster_tol: float = 1e-6
-
-    def __post_init__(self):
-        for name in ("rank_tol", "eig_cluster_tol"):
-            v = getattr(self, name)
-            if not (0.0 < v <= 1e-2):
-                raise ValidationError(f"{name} must lie in (0, 1e-2]")
+# relative thresholds: rank decisions compare singular (or Takagi) value
+# ratios, eigenvalue-cluster decisions compare spreads to the spectrum scale
+_RANK_TOL = 1e-6
+_EIG_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -110,42 +102,37 @@ def _near(q, thresh, amb, note):
 # ---------------------------------------------------------------------------
 # stage 1: the A-part
 
-def classify_A(A: Mat2, tol: ToleranceConfig | None = None):
+def classify_A(A: Mat2):
     """Returns (a_label, params, reducer, residual, ambiguous)."""
-    tol = tol or ToleranceConfig()
     arr = A.array
     amb: list[str] = []
     U, sv, Vh = np.linalg.svd(arr)
     scale = sv[0]
-    if _near(scale, tol.rank_tol, amb, "A near zero"):
+    if _near(scale, _RANK_TOL, amb, "A near zero"):
         g = GroupElement(1.0, Mat2.identity())
         return ALabel.ZERO, BundleParams(), g, float(scale), tuple(amb)
-    if _near(sv[1] / scale, tol.rank_tol, amb, "A near rank-1 boundary"):
-        label, g = _reduce_rank1_A(U, sv, Vh, tol, amb)
+    if _near(sv[1] / scale, _RANK_TOL, amb, "A near rank-1 boundary"):
+        label, g = _reduce_rank1_A(U, sv, Vh, amb)
+        params = BundleParams()
     else:
-        label, params, g = _reduce_rank2_A(arr, tol, amb)
-        res = max_norm(
-            (g.c * g.P.array.conj().T @ arr @ g.P.array)
-            - representative_A(label, params).array
-        )
-        return label, params, g, float(res), tuple(amb)
+        label, params, g = _reduce_rank2_A(arr, amb)
     res = max_norm(
         (g.c * g.P.array.conj().T @ arr @ g.P.array)
-        - representative_A(label, BundleParams()).array
+        - representative_A(label, params).array
     )
-    return label, BundleParams(), g, float(res), tuple(amb)
+    return label, params, g, float(res), tuple(amb)
 
 
 def _unit(v):
     return v / np.linalg.norm(v)
 
 
-def _reduce_rank1_A(U, sv, Vh, tol, amb):
+def _reduce_rank1_A(U, sv, Vh, amb):
     s0 = sv[0]
     u = U[:, 0]
     v = Vh[0].conj()  # A ~ s0 * outer(u, conj(v)) = s0 u v^H
     align = abs(np.vdot(v, u))
-    if _near(1.0 - align, tol.eig_cluster_tol, amb, "rank-1 A near the 1(+)0 / nilpotent boundary"):
+    if _near(1.0 - align, _EIG_TOL, amb, "rank-1 A near the 1(+)0 / nilpotent boundary"):
         # A = s0 e^{i psi} v v^H
         psi = cmath.phase(np.vdot(v, u))
         vperp = np.array([-v[1].conjugate(), v[0].conjugate()])
@@ -159,17 +146,17 @@ def _reduce_rank1_A(U, sv, Vh, tol, amb):
     return ALabel.NILPOTENT, GroupElement(z.conjugate() / abs(z), Mat2(P))
 
 
-def _reduce_rank2_A(arr, tol, amb):
+def _reduce_rank2_A(arr, amb):
     C = cosquare(Mat2(arr)).array
     lam = np.linalg.eigvals(C)
     lam_m = lam.mean()
     D = C - lam_m * np.eye(2)
     sd = np.linalg.svd(D, compute_uv=False)
     n_scale = max(1.0, abs(lam_m))
-    if _near(sd[0], tol.eig_cluster_tol * n_scale, amb, "cosquare near scalar"):
-        return _reduce_hermitian_like(arr, lam_m, tol, amb)
-    if _near(sd[1], tol.eig_cluster_tol * max(1.0, sd[0]), amb, "cosquare near defective"):
-        if abs(abs(lam_m) - 1.0) > 100 * tol.eig_cluster_tol:
+    if _near(sd[0], _EIG_TOL * n_scale, amb, "cosquare near scalar"):
+        return _reduce_hermitian_like(arr, lam_m, amb)
+    if _near(sd[1], _EIG_TOL * max(1.0, sd[0]), amb, "cosquare near defective"):
+        if abs(abs(lam_m) - 1.0) > 100 * _EIG_TOL:
             raise ClassificationFailureError(
                 f"defective cosquare with non-unimodular eigenvalue {lam_m!r}"
             )
@@ -178,7 +165,7 @@ def _reduce_rank2_A(arr, tol, amb):
     # conjugate-reciprocal pair
     m0, m1 = abs(lam[0]), abs(lam[1])
     unimodular = max(abs(m0 - 1.0), abs(m1 - 1.0))
-    if _near(unimodular, tol.eig_cluster_tol, amb, "cosquare eigenvalues near the unit circle"):
+    if _near(unimodular, _EIG_TOL, amb, "cosquare eigenvalues near the unit circle"):
         return _reduce_one_theta_A(arr, C, lam)
     if abs(m0 * m1 - 1.0) > 1e-6 * max(1.0, m0 * m1):
         raise ClassificationFailureError(
@@ -231,8 +218,8 @@ def _reduce_tau_A(arr, C, lam):
     raise ClassificationFailureError("tau-form reduction failed")
 
 
-def _reduce_hermitian_like(arr, lam_m, tol, amb):
-    if abs(abs(lam_m) - 1.0) > 100 * tol.eig_cluster_tol:
+def _reduce_hermitian_like(arr, lam_m, amb):
+    if abs(abs(lam_m) - 1.0) > 100 * _EIG_TOL:
         raise ClassificationFailureError(
             f"scalar cosquare with non-unimodular eigenvalue {lam_m!r}"
         )
@@ -240,7 +227,7 @@ def _reduce_hermitian_like(arr, lam_m, tol, amb):
     H = c0 * arr
     H = 0.5 * (H + H.conj().T)
     d, Uh = np.linalg.eigh(H)  # ascending
-    if _near(min(abs(d)), tol.eig_cluster_tol * max(abs(d)), amb,
+    if _near(min(abs(d)), _EIG_TOL * max(abs(d)), amb,
              "Hermitian part near singular"):
         raise ClassificationFailureError("rank-2 A with near-singular Hermitian part")
     if d[0] > 0:
@@ -287,16 +274,15 @@ def _reduce_jordan_A(arr, C, lam_m):
 # ---------------------------------------------------------------------------
 # the B-part alone (T-congruence rank normal form)
 
-def classify_B(B: SymMat2, tol: ToleranceConfig | None = None):
+def classify_B(B: SymMat2):
     """Returns (b_label, reducer P, residual, ambiguous)."""
-    tol = tol or ToleranceConfig()
     amb: list[str] = []
     arr = B.array
     s, U = takagi(arr)
     scale = s[0]
-    if _near(scale, tol.rank_tol, amb, "B near zero"):
+    if _near(scale, _RANK_TOL, amb, "B near zero"):
         return BLabel.ZERO, Mat2.identity(), float(scale), tuple(amb)
-    if _near(s[1] / scale, tol.rank_tol, amb, "B near rank-1 boundary"):
+    if _near(s[1] / scale, _RANK_TOL, amb, "B near rank-1 boundary"):
         rank = 1
         P = np.conj(U) @ np.diag([1.0 / math.sqrt(s[0]), 1.0])
     else:
@@ -311,7 +297,9 @@ def classify_B(B: SymMat2, tol: ToleranceConfig | None = None):
 # ---------------------------------------------------------------------------
 # stage 2: stabilizer reduction of the transported B
 
-def _zero_flags(B: SymMat2, zt: float):
+def _zero_flags(B: SymMat2):
+    """Which of b11, b12, b22 exceed the rank threshold relative to |B|."""
+    zt = _RANK_TOL * max(max_norm(B), 1e-300)
     return (abs(B.a) > zt, abs(B.b) > zt, abs(B.d) > zt)
 
 
@@ -321,7 +309,6 @@ def _phase_sqrt(z: complex) -> complex:
 
 
 def stabilizer_reduce_B(a_label: ALabel, B: SymMat2,
-                        tol: ToleranceConfig | None = None,
                         a_params: BundleParams | None = None):
     """Reduce B by the stabilizer of the canonical A-form.
 
@@ -330,25 +317,13 @@ def stabilizer_reduce_B(a_label: ALabel, B: SymMat2,
     itself except for the cells displayed in the anti-diagonal representative
     of the 1(+)-1 class.
     """
-    tol = tol or ToleranceConfig()
     a_params = a_params or BundleParams()
     amb: list[str] = []
-    dispatch = {
-        ALabel.ZERO: _reduce_B_zero,
-        ALabel.ONE_ZERO: _reduce_B_one_zero,
-        ALabel.IDENTITY: _reduce_B_identity,
-        ALabel.ONE_PLUS_MINUS: _reduce_B_one_plus_minus,
-        ALabel.ONE_THETA: _reduce_B_one_theta,
-        ALabel.TAU_FORM: _reduce_B_tau,
-        ALabel.NILPOTENT: _reduce_B_nilpotent,
-        ALabel.JORDAN_I: _reduce_B_jordan,
-    }
-    shape, params, g = dispatch[a_label](B, tol, amb)
+    shape, params, g = _STAGE2[a_label](B, amb)
     # stabilizer membership / A-transport check
     A0 = representative_A(a_label, a_params).array
-    swap_rep = shape in (BShape.SWAP_ONE_DE_ITHETA, BShape.SWAP_OFF_DIAG_B_ONE,
-                         BShape.SWAP_ONE_ZERO)
-    A_target = representative_A(a_label, a_params, swap_rep=swap_rep).array
+    A_target = representative_A(a_label, a_params,
+                                swap_rep=shape in _SWAP_SHAPES).array
     defect = max_norm(g.c * g.P.array.conj().T @ A0 @ g.P.array - A_target)
     if defect > 1e-7 * max(1.0, max_norm(A0)):
         raise ClassificationFailureError(
@@ -357,15 +332,14 @@ def stabilizer_reduce_B(a_label: ALabel, B: SymMat2,
     return shape, params, g, tuple(amb)
 
 
-def _reduce_B_zero(B, tol, amb):
-    label, P, _, amb2 = classify_B(B, tol)
+def _reduce_B_zero(B, amb):
+    label, P, _, amb2 = classify_B(B)
     amb.extend(amb2)
     return BShape(label.value), BundleParams(), GroupElement(1.0, P)
 
 
-def _reduce_B_one_zero(B, tol, amb):
-    scale = max(max_norm(B), 1e-300)
-    zt = tol.rank_tol * scale
+def _reduce_B_one_zero(B, amb):
+    zt = _RANK_TOL * max(max_norm(B), 1e-300)
     b11, b12, b22 = B.a, B.b, B.d
     if abs(b22) > zt:
         v = 1.0 / cmath.sqrt(b22)
@@ -386,26 +360,25 @@ def _reduce_B_one_zero(B, tol, amb):
     return BShape.ZERO, BundleParams(), GroupElement(1.0, Mat2.identity())
 
 
-def _reduce_B_identity(B, tol, amb):
+def _reduce_B_identity(B, amb):
     arr = B.array
     s, U = takagi(arr)  # descending
     P = np.conj(U) @ _S12  # ascending order
     scale = max(s[0], 1e-300)
     g = GroupElement(1.0, Mat2(P))
     s_lo, s_hi = s[1], s[0]
-    if _near(s_hi, tol.rank_tol * max(1.0, scale), amb, "B near zero over I2"):
+    if _near(s_hi, _RANK_TOL * max(1.0, scale), amb, "B near zero over I2"):
         return BShape.ZERO, BundleParams(), g
-    if _near(s_lo / s_hi, tol.rank_tol, amb, "B near rank-1 over I2"):
+    if _near(s_lo / s_hi, _RANK_TOL, amb, "B near rank-1 over I2"):
         return BShape.ZERO_D, BundleParams(d=float(s_hi)), g
-    if _near((s_hi - s_lo) / s_hi, tol.eig_cluster_tol, amb,
+    if _near((s_hi - s_lo) / s_hi, _EIG_TOL, amb,
              "Takagi values near coincidence over I2"):
         return BShape.D_IDENTITY, BundleParams(d=float(0.5 * (s_lo + s_hi))), g
     return BShape.DIAG_AD, BundleParams(a=float(s_lo), d=float(s_hi)), g
 
 
-def _reduce_B_one_theta(B, tol, amb):
-    zt = tol.rank_tol * max(max_norm(B), 1e-300)
-    f11, f12, f22 = _zero_flags(B, zt)
+def _reduce_B_one_theta(B, amb):
+    f11, f12, f22 = _zero_flags(B)
     b11, b12, b22 = B.a, B.b, B.d
     phi1 = phi2 = 0.0
     shape, params = None, BundleParams()
@@ -446,26 +419,27 @@ def _reduce_B_one_theta(B, tol, amb):
     return shape, params, GroupElement(1.0, Mat2(P))
 
 
-def _reduce_B_tau(B, tol, amb):
-    zt = tol.rank_tol * max(max_norm(B), 1e-300)
-    f11, f12, f22 = _zero_flags(B, zt)
+def _reduce_B_tau(B, amb):
+    f11, f12, f22 = _zero_flags(B)
     b11, b12, b22 = B.a, B.b, B.d
-    c = 1.0
 
     def elem(p, c):
         return GroupElement(c, Mat2(np.diag([p, c / p.conjugate()])))
 
-    if f11 and f12:
-        rho = abs(b11) ** -0.5
+    def phase_elem(rho, b_diag):
+        """The phase phi of b_diag against b12 and the element of modulus
+        rho that realises it; an odd half-turn costs c = -1."""
         psi = -0.5 * cmath.phase(b12)
-        phi_raw = cmath.phase(b11) - cmath.phase(b12)
+        phi_raw = cmath.phase(b_diag) - cmath.phase(b12)
         phi = _wrap_phase_halfturn(phi_raw)
-        halfturns = round((phi_raw - phi) / math.pi)
-        if halfturns % 2:
+        c = 1.0
+        if round((phi_raw - phi) / math.pi) % 2:
             psi += 0.5 * math.pi
             c = -1.0
-        p = rho * cmath.exp(1j * psi)
-        g = elem(p, c)
+        return phi, elem(rho * cmath.exp(1j * psi), c)
+
+    if f11 and f12:
+        phi, g = phase_elem(abs(b11) ** -0.5, b11)
         Bp = apply_psi2(g.P, B)
         return (BShape.PHASE_FORM,
                 BundleParams(phi=phi, b=abs(b12), zeta=complex(Bp.d)), g)
@@ -475,17 +449,8 @@ def _reduce_B_tau(B, tol, amb):
         Bp = apply_psi2(g.P, B)
         return BShape.ONE_ZETA, BundleParams(zeta=complex(Bp.d)), g
     if f22 and f12:
-        rho = abs(b22) ** 0.5
-        psi = -0.5 * cmath.phase(b12)
-        phi_raw = cmath.phase(b22) - cmath.phase(b12)
-        phi = _wrap_phase_halfturn(phi_raw)
-        halfturns = round((phi_raw - phi) / math.pi)
-        if halfturns % 2:
-            psi += 0.5 * math.pi
-            c = -1.0
-        p = rho * cmath.exp(1j * psi)
-        return (BShape.OFF_DIAG_PHASE, BundleParams(b=abs(b12), phi=phi),
-                elem(p, c))
+        phi, g = phase_elem(abs(b22) ** 0.5, b22)
+        return BShape.OFF_DIAG_PHASE, BundleParams(b=abs(b12), phi=phi), g
     if f22:
         rho = abs(b22) ** 0.5
         psi = -0.5 * cmath.phase(b22)
@@ -496,18 +461,18 @@ def _reduce_B_tau(B, tol, amb):
     return BShape.ZERO, BundleParams(), GroupElement(1.0, Mat2.identity())
 
 
-def _reduce_B_nilpotent(B, tol, amb):
-    zt = tol.rank_tol * max(max_norm(B), 1e-300)
-    f11, f12, f22 = _zero_flags(B, zt)
+def _reduce_B_nilpotent(B, amb):
+    f11, f12, f22 = _zero_flags(B)
     b11, b12, b22 = B.a, B.b, B.d
     a1 = cmath.phase(b11) if f11 else 0.0
     a2 = cmath.phase(b12) if f12 else 0.0
     a3 = cmath.phase(b22) if f22 else 0.0
 
-    def elem(rho, psi, gamma):
-        c = cmath.exp(1j * gamma)
-        x = rho * cmath.exp(1j * psi)
+    def stab(x, c):
         return GroupElement(c, Mat2(np.diag([x, 1.0 / (c * x.conjugate())])))
+
+    def elem(rho, psi, gamma):
+        return stab(rho * cmath.exp(1j * psi), cmath.exp(1j * gamma))
 
     if f22 and f12:
         rho = abs(b22) ** 0.5
@@ -529,27 +494,21 @@ def _reduce_B_nilpotent(B, tol, amb):
         rho = abs(b22) ** 0.5
         psi = -0.5 * a1
         x = rho * cmath.exp(1j * psi)
-        c = cmath.sqrt(b22) / x.conjugate()
-        g = GroupElement(c, Mat2(np.diag([x, 1.0 / (c * x.conjugate())])))
+        g = stab(x, cmath.sqrt(b22) / x.conjugate())
         return BShape.DIAG_A_ONE, BundleParams(a=abs(b11) * abs(b22)), g
     if f11:
-        x = 1.0 / cmath.sqrt(b11)
-        return (BShape.ONE_ZERO, BundleParams(),
-                GroupElement(1.0, Mat2(np.diag([x, 1.0 / x.conjugate()]))))
+        return BShape.ONE_ZERO, BundleParams(), stab(1.0 / cmath.sqrt(b11), 1.0)
     if f22:
         rho = abs(b22) ** 0.5
-        c = cmath.sqrt(b22) / rho
-        g = GroupElement(c, Mat2(np.diag([rho, 1.0 / (c * rho)])))
-        return BShape.ZERO_ONE, BundleParams(), g
+        return BShape.ZERO_ONE, BundleParams(), stab(rho, cmath.sqrt(b22) / rho)
     if f12:
         g = elem(1.0, 0.0, a2)
         return BShape.ANTI_DIAG, BundleParams(b=abs(b12)), g
     return BShape.ZERO, BundleParams(), GroupElement(1.0, Mat2.identity())
 
 
-def _reduce_B_jordan(B, tol, amb):
-    zt = tol.rank_tol * max(max_norm(B), 1e-300)
-    f11, f12, f22 = _zero_flags(B, zt)
+def _reduce_B_jordan(B, amb):
+    f11, f12, f22 = _zero_flags(B)
     b11, b12, b22 = B.a, B.b, B.d
 
     def elem(v2, t):
@@ -557,29 +516,24 @@ def _reduce_B_jordan(B, tol, amb):
         P = v * np.array([[1.0, 1j * t], [0.0, 1.0]], dtype=complex)
         return GroupElement(1.0, Mat2(P))
 
-    if f11:
-        t_c = 1j * b12 / b11
+    def shear(t_c):
+        """The real shear t of the stabilizer; a complex one is off-catalog."""
         if abs(t_c.imag) > 1e-6 * (1.0 + abs(t_c)):
             raise ClassificationFailureError(
                 "B over the [[0,1],[1,i]] form is off the catalogued strata "
                 f"(unreal shear {t_c!r})"
             )
-        t = t_c.real
-        v2 = b11.conjugate() / abs(b11)
-        g = elem(v2, t)
+        return t_c.real
+
+    if f11:
+        t = shear(1j * b12 / b11)
+        g = elem(b11.conjugate() / abs(b11), t)
         Bp = apply_psi2(g.P, B)
         return (BShape.DIAG_A_ZETA,
                 BundleParams(a=abs(b11), zeta=complex(Bp.d)), g)
     if f12:
-        t_c = 1j * b22 / (2 * b12)
-        if abs(t_c.imag) > 1e-6 * (1.0 + abs(t_c)):
-            raise ClassificationFailureError(
-                "B over the [[0,1],[1,i]] form is off the catalogued strata "
-                f"(unreal shear {t_c!r})"
-            )
-        t = t_c.real
-        v2 = b12.conjugate() / abs(b12)
-        g = elem(v2, t)
+        t = shear(1j * b22 / (2 * b12))
+        g = elem(b12.conjugate() / abs(b12), t)
         return BShape.ANTI_DIAG, BundleParams(b=abs(b12)), g
     if f22:
         v2 = b22.conjugate() / abs(b22)
@@ -619,19 +573,18 @@ def _u11_membership(P, c=1.0):
     return max_norm(c * P.conj().T @ _J @ P - _J)
 
 
-def _reduce_B_one_plus_minus(B, tol, amb):
+def _reduce_B_one_plus_minus(B, amb):
     arr = B.array
-    scale = max(max_norm(B), 1e-300)
-    zt = tol.rank_tol * scale
+    zt = _RANK_TOL * max(max_norm(B), 1e-300)
     if max_norm(B) <= zt:
         return BShape.ZERO, BundleParams(), GroupElement(1.0, Mat2.identity())
     s, U = takagi(arr)
     c_total = 1.0
     pre = np.eye(2, dtype=complex)
-    if _near(s[1] / s[0], tol.rank_tol, amb, "B near rank-1 over 1(+)-1"):
+    if _near(s[1] / s[0], _RANK_TOL, amb, "B near rank-1 over 1(+)-1"):
         w = math.sqrt(s[0]) * U[:, 0]
         mu = (abs(w[0]) ** 2 - abs(w[1]) ** 2)
-        if _near(abs(mu), tol.rank_tol * (abs(w[0]) ** 2 + abs(w[1]) ** 2), amb,
+        if _near(abs(mu), _RANK_TOL * (abs(w[0]) ** 2 + abs(w[1]) ** 2), amb,
                  "rank-1 B near the isotropic boundary over 1(+)-1"):
             # isotropic direction: the 1(+)0 cell of the swap representative
             m = 0.5 * (abs(w[0]) + abs(w[1]))
@@ -664,7 +617,7 @@ def _reduce_B_one_plus_minus(B, tol, amb):
     D = N - lam_m * np.eye(2)
     sd = np.linalg.svd(D, compute_uv=False)
     n_scale = max(max_norm(N), 1e-300)
-    if _near(sd[0], tol.eig_cluster_tol * n_scale, amb,
+    if _near(sd[0], _EIG_TOL * n_scale, amb,
              "similarity invariant near scalar over 1(+)-1"):
         lam_r = lam_m.real
         if abs(lam_m.imag) > 1e-6 * n_scale:
@@ -672,17 +625,17 @@ def _reduce_B_one_plus_minus(B, tol, amb):
         if lam_r > 0:
             return _opm_d_identity(arr, math.sqrt(lam_r))
         return _opm_anti_diag(arr, math.sqrt(-lam_r))
-    if _near(sd[1], tol.eig_cluster_tol * max(sd[0], 1e-300), amb,
+    if _near(sd[1], _EIG_TOL * max(sd[0], 1e-300), amb,
              "similarity invariant near defective over 1(+)-1"):
         if not (abs(lam_m.imag) <= 1e-6 * n_scale and lam_m.real > 0):
             raise ClassificationFailureError(
                 f"defective invariant with eigenvalue {lam_m!r} off the catalog"
             )
-        return _opm_swap_off_diag(arr, math.sqrt(lam_m.real))
+        return _opm_swap_off_diag(arr, N, math.sqrt(lam_m.real))
     # distinct eigenvalues
     if abs(lam[0].imag) > 1e-6 * n_scale:
         # conjugate pair d^2 e^{+-i theta}: the 1 (+) d e^{i theta} swap cell
-        return _opm_swap_one_de_itheta(arr, lam)
+        return _opm_swap_one_de_itheta(arr, N, lam)
     lam_r = sorted(lam.real)
     if lam_r[0] <= 0:
         raise ClassificationFailureError(
@@ -759,13 +712,12 @@ def _jordan_chain(N, lam):
     return np.column_stack([v1, v2])
 
 
-def _opm_swap_off_diag(arr, b):
+def _opm_swap_off_diag(arr, N, b):
     B_sw = np.array([[0.0, b], [b, 1.0]], dtype=complex)
     B_td = _T @ B_sw @ _T
-    N1 = _J @ np.conj(arr) @ _J @ arr
     N_td = _J @ np.conj(B_td) @ _J @ B_td
     lam = b * b
-    V = _jordan_chain(N1, lam)
+    V = _jordan_chain(N, lam)
     Uc = _jordan_chain(N_td, lam)
     # every intertwiner is V Z Uc^{-1} with Z in the Jordan commutant
     # [[z1, z2], [0, z1]]; the B-transport fixes Z up to a sign
@@ -801,16 +753,15 @@ def _opm_swap_off_diag(arr, b):
             GroupElement(best[1], Mat2(P)))
 
 
-def _opm_swap_one_de_itheta(arr, lam):
+def _opm_swap_one_de_itheta(arr, N, lam):
     lam_p = lam[0] if lam[0].imag > 0 else lam[1]
     d = abs(lam_p)
     theta = abs(cmath.phase(lam_p))
     B_sw = np.diag([1.0, d * cmath.exp(1j * theta)])
     B_td = _T @ B_sw @ _T
-    N1 = _J @ np.conj(arr) @ _J @ arr
     N_td = _J @ np.conj(B_td) @ _J @ B_td
     lam_m = lam_p.conjugate()
-    V = np.column_stack([_eigvec(N1, lam_p), _eigvec(N1, lam_m)])
+    V = np.column_stack([_eigvec(N, lam_p), _eigvec(N, lam_m)])
     Uc = np.column_stack([_eigvec(N_td, lam_p), _eigvec(N_td, lam_m)])
     G = V.T @ arr @ V
     H = Uc.T @ B_td @ Uc
@@ -838,16 +789,26 @@ def _opm_swap_one_de_itheta(arr, lam):
             GroupElement(1.0, Mat2(P)))
 
 
+_STAGE2 = {
+    ALabel.ZERO: _reduce_B_zero,
+    ALabel.ONE_ZERO: _reduce_B_one_zero,
+    ALabel.IDENTITY: _reduce_B_identity,
+    ALabel.ONE_PLUS_MINUS: _reduce_B_one_plus_minus,
+    ALabel.ONE_THETA: _reduce_B_one_theta,
+    ALabel.TAU_FORM: _reduce_B_tau,
+    ALabel.NILPOTENT: _reduce_B_nilpotent,
+    ALabel.JORDAN_I: _reduce_B_jordan,
+}
+
+
 # ---------------------------------------------------------------------------
 # the full pair
 
-def classify_pair(x: PairAB, tol: ToleranceConfig | None = None) -> Classification:
-    tol = tol or ToleranceConfig()
-    a_label, a_params, g1, res1, amb1 = classify_A(x.A, tol)
+def classify_pair(x: PairAB) -> Classification:
+    a_label, a_params, g1, res1, amb1 = classify_A(x.A)
     B1 = apply_psi2(g1.P, x.B)
     try:
-        shape, b_params, g2, amb2 = stabilizer_reduce_B(a_label, B1, tol,
-                                                        a_params)
+        shape, b_params, g2, amb2 = stabilizer_reduce_B(a_label, B1, a_params)
     except ClassificationFailureError:
         if amb1:
             # the A part was snapped to a degenerate class inside the

@@ -25,11 +25,12 @@ from .classify import (
     ClassificationFailureError,
     classify_pair,
 )
-from .closure import PSI1_GRAPH, SuspectEdgeWarning, bundle_graph
+from .closure import PSI1_GRAPH, PSI2_GRAPH, SuspectEdgeWarning, bundle_graph
 from .core import PairAB, ValidationError
 from .normal_forms import (
     ALabel,
-    BLabel,
+    BShape,
+    BundleLabel,
     CELLS,
     BundleParams,
     label_from_string,
@@ -128,6 +129,7 @@ def _emit(doc, args) -> None:
 # simple commands
 
 def cmd_classify(args) -> int:
+    """`classify`, and `reduce`, which also emits the representative."""
     x = _read_pair(args)
     try:
         cls = classify_pair(x)
@@ -137,23 +139,9 @@ def cmd_classify(args) -> int:
     except ClassificationFailureError as exc:
         _emit({"error": str(exc)}, args)
         return EXIT_VERIFY
-    _emit(cls.to_json(), args)
-    return EXIT_OK
-
-
-def cmd_reduce(args) -> int:
-    x = _read_pair(args)
-    try:
-        cls = classify_pair(x)
-    except AmbiguityError as exc:
-        _emit({"ambiguous": list(exc.candidates), "error": str(exc)}, args)
-        return EXIT_AMBIGUOUS
-    except ClassificationFailureError as exc:
-        _emit({"error": str(exc)}, args)
-        return EXIT_VERIFY
-    rep = representative(cls.label, cls.params)
     doc = cls.to_json()
-    doc["representative"] = rep.to_json()
+    if args.cmd == "reduce":
+        doc["representative"] = representative(cls.label, cls.params).to_json()
     _emit(doc, args)
     return EXIT_OK
 
@@ -216,7 +204,7 @@ def cmd_closure(args) -> int:
 
 
 def _a_dim(a: ALabel) -> int:
-    return table_dimension(label_from_string(f"{a.value}/zero"))
+    return table_dimension(BundleLabel(a, BShape.ZERO))
 
 
 def _export_psi1(fmt: str) -> str:
@@ -236,15 +224,14 @@ def _export_psi1(fmt: str) -> str:
 
 
 def _export_psi2(fmt: str) -> str:
-    chain = sorted(BLabel, key=lambda x: x.rank)
-    edges = list(zip(chain, chain[1:]))
+    nodes, edges = PSI2_GRAPH.nodes, PSI2_GRAPH.edges
     if fmt == "json":
         return json.dumps({
-            "nodes": [{"label": b.value, "rank": b.rank} for b in chain],
+            "nodes": [{"label": b.value, "rank": b.rank} for b in nodes],
             "edges": [{"src": s.value, "dst": d.value} for s, d in edges],
         }, indent=2) + "\n"
     lines = ["digraph psi2 {"]
-    for b in chain:
+    for b in nodes:
         lines.append(f'  "{b.value}";')
     for s, d in edges:
         lines.append(f'  "{s.value}" -> "{d.value}";')
@@ -384,16 +371,16 @@ def cmd_verify(args) -> int:
     }
     wanted = list(suites) if args.suite == "all" else [args.suite]
     checks = []
+    counts = {}
     for name in wanted:
-        checks.extend(suites[name](args))
+        suite_checks = suites[name](args)
+        counts[name] = len(suite_checks)
+        checks.extend(suite_checks)
     failed = [c["id"] for c in checks if not c["pass"]]
-    prefix = {"dims": "dim-", "bounds": "bound-", "graph": "mc-",
-              "witness": "witness-"}
     doc = {
         "seed": args.seed,
         "suites": wanted,
-        "counts": {name: sum(c["id"].startswith(prefix[name])
-                             for c in checks) for name in wanted},
+        "counts": counts,
         "checks": checks,
         "failed": failed,
         "pass": not failed,
@@ -452,7 +439,7 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("reduce", help="classify and emit the reduction")
     common(sp, pair_input=True)
-    sp.set_defaults(fn=cmd_reduce)
+    sp.set_defaults(fn=cmd_classify)
 
     sp = sub.add_parser("dim", help="numeric bundle dimension")
     sp.add_argument("label")

@@ -95,11 +95,11 @@ class VerifyReport:
         }
 
 
-def default_grid(s_max: float = DEFAULT_S_MAX,
-                 length: int = DEFAULT_GRID_LENGTH,
-                 ratio: float = DEFAULT_GRID_RATIO) -> tuple:
-    """Geometric grid s_max, s_max*ratio, ... of the given length."""
-    return tuple(s_max * ratio ** k for k in range(length))
+def default_grid(s_max: float = DEFAULT_S_MAX) -> tuple:
+    """Geometric grid s_max, s_max*ratio, ... of DEFAULT_GRID_LENGTH points
+    with ratio DEFAULT_GRID_RATIO."""
+    return tuple(s_max * DEFAULT_GRID_RATIO ** k
+                 for k in range(DEFAULT_GRID_LENGTH))
 
 
 def witness_eval(f: WitnessFamily, s: float):

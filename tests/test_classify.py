@@ -9,7 +9,6 @@ from pairbundles.classify import (
     AmbiguityError,
     Classification,
     ClassificationFailureError,
-    ToleranceConfig,
     classify_A,
     classify_B,
     classify_pair,
@@ -225,9 +224,36 @@ class TestStabilizerReduction(unittest.TestCase):
     def test_jordan_off_catalog_input_fails_loudly(self):
         # over [[0,1],[1,i]] the shear needed for a general B is complex;
         # such inputs are genuinely off the catalogued strata
-        B = SymMat2(1.0, 0.5, 0.0)  # t = i b12/b11 = 0.5i, not real
-        with self.assertRaises(ClassificationFailureError):
-            stabilizer_reduce_B(ALabel.JORDAN_I, B)
+        for B, shear in (
+            (SymMat2(1.0, 0.5, 0.0), "0.5j"),   # t = i b12/b11
+            (SymMat2(0.0, 1.0, 0.5), "0.25j"),  # t = i b22/(2 b12)
+        ):
+            with self.assertRaisesRegex(ClassificationFailureError,
+                                        rf"unreal shear {shear}\)"):
+                stabilizer_reduce_B(ALabel.JORDAN_I, B)
+
+    def test_tau_odd_half_turn_in_both_phase_branches(self):
+        # phase(b_diag) - phase(b12) = 4 wraps to 4 - pi: one half-turn,
+        # which the reducer pays for with c = -1
+        a_params = BundleParams(tau=0.5)
+        cases = (
+            (SymMat2(0.0, 1.0, cmath.exp(4j)), BShape.OFF_DIAG_PHASE, None),
+            (SymMat2(cmath.exp(4j), 1.0, 0.3 + 0.2j), BShape.PHASE_FORM,
+             -0.3 - 0.2j),
+        )
+        for B, want_shape, want_zeta in cases:
+            shape, params, g, _ = stabilizer_reduce_B(
+                ALabel.TAU_FORM, B, a_params=a_params)
+            self.assertIs(shape, want_shape)
+            self.assertAlmostEqual(params.phi, 4.0 - math.pi, places=12)
+            self.assertEqual(g.c, -1.0)
+            if want_zeta is not None:
+                self.assertLess(abs(params.zeta - want_zeta), 1e-12)
+            label = BundleLabel(ALabel.TAU_FORM, shape)
+            target = representative(label, BundleParams(
+                tau=0.5, phi=params.phi, b=params.b, zeta=params.zeta)).B
+            moved = apply_psi2(g.P, B)
+            self.assertLess(max_norm(Mat2(moved.array - target.array)), 1e-12)
 
 
 @pytest.mark.parametrize("label", CELLS, ids=str)
@@ -264,11 +290,6 @@ def test_reducer_transports_input_to_representative(label):
 
 
 class TestToleranceHandling(unittest.TestCase):
-    def test_config_validation(self):
-        with self.assertRaises(Exception):
-            ToleranceConfig(rank_tol=-1.0)
-        ToleranceConfig(rank_tol=1e-8)
-
     def test_gray_band_is_annotated(self):
         # a singular value sitting just inside the rank threshold
         A = Mat2(np.diag([1.0, 3e-7]))
