@@ -5,6 +5,14 @@ it to its canonical form.  Stage 2 reduces the transported B-part by the
 stabilizer subgroup of the canonical A to the catalogued B-shape, extracting
 the continuous parameters.  Every reducer is verified by re-application; a
 failed verification raises rather than returning a wrong answer.
+
+Inside, matrices are row-major 4-tuples of Python complex numbers (see
+`core`): the rank and eigenvalue decisions use closed-form singular values
+and quadratic-formula eigenvalues, and the residuals scalar congruences.
+LAPACK stays where the vector basis it picks can be degenerate: the rank-1
+and Jordan reducers, the Hermitian-like eigenbasis, the Takagi factors and
+the 1(+)-1 solvers.  The checked value types are built only for what the
+public functions return.
 """
 from __future__ import annotations
 
@@ -20,9 +28,16 @@ from .core import (
     Mat2,
     PairAB,
     SymMat2,
+    _cosquare4,
+    _det4,
+    _entries4,
+    _mat4,
+    _max_abs,
+    _mul4,
+    _spectral_norm,
+    _star_congruence4,
     apply_action,
     apply_psi2,
-    cosquare,
     group_compose,
     max_norm,
     pair_distance,
@@ -34,10 +49,10 @@ from .normal_forms import (
     BundleLabel,
     BundleParams,
     _SWAP_SHAPES,
+    _representative_A_entries,
     _wrap_phase_halfturn,
     canonicalize_params,
     representative,
-    representative_A,
     validate_params,
 )
 
@@ -102,126 +117,169 @@ def _near(q, thresh, amb, note):
 # ---------------------------------------------------------------------------
 # stage 1: the A-part
 
+def _singular_values(m):
+    """Both singular values of a 2x2 matrix in closed form: sv[0] from M*M
+    (`core._spectral_norm`), sv[1] = |det M| / sv[0]."""
+    s0 = _spectral_norm(*m)
+    return s0, (abs(_det4(m)) / s0 if s0 > 0.0 else 0.0)
+
+
+def _array(m) -> np.ndarray:
+    return np.array(m, dtype=complex).reshape(2, 2)
+
+
+def _gap(m, t) -> float:
+    """Max-norm distance of two row-major 4-tuples."""
+    return _max_abs([x - y for x, y in zip(m, t)])
+
+
 def classify_A(A: Mat2):
     """Returns (a_label, params, reducer, residual, ambiguous)."""
-    arr = A.array
+    a = _entries4(A)
     amb: list[str] = []
-    U, sv, Vh = np.linalg.svd(arr)
-    scale = sv[0]
+    scale, sv1 = _singular_values(a)
     if _near(scale, _RANK_TOL, amb, "A near zero"):
         g = GroupElement(1.0, Mat2.identity())
         return ALabel.ZERO, BundleParams(), g, float(scale), tuple(amb)
-    if _near(sv[1] / scale, _RANK_TOL, amb, "A near rank-1 boundary"):
-        label, g = _reduce_rank1_A(U, sv, Vh, amb)
+    if _near(sv1 / scale, _RANK_TOL, amb, "A near rank-1 boundary"):
+        label, c, p = _reduce_rank1_A(A.array, amb)
         params = BundleParams()
     else:
-        label, params, g = _reduce_rank2_A(arr, amb)
-    res = max_norm(
-        (g.c * g.P.array.conj().T @ arr @ g.P.array)
-        - representative_A(label, params).array
-    )
-    return label, params, g, float(res), tuple(amb)
+        label, params, c, p = _reduce_rank2_A(a, amb)
+    res = _gap(_star_congruence4(c, p, a),
+               _representative_A_entries(label, params))
+    return label, params, GroupElement(c, _mat4(p)), float(res), tuple(amb)
 
 
-def _unit(v):
-    return v / np.linalg.norm(v)
+def _unit2(x, y):
+    n = math.hypot(abs(x), abs(y))
+    return x / n, y / n
 
 
-def _reduce_rank1_A(U, sv, Vh, amb):
-    s0 = sv[0]
-    u = U[:, 0]
-    v = Vh[0].conj()  # A ~ s0 * outer(u, conj(v)) = s0 u v^H
-    align = abs(np.vdot(v, u))
-    if _near(1.0 - align, _EIG_TOL, amb, "rank-1 A near the 1(+)0 / nilpotent boundary"):
-        # A = s0 e^{i psi} v v^H
-        psi = cmath.phase(np.vdot(v, u))
-        vperp = np.array([-v[1].conjugate(), v[0].conjugate()])
-        P = np.column_stack([v / math.sqrt(s0), _unit(vperp)])
-        return ALabel.ONE_ZERO, GroupElement(cmath.exp(-1j * psi), Mat2(P))
+def _reduce_rank1_A(arr, amb):
+    U, sv, Vh = np.linalg.svd(arr)
+    s0 = float(sv[0])
+    u0, u1 = U[:, 0].tolist()
+    v0, v1 = Vh[0].conj().tolist()  # A ~ s0 * outer(u, conj(v)) = s0 u v^H
+    vu = v0.conjugate() * u0 + v1.conjugate() * u1  # v^H u
+    if _near(1.0 - abs(vu), _EIG_TOL, amb,
+             "rank-1 A near the 1(+)0 / nilpotent boundary"):
+        # A = s0 e^{i psi} v v^H; the second column is v's unit perpendicular
+        r = math.sqrt(s0)
+        w0, w1 = _unit2(-v1.conjugate(), v0.conjugate())
+        P = (v0 / r, w0, v1 / r, w1)
+        return ALabel.ONE_ZERO, cmath.exp(-1j * cmath.phase(vu)), P
     # nilpotent: send u -> e1 direction, v -> e2 direction
-    p1 = _unit(u - v * np.vdot(v, u))        # perpendicular to v
-    p2 = _unit(v - u * np.vdot(u, v))        # perpendicular to u
-    z = s0 * (p1.conj() @ u) * (v.conj() @ p2)
-    P = np.column_stack([p1 / abs(z), p2])
-    return ALabel.NILPOTENT, GroupElement(z.conjugate() / abs(z), Mat2(P))
+    uv = vu.conjugate()
+    p10, p11 = _unit2(u0 - v0 * vu, u1 - v1 * vu)  # perpendicular to v
+    p20, p21 = _unit2(v0 - u0 * uv, v1 - u1 * uv)  # perpendicular to u
+    z = (s0 * (p10.conjugate() * u0 + p11.conjugate() * u1)
+         * (v0.conjugate() * p20 + v1.conjugate() * p21))
+    m = abs(z)
+    return ALabel.NILPOTENT, z.conjugate() / m, (p10 / m, p20, p11 / m, p21)
 
 
-def _reduce_rank2_A(arr, amb):
-    C = cosquare(Mat2(arr)).array
-    lam = np.linalg.eigvals(C)
-    lam_m = lam.mean()
-    D = C - lam_m * np.eye(2)
-    sd = np.linalg.svd(D, compute_uv=False)
+def _reduce_rank2_A(a, amb):
+    C, det_c = _cosquare4(a)
+    lam_m, disc, sd0 = _mean_split(C)
     n_scale = max(1.0, abs(lam_m))
-    if _near(sd[0], _EIG_TOL * n_scale, amb, "cosquare near scalar"):
-        return _reduce_hermitian_like(arr, lam_m, amb)
-    if _near(sd[1], _EIG_TOL * max(1.0, sd[0]), amb, "cosquare near defective"):
+    if _near(sd0, _EIG_TOL * n_scale, amb, "cosquare near scalar"):
+        return _reduce_hermitian_like(_array(a), lam_m, amb)
+    if _near(abs(disc) / sd0, _EIG_TOL * max(1.0, sd0), amb,
+             "cosquare near defective"):
         if abs(abs(lam_m) - 1.0) > 100 * _EIG_TOL:
             raise ClassificationFailureError(
-                f"defective cosquare with non-unimodular eigenvalue {lam_m!r}"
+                "defective cosquare with non-unimodular eigenvalue "
+                f"{np.complex128(lam_m)!r}"
             )
-        return _reduce_jordan_A(arr, C, lam_m)
-    # two separated eigenvalues; pair structure: both unimodular, or a
-    # conjugate-reciprocal pair
+        return _reduce_jordan_A(_array(a), _array(C), lam_m)
+    # two separated eigenvalues
+    lam = _roots(lam_m, disc, det_c)
+    # pair structure: both unimodular, or a conjugate-reciprocal pair
     m0, m1 = abs(lam[0]), abs(lam[1])
     unimodular = max(abs(m0 - 1.0), abs(m1 - 1.0))
     if _near(unimodular, _EIG_TOL, amb, "cosquare eigenvalues near the unit circle"):
-        return _reduce_one_theta_A(arr, C, lam)
+        return _reduce_one_theta_A(a, C, lam)
     if abs(m0 * m1 - 1.0) > 1e-6 * max(1.0, m0 * m1):
         raise ClassificationFailureError(
-            f"cosquare spectrum {lam!r} violates the reciprocal pair structure"
+            f"cosquare spectrum {np.array(lam)!r} "
+            "violates the reciprocal pair structure"
         )
-    return _reduce_tau_A(arr, C, lam)
+    return _reduce_tau_A(a, C, lam)
 
 
-def _eigvec(M, lam):
-    X = M - lam * np.eye(2)
-    _, _, vh = np.linalg.svd(X)
-    return vh[-1].conj()
+def _mean_split(m):
+    """(lam_m, disc, sd0) of a 2x2 matrix m: its mean eigenvalue lam_m, and
+    disc = -det(m - lam_m I) and sd0 = sv[0] of m - lam_m I =
+    [[e, m01], [m10, -e]].  Its other singular value is |disc| / sd0."""
+    lam_m = 0.5 * (m[0] + m[3])
+    e = 0.5 * (m[0] - m[3])
+    return lam_m, e * e + m[1] * m[2], _spectral_norm(e, m[1], m[2], -e)
 
 
-def _reduce_one_theta_A(arr, C, lam):
+def _roots(lam_m, disc, det):
+    """The eigenvalues lam_m +- sqrt(disc), larger modulus first; the other
+    one is det / lam_big, free of cancellation."""
+    r = cmath.sqrt(disc)
+    big = lam_m + r if abs(lam_m + r) >= abs(lam_m - r) else lam_m - r
+    return big, det / big
+
+
+def _eigvec(m, lam):
+    """A unit null vector of M - lam I: (-x01, x00) of its row (x00, x01) of
+    larger norm."""
+    x0, x1, x2, x3 = m[0] - lam, m[1], m[2], m[3] - lam
+    if abs(x0) ** 2 + abs(x1) ** 2 < abs(x2) ** 2 + abs(x3) ** 2:
+        x0, x1 = x2, x3
+    n = math.hypot(abs(x0), abs(x1))
+    return (-x1 / n, x0 / n) if n > 0.0 else (1.0, 0.0)
+
+
+def _quad(u, a) -> complex:
+    """u* A u."""
+    return (u[0].conjugate() * (a[0] * u[0] + a[1] * u[1])
+            + u[1].conjugate() * (a[2] * u[0] + a[3] * u[1]))
+
+
+def _reduce_one_theta_A(a, C, lam):
     s0 = _eigvec(C, lam[0])
     s1 = _eigvec(C, lam[1])
-    for order in ((s0, s1), (s1, s0)):
-        S = np.column_stack(order)
-        N = S.conj().T @ arr @ S
-        c = cmath.exp(-1j * cmath.phase(N[0, 0]))
-        theta = cmath.phase(c * N[1, 1])
+    for u, v in ((s0, s1), (s1, s0)):
+        n0, n1 = _quad(u, a), _quad(v, a)
+        c = cmath.exp(-1j * cmath.phase(n0))
+        theta = cmath.phase(c * n1)
         if 0.0 < theta < math.pi:
-            P = S @ np.diag([1.0 / math.sqrt(abs(N[0, 0])),
-                             1.0 / math.sqrt(abs(N[1, 1]))])
-            return (ALabel.ONE_THETA, BundleParams(theta=theta),
-                    GroupElement(c, Mat2(P)))
+            k0, k1 = 1.0 / math.sqrt(abs(n0)), 1.0 / math.sqrt(abs(n1))
+            P = (u[0] * k0, v[0] * k1, u[1] * k0, v[1] * k1)
+            return ALabel.ONE_THETA, BundleParams(theta=theta), c, P
     raise ClassificationFailureError("no eigenvalue order yields theta in (0, pi)")
 
 
-def _reduce_tau_A(arr, C, lam):
+def _reduce_tau_A(a, C, lam):
     lam = sorted(lam, key=abs)
     tau = abs(lam[0])
     s0 = _eigvec(C, lam[0])
     s1 = _eigvec(C, lam[1])
-    S = np.column_stack([s0, s1])
+    S = (s0[0], s1[0], s0[1], s1[1])
     c = cmath.exp(-0.5j * cmath.phase(lam[0]))
     for cc in (c, -c):
-        N = cc * S.conj().T @ arr @ S
-        m = N[0, 1]
+        m = _star_congruence4(cc, S, a)[1]
         if abs(m) < 1e-300:
             continue
         # split the scale evenly over both columns to keep P well conditioned
         r = cmath.sqrt(m)
-        P = S @ np.diag([1.0 / r.conjugate(), 1.0 / r])
-        out = cc * P.conj().T @ arr @ P
-        if abs(out[0, 1] - 1.0) < 0.5:
-            return (ALabel.TAU_FORM, BundleParams(tau=float(tau)),
-                    GroupElement(cc, Mat2(P)))
+        k0, k1 = 1.0 / r.conjugate(), 1.0 / r
+        P = (S[0] * k0, S[1] * k1, S[2] * k0, S[3] * k1)
+        if abs(_star_congruence4(cc, P, a)[1] - 1.0) < 0.5:
+            return ALabel.TAU_FORM, BundleParams(tau=float(tau)), cc, P
     raise ClassificationFailureError("tau-form reduction failed")
 
 
 def _reduce_hermitian_like(arr, lam_m, amb):
     if abs(abs(lam_m) - 1.0) > 100 * _EIG_TOL:
         raise ClassificationFailureError(
-            f"scalar cosquare with non-unimodular eigenvalue {lam_m!r}"
+            "scalar cosquare with non-unimodular eigenvalue "
+            f"{np.complex128(lam_m)!r}"
         )
     c0 = cmath.exp(-0.5j * cmath.phase(lam_m))
     H = c0 * arr
@@ -232,13 +290,13 @@ def _reduce_hermitian_like(arr, lam_m, amb):
         raise ClassificationFailureError("rank-2 A with near-singular Hermitian part")
     if d[0] > 0:
         P = Uh @ np.diag(1.0 / np.sqrt(d))
-        return ALabel.IDENTITY, BundleParams(), GroupElement(c0, Mat2(P))
+        return ALabel.IDENTITY, BundleParams(), c0, _entries4(P)
     if d[1] < 0:
         P = Uh @ np.diag(1.0 / np.sqrt(-d))
-        return ALabel.IDENTITY, BundleParams(), GroupElement(-c0, Mat2(P))
+        return ALabel.IDENTITY, BundleParams(), -c0, _entries4(P)
     # indefinite: order (positive, negative) for diag(1, -1)
     P = np.column_stack([Uh[:, 1] / math.sqrt(d[1]), Uh[:, 0] / math.sqrt(-d[0])])
-    return ALabel.ONE_PLUS_MINUS, BundleParams(), GroupElement(c0, Mat2(P))
+    return ALabel.ONE_PLUS_MINUS, BundleParams(), c0, _entries4(P)
 
 
 def _reduce_jordan_A(arr, C, lam_m):
@@ -267,7 +325,7 @@ def _reduce_jordan_A(arr, C, lam_m):
         P = P0 @ K
         out = cc * P.conj().T @ arr @ P
         if max_norm(out - np.array([[0, 1], [1, 1j]])) < 0.1:
-            return ALabel.JORDAN_I, BundleParams(), GroupElement(cc, Mat2(P))
+            return ALabel.JORDAN_I, BundleParams(), cc, _entries4(P)
     raise ClassificationFailureError("Jordan-type reduction failed")
 
 
@@ -321,11 +379,10 @@ def stabilizer_reduce_B(a_label: ALabel, B: SymMat2,
     amb: list[str] = []
     shape, params, g = _STAGE2[a_label](B, amb)
     # stabilizer membership / A-transport check
-    A0 = representative_A(a_label, a_params).array
-    A_target = representative_A(a_label, a_params,
-                                swap_rep=shape in _SWAP_SHAPES).array
-    defect = max_norm(g.c * g.P.array.conj().T @ A0 @ g.P.array - A_target)
-    if defect > 1e-7 * max(1.0, max_norm(A0)):
+    A0 = _representative_A_entries(a_label, a_params)
+    A_target = _representative_A_entries(a_label, a_params, shape in _SWAP_SHAPES)
+    defect = _gap(_star_congruence4(g.c, _entries4(g.P), A0), A_target)
+    if defect > 1e-7 * max(1.0, _max_abs(A0)):
         raise ClassificationFailureError(
             f"stage-2 reducer leaves the stabilizer of {a_label} (defect {defect:.3e})"
         )
@@ -569,6 +626,12 @@ def _rot(z):
 _SHALF_INV = _T @ np.diag([1.0, -1j]) @ _T
 
 
+def _star_flip(m):
+    """J conj(M) J with J = diag(1, -1)."""
+    return (m[0].conjugate(), -m[1].conjugate(), -m[2].conjugate(),
+            m[3].conjugate())
+
+
 def _u11_membership(P, c=1.0):
     return max_norm(c * P.conj().T @ _J @ P - _J)
 
@@ -578,10 +641,13 @@ def _reduce_B_one_plus_minus(B, amb):
     zt = _RANK_TOL * max(max_norm(B), 1e-300)
     if max_norm(B) <= zt:
         return BShape.ZERO, BundleParams(), GroupElement(1.0, Mat2.identity())
-    s, U = takagi(arr)
+    # the Takagi values of B are its singular values
+    b4 = (B.a, B.b, B.b, B.d)
+    s0, s1 = _singular_values(b4)
     c_total = 1.0
     pre = np.eye(2, dtype=complex)
-    if _near(s[1] / s[0], _RANK_TOL, amb, "B near rank-1 over 1(+)-1"):
+    if _near(s1 / s0, _RANK_TOL, amb, "B near rank-1 over 1(+)-1"):
+        s, U = takagi(arr)
         w = math.sqrt(s[0]) * U[:, 0]
         mu = (abs(w[0]) ** 2 - abs(w[1]) ** 2)
         if _near(abs(mu), _RANK_TOL * (abs(w[0]) ** 2 + abs(w[1]) ** 2), amb,
@@ -610,14 +676,12 @@ def _reduce_B_one_plus_minus(B, amb):
                        [math.sinh(t), math.cosh(t)]], dtype=complex)
         P = pre @ D1 @ Hb
         return BShape.ZERO_D, BundleParams(d=float(d)), GroupElement(c_total, Mat2(P))
-    # rank 2: classify by the similarity invariant N = J conj(B) J B
-    N = _J @ np.conj(arr) @ _J @ arr
-    lam = np.linalg.eigvals(N)
-    lam_m = lam.mean()
-    D = N - lam_m * np.eye(2)
-    sd = np.linalg.svd(D, compute_uv=False)
-    n_scale = max(max_norm(N), 1e-300)
-    if _near(sd[0], _EIG_TOL * n_scale, amb,
+    # rank 2: classify by the similarity invariant N = J conj(B) J B,
+    # det N = |det B|^2
+    n4 = _mul4(_star_flip(b4), b4)
+    lam_m, disc, sd0 = _mean_split(n4)
+    n_scale = max(_max_abs(n4), 1e-300)
+    if _near(sd0, _EIG_TOL * n_scale, amb,
              "similarity invariant near scalar over 1(+)-1"):
         lam_r = lam_m.real
         if abs(lam_m.imag) > 1e-6 * n_scale:
@@ -625,27 +689,30 @@ def _reduce_B_one_plus_minus(B, amb):
         if lam_r > 0:
             return _opm_d_identity(arr, math.sqrt(lam_r))
         return _opm_anti_diag(arr, math.sqrt(-lam_r))
-    if _near(sd[1], _EIG_TOL * max(sd[0], 1e-300), amb,
+    if _near(abs(disc) / sd0, _EIG_TOL * max(sd0, 1e-300), amb,
              "similarity invariant near defective over 1(+)-1"):
         if not (abs(lam_m.imag) <= 1e-6 * n_scale and lam_m.real > 0):
             raise ClassificationFailureError(
-                f"defective invariant with eigenvalue {lam_m!r} off the catalog"
+                f"defective invariant with eigenvalue {np.complex128(lam_m)!r} "
+                "off the catalog"
             )
-        return _opm_swap_off_diag(arr, N, math.sqrt(lam_m.real))
+        return _opm_swap_off_diag(arr, _array(n4), math.sqrt(lam_m.real))
     # distinct eigenvalues
+    lam = _roots(lam_m, disc, abs(_det4(b4)) ** 2)
     if abs(lam[0].imag) > 1e-6 * n_scale:
         # conjugate pair d^2 e^{+-i theta}: the 1 (+) d e^{i theta} swap cell
-        return _opm_swap_one_de_itheta(arr, N, lam)
-    lam_r = sorted(lam.real)
+        return _opm_swap_one_de_itheta(arr, n4, lam)
+    lam_r = sorted(l.real for l in lam)
     if lam_r[0] <= 0:
         raise ClassificationFailureError(
-            f"real invariant spectrum {lam_r!r} off the catalog over 1(+)-1"
+            f"real invariant spectrum {[np.float64(l) for l in lam_r]!r} "
+            "off the catalog over 1(+)-1"
         )
-    return _opm_diag_ad(arr, N, lam_r)
+    return _opm_diag_ad(arr, n4, lam_r)
 
 
-def _opm_diag_ad(arr, N, lam_r):
-    vs = [_eigvec(N, l) for l in lam_r]
+def _opm_diag_ad(arr, n4, lam_r):
+    vs = [np.array(_eigvec(n4, l)) for l in lam_r]
     forms = [float((v.conj() @ (_J @ v)).real) for v in vs]
     if forms[0] * forms[1] >= 0:
         raise ClassificationFailureError("eigenvectors not split by the (1,1) form")
@@ -753,7 +820,7 @@ def _opm_swap_off_diag(arr, N, b):
             GroupElement(best[1], Mat2(P)))
 
 
-def _opm_swap_one_de_itheta(arr, N, lam):
+def _opm_swap_one_de_itheta(arr, n4, lam):
     lam_p = lam[0] if lam[0].imag > 0 else lam[1]
     d = abs(lam_p)
     theta = abs(cmath.phase(lam_p))
@@ -761,8 +828,9 @@ def _opm_swap_one_de_itheta(arr, N, lam):
     B_td = _T @ B_sw @ _T
     N_td = _J @ np.conj(B_td) @ _J @ B_td
     lam_m = lam_p.conjugate()
-    V = np.column_stack([_eigvec(N, lam_p), _eigvec(N, lam_m)])
-    Uc = np.column_stack([_eigvec(N_td, lam_p), _eigvec(N_td, lam_m)])
+    n4_td = _entries4(N_td)
+    V = np.column_stack([_eigvec(n4, lam_p), _eigvec(n4, lam_m)])
+    Uc = np.column_stack([_eigvec(n4_td, lam_p), _eigvec(n4_td, lam_m)])
     G = V.T @ arr @ V
     H = Uc.T @ B_td @ Uc
     sols = []

@@ -1,10 +1,13 @@
 """Core 2x2 complex matrix kernel: the group, the action, norms, invariants.
 
 Everything here is a small immutable value type backed by numpy arrays, plus
-pure functions.  All other modules build on these.
+pure functions.  All other modules build on these.  The action, the norms
+and the value types' checks compute on Python complex scalars: a 2x2 matrix
+inside is the row-major 4-tuple (m00, m01, m10, m11), see `_entries4`.
 """
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass, field
@@ -42,10 +45,89 @@ def _as_c2x2(entries) -> np.ndarray:
     arr = np.asarray(entries, dtype=complex)
     if arr.shape != (2, 2):
         raise ValidationError(f"expected 2x2 matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.view(float))):
+    # cmath.isfinite(z) tests both float parts with math.isfinite
+    if not all(map(cmath.isfinite, arr.ravel().tolist())):
         raise ValidationError("matrix entries must be finite")
     arr.flags.writeable = False
     return arr
+
+
+# ---------------------------------------------------------------------------
+# scalar 2x2 kernels on row-major 4-tuples of Python complex numbers
+
+def _entries4(M) -> tuple:
+    """(m00, m01, m10, m11) of a Mat2 or a 2x2 array, as Python complex."""
+    if isinstance(M, Mat2):
+        M = M.entries
+    return tuple(np.asarray(M, dtype=complex).ravel().tolist())
+
+
+def _det4(m) -> complex:
+    return m[0] * m[3] - m[1] * m[2]
+
+
+def _mul4(x, y) -> tuple:
+    """The matrix product x @ y."""
+    x0, x1, x2, x3 = x
+    y0, y1, y2, y3 = y
+    return (x0 * y0 + x1 * y2, x0 * y1 + x1 * y3,
+            x2 * y0 + x3 * y2, x2 * y1 + x3 * y3)
+
+
+def _star_congruence4(c, p, a) -> tuple:
+    """c (P* A) P, with P* A formed first as in numpy's left-to-right
+    product."""
+    p0, p1, p2, p3 = p
+    q0, q1, q2, q3 = (p0.conjugate(), p1.conjugate(), p2.conjugate(),
+                      p3.conjugate())
+    a0, a1, a2, a3 = a
+    t0, t1 = q0 * a0 + q2 * a2, q0 * a1 + q2 * a3
+    t2, t3 = q1 * a0 + q3 * a2, q1 * a1 + q3 * a3
+    return (c * (t0 * p0 + t1 * p2), c * (t0 * p1 + t1 * p3),
+            c * (t2 * p0 + t3 * p2), c * (t2 * p1 + t3 * p3))
+
+
+def _transpose_congruence3(p, a, b, d) -> tuple:
+    """(a', b', d') of (P^T B) P for B = [[a, b], [b, d]], re-symmetrized
+    against round-off as `SymMat2.from_array` does."""
+    p0, p1, p2, p3 = p
+    t0, t1 = p0 * a + p2 * b, p0 * b + p2 * d
+    t2, t3 = p1 * a + p3 * b, p1 * b + p3 * d
+    return (t0 * p0 + t1 * p2,
+            0.5 * ((t0 * p1 + t1 * p3) + (t2 * p0 + t3 * p2)),
+            t2 * p1 + t3 * p3)
+
+
+def _cosquare4(a) -> tuple:
+    """The cosquare (A*)^{-1} A = adj(A*) A / conj(det A) of an invertible
+    A, and its determinant det A / conj(det A)."""
+    a0, a1, a2, a3 = a
+    det = _det4(a)
+    k = 1.0 / det.conjugate()
+    C = _mul4((a3.conjugate() * k, -a2.conjugate() * k,
+               -a1.conjugate() * k, a0.conjugate() * k), a)
+    return C, det / det.conjugate()
+
+
+def _max_abs(values) -> float:
+    """Largest modulus; NaN if any modulus is NaN, as numpy's max is."""
+    mods = list(map(abs, values))
+    total = sum(mods)
+    return total if total != total else max(mods)
+
+
+def _spectral_norm(m00, m01, m10, m11) -> float:
+    """Largest singular value of [[m00, m01], [m10, m11]]: the square root
+    of the largest eigenvalue of the Hermitian M*M = [[h00, h01], [., h11]].
+    Both terms under the outer root are nonnegative, so the result keeps
+    full relative accuracy when the two singular values coincide."""
+    h00 = m00.real * m00.real + m00.imag * m00.imag \
+        + m10.real * m10.real + m10.imag * m10.imag
+    h11 = m01.real * m01.real + m01.imag * m01.imag \
+        + m11.real * m11.real + m11.imag * m11.imag
+    h01 = m00.conjugate() * m01 + m10.conjugate() * m11
+    return math.sqrt(0.5 * (h00 + h11)
+                     + math.hypot(0.5 * (h00 - h11), abs(h01)))
 
 
 @dataclass(frozen=True)
@@ -88,6 +170,11 @@ class Mat2:
         return f"Mat2({self.entries.tolist()!r})"
 
 
+def _mat4(m) -> Mat2:
+    """The Mat2 of a row-major 4-tuple."""
+    return Mat2([[m[0], m[1]], [m[2], m[3]]])
+
+
 @dataclass(frozen=True)
 class SymMat2:
     """A symmetric 2x2 complex matrix [[a, b], [b, d]] stored by entries."""
@@ -97,9 +184,9 @@ class SymMat2:
     d: complex
 
     def __post_init__(self):
-        for name in ("a", "b", "d"):
-            z = complex(getattr(self, name))
-            if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        entries = (complex(self.a), complex(self.b), complex(self.d))
+        for name, z in zip(("a", "b", "d"), entries):
+            if not cmath.isfinite(z):
                 raise ValidationError(f"SymMat2.{name} must be finite")
             object.__setattr__(self, name, z)
 
@@ -149,7 +236,7 @@ class GroupElement:
         if abs(abs(c) - 1.0) > UNIT_CIRCLE_TOL:
             raise ValidationError(f"|c| must be 1 (got |c| = {abs(c)!r})")
         P = self.P if isinstance(self.P, Mat2) else Mat2(self.P)
-        if abs(np.linalg.det(P.array)) <= MIN_ABS_DET:
+        if abs(_det4(_entries4(P))) <= MIN_ABS_DET:
             raise ValidationError("P must be invertible")
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "P", P)
@@ -212,16 +299,15 @@ def dumps(obj, **kw) -> str:
 
 def apply_psi1(g: GroupElement, A: Mat2) -> Mat2:
     """First projection of the action: A -> c P* A P."""
-    P = g.P.array
-    return Mat2(g.c * (P.conj().T @ A.array @ P))
+    return _mat4(_star_congruence4(g.c, _entries4(g.P), _entries4(A)))
 
 
 def apply_psi2(P: Union[Mat2, np.ndarray], B: SymMat2) -> SymMat2:
     """Second projection: B -> P^T B P (re-symmetrized against round-off)."""
-    Pa = P.array if isinstance(P, Mat2) else np.asarray(P, dtype=complex)
-    if abs(np.linalg.det(Pa)) <= MIN_ABS_DET:
+    p = _entries4(P)
+    if abs(_det4(p)) <= MIN_ABS_DET:
         raise ValidationError("P must be invertible")
-    return SymMat2.from_array(Pa.T @ B.array @ Pa)
+    return SymMat2(*_transpose_congruence3(p, B.a, B.b, B.d))
 
 
 def apply_action(g: GroupElement, x: PairAB) -> PairAB:
@@ -234,17 +320,19 @@ def apply_action(g: GroupElement, x: PairAB) -> PairAB:
 
 def max_norm(M) -> float:
     """Largest entry modulus.  Satisfies ||XY|| <= 2 ||X|| ||Y|| for 2x2."""
-    if isinstance(M, (Mat2, SymMat2)):
-        M = M.array
-    return float(np.max(np.abs(np.asarray(M, dtype=complex))))
+    if isinstance(M, SymMat2):
+        return _max_abs((M.a, M.b, M.d))
+    if isinstance(M, Mat2):
+        M = M.entries
+    return float(_max_abs(np.asarray(M, dtype=complex).ravel().tolist()))
 
 
 def pair_distance(x: PairAB, y: PairAB) -> float:
     """Max of the two component max-norm distances."""
-    return max(
-        max_norm(x.A.array - y.A.array),
-        max_norm(x.B.array - y.B.array),
-    )
+    xA, yA = _entries4(x.A), _entries4(y.A)
+    xB, yB = x.B, y.B
+    return _max_abs((xA[0] - yA[0], xA[1] - yA[1], xA[2] - yA[2],
+                    xA[3] - yA[3], xB.a - yB.a, xB.b - yB.b, xB.d - yB.d))
 
 
 # ---------------------------------------------------------------------------
@@ -252,11 +340,10 @@ def pair_distance(x: PairAB, y: PairAB) -> float:
 
 def cosquare(A: Mat2) -> Mat2:
     """(A*)^{-1} A; its similarity class classifies A up to the c^2 gauge."""
-    arr = A.array
-    Astar = arr.conj().T
-    if abs(np.linalg.det(Astar)) <= MIN_ABS_DET:
+    a = _entries4(A)
+    if abs(_det4(a)) <= MIN_ABS_DET:
         raise ValidationError("cosquare requires det A != 0")
-    return Mat2(np.linalg.solve(Astar, arr))
+    return _mat4(_cosquare4(a)[0])
 
 
 def det_invariant(x: PairAB, rtol: float = 1e-9) -> float:
@@ -282,7 +369,7 @@ def group_identity() -> GroupElement:
 def group_compose(g: GroupElement, h: GroupElement) -> GroupElement:
     """Composition fixed by apply_action(g, apply_action(h, x)) ==
     apply_action(group_compose(h, g), x)."""
-    return GroupElement(g.c * h.c, Mat2(g.P.array @ h.P.array))
+    return GroupElement(g.c * h.c, _mat4(_mul4(_entries4(g.P), _entries4(h.P))))
 
 
 def group_inverse(g: GroupElement) -> GroupElement:

@@ -17,9 +17,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
 
-import numpy as np
-
-from .core import Mat2, PairAB, SymMat2
+from .core import Mat2, PairAB, SymMat2, _mat4
 
 __all__ = [
     "ALabel",
@@ -313,33 +311,41 @@ _SWAP_SHAPES = frozenset(
 )
 
 
-def representative_A(a_label: ALabel, params: BundleParams | None = None,
-                     *, swap_rep: bool = False) -> Mat2:
-    """Canonical first-component matrix for an A-class."""
-    p = params or BundleParams()
-    if a_label is _A.ZERO:
-        return Mat2.zero()
-    if a_label is _A.ONE_ZERO:
-        return Mat2(np.diag([1.0, 0.0]))
-    if a_label is _A.IDENTITY:
-        return Mat2.identity()
-    if a_label is _A.ONE_PLUS_MINUS:
-        if swap_rep:
-            return Mat2([[0.0, 1.0], [1.0, 0.0]])
-        return Mat2(np.diag([1.0, -1.0]))
+# row-major entries (a00, a01, a10, a11) of the parameter-free A-forms
+_REP_A_ENTRIES: dict[ALabel, tuple] = {
+    _A.ZERO: (0.0, 0.0, 0.0, 0.0),
+    _A.ONE_ZERO: (1.0, 0.0, 0.0, 0.0),
+    _A.IDENTITY: (1.0, 0.0, 0.0, 1.0),
+    _A.ONE_PLUS_MINUS: (1.0, 0.0, 0.0, -1.0),
+    _A.NILPOTENT: (0.0, 1.0, 0.0, 0.0),
+    _A.JORDAN_I: (0.0, 1.0, 1.0, 1j),
+}
+_SWAP_REP_A_ENTRIES = (0.0, 1.0, 1.0, 0.0)
+
+
+def _representative_A_entries(a_label: ALabel, p: BundleParams,
+                              swap_rep: bool = False) -> tuple:
+    """Row-major entries of `representative_A`."""
     if a_label is _A.ONE_THETA:
         if p.theta is None:
             raise ValueError("one_theta requires parameter theta")
-        return Mat2(np.diag([1.0, cmath.exp(1j * p.theta)]))
-    if a_label is _A.NILPOTENT:
-        return Mat2([[0.0, 1.0], [0.0, 0.0]])
+        return (1.0, 0.0, 0.0, cmath.exp(1j * p.theta))
     if a_label is _A.TAU_FORM:
         if p.tau is None:
             raise ValueError("tau_form requires parameter tau")
-        return Mat2([[0.0, 1.0], [p.tau, 0.0]])
-    if a_label is _A.JORDAN_I:
-        return Mat2([[0.0, 1.0], [1.0, 1j]])
-    raise ValueError(a_label)
+        return (0.0, 1.0, p.tau, 0.0)
+    if swap_rep and a_label is _A.ONE_PLUS_MINUS:
+        return _SWAP_REP_A_ENTRIES
+    if not isinstance(a_label, ALabel):
+        raise ValueError(a_label)
+    return _REP_A_ENTRIES[a_label]
+
+
+def representative_A(a_label: ALabel, params: BundleParams | None = None,
+                     *, swap_rep: bool = False) -> Mat2:
+    """Canonical first-component matrix for an A-class."""
+    return _mat4(_representative_A_entries(a_label, params or BundleParams(),
+                                           swap_rep))
 
 
 def _representative_B(shape: BShape, p: BundleParams) -> SymMat2:

@@ -33,6 +33,7 @@ from .core import (
     PairAB,
     SymMat2,
     ValidationError,
+    _spectral_norm,
     max_norm,
     pair_distance,
 )
@@ -860,20 +861,6 @@ def _coords_to_params(fields, coords):
     return BundleParams(**kw)
 
 
-def _spectral_norm(m00, m01, m10, m11) -> float:
-    """Largest singular value of [[m00, m01], [m10, m11]]: the square root
-    of the largest eigenvalue of the Hermitian M*M = [[h00, h01], [., h11]].
-    Both terms under the outer root are nonnegative, so the result keeps
-    full relative accuracy when the two singular values coincide."""
-    h00 = m00.real * m00.real + m00.imag * m00.imag \
-        + m10.real * m10.real + m10.imag * m10.imag
-    h11 = m01.real * m01.real + m01.imag * m01.imag \
-        + m11.real * m11.real + m11.imag * m11.imag
-    h01 = m00.conjugate() * m01 + m10.conjugate() * m11
-    return math.sqrt(0.5 * (h00 + h11)
-                     + math.hypot(0.5 * (h00 - h11), abs(h01)))
-
-
 def _distance_kernel(x: PairAB, target: BundleLabel, norm: str):
     """(objective, surrogate) of ``distance_to_bundle`` as functions of the
     search vector (phase of c, the 8 real entries of P, the coordinates of
@@ -1135,28 +1122,32 @@ def monte_carlo_neighborhood(label: BundleLabel,
     histogram: dict = {}
     violations: list = []
     ambiguous = failures = 0
-    for t in range(trials):
-        rng = np.random.default_rng([seed, t])
-        dA = np.array([[_disc_sample(rng, epsilon) for _ in range(2)]
-                       for _ in range(2)])
-        db = [_disc_sample(rng, epsilon) for _ in range(3)]
-        A = Mat2(A0 + dA)
-        B = SymMat2(B0[0, 0] + db[0], B0[0, 1] + db[1], B0[1, 1] + db[2])
-        try:
-            cls = classify_pair(PairAB(A, B))
-        except AmbiguityError:
-            ambiguous += 1
-            continue
-        except ClassificationFailureError:
-            failures += 1
-            continue
-        name = str(cls.label)
-        histogram[name] = histogram.get(name, 0) + 1
-        if cls.ambiguous:
-            ambiguous += 1
-            continue
-        if not _quiet_is_path(label, cls.label):
-            violations.append((t, name))
+    graph = bundle_graph()
+    with warnings.catch_warnings():
+        # reachability through a suspect edge still counts as reachable
+        warnings.simplefilter("ignore", SuspectEdgeWarning)
+        for t in range(trials):
+            rng = np.random.default_rng([seed, t])
+            dA = np.array([[_disc_sample(rng, epsilon) for _ in range(2)]
+                           for _ in range(2)])
+            db = [_disc_sample(rng, epsilon) for _ in range(3)]
+            A = Mat2(A0 + dA)
+            B = SymMat2(B0[0, 0] + db[0], B0[0, 1] + db[1], B0[1, 1] + db[2])
+            try:
+                cls = classify_pair(PairAB(A, B))
+            except AmbiguityError:
+                ambiguous += 1
+                continue
+            except ClassificationFailureError:
+                failures += 1
+                continue
+            name = str(cls.label)
+            histogram[name] = histogram.get(name, 0) + 1
+            if cls.ambiguous:
+                ambiguous += 1
+                continue
+            if not graph.is_path(label, cls.label):
+                violations.append((t, name))
     return NeighborhoodReport(
         center=str(label), center_params=params.to_json(),
         epsilon=float(epsilon), trials=int(trials),

@@ -13,12 +13,17 @@ from pairbundles.classify import (
     classify_B,
     classify_pair,
     stabilizer_reduce_B,
+    _eigvec,
+    _mean_split,
+    _roots,
+    _singular_values,
 )
 from pairbundles.core import (
     GroupElement,
     Mat2,
     PairAB,
     SymMat2,
+    _cosquare4,
     apply_action,
     apply_psi1,
     apply_psi2,
@@ -287,6 +292,91 @@ def test_reducer_transports_input_to_representative(label):
     assert pair_distance(moved, target) <= 1e-7 * max(
         1.0, max_norm(x.A), max_norm(x.B)
     )
+
+
+# ---------------------------------------------------------------------------
+# the classifier's closed-form 2x2 helpers against numpy
+
+
+def _e4(M):
+    return tuple(complex(z) for z in np.asarray(M).ravel())
+
+
+def _rand_vec(rng, scale=1.0):
+    return scale * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
+
+
+def _singular_value_cases():
+    rng = np.random.default_rng(4242)
+    for _ in range(50):
+        yield math.exp(3.0 * rng.standard_normal()) * (
+            rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    for _ in range(50):  # rank 1
+        x, y = _rand_vec(rng), _rand_vec(rng, math.exp(rng.standard_normal()))
+        yield np.outer(x, y.conj())
+    yield np.outer([1.0, 0.0], [0.0, 2.0j])
+    yield np.zeros((2, 2), dtype=complex)
+    for _ in range(50):  # scaled unitary: sv[0] = sv[1]
+        U = np.linalg.qr(rng.standard_normal((2, 2))
+                         + 1j * rng.standard_normal((2, 2)))[0]
+        yield math.exp(3.0 * rng.standard_normal()) * U
+
+
+def test_closed_form_singular_values_match_svd():
+    # both to 1e-12 of the norm sv[0]: relative for sv[0], and for sv[1]
+    # wherever sv[1] = sv[0]
+    for M in _singular_value_cases():
+        want = np.linalg.svd(M, compute_uv=False)
+        s0, s1 = _singular_values(_e4(M))
+        assert abs(s0 - want[0]) <= 1e-12 * want[0], M
+        assert abs(s1 - want[1]) <= 1e-12 * want[0], M
+
+
+def test_null_vector_of_rank_one_matrices():
+    rng = np.random.default_rng(4343)
+    cases = [np.outer(_rand_vec(rng), _rand_vec(rng, math.exp(rng.standard_normal())))
+             for _ in range(200)]
+    cases += [np.outer([1.0, 0.0], [2.0, 1j]), np.outer([0.0, 1j], [2.0, 1j])]
+    for X in cases:
+        lam = complex(rng.standard_normal(), rng.standard_normal())
+        for shift in (0.0, lam):
+            v = np.array(_eigvec(_e4(X + shift * np.eye(2)), shift))
+            assert abs(np.linalg.norm(v) - 1.0) <= 1e-14
+            # the shift rounds X's entries by up to eps |shift|
+            bound = 1e-12 * (np.linalg.norm(X, 2) + abs(shift))
+            assert np.linalg.norm(X @ v) <= bound, (X, shift)
+
+
+def test_cosquare_eigenvalues_keep_relative_accuracy_at_small_tau():
+    tau = 1e-8
+    # the representative [[0, 1], [tau, 0]] itself: cosquare diag(tau, 1/tau)
+    C, det_c = _cosquare4((0.0, 1.0, tau, 0.0))
+    big, small = _roots(*_mean_split(C)[:2], det_c)
+    assert abs(big - 1.0 / tau) <= 1e-15 / tau
+    assert abs(small - tau) <= 1e-15 * tau
+    # moved by (c, P): the eigenvalues are c^2 tau and c^2 / tau.  Rounding
+    # the moved entries costs about eps cond(P)^2 / tau = 1e-7 relative; the
+    # cancelling root lam_m - sqrt(disc) would lose every digit here
+    for k in range(20):
+        rng = np.random.default_rng([77, k])
+        g = rand_group_element(rng, max_cond=10)
+        A = apply_psi1(g, Mat2([[0.0, 1.0], [tau, 0.0]]))
+        C, det_c = _cosquare4(_e4(A.array))
+        big, small = _roots(*_mean_split(C)[:2], det_c)
+        c2 = g.c * g.c
+        assert abs(big - c2 / tau) <= 1e-6 / tau
+        assert abs(small - c2 * tau) <= 1e-6 * tau
+
+
+def test_cosquare_eigenvalues_match_numpy():
+    rng = np.random.default_rng(4444)
+    for _ in range(100):
+        A = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        C, det_c = _cosquare4(_e4(A))
+        want = np.linalg.eigvals(np.linalg.solve(A.conj().T, A))
+        bound = 1e-10 * np.linalg.cond(A) ** 2
+        for lam in _roots(*_mean_split(C)[:2], det_c):
+            assert min(abs(want - lam)) <= bound * abs(lam)
 
 
 class TestToleranceHandling(unittest.TestCase):

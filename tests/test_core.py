@@ -22,6 +22,12 @@ from pairbundles.core import (
     group_inverse,
     max_norm,
     pair_distance,
+    _cosquare4,
+    _det4,
+    _max_abs,
+    _mul4,
+    _star_congruence4,
+    _transpose_congruence3,
 )
 
 
@@ -70,6 +76,70 @@ class TestConstructors:
     def test_group_element_singular_P(self):
         with pytest.raises(ValidationError):
             GroupElement(1.0, Mat2(np.zeros((2, 2))))
+
+
+class TestValueTypeChecks:
+    """What each value type rejects: its scalar checks must reject exactly
+    these inputs."""
+
+    @pytest.mark.parametrize("bad", [complex(math.inf, 0.0), complex(math.nan, 0.0),
+                                     complex(0.0, math.inf), complex(0.0, math.nan),
+                                     complex(-math.inf, 1.0)])
+    def test_mat2_rejects_non_finite_real_and_imaginary_parts(self, bad):
+        for pos in range(4):
+            entries = np.eye(2, dtype=complex)
+            entries.ravel()[pos] = bad
+            with pytest.raises(ValidationError, match="must be finite"):
+                Mat2(entries)
+
+    def test_mat2_accepts_transposed_view(self):
+        # a Fortran-ordered array is a valid matrix, not a layout error
+        M = np.array([[1.0, 2.0j], [3.0, 4.0]])
+        assert np.array_equal(Mat2(M.T).array, M.T)
+
+    @pytest.mark.parametrize("name", ["a", "b", "d"])
+    @pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(0.0, math.inf)])
+    def test_symmat2_names_the_non_finite_field(self, name, bad):
+        kw = {"a": 1.0, "b": 0.0, "d": 1.0, name: bad}
+        with pytest.raises(ValidationError, match=f"SymMat2.{name} must be finite"):
+            SymMat2(**kw)
+
+    def test_determinant_floor_of_group_element_and_psi2(self):
+        # |det| = 1e-320 (subnormal) is below MIN_ABS_DET = 1e-300
+        tiny = Mat2(1e-160 * np.eye(2))
+        with pytest.raises(ValidationError, match="invertible"):
+            GroupElement(1.0, tiny)
+        with pytest.raises(ValidationError, match="invertible"):
+            apply_psi2(tiny, SymMat2.identity())
+        small = Mat2(1e-100 * np.eye(2))
+        assert GroupElement(1.0, small).P == small
+        assert apply_psi2(small, SymMat2.identity()).a == pytest.approx(1e-200)
+
+
+def _rand_entries(rng, scale=1.0):
+    return tuple(complex(z) for z in rand_complex_matrix(rng, scale).ravel())
+
+
+def test_scalar_kernels_match_numpy():
+    rng = np.random.default_rng(2024)
+    for _ in range(200):
+        scale = math.exp(3.0 * rng.standard_normal())
+        p, a = _rand_entries(rng), _rand_entries(rng, scale)
+        b, d, e = (complex(z) for z in rand_complex_matrix(rng, scale).ravel()[:3])
+        P, A, B = (np.array(m).reshape(2, 2) for m in (p, a, (b, e, e, d)))
+        c = complex(np.exp(1j * rng.uniform(0, 2 * np.pi)))
+        bound = 1e-12 * max_norm(P) ** 2 * max(max_norm(A), max_norm(B))
+        want = c * P.conj().T @ A @ P
+        assert max_norm(np.subtract(_star_congruence4(c, p, a), want.ravel())) <= bound
+        want = P.T @ B @ P
+        got = _transpose_congruence3(p, b, e, d)
+        assert max_norm(np.subtract(got, (want[0, 0], want[0, 1], want[1, 1]))) <= bound
+        assert abs(got[1] - want[1, 0]) <= bound
+        assert max_norm(np.subtract(_mul4(p, a), (P @ A).ravel())) <= bound
+        assert abs(_det4(a) - np.linalg.det(A)) <= 1e-12 * max_norm(A) ** 2
+        assert _max_abs(a) == max_norm(A)
+    assert math.isnan(_max_abs((1.0, math.nan, 2.0)))
+    assert _max_abs((1.0, -math.inf)) == math.inf
 
 
 class TestActionExamples:
@@ -196,6 +266,17 @@ class TestCosquare:
         A = rand_complex_matrix(rng)
         c = np.exp(0.4j)
         assert np.allclose(cosquare(Mat2(c * A)).array, c**2 * cosquare(Mat2(A)).array)
+
+    def test_adjugate_form_matches_numpy_solve(self):
+        rng = np.random.default_rng(4444)
+        for _ in range(100):
+            A = rand_complex_matrix(rng)
+            C, det_c = _cosquare4(tuple(complex(z) for z in A.ravel()))
+            want = np.linalg.solve(A.conj().T, A)
+            bound = 1e-12 * np.linalg.cond(A) ** 2
+            assert np.abs(np.subtract(C, want.ravel())).max() <= bound
+            assert abs(det_c - np.linalg.det(want)) <= bound
+            assert abs(abs(det_c) - 1.0) <= 1e-15
 
 
 class TestDetInvariant:
