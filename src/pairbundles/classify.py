@@ -11,8 +11,10 @@ Inside, matrices are row-major 4-tuples of Python complex numbers (see
 and quadratic-formula eigenvalues, and the residuals scalar congruences.
 LAPACK stays where the vector basis it picks can be degenerate: the rank-1
 and Jordan reducers, the Hermitian-like eigenbasis, the Takagi factors and
-the 1(+)-1 solvers.  The checked value types are built only for what the
-public functions return.
+the two 1(+)-1 solvers of a rank-2 B (`_opm_intertwine` carries the invariant
+N = J conj(B) J B onto its target's through eigenvectors or a Jordan chain;
+`_opm_scalar` serves a scalar N through a symmetric square root of B).  The
+checked value types are built only for what the public functions return.
 """
 from __future__ import annotations
 
@@ -303,13 +305,9 @@ def _reduce_jordan_A(arr, C, lam_m):
     # bring the cosquare to the unipotent Jordan form of [[0,1],[1,i]]
     lam = lam_m / abs(lam_m)
     c = cmath.exp(-0.5j * cmath.phase(lam))
-    Cn = c * c * C
-    M = Cn - np.eye(2)
-    # Jordan chain: M p2 = 2i p1, M p1 ~ 0
-    Us, ss, Vhs = np.linalg.svd(M)
-    p1 = Us[:, 0] * (ss[0] / 2j)
-    p2 = Vhs[0].conj()
-    P0 = np.column_stack([p1, p2])
+    # Jordan chain of the unipotent cosquare: (Cn - I) p2 = 2i p1
+    V = _jordan_chain(c * c * C, 1.0)
+    P0 = np.column_stack([V[:, 0] / 2j, V[:, 1]])
     for cc in (c, -c):
         Mt = cc * P0.conj().T @ arr @ P0
         t = Mt[0, 1]
@@ -599,6 +597,8 @@ def _reduce_B_jordan(B, amb):
 
 
 # --- the 1 (+) -1 class -----------------------------------------------------
+# The stabilizer {(c, P): c = +-1, P* J P = c J} of J = diag(1, -1) moves the
+# invariant N = J conj(B) J B of B only by similarity, N -> P^-1 N P.
 
 def _sqrtm2_symmetric(C):
     """A symmetric square root of an invertible symmetric 2x2 matrix."""
@@ -623,6 +623,12 @@ def _rot(z):
     return np.array([[c, s], [-s, c]], dtype=complex)
 
 
+def _boost(t):
+    """The (1,1)-unitary boost [[cosh t, sinh t], [sinh t, cosh t]]."""
+    return np.array([[math.cosh(t), math.sinh(t)],
+                     [math.sinh(t), math.cosh(t)]], dtype=complex)
+
+
 _SHALF_INV = _T @ np.diag([1.0, -1j]) @ _T
 
 
@@ -634,6 +640,15 @@ def _star_flip(m):
 
 def _u11_membership(P, c=1.0):
     return max_norm(c * P.conj().T @ _J @ P - _J)
+
+
+def _jordan_chain(N, lam):
+    """Columns (v1, v2) with (N - lam I) v2 = v1, for N with the single
+    eigenvalue lam."""
+    M = N - lam * np.eye(2)
+    _, _, Vh = np.linalg.svd(M)
+    v2 = Vh[0].conj()
+    return np.column_stack([M @ v2, v2])
 
 
 def _reduce_B_one_plus_minus(B, amb):
@@ -656,10 +671,7 @@ def _reduce_B_one_plus_minus(B, amb):
             m = 0.5 * (abs(w[0]) + abs(w[1]))
             Dw = np.diag([cmath.exp(-1j * cmath.phase(w[0])),
                           cmath.exp(-1j * cmath.phase(w[1]))])
-            r = -math.log(m * math.sqrt(2.0))
-            Hb = np.array([[math.cosh(r), math.sinh(r)],
-                           [math.sinh(r), math.cosh(r)]], dtype=complex)
-            P = Dw @ Hb @ _T
+            P = Dw @ _boost(-math.log(m * math.sqrt(2.0))) @ _T
             return BShape.SWAP_ONE_ZERO, BundleParams(), GroupElement(1.0, Mat2(P))
         if mu > 0:
             pre = _S12
@@ -671,13 +683,9 @@ def _reduce_B_one_plus_minus(B, amb):
         r1, r2 = abs(w[0]), abs(w[1])
         D1 = np.diag([cmath.exp(-1j * cmath.phase(w[0])) if r1 > 0 else 1.0,
                       cmath.exp(-1j * cmath.phase(w[1]))])
-        t = math.atanh(-r1 / r2)
-        Hb = np.array([[math.cosh(t), math.sinh(t)],
-                       [math.sinh(t), math.cosh(t)]], dtype=complex)
-        P = pre @ D1 @ Hb
+        P = pre @ D1 @ _boost(math.atanh(-r1 / r2))
         return BShape.ZERO_D, BundleParams(d=float(d)), GroupElement(c_total, Mat2(P))
-    # rank 2: classify by the similarity invariant N = J conj(B) J B,
-    # det N = |det B|^2
+    # rank 2: classify by the similarity invariant N, det N = |det B|^2
     n4 = _mul4(_star_flip(b4), b4)
     lam_m, disc, sd0 = _mean_split(n4)
     n_scale = max(_max_abs(n4), 1e-300)
@@ -687,8 +695,12 @@ def _reduce_B_one_plus_minus(B, amb):
         if abs(lam_m.imag) > 1e-6 * n_scale:
             raise ClassificationFailureError("scalar invariant with complex eigenvalue")
         if lam_r > 0:
-            return _opm_d_identity(arr, math.sqrt(lam_r))
-        return _opm_anti_diag(arr, math.sqrt(-lam_r))
+            d = math.sqrt(lam_r)
+            return _opm_scalar(arr, BShape.D_IDENTITY, BundleParams(d=d), d,
+                               _orth_d_identity)
+        b = math.sqrt(-lam_r)
+        return _opm_scalar(arr, BShape.ANTI_DIAG, BundleParams(b=b), b,
+                           _orth_anti_diag)
     if _near(abs(disc) / sd0, _EIG_TOL * max(sd0, 1e-300), amb,
              "similarity invariant near defective over 1(+)-1"):
         if not (abs(lam_m.imag) <= 1e-6 * n_scale and lam_m.real > 0):
@@ -696,165 +708,106 @@ def _reduce_B_one_plus_minus(B, amb):
                 f"defective invariant with eigenvalue {np.complex128(lam_m)!r} "
                 "off the catalog"
             )
-        return _opm_swap_off_diag(arr, _array(n4), math.sqrt(lam_m.real))
+        b = math.sqrt(lam_m.real)
+        B_sw = np.array([[0.0, b], [b, 1.0]], dtype=complex)
+        return _opm_intertwine(arr, n4, BShape.SWAP_OFF_DIAG_B_ONE,
+                               BundleParams(b=b), _T @ B_sw @ _T, (b * b,))
     # distinct eigenvalues
     lam = _roots(lam_m, disc, abs(_det4(b4)) ** 2)
     if abs(lam[0].imag) > 1e-6 * n_scale:
-        # conjugate pair d^2 e^{+-i theta}: the 1 (+) d e^{i theta} swap cell
-        return _opm_swap_one_de_itheta(arr, n4, lam)
+        # a conjugate pair d e^{+-i theta}: the 1 (+) d e^{i theta} swap cell
+        lam_p = lam[0] if lam[0].imag > 0 else lam[1]
+        d, theta = abs(lam_p), abs(cmath.phase(lam_p))
+        B_sw = np.diag([1.0, d * cmath.exp(1j * theta)])
+        return _opm_intertwine(arr, n4, BShape.SWAP_ONE_DE_ITHETA,
+                               BundleParams(d=d, theta=theta), _T @ B_sw @ _T,
+                               (lam_p, lam_p.conjugate()))
     lam_r = sorted(l.real for l in lam)
     if lam_r[0] <= 0:
         raise ClassificationFailureError(
             f"real invariant spectrum {[np.float64(l) for l in lam_r]!r} "
             "off the catalog over 1(+)-1"
         )
-    return _opm_diag_ad(arr, n4, lam_r)
+    a, d = math.sqrt(lam_r[0]), math.sqrt(lam_r[1])
+    return _opm_intertwine(arr, n4, BShape.DIAG_AD, BundleParams(a=a, d=d),
+                           np.diag([a, d]).astype(complex), lam_r)
 
 
-def _opm_diag_ad(arr, n4, lam_r):
-    vs = [np.array(_eigvec(n4, l)) for l in lam_r]
-    forms = [float((v.conj() @ (_J @ v)).real) for v in vs]
-    if forms[0] * forms[1] >= 0:
-        raise ClassificationFailureError("eigenvectors not split by the (1,1) form")
-    order = (0, 1) if forms[0] > 0 else (1, 0)
-    pos, neg = order
-    p1 = vs[pos] / math.sqrt(forms[pos])
-    p2 = vs[neg] / math.sqrt(-forms[neg])
-    P = np.column_stack([p1, p2])
-    Bp = P.T @ arr @ P
-    Dphi = np.diag([cmath.exp(-0.5j * cmath.phase(Bp[0, 0])),
-                    cmath.exp(-0.5j * cmath.phase(Bp[1, 1]))])
-    P = P @ Dphi
-    a = math.sqrt(lam_r[pos])
-    d = math.sqrt(lam_r[neg])
-    c = 1.0
-    if a > d:
-        P = P @ _S12
-        c = -1.0
-        a, d = d, a
-    return BShape.DIAG_AD, BundleParams(a=a, d=d), GroupElement(c, Mat2(P))
+def _opm_intertwine(arr, n4, shape, params, B_t, lam):
+    """The reducer of B = arr onto the J-frame target B_t, whose invariant
+    has the eigenvalues lam (one entry when both are one defective
+    eigenvalue).
 
-
-def _opm_d_identity(arr, d):
-    C = arr / d
-    Q0 = _sqrtm2_symmetric(C)
-    Q0i = np.linalg.inv(Q0)
-    K = Q0i.conj().T @ _J @ Q0i
-    x = 0.5 * math.atan2(K[0, 1].real, K[0, 0].real)
-    Q = _rot(x) @ Q0
-    P = np.linalg.inv(Q)
-    if _u11_membership(P) > 1e-7:
-        raise ClassificationFailureError("dI reduction left the (1,1) unitary group")
-    return BShape.D_IDENTITY, BundleParams(d=float(d)), GroupElement(1.0, Mat2(P))
-
-
-def _opm_anti_diag(arr, b):
-    C = arr / b
-    G0 = _sqrtm2_symmetric(C)
-    G0i = np.linalg.inv(G0)
-    K = G0i.conj().T @ _J @ G0i
-    if K[0, 1].imag >= 0:
-        y = 0.5 * math.asinh(K[0, 0].real)
-        O = _rot(1j * y)
+    R = V Z Uc^-1, where V and Uc hold eigenvectors (or a Jordan chain) of
+    N and of N_t, and Z commutes with their common Jordan form.  N^T B = B N,
+    so G = V^T B V and H = Uc^T B_t Uc are diagonal for distinct
+    eigenvalues, and R^T B R = B_t fixes Z up to signs, which change neither
+    residual.  The swap shapes leave the J frame by P = R T.
+    """
+    N_t = _J @ np.conj(B_t) @ _J @ B_t
+    if len(lam) == 2:
+        n4_t = _entries4(N_t)
+        V = np.column_stack([_eigvec(n4, l) for l in lam])
+        Uc = np.column_stack([_eigvec(n4_t, l) for l in lam])
     else:
-        y = 0.5 * math.asinh(-K[0, 0].real)
-        O = np.diag([1.0, -1.0]) @ _rot(1j * y)
-    Q = _SHALF_INV @ O @ G0
-    P = np.linalg.inv(Q)
-    if _u11_membership(P) > 1e-7:
-        raise ClassificationFailureError("anti-diagonal reduction left the group")
-    return BShape.ANTI_DIAG, BundleParams(b=float(b)), GroupElement(1.0, Mat2(P))
-
-
-def _both_sqrts(z):
-    r = cmath.sqrt(z)
-    return (r, -r) if r != 0 else (r,)
-
-
-def _jordan_chain(N, lam):
-    M = N - lam * np.eye(2)
-    Us, ss, Vhs = np.linalg.svd(M)
-    v2 = Vhs[0].conj()
-    v1 = M @ v2
-    return np.column_stack([v1, v2])
-
-
-def _opm_swap_off_diag(arr, N, b):
-    B_sw = np.array([[0.0, b], [b, 1.0]], dtype=complex)
-    B_td = _T @ B_sw @ _T
-    N_td = _J @ np.conj(B_td) @ _J @ B_td
-    lam = b * b
-    V = _jordan_chain(N, lam)
-    Uc = _jordan_chain(N_td, lam)
-    # every intertwiner is V Z Uc^{-1} with Z in the Jordan commutant
-    # [[z1, z2], [0, z1]]; the B-transport fixes Z up to a sign
-    G = V.T @ arr @ V
-    H = Uc.T @ B_td @ Uc
-    cands = []
-    if abs(G[0, 0]) > 1e-10 * max_norm(G):
-        for z1 in _both_sqrts(H[0, 0] / G[0, 0]):
-            z2 = (H[0, 1] - z1 * z1 * G[0, 1]) / (z1 * G[0, 0])
-            cands.append((z1, z2))
-    elif abs(G[0, 1]) > 1e-10 * max_norm(G):
-        for z1 in _both_sqrts(H[0, 1] / G[0, 1]):
-            z2 = (H[1, 1] - z1 * z1 * G[1, 1]) / (2.0 * z1 * G[0, 1])
-            cands.append((z1, z2))
-    Uci = np.linalg.inv(Uc)
-    best = None
-    for z1, z2 in cands:
-        R = V @ np.array([[z1, z2], [0.0, z1]], dtype=complex) @ Uci
-        b_res = max_norm(R.T @ arr @ R - B_td)
-        # the solution may land in the P* J P = -J component; c = -1 then
-        # restores the anti-diagonal A-representative
-        for c in (1.0, -1.0):
-            r = max(b_res, max_norm(R.conj().T @ _J @ R - c * _J))
-            if best is None or r < best[2]:
-                best = (R, c, r)
-    if best is None or best[2] > 1e-7 * max(1.0, max_norm(arr)):
-        raise ClassificationFailureError(
-            "defective-invariant reduction failed "
-            f"(residual {best[2] if best else math.inf:.3e})"
-        )
-    P = best[0] @ _T
-    return (BShape.SWAP_OFF_DIAG_B_ONE, BundleParams(b=float(b)),
-            GroupElement(best[1], Mat2(P)))
-
-
-def _opm_swap_one_de_itheta(arr, n4, lam):
-    lam_p = lam[0] if lam[0].imag > 0 else lam[1]
-    d = abs(lam_p)
-    theta = abs(cmath.phase(lam_p))
-    B_sw = np.diag([1.0, d * cmath.exp(1j * theta)])
-    B_td = _T @ B_sw @ _T
-    N_td = _J @ np.conj(B_td) @ _J @ B_td
-    lam_m = lam_p.conjugate()
-    n4_td = _entries4(N_td)
-    V = np.column_stack([_eigvec(n4, lam_p), _eigvec(n4, lam_m)])
-    Uc = np.column_stack([_eigvec(n4_td, lam_p), _eigvec(n4_td, lam_m)])
-    G = V.T @ arr @ V
-    H = Uc.T @ B_td @ Uc
-    sols = []
-    if abs(G[0, 0]) > 1e-12 * max_norm(G):
+        V, Uc = _jordan_chain(_array(n4), lam[0]), _jordan_chain(N_t, lam[0])
+    G, H = V.T @ arr @ V, Uc.T @ B_t @ Uc
+    Z = None
+    if len(lam) == 2:
+        if min(abs(G[0, 0]), abs(G[1, 1])) > 1e-12 * max_norm(G):
+            Z = np.diag([cmath.sqrt(H[0, 0] / G[0, 0]),
+                         cmath.sqrt(H[1, 1] / G[1, 1])])
+    # defective: G00 = 0 up to the near-defective gray band, and Z is
+    # [[z1, z2], [0, z1]]
+    elif abs(G[0, 0]) > 1e-10 * max_norm(G):
         z1 = cmath.sqrt(H[0, 0] / G[0, 0])
-        if abs(G[0, 1]) > 1e-12 * max_norm(G):
-            z2 = H[0, 1] / (z1 * G[0, 1])
-            sols += [(z1, z2), (-z1, -z2)]
-        z2m = cmath.sqrt(H[1, 1] / G[1, 1])
-        sols += [(z1, z2m), (z1, -z2m), (-z1, z2m), (-z1, -z2m)]
-    best = None
-    for z1, z2 in sols:
-        R = V @ np.diag([z1, z2]) @ np.linalg.inv(Uc)
-        r = max(max_norm(R.T @ arr @ R - B_td), _u11_membership(R))
-        if best is None or r < best[1]:
-            best = (R, r)
-    if best is None or best[1] > 1e-7 * max(1.0, max_norm(arr)):
+        z2 = (H[0, 1] - z1 * z1 * G[0, 1]) / (z1 * G[0, 0])
+        Z = np.array([[z1, z2], [0.0, z1]])
+    elif abs(G[0, 1]) > 1e-10 * max_norm(G):
+        z1 = cmath.sqrt(H[0, 1] / G[0, 1])
+        z2 = (H[1, 1] - z1 * z1 * G[1, 1]) / (2.0 * z1 * G[0, 1])
+        Z = np.array([[z1, z2], [0.0, z1]])
+    r, c, P = math.inf, 1.0, None
+    if Z is not None:
+        P = V @ Z @ np.linalg.inv(Uc)
+        b_res = max_norm(P.T @ arr @ P - B_t)
+        r, c = min(((max(b_res, _u11_membership(P, cc)), cc)
+                    for cc in (1.0, -1.0)), key=lambda rc: rc[0])
+    if not r <= 1e-7 * max(1.0, max_norm(arr)):
         raise ClassificationFailureError(
-            "conjugate-pair reduction failed "
-            f"(residual {best[1] if best else math.inf:.3e})"
-        )
-    P = best[0] @ _T
-    return (BShape.SWAP_ONE_DE_ITHETA, BundleParams(d=float(d), theta=float(theta)),
-            GroupElement(1.0, Mat2(P)))
+            f"1(+)-1 reduction to {shape.value} failed (residual {r:.3e})")
+    if shape in _SWAP_SHAPES:
+        P = P @ _T
+    return shape, params, GroupElement(c, Mat2(P))
+
+
+def _orth_d_identity(K):
+    """The rotation taking K = Q0^-* J Q0^-1 to J."""
+    return _rot(0.5 * math.atan2(K[0, 1].real, K[0, 0].real))
+
+
+def _orth_anti_diag(K):
+    """The complex-orthogonal factor taking K = Q0^-* J Q0^-1 to the
+    anti-diagonal target's frame."""
+    if K[0, 1].imag >= 0:
+        O = _rot(0.5j * math.asinh(K[0, 0].real))
+    else:
+        O = np.diag([1.0, -1.0]) @ _rot(0.5j * math.asinh(-K[0, 0].real))
+    return _SHALF_INV @ O
+
+
+def _opm_scalar(arr, shape, params, s, orth):
+    """The reducer of B = arr with scalar invariant: B / s = Q0^2 with Q0
+    symmetric, so P = (O Q0)^-1 carries B to the target for every complex
+    orthogonal O, and `orth` picks the O that puts P in the (1,1) unitary
+    group."""
+    Q0 = _sqrtm2_symmetric(arr / s)
+    Q0i = np.linalg.inv(Q0)
+    P = np.linalg.inv(orth(Q0i.conj().T @ _J @ Q0i) @ Q0)
+    if _u11_membership(P) > 1e-7:
+        raise ClassificationFailureError(
+            f"1(+)-1 reduction to {shape.value} left the (1,1) unitary group")
+    return shape, params, GroupElement(1.0, Mat2(P))
 
 
 _STAGE2 = {

@@ -480,7 +480,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--trials", type=int, default=200)
     sp.add_argument("--epsilon", type=float, default=1e-3)
-    sp.add_argument("--budget", type=int, default=8)
     sp.add_argument("--tol", type=float, default=1e-4)
     common(sp)
     sp.set_defaults(fn=cmd_verify)

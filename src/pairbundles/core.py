@@ -42,7 +42,9 @@ class ValidationError(ValueError):
 
 
 def _as_c2x2(entries) -> np.ndarray:
-    arr = np.asarray(entries, dtype=complex)
+    # a C-ordered copy: the caller's array stays writable, and writing into
+    # it later cannot change the matrix or its hash
+    arr = np.array(entries, dtype=complex, order="C")
     if arr.shape != (2, 2):
         raise ValidationError(f"expected 2x2 matrix, got shape {arr.shape}")
     # cmath.isfinite(z) tests both float parts with math.isfinite

@@ -412,9 +412,7 @@ def sample_lemadet_case(mode: str, rng) -> tuple[BoundReport, int]:
             E = _rand_full(rng)
             E *= rng.uniform(0.05, 0.95) * limit / max_norm(E)
             A = (1 / c) * Pi.conj().T @ (At + E) @ Pi
-            rep = lemadet_verify(Mat2(np.ascontiguousarray(At)),
-                                 Mat2(np.ascontiguousarray(A)),
-                                 GroupElement(c, Mat2(np.ascontiguousarray(P))),
+            rep = lemadet_verify(Mat2(At), Mat2(A), GroupElement(c, Mat2(P)),
                                  mode)
         elif mode == "PBF":
             Bt = _rand_sym_mat(rng)
@@ -422,10 +420,8 @@ def sample_lemadet_case(mode: str, rng) -> tuple[BoundReport, int]:
             limit = min(abs(_det(Bt)) / 6.0, 1.0)
             F *= rng.uniform(0.05, 0.5) * limit / max_norm(F)
             B = Pi.T @ (Bt + F) @ Pi
-            rep = lemadet_verify(SymMat2.from_array(Bt),
-                                 SymMat2.from_array(B),
-                                 GroupElement(c, Mat2(np.ascontiguousarray(P))),
-                                 mode)
+            rep = lemadet_verify(SymMat2.from_array(Bt), SymMat2.from_array(B),
+                                 GroupElement(c, Mat2(P)), mode)
         elif mode == "part3":
             At, Bt = _rand_full(rng), _rand_sym_mat(rng)
             limit = min(1.0, 1.0 / max_norm(np.linalg.inv(At)),
@@ -437,9 +433,9 @@ def sample_lemadet_case(mode: str, rng) -> tuple[BoundReport, int]:
             A = (1 / c) * Pi.conj().T @ (At + E) @ Pi
             B = Pi.T @ (Bt + F) @ Pi
             rep = lemadet_verify(
-                PairAB(Mat2(np.ascontiguousarray(At)), SymMat2.from_array(Bt)),
-                PairAB(Mat2(np.ascontiguousarray(A)), SymMat2.from_array(B)),
-                GroupElement(c, Mat2(np.ascontiguousarray(P))), mode)
+                PairAB(Mat2(At), SymMat2.from_array(Bt)),
+                PairAB(Mat2(A), SymMat2.from_array(B)),
+                GroupElement(c, Mat2(P)), mode)
         else:
             raise ValueError(f"unknown mode {mode!r}")
         if rep.hypothesis_ok:
@@ -1024,7 +1020,7 @@ def distance_to_bundle(x: PairAB, target: BundleLabel, budget: int = 32,
                    best_vec[3] + 1j * best_vec[4]],
                   [best_vec[5] + 1j * best_vec[6],
                    best_vec[7] + 1j * best_vec[8]]])
-    g = GroupElement(c, Mat2(np.ascontiguousarray(P)))
+    g = GroupElement(c, Mat2(P))
     return best_val, (g, _coords_to_params(fields, best_vec[9:]))
 
 

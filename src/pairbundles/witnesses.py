@@ -110,8 +110,8 @@ def witness_eval(f: WitnessFamily, s: float):
     """
     if not 0.0 < s <= f.s_max:
         raise ValueError(f"s must lie in (0, {f.s_max}] (got {s})")
-    P = np.ascontiguousarray(np.asarray(f.P_of_s(s), dtype=complex))
-    if not np.all(np.isfinite(P.view(float))) or abs(np.linalg.det(P)) < 1e-300:
+    P = np.asarray(f.P_of_s(s), dtype=complex)
+    if not np.isfinite(P).all() or abs(np.linalg.det(P)) < 1e-300:
         raise ValueError(f"P({s}) is singular or non-finite")
     g = GroupElement(f.c_of_s(s), Mat2(P))
     moved = apply_action(g, f.target_instance_of_s(s))
@@ -164,9 +164,7 @@ def _corrected(f: WitnessFamily, t: float, psi: float,
 
     def P(s, _t=t, _tr=transpose):
         M = np.asarray(base_P(s), dtype=complex)
-        if _tr:
-            M = np.ascontiguousarray(M.T)
-        return _t * M
+        return _t * (M.T if _tr else M)
 
     def c(s, _psi=psi):
         return cmath.exp(1j * _psi) * base_c(s)

@@ -38,6 +38,7 @@ from pairbundles.normal_forms import (
     BundleParams,
     CELLS,
     GENERIC_PARAMS,
+    _SWAP_SHAPES,
     canonicalize_params,
     param_fields,
     representative,
@@ -150,8 +151,9 @@ class TestStabilizerReduction(unittest.TestCase):
                 ALabel.ONE_THETA, ALabel.NILPOTENT, ALabel.TAU_FORM,
                 ALabel.JORDAN_I]
 
-    def random_stabilizer(self, a_label, rng):
-        """A random element of the stabilizer of the canonical A-form."""
+    def random_stabilizer(self, a_label, rng, trial):
+        """A random element of the stabilizer of the canonical A-form; for
+        1(+)-1 an element of the c = -1 component on odd trials."""
         if a_label is ALabel.ONE_ZERO:
             x = np.exp(1j * rng.uniform(0, 2 * np.pi))
             u = rng.standard_normal() + 1j * rng.standard_normal()
@@ -162,11 +164,14 @@ class TestStabilizerReduction(unittest.TestCase):
             Q, _ = np.linalg.qr(M)
             return GroupElement(1.0, Mat2(Q))
         if a_label is ALabel.ONE_PLUS_MINUS:
-            # boost times diagonal phases lies in the (1,1) unitary group
+            # boost times diagonal phases lies in the (1,1) unitary group;
+            # the swap S12 then gives P* J P = -J, paid for by c = -1
             t = rng.uniform(-1.5, 1.5)
             H = np.array([[math.cosh(t), math.sinh(t)],
                           [math.sinh(t), math.cosh(t)]])
             D = np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, 2)))
+            if trial % 2:
+                return GroupElement(-1.0, Mat2(np.array([[0, 1], [1, 0]]) @ D @ H))
             return GroupElement(1.0, Mat2(D @ H))
         if a_label is ALabel.ONE_THETA:
             D = np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, 2)))
@@ -190,14 +195,33 @@ class TestStabilizerReduction(unittest.TestCase):
             A0 = representative_A(a_label, params)
             for trial in range(20):
                 rng = np.random.default_rng([23, trial])
-                g = self.random_stabilizer(a_label, rng)
+                g = self.random_stabilizer(a_label, rng, trial)
                 out = apply_psi1(g, A0)
                 self.assertLess(max_norm(Mat2(out.array - A0.array)), 1e-10,
                                 msg=str(a_label))
 
+    def assert_invariant(self, a_label, B, g, msg):
+        """B and its move by g reduce to one shape and one set of canonical
+        parameters; returns the shape."""
+        params = BundleParams(theta=1.0, tau=0.5)
+        B2 = apply_psi2(g.P, B)
+        s1, p1, _, _ = stabilizer_reduce_B(a_label, B, a_params=params)
+        s2, p2, _, _ = stabilizer_reduce_B(a_label, B2, a_params=params)
+        self.assertIs(s1, s2, msg=msg)
+        lab = BundleLabel(a_label, s1)
+        c1 = canonicalize_params(lab, p1)
+        c2 = canonicalize_params(lab, p2)
+        for f in param_fields(lab):
+            if f in ("theta", "tau"):
+                continue
+            v1, v2 = getattr(c1, f), getattr(c2, f)
+            self.assertLess(abs(complex(v1) - complex(v2)),
+                            1e-7 * (1 + abs(complex(v1))),
+                            msg=f"{msg}: {lab} {f}: {v1} vs {v2}")
+        return s1
+
     def test_invariance_of_reduced_shape_and_params(self):
         # moving B by a random stabilizer element must not change the result
-        params = BundleParams(theta=1.0, tau=0.5)
         for a_label in self.A_LABELS:
             for trial in range(25):
                 rng = np.random.default_rng([29, trial])
@@ -206,25 +230,27 @@ class TestStabilizerReduction(unittest.TestCase):
                     # this class; start from an on-stratum point instead
                     B0 = SymMat2(rng.uniform(0.5, 2.0), 0.0,
                                  rng.standard_normal() + 1j * rng.standard_normal())
-                    B = apply_psi2(self.random_stabilizer(a_label, rng).P, B0)
+                    B = apply_psi2(self.random_stabilizer(a_label, rng, trial).P, B0)
                 else:
                     M = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
                     B = SymMat2.from_array(M + M.T)
-                g = self.random_stabilizer(a_label, rng)
-                B2 = apply_psi2(g.P, B)
-                s1, p1, g1, _ = stabilizer_reduce_B(a_label, B, a_params=params)
-                s2, p2, g2, _ = stabilizer_reduce_B(a_label, B2, a_params=params)
-                self.assertIs(s1, s2, msg=f"{a_label} trial {trial}")
-                lab = BundleLabel(a_label, s1)
-                c1 = canonicalize_params(lab, p1)
-                c2 = canonicalize_params(lab, p2)
-                for f in param_fields(lab):
-                    if f in ("theta", "tau"):
-                        continue
-                    v1, v2 = getattr(c1, f), getattr(c2, f)
-                    self.assertLess(abs(complex(v1) - complex(v2)),
-                                    1e-7 * (1 + abs(complex(v1))),
-                                    msg=f"{a_label}/{s1} {f}: {v1} vs {v2}")
+                g = self.random_stabilizer(a_label, rng, trial)
+                self.assert_invariant(a_label, B, g, f"{a_label} trial {trial}")
+        # every 1(+)-1 cell from its representative B; T moves the swap
+        # cells' B from the [[0,1],[1,0]] frame into the J frame
+        T = Mat2(np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0))
+        for cell in CELLS:
+            if cell.a_label is not ALabel.ONE_PLUS_MINUS:
+                continue
+            B = representative(cell, canonicalize_params(cell, GENERIC_PARAMS)).B
+            if cell.b_shape in _SWAP_SHAPES:
+                B = apply_psi2(T, B)
+            for trial in range(40):
+                rng = np.random.default_rng([31, trial])
+                g = self.random_stabilizer(ALabel.ONE_PLUS_MINUS, rng, trial)
+                shape = self.assert_invariant(ALabel.ONE_PLUS_MINUS, B, g,
+                                              f"{cell} trial {trial}")
+                self.assertIs(shape, cell.b_shape, msg=f"{cell} trial {trial}")
 
     def test_jordan_off_catalog_input_fails_loudly(self):
         # over [[0,1],[1,i]] the shear needed for a general B is complex;

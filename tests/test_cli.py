@@ -95,6 +95,12 @@ class TestUsageErrors:
         assert code == 1
         assert "trials" in err
 
+    def test_verify_has_no_budget(self, capsys):
+        # the distance budget belongs to `dist`; no verify suite reads one
+        code, _, err = run(capsys, ["verify", "dims", "--budget", "2"])
+        assert code == 1
+        assert "--budget" in err
+
     def test_bad_label(self, capsys):
         code, _, _ = run(capsys, ["dim", "not/a-label"])
         assert code == 1

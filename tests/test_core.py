@@ -60,6 +60,19 @@ class TestConstructors:
         with pytest.raises(ValueError):
             m.array[0, 0] = 5.0
 
+    def test_mat2_owns_its_entries(self):
+        # the caller's array stays writable, and writing into it, or into the
+        # array a view was taken from, leaves the Mat2 and its hash alone
+        P = np.eye(2, dtype=complex)
+        m = Mat2(P)
+        P[0, 0] = 2.0
+        Q = np.eye(3, dtype=complex)
+        v = Mat2(Q[:2, :2])
+        h = hash(v)
+        Q[0, 0] = 5.0
+        assert m == Mat2.identity() and v == Mat2.identity()
+        assert hash(v) == h
+
     def test_symmat2_from_array_averages_offdiag(self):
         B = SymMat2.from_array([[1.0, 2.0 + 1e-12j], [2.0, 3.0]])
         assert B.b == pytest.approx(2.0 + 0.5e-12j)
