@@ -14,7 +14,10 @@ and Jordan reducers, the Hermitian-like eigenbasis, the Takagi factors and
 the two 1(+)-1 solvers of a rank-2 B (`_opm_intertwine` carries the invariant
 N = J conj(B) J B onto its target's through eigenvectors or a Jordan chain;
 `_opm_scalar` serves a scalar N through a symmetric square root of B).  The
-checked value types are built only for what the public functions return.
+stage-2 reducers return (c, P) as a scalar and a 4-tuple, and the
+verification tail composes the reducers and measures the residual on
+4-tuples.  The checked value types are built only for what the public
+functions return.
 """
 from __future__ import annotations
 
@@ -38,11 +41,9 @@ from .core import (
     _mul4,
     _spectral_norm,
     _star_congruence4,
-    apply_action,
-    apply_psi2,
-    group_compose,
+    _transpose_congruence3,
+    apply_action,  # unused here; perfbench/spans.py wraps it in this module
     max_norm,
-    pair_distance,
 )
 from .normal_forms import (
     ALabel,
@@ -52,9 +53,10 @@ from .normal_forms import (
     BundleParams,
     _SWAP_SHAPES,
     _representative_A_entries,
+    _representative_B_entries,
     _wrap_phase_halfturn,
     canonicalize_params,
-    representative,
+    representative,  # unused here; perfbench/spans.py wraps it in this module
     validate_params,
 )
 
@@ -375,7 +377,8 @@ def stabilizer_reduce_B(a_label: ALabel, B: SymMat2,
     """
     a_params = a_params or BundleParams()
     amb: list[str] = []
-    shape, params, g = _STAGE2[a_label](B, amb)
+    shape, params, c, p = _STAGE2[a_label](B, amb)
+    g = GroupElement(c, _mat4(p))
     # stabilizer membership / A-transport check
     A0 = _representative_A_entries(a_label, a_params)
     A_target = _representative_A_entries(a_label, a_params, shape in _SWAP_SHAPES)
@@ -387,10 +390,24 @@ def stabilizer_reduce_B(a_label: ALabel, B: SymMat2,
     return shape, params, g, tuple(amb)
 
 
+# Each stage-2 reducer returns (b_shape, params, c, p) with the reducer's P
+# as a row-major 4-tuple; `stabilizer_reduce_B` builds the GroupElement.
+_I4 = (1.0, 0.0, 0.0, 1.0)
+
+
+def _diag4(x, y) -> tuple:
+    return (x, 0j, 0j, y)
+
+
+def _congruent_B(p, B) -> tuple:
+    """(b11, b12, b22) of P^T B P."""
+    return _transpose_congruence3(p, B.a, B.b, B.d)
+
+
 def _reduce_B_zero(B, amb):
     label, P, _, amb2 = classify_B(B)
     amb.extend(amb2)
-    return BShape(label.value), BundleParams(), GroupElement(1.0, P)
+    return BShape(label.value), BundleParams(), 1.0, _entries4(P)
 
 
 def _reduce_B_one_zero(B, amb):
@@ -400,36 +417,35 @@ def _reduce_B_one_zero(B, amb):
         v = 1.0 / cmath.sqrt(b22)
         w = (b11 * b22 - b12 * b12) / b22  # det B / b22
         if _near(abs(w), zt, amb, "B(1,1) residual near zero over 1(+)0"):
-            P = np.array([[1.0, 0.0], [-b12 / b22, v]], dtype=complex)
-            return BShape.ZERO_ONE, BundleParams(), GroupElement(1.0, Mat2(P))
+            P = (1.0, 0.0, -b12 / b22, v)
+            return BShape.ZERO_ONE, BundleParams(), 1.0, P
         x = _phase_sqrt(w)
-        P = np.array([[x, 0.0], [-x * b12 / b22, v]], dtype=complex)
-        return BShape.DIAG_A_ONE, BundleParams(a=abs(w)), GroupElement(1.0, Mat2(P))
+        P = (x, 0.0, -x * b12 / b22, v)
+        return BShape.DIAG_A_ONE, BundleParams(a=abs(w)), 1.0, P
     if abs(b12) > zt:
-        P = np.array([[1.0, 0.0], [-b11 / (2 * b12), 1.0 / b12]], dtype=complex)
-        return BShape.SWAP, BundleParams(), GroupElement(1.0, Mat2(P))
+        P = (1.0, 0.0, -b11 / (2 * b12), 1.0 / b12)
+        return BShape.SWAP, BundleParams(), 1.0, P
     if abs(b11) > zt:
         x = _phase_sqrt(b11)
-        P = np.array([[x, 0.0], [0.0, 1.0]], dtype=complex)
-        return BShape.DIAG_A0, BundleParams(a=abs(b11)), GroupElement(1.0, Mat2(P))
-    return BShape.ZERO, BundleParams(), GroupElement(1.0, Mat2.identity())
+        return BShape.DIAG_A0, BundleParams(a=abs(b11)), 1.0, _diag4(x, 1.0)
+    return BShape.ZERO, BundleParams(), 1.0, _I4
 
 
 def _reduce_B_identity(B, amb):
     arr = B.array
     s, U = takagi(arr)  # descending
-    P = np.conj(U) @ _S12  # ascending order
+    p = _entries4(np.conj(U) @ _S12)  # ascending order
     scale = max(s[0], 1e-300)
-    g = GroupElement(1.0, Mat2(P))
     s_lo, s_hi = s[1], s[0]
     if _near(s_hi, _RANK_TOL * max(1.0, scale), amb, "B near zero over I2"):
-        return BShape.ZERO, BundleParams(), g
+        return BShape.ZERO, BundleParams(), 1.0, p
     if _near(s_lo / s_hi, _RANK_TOL, amb, "B near rank-1 over I2"):
-        return BShape.ZERO_D, BundleParams(d=float(s_hi)), g
+        return BShape.ZERO_D, BundleParams(d=float(s_hi)), 1.0, p
     if _near((s_hi - s_lo) / s_hi, _EIG_TOL, amb,
              "Takagi values near coincidence over I2"):
-        return BShape.D_IDENTITY, BundleParams(d=float(0.5 * (s_lo + s_hi))), g
-    return BShape.DIAG_AD, BundleParams(a=float(s_lo), d=float(s_hi)), g
+        return (BShape.D_IDENTITY, BundleParams(d=float(0.5 * (s_lo + s_hi))),
+                1.0, p)
+    return BShape.DIAG_AD, BundleParams(a=float(s_lo), d=float(s_hi)), 1.0, p
 
 
 def _reduce_B_one_theta(B, amb):
@@ -470,8 +486,7 @@ def _reduce_B_one_theta(B, amb):
         shape, params = BShape.ZERO_D, BundleParams(d=abs(b22))
     else:
         shape = BShape.ZERO
-    P = np.diag([cmath.exp(1j * phi1), cmath.exp(1j * phi2)])
-    return shape, params, GroupElement(1.0, Mat2(P))
+    return shape, params, 1.0, _diag4(cmath.exp(1j * phi1), cmath.exp(1j * phi2))
 
 
 def _reduce_B_tau(B, amb):
@@ -479,7 +494,7 @@ def _reduce_B_tau(B, amb):
     b11, b12, b22 = B.a, B.b, B.d
 
     def elem(p, c):
-        return GroupElement(c, Mat2(np.diag([p, c / p.conjugate()])))
+        return c, _diag4(p, c / p.conjugate())
 
     def phase_elem(rho, b_diag):
         """The phase phi of b_diag against b12 and the element of modulus
@@ -494,26 +509,26 @@ def _reduce_B_tau(B, amb):
         return phi, elem(rho * cmath.exp(1j * psi), c)
 
     if f11 and f12:
-        phi, g = phase_elem(abs(b11) ** -0.5, b11)
-        Bp = apply_psi2(g.P, B)
+        phi, (c, p) = phase_elem(abs(b11) ** -0.5, b11)
         return (BShape.PHASE_FORM,
-                BundleParams(phi=phi, b=abs(b12), zeta=complex(Bp.d)), g)
+                BundleParams(phi=phi, b=abs(b12), zeta=_congruent_B(p, B)[2]),
+                c, p)
     if f11:
-        p = 1.0 / cmath.sqrt(b11)
-        g = elem(p, 1.0)
-        Bp = apply_psi2(g.P, B)
-        return BShape.ONE_ZETA, BundleParams(zeta=complex(Bp.d)), g
+        c, p = elem(1.0 / cmath.sqrt(b11), 1.0)
+        return BShape.ONE_ZETA, BundleParams(zeta=_congruent_B(p, B)[2]), c, p
     if f22 and f12:
         phi, g = phase_elem(abs(b22) ** 0.5, b22)
-        return BShape.OFF_DIAG_PHASE, BundleParams(b=abs(b12), phi=phi), g
+        return BShape.OFF_DIAG_PHASE, BundleParams(b=abs(b12), phi=phi), *g
     if f22:
         rho = abs(b22) ** 0.5
         psi = -0.5 * cmath.phase(b22)
-        return BShape.ZERO_ONE, BundleParams(), elem(rho * cmath.exp(1j * psi), 1.0)
+        return (BShape.ZERO_ONE, BundleParams(),
+                *elem(rho * cmath.exp(1j * psi), 1.0))
     if f12:
         psi = -0.5 * cmath.phase(b12)
-        return BShape.ANTI_DIAG, BundleParams(b=abs(b12)), elem(cmath.exp(1j * psi), 1.0)
-    return BShape.ZERO, BundleParams(), GroupElement(1.0, Mat2.identity())
+        return (BShape.ANTI_DIAG, BundleParams(b=abs(b12)),
+                *elem(cmath.exp(1j * psi), 1.0))
+    return BShape.ZERO, BundleParams(), 1.0, _I4
 
 
 def _reduce_B_nilpotent(B, amb):
@@ -524,7 +539,7 @@ def _reduce_B_nilpotent(B, amb):
     a3 = cmath.phase(b22) if f22 else 0.0
 
     def stab(x, c):
-        return GroupElement(c, Mat2(np.diag([x, 1.0 / (c * x.conjugate())])))
+        return c, _diag4(x, 1.0 / (c * x.conjugate()))
 
     def elem(rho, psi, gamma):
         return stab(rho * cmath.exp(1j * psi), cmath.exp(1j * gamma))
@@ -533,33 +548,34 @@ def _reduce_B_nilpotent(B, amb):
         rho = abs(b22) ** 0.5
         gamma = a3 - a2
         psi = gamma - 0.5 * a3
-        g = elem(rho, psi, gamma)
-        Bp = apply_psi2(g.P, B)
+        c, p = elem(rho, psi, gamma)
         if f11:
             return (BShape.ZETA_B_ONE,
-                    BundleParams(zeta_star=complex(Bp.a), b=abs(b12)), g)
-        return BShape.OFF_DIAG_B_ONE, BundleParams(b=abs(b12)), g
+                    BundleParams(zeta_star=_congruent_B(p, B)[0], b=abs(b12)),
+                    c, p)
+        return BShape.OFF_DIAG_B_ONE, BundleParams(b=abs(b12)), c, p
     if f11 and f12:  # b22 = 0
         x = 1.0 / cmath.sqrt(b11)
         psi = cmath.phase(x)
         gamma = 2 * psi + a2
         g = elem(abs(x), psi, gamma)
-        return BShape.ONE_B_ZERO, BundleParams(b=abs(b12)), g
+        return BShape.ONE_B_ZERO, BundleParams(b=abs(b12)), *g
     if f11 and f22:  # b12 = 0
         rho = abs(b22) ** 0.5
         psi = -0.5 * a1
         x = rho * cmath.exp(1j * psi)
         g = stab(x, cmath.sqrt(b22) / x.conjugate())
-        return BShape.DIAG_A_ONE, BundleParams(a=abs(b11) * abs(b22)), g
+        return BShape.DIAG_A_ONE, BundleParams(a=abs(b11) * abs(b22)), *g
     if f11:
-        return BShape.ONE_ZERO, BundleParams(), stab(1.0 / cmath.sqrt(b11), 1.0)
+        return (BShape.ONE_ZERO, BundleParams(),
+                *stab(1.0 / cmath.sqrt(b11), 1.0))
     if f22:
         rho = abs(b22) ** 0.5
-        return BShape.ZERO_ONE, BundleParams(), stab(rho, cmath.sqrt(b22) / rho)
+        return (BShape.ZERO_ONE, BundleParams(),
+                *stab(rho, cmath.sqrt(b22) / rho))
     if f12:
-        g = elem(1.0, 0.0, a2)
-        return BShape.ANTI_DIAG, BundleParams(b=abs(b12)), g
-    return BShape.ZERO, BundleParams(), GroupElement(1.0, Mat2.identity())
+        return BShape.ANTI_DIAG, BundleParams(b=abs(b12)), *elem(1.0, 0.0, a2)
+    return BShape.ZERO, BundleParams(), 1.0, _I4
 
 
 def _reduce_B_jordan(B, amb):
@@ -568,8 +584,8 @@ def _reduce_B_jordan(B, amb):
 
     def elem(v2, t):
         v = cmath.sqrt(v2)
-        P = v * np.array([[1.0, 1j * t], [0.0, 1.0]], dtype=complex)
-        return GroupElement(1.0, Mat2(P))
+        return 1.0, _entries4(v * np.array([[1.0, 1j * t], [0.0, 1.0]],
+                                           dtype=complex))
 
     def shear(t_c):
         """The real shear t of the stabilizer; a complex one is off-catalog."""
@@ -582,18 +598,17 @@ def _reduce_B_jordan(B, amb):
 
     if f11:
         t = shear(1j * b12 / b11)
-        g = elem(b11.conjugate() / abs(b11), t)
-        Bp = apply_psi2(g.P, B)
+        c, p = elem(b11.conjugate() / abs(b11), t)
         return (BShape.DIAG_A_ZETA,
-                BundleParams(a=abs(b11), zeta=complex(Bp.d)), g)
+                BundleParams(a=abs(b11), zeta=_congruent_B(p, B)[2]), c, p)
     if f12:
         t = shear(1j * b22 / (2 * b12))
         g = elem(b12.conjugate() / abs(b12), t)
-        return BShape.ANTI_DIAG, BundleParams(b=abs(b12)), g
+        return BShape.ANTI_DIAG, BundleParams(b=abs(b12)), *g
     if f22:
         v2 = b22.conjugate() / abs(b22)
-        return BShape.ZERO_D, BundleParams(d=abs(b22)), elem(v2, 0.0)
-    return BShape.ZERO, BundleParams(), GroupElement(1.0, Mat2.identity())
+        return BShape.ZERO_D, BundleParams(d=abs(b22)), *elem(v2, 0.0)
+    return BShape.ZERO, BundleParams(), 1.0, _I4
 
 
 # --- the 1 (+) -1 class -----------------------------------------------------
@@ -655,7 +670,7 @@ def _reduce_B_one_plus_minus(B, amb):
     arr = B.array
     zt = _RANK_TOL * max(max_norm(B), 1e-300)
     if max_norm(B) <= zt:
-        return BShape.ZERO, BundleParams(), GroupElement(1.0, Mat2.identity())
+        return BShape.ZERO, BundleParams(), 1.0, _I4
     # the Takagi values of B are its singular values
     b4 = (B.a, B.b, B.b, B.d)
     s0, s1 = _singular_values(b4)
@@ -672,7 +687,7 @@ def _reduce_B_one_plus_minus(B, amb):
             Dw = np.diag([cmath.exp(-1j * cmath.phase(w[0])),
                           cmath.exp(-1j * cmath.phase(w[1]))])
             P = Dw @ _boost(-math.log(m * math.sqrt(2.0))) @ _T
-            return BShape.SWAP_ONE_ZERO, BundleParams(), GroupElement(1.0, Mat2(P))
+            return BShape.SWAP_ONE_ZERO, BundleParams(), 1.0, _entries4(P)
         if mu > 0:
             pre = _S12
             c_total = -1.0
@@ -684,7 +699,7 @@ def _reduce_B_one_plus_minus(B, amb):
         D1 = np.diag([cmath.exp(-1j * cmath.phase(w[0])) if r1 > 0 else 1.0,
                       cmath.exp(-1j * cmath.phase(w[1]))])
         P = pre @ D1 @ _boost(math.atanh(-r1 / r2))
-        return BShape.ZERO_D, BundleParams(d=float(d)), GroupElement(c_total, Mat2(P))
+        return BShape.ZERO_D, BundleParams(d=float(d)), c_total, _entries4(P)
     # rank 2: classify by the similarity invariant N, det N = |det B|^2
     n4 = _mul4(_star_flip(b4), b4)
     lam_m, disc, sd0 = _mean_split(n4)
@@ -778,7 +793,7 @@ def _opm_intertwine(arr, n4, shape, params, B_t, lam):
             f"1(+)-1 reduction to {shape.value} failed (residual {r:.3e})")
     if shape in _SWAP_SHAPES:
         P = P @ _T
-    return shape, params, GroupElement(c, Mat2(P))
+    return shape, params, c, _entries4(P)
 
 
 def _orth_d_identity(K):
@@ -807,7 +822,7 @@ def _opm_scalar(arr, shape, params, s, orth):
     if _u11_membership(P) > 1e-7:
         raise ClassificationFailureError(
             f"1(+)-1 reduction to {shape.value} left the (1,1) unitary group")
-    return shape, params, GroupElement(1.0, Mat2(P))
+    return shape, params, 1.0, _entries4(P)
 
 
 _STAGE2 = {
@@ -827,7 +842,8 @@ _STAGE2 = {
 
 def classify_pair(x: PairAB) -> Classification:
     a_label, a_params, g1, res1, amb1 = classify_A(x.A)
-    B1 = apply_psi2(g1.P, x.B)
+    p1 = _entries4(g1.P)
+    B1 = SymMat2(*_congruent_B(p1, x.B))
     try:
         shape, b_params, g2, amb2 = stabilizer_reduce_B(a_label, B1, a_params)
     except ClassificationFailureError:
@@ -842,14 +858,21 @@ def classify_pair(x: PairAB) -> Classification:
     label = BundleLabel(a_label, shape)
     merged = BundleParams(**{**_asdict(a_params), **_asdict(b_params)})
     merged = canonicalize_params(label, merged)
-    total = group_compose(g1, g2)
+    # the reducer P1 P2; its GroupElement checks |c| = 1 and det P
+    c, p = g1.c * g2.c, _mul4(p1, _entries4(g2.P))
+    total = GroupElement(c, _mat4(p))
     if validate_params(label, merged):
         raise ClassificationFailureError(f"incomplete parameters for {label}")
-    target = representative(label, merged)
-    residual = pair_distance(apply_action(total, x), target)
-    scale = max(1.0, max_norm(x.A), max_norm(x.B))
+    # residual: max-norm distance of the moved pair to the representative
+    a = _entries4(x.A)
+    moved = _star_congruence4(c, p, a) + _congruent_B(p, x.B)
+    target = (_representative_A_entries(a_label, merged, shape in _SWAP_SHAPES)
+              + _representative_B_entries(shape, merged))
+    residual = _gap(moved, target)
+    scale = max(1.0, _max_abs(a), max_norm(x.B))
     ambiguous = tuple(amb1) + tuple(amb2)
-    if residual > 1e-5 * scale:
+    # a NaN residual (an overflowed product) fails too
+    if not residual <= 1e-5 * scale:
         raise ClassificationFailureError(
             f"classification of {label} failed verification (residual {residual:.3e})"
         )

@@ -348,59 +348,43 @@ def representative_A(a_label: ALabel, params: BundleParams | None = None,
                                            swap_rep))
 
 
-def _representative_B(shape: BShape, p: BundleParams) -> SymMat2:
-    B = BShape
-    if shape is B.ZERO:
-        return SymMat2.zero()
-    if shape is B.FULL_HERMITIAN_LIKE:
-        return SymMat2(p.a, p.zeta_star, p.d)
-    if shape is B.OFF_DIAG_PLUS_D:
-        return SymMat2(0.0, p.b, p.d)
-    if shape is B.A_PLUS_OFF_DIAG:
-        return SymMat2(p.a, p.b, 0.0)
-    if shape is B.DIAG_AD:
-        return SymMat2(p.a, 0.0, p.d)
-    if shape is B.ANTI_DIAG:
-        return SymMat2(0.0, p.b, 0.0)
-    if shape is B.DIAG_A0:
-        return SymMat2(p.a, 0.0, 0.0)
-    if shape is B.ZERO_D:
-        return SymMat2(0.0, 0.0, p.d)
-    if shape is B.PHASE_FORM:
-        return SymMat2(cmath.exp(1j * p.phi), p.b, p.zeta)
-    if shape is B.OFF_DIAG_PHASE:
-        return SymMat2(0.0, p.b, cmath.exp(1j * p.phi))
-    if shape is B.ONE_ZETA:
-        return SymMat2(1.0, 0.0, p.zeta)
-    if shape is B.ZERO_ONE:
-        return SymMat2(0.0, 0.0, 1.0)
-    if shape is B.DIAG_A_ZETA:
-        return SymMat2(p.a, 0.0, p.zeta)
-    if shape is B.ZETA_B_ONE:
-        return SymMat2(p.zeta_star, p.b, 1.0)
-    if shape is B.OFF_DIAG_B_ONE:
-        return SymMat2(0.0, p.b, 1.0)
-    if shape is B.DIAG_A_ONE:
-        return SymMat2(p.a, 0.0, 1.0)
-    if shape is B.ONE_B_ZERO:
-        return SymMat2(1.0, p.b, 0.0)
-    if shape is B.ONE_ZERO:
-        return SymMat2(1.0, 0.0, 0.0)
-    if shape is B.D_IDENTITY:
-        return SymMat2(p.d, 0.0, p.d)
-    if shape is B.SWAP:
-        return SymMat2(0.0, 1.0, 0.0)
-    if shape is B.RANK1:
-        return SymMat2(1.0, 0.0, 0.0)
-    if shape is B.RANK2:
-        return SymMat2.identity()
-    if shape is B.SWAP_ONE_DE_ITHETA:
-        return SymMat2(1.0, 0.0, p.d * cmath.exp(1j * p.theta))
-    if shape is B.SWAP_OFF_DIAG_B_ONE:
-        return SymMat2(0.0, p.b, 1.0)
-    if shape is B.SWAP_ONE_ZERO:
-        return SymMat2(1.0, 0.0, 0.0)
-    raise ValueError(shape)
+# (b11, b12, b22) of each B-form [[b11, b12], [b12, b22]]
+_B_FORMS = {
+    _B.ZERO: lambda p: (0.0, 0.0, 0.0),
+    _B.FULL_HERMITIAN_LIKE: lambda p: (p.a, p.zeta_star, p.d),
+    _B.OFF_DIAG_PLUS_D: lambda p: (0.0, p.b, p.d),
+    _B.A_PLUS_OFF_DIAG: lambda p: (p.a, p.b, 0.0),
+    _B.DIAG_AD: lambda p: (p.a, 0.0, p.d),
+    _B.ANTI_DIAG: lambda p: (0.0, p.b, 0.0),
+    _B.DIAG_A0: lambda p: (p.a, 0.0, 0.0),
+    _B.ZERO_D: lambda p: (0.0, 0.0, p.d),
+    _B.PHASE_FORM: lambda p: (cmath.exp(1j * p.phi), p.b, p.zeta),
+    _B.OFF_DIAG_PHASE: lambda p: (0.0, p.b, cmath.exp(1j * p.phi)),
+    _B.ONE_ZETA: lambda p: (1.0, 0.0, p.zeta),
+    _B.ZERO_ONE: lambda p: (0.0, 0.0, 1.0),
+    _B.DIAG_A_ZETA: lambda p: (p.a, 0.0, p.zeta),
+    _B.ZETA_B_ONE: lambda p: (p.zeta_star, p.b, 1.0),
+    _B.OFF_DIAG_B_ONE: lambda p: (0.0, p.b, 1.0),
+    _B.DIAG_A_ONE: lambda p: (p.a, 0.0, 1.0),
+    _B.ONE_B_ZERO: lambda p: (1.0, p.b, 0.0),
+    _B.ONE_ZERO: lambda p: (1.0, 0.0, 0.0),
+    _B.D_IDENTITY: lambda p: (p.d, 0.0, p.d),
+    _B.SWAP: lambda p: (0.0, 1.0, 0.0),
+    _B.RANK1: lambda p: (1.0, 0.0, 0.0),
+    _B.RANK2: lambda p: (1.0, 0.0, 1.0),
+    _B.SWAP_ONE_DE_ITHETA: lambda p: (1.0, 0.0, p.d * cmath.exp(1j * p.theta)),
+    _B.SWAP_OFF_DIAG_B_ONE: lambda p: (0.0, p.b, 1.0),
+    _B.SWAP_ONE_ZERO: lambda p: (1.0, 0.0, 0.0),
+}
+
+
+def _representative_B_entries(shape: BShape, p: BundleParams) -> tuple:
+    """(b11, b12, b22) of the B-part of `representative`."""
+    try:
+        form = _B_FORMS[shape]
+    except KeyError:
+        raise ValueError(shape) from None
+    return form(p)
 
 
 def representative(label: BundleLabel, params: BundleParams | None = None) -> PairAB:
@@ -413,7 +397,7 @@ def representative(label: BundleLabel, params: BundleParams | None = None) -> Pa
         )
     A = representative_A(label.a_label, p,
                          swap_rep=label.b_shape in _SWAP_SHAPES)
-    return PairAB(A, _representative_B(label.b_shape, p))
+    return PairAB(A, SymMat2(*_representative_B_entries(label.b_shape, p)))
 
 
 def table_dimension(label: BundleLabel) -> int:

@@ -1089,10 +1089,15 @@ def nu_fit(family, row: str, s_grid=None) -> EmpiricalConstants:
 # ---------------------------------------------------------------------------
 # Monte Carlo neighborhood validation
 
-def _disc_sample(rng, radius):
-    r = radius * math.sqrt(rng.uniform())
-    ang = rng.uniform(0.0, 2 * math.pi)
-    return r * cmath.exp(1j * ang)
+def _trial_perturbation(seed: int, t: int, epsilon: float) -> list:
+    """The perturbations of trial t, in the order A00, A01, A10, A11, b11,
+    b12, b22: each uniform on the disc of radius epsilon, with radius
+    epsilon sqrt(u) and angle 2 pi u' from consecutive draws (u, u') of
+    `default_rng([seed, t])`.  One draw of 14 doubles is the stream of 14
+    scalar `uniform()` calls, and `uniform(0, 2 pi)` is 2 pi u."""
+    u = np.random.default_rng([seed, t]).random(14).tolist()
+    return [epsilon * math.sqrt(u[i]) * cmath.exp(1j * (2 * math.pi * u[i + 1]))
+            for i in range(0, 14, 2)]
 
 
 def monte_carlo_neighborhood(label: BundleLabel,
@@ -1113,7 +1118,8 @@ def monte_carlo_neighborhood(label: BundleLabel,
         raise ValidationError("trials must be >= 1")
     params = params if params is not None else generic_params(label)
     center = representative(label, params)
-    A0, B0 = center.A.array, center.B.array
+    a00, a01, a10, a11 = center.A.array.ravel().tolist()
+    B0 = center.B
 
     histogram: dict = {}
     violations: list = []
@@ -1123,14 +1129,11 @@ def monte_carlo_neighborhood(label: BundleLabel,
         # reachability through a suspect edge still counts as reachable
         warnings.simplefilter("ignore", SuspectEdgeWarning)
         for t in range(trials):
-            rng = np.random.default_rng([seed, t])
-            dA = np.array([[_disc_sample(rng, epsilon) for _ in range(2)]
-                           for _ in range(2)])
-            db = [_disc_sample(rng, epsilon) for _ in range(3)]
-            A = Mat2(A0 + dA)
-            B = SymMat2(B0[0, 0] + db[0], B0[0, 1] + db[1], B0[1, 1] + db[2])
+            d = _trial_perturbation(seed, t, epsilon)
+            x = PairAB(Mat2([[a00 + d[0], a01 + d[1]], [a10 + d[2], a11 + d[3]]]),
+                       SymMat2(B0.a + d[4], B0.b + d[5], B0.d + d[6]))
             try:
-                cls = classify_pair(PairAB(A, B))
+                cls = classify_pair(x)
             except AmbiguityError:
                 ambiguous += 1
                 continue

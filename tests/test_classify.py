@@ -5,6 +5,7 @@ import unittest
 import numpy as np
 import pytest
 
+from pairbundles import classify as classify_module
 from pairbundles.classify import (
     AmbiguityError,
     Classification,
@@ -318,6 +319,34 @@ def test_reducer_transports_input_to_representative(label):
     assert pair_distance(moved, target) <= 1e-7 * max(
         1.0, max_norm(x.A), max_norm(x.B)
     )
+
+
+@pytest.mark.parametrize("label", CELLS, ids=str)
+def test_residual_is_the_public_distance(label):
+    """The tail computes on 4-tuples; its residual is still, bit for bit,
+    the distance of the moved pair to the representative."""
+    x0 = representative(label, canonicalize_params(label, GENERIC_PARAMS))
+    rng = np.random.default_rng([CELLS.index(label), 7])
+    x = apply_action(rand_group_element(rng, max_cond=10), x0)
+    cl = classify_pair(x)
+    assert cl.residual == pair_distance(apply_action(cl.reducer, x),
+                                        representative(cl.label, cl.params))
+
+
+def test_incomplete_parameters_raise(monkeypatch):
+    """A stage-2 reducer that loses a parameter fails before the residual."""
+    reduce_one_theta = classify_module._STAGE2[ALabel.ONE_THETA]
+
+    def lossy(B, amb):
+        shape, _, c, p = reduce_one_theta(B, amb)
+        return shape, BundleParams(), c, p
+
+    monkeypatch.setitem(classify_module._STAGE2, ALabel.ONE_THETA, lossy)
+    label = BundleLabel(ALabel.ONE_THETA, BShape.FULL_HERMITIAN_LIKE)
+    x = representative(label, canonicalize_params(label, GENERIC_PARAMS))
+    with pytest.raises(ClassificationFailureError,
+                       match=f"^incomplete parameters for {label}$"):
+        classify_pair(x)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from pairbundles.numerics import (
     _distance_kernel,
     _param_coords,
     _spectral_norm,
+    _trial_perturbation,
     bundle_dimension_numeric,
     detxe_bound,
     distance_to_bundle,
@@ -368,6 +369,20 @@ class TestMonteCarlo(unittest.TestCase):
         doc = rep.to_json()
         self.assertEqual(doc["trials"], 50)
         self.assertTrue(doc["ok"])
+
+    def test_trial_draw_is_the_scalar_uniform_stream(self):
+        """One draw of 14 doubles per trial gives, bit for bit, the
+        perturbations of 14 scalar uniform() calls, entry by entry for
+        A00, A01, A10, A11, b11, b12, b22."""
+        for seed, t, eps in ((0, 0, 1e-3), (1, 7, 1e-3), (3, 199, 0.1),
+                             (12345, 4, 2.5e-2), (2, 1000, 1e-6)):
+            rng = np.random.default_rng([seed, t])
+            expected = []
+            for _ in range(7):
+                r = eps * math.sqrt(rng.uniform())
+                angle = rng.uniform(0.0, 2 * math.pi)
+                expected.append(r * cmath.exp(1j * angle))
+            self.assertEqual(_trial_perturbation(seed, t, eps), expected)
 
 
 @pytest.mark.parametrize("cell", CELLS, ids=str)

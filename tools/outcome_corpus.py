@@ -14,12 +14,19 @@ depend on the package under test only through its cell list, generic
 parameters and representatives.  Per call the dump records the label, the
 canonical parameters and the ambiguity notes, or the error type and message.
 
+The dump also records the package's own `monte_carlo_neighborhood` report
+around every generic representative for the same seeds, trials and
+epsilon: its histogram, violations and ambiguous and failure counts.  A
+change in how the package draws its trials shows there even when the
+classifier's outcomes on the corpus above do not change.
+
     PYTHONPATH=src python tools/outcome_corpus.py dump OUT.json
     python tools/outcome_corpus.py compare BASE.json HEAD.json
 
-`compare` exits 1 when any label, note list, error type or message differs,
-or when a parameter differs by more than 1e-8 (1 + |v|).  Reducers are not
-compared: they may differ by an element of the stabilizer.
+`compare` exits 1 when any label, note list, error type, message or Monte
+Carlo report differs, or when a parameter differs by more than
+1e-8 (1 + |v|).  Reducers are not compared: they may differ by an element
+of the stabilizer.
 """
 from __future__ import annotations
 
@@ -90,6 +97,20 @@ def corpus():
                                       B0[1, 1] + db[2])))
 
 
+def mc_reports():
+    """Yield (case id, report fields) of the package's Monte Carlo reports."""
+    from pairbundles.normal_forms import CELLS
+    from pairbundles.numerics import monte_carlo_neighborhood
+
+    for seed in MC_SEEDS:
+        for cell in CELLS:
+            rep = monte_carlo_neighborhood(cell, None, MC_EPSILON, MC_TRIALS,
+                                           seed=seed).to_json()
+            yield (f"mc-report {cell} seed={seed}",
+                   {k: rep[k] for k in ("histogram", "violations",
+                                        "ambiguous", "failures")})
+
+
 def dump(out_path: str) -> int:
     import pairbundles
     from pairbundles.classify import (AmbiguityError,
@@ -107,9 +128,11 @@ def dump(out_path: str) -> int:
         records.append({"case": case, "label": str(cl.label),
                         "params": cl.params.to_json(),
                         "notes": list(cl.ambiguous)})
+    for case, report in mc_reports():
+        records.append({"case": case, "report": report})
     with open(out_path, "w") as fh:
         json.dump(records, fh, indent=0)
-    print(f"{len(records)} calls of {pairbundles.__file__} -> {out_path}",
+    print(f"{len(records)} records of {pairbundles.__file__} -> {out_path}",
           file=sys.stderr)
     return 0
 
@@ -127,7 +150,7 @@ def differences(base: list, head: list):
         if r1["case"] != case:
             yield f"case order differs: {case!r} vs {r1['case']!r}"
             return
-        for key in ("label", "notes", "error", "message"):
+        for key in ("label", "notes", "error", "message", "report"):
             if r0.get(key) != r1.get(key):
                 yield f"{case}: {key} {r0.get(key)!r} -> {r1.get(key)!r}"
         p0, p1 = r0.get("params", {}), r1.get("params", {})
@@ -150,7 +173,7 @@ def compare(base_path: str, head_path: str) -> int:
         print(line)
     if len(diffs) > MAX_REPORTED:
         print(f"... {len(diffs) - MAX_REPORTED} more")
-    print(f"{len(diffs)} differences in {len(base)} calls")
+    print(f"{len(diffs)} differences in {len(base)} records")
     return 1 if diffs else 0
 
 
