@@ -7,17 +7,18 @@ the continuous parameters.  Every reducer is verified by re-application; a
 failed verification raises rather than returning a wrong answer.
 
 Inside, matrices are row-major 4-tuples of Python complex numbers (see
-`core`): the rank and eigenvalue decisions use closed-form singular values
-and quadratic-formula eigenvalues, and the residuals scalar congruences.
-LAPACK stays where the vector basis it picks can be degenerate: the rank-1
-and Jordan reducers, the Hermitian-like eigenbasis, the Takagi factors and
-the two 1(+)-1 solvers of a rank-2 B (`_opm_intertwine` carries the invariant
-N = J conj(B) J B onto its target's through eigenvectors or a Jordan chain;
-`_opm_scalar` serves a scalar N through a symmetric square root of B).  The
-stage-2 reducers return (c, P) as a scalar and a 4-tuple, and the
-verification tail composes the reducers and measures the residual on
-4-tuples.  The checked value types are built only for what the public
-functions return.
+`core`), and every kernel is a 2x2 closed form: singular values from M*M and
+|det M|, eigenvalues from the quadratic formula, eigenvectors as null
+vectors of a row (`_eigvec`), the top singular pair of the rank-1 and
+Jordan reducers from M*M, Hermitian eigenpairs (`_eigh2`), Takagi factors
+(`_takagi`), a symmetric square root and adjugate inverses.  The two 1(+)-1
+solvers of a rank-2 B build on them: `_opm_intertwine` carries the
+invariant N = J conj(B) J B onto its target's through eigenvectors or a
+Jordan chain, and `_opm_scalar` serves a scalar N through a symmetric
+square root of B.  The stage-2 reducers return (c, P) as a scalar and a
+4-tuple, and the verification tail composes the reducers and measures the
+residual on 4-tuples.  The checked value types are built only for what the
+public functions return.
 """
 from __future__ import annotations
 
@@ -25,9 +26,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from ._takagi import takagi
 from .core import (
     GroupElement,
     Mat2,
@@ -35,7 +33,6 @@ from .core import (
     SymMat2,
     _cosquare4,
     _det4,
-    _entries4,
     _mat4,
     _max_abs,
     _mul4,
@@ -70,9 +67,11 @@ __all__ = [
     "classify_pair",
 ]
 
-_J = np.diag([1.0, -1.0]).astype(complex)
-_S12 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_T = (1.0 / math.sqrt(2.0)) * np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)
+# constant matrices as row-major 4-tuples
+_I4 = (1.0, 0.0, 0.0, 1.0)
+_J = (1.0, 0.0, 0.0, -1.0)
+_S12 = (0.0, 1.0, 1.0, 0.0)
+_T = (math.sqrt(0.5), math.sqrt(0.5), math.sqrt(0.5), -math.sqrt(0.5))
 
 # relative thresholds: rank decisions compare singular (or Takagi) value
 # ratios, eigenvalue-cluster decisions compare spreads to the spectrum scale
@@ -128,10 +127,6 @@ def _singular_values(m):
     return s0, (abs(_det4(m)) / s0 if s0 > 0.0 else 0.0)
 
 
-def _array(m) -> np.ndarray:
-    return np.array(m, dtype=complex).reshape(2, 2)
-
-
 def _gap(m, t) -> float:
     """Max-norm distance of two row-major 4-tuples."""
     return _max_abs([x - y for x, y in zip(m, t)])
@@ -139,14 +134,14 @@ def _gap(m, t) -> float:
 
 def classify_A(A: Mat2):
     """Returns (a_label, params, reducer, residual, ambiguous)."""
-    a = _entries4(A)
+    a = A.entries
     amb: list[str] = []
     scale, sv1 = _singular_values(a)
     if _near(scale, _RANK_TOL, amb, "A near zero"):
         g = GroupElement(1.0, Mat2.identity())
         return ALabel.ZERO, BundleParams(), g, float(scale), tuple(amb)
     if _near(sv1 / scale, _RANK_TOL, amb, "A near rank-1 boundary"):
-        label, c, p = _reduce_rank1_A(A.array, amb)
+        label, c, p = _reduce_rank1_A(a, amb)
         params = BundleParams()
     else:
         label, params, c, p = _reduce_rank2_A(a, amb)
@@ -160,11 +155,10 @@ def _unit2(x, y):
     return x / n, y / n
 
 
-def _reduce_rank1_A(arr, amb):
-    U, sv, Vh = np.linalg.svd(arr)
-    s0 = float(sv[0])
-    u0, u1 = U[:, 0].tolist()
-    v0, v1 = Vh[0].conj().tolist()  # A ~ s0 * outer(u, conj(v)) = s0 u v^H
+def _reduce_rank1_A(a, amb):
+    # the top singular pair: A ~ s0 u v^H with A v = s0 u
+    s0, (v0, v1) = _top_singular(a)
+    u0, u1 = _unit2(a[0] * v0 + a[1] * v1, a[2] * v0 + a[3] * v1)
     vu = v0.conjugate() * u0 + v1.conjugate() * u1  # v^H u
     if _near(1.0 - abs(vu), _EIG_TOL, amb,
              "rank-1 A near the 1(+)0 / nilpotent boundary"):
@@ -188,15 +182,15 @@ def _reduce_rank2_A(a, amb):
     lam_m, disc, sd0 = _mean_split(C)
     n_scale = max(1.0, abs(lam_m))
     if _near(sd0, _EIG_TOL * n_scale, amb, "cosquare near scalar"):
-        return _reduce_hermitian_like(_array(a), lam_m, amb)
+        return _reduce_hermitian_like(a, lam_m, amb)
     if _near(abs(disc) / sd0, _EIG_TOL * max(1.0, sd0), amb,
              "cosquare near defective"):
         if abs(abs(lam_m) - 1.0) > 100 * _EIG_TOL:
             raise ClassificationFailureError(
                 "defective cosquare with non-unimodular eigenvalue "
-                f"{np.complex128(lam_m)!r}"
+                f"{lam_m!r}"
             )
-        return _reduce_jordan_A(_array(a), _array(C), lam_m)
+        return _reduce_jordan_A(a, C, lam_m)
     # two separated eigenvalues
     lam = _roots(lam_m, disc, det_c)
     # pair structure: both unimodular, or a conjugate-reciprocal pair
@@ -206,7 +200,7 @@ def _reduce_rank2_A(a, amb):
         return _reduce_one_theta_A(a, C, lam)
     if abs(m0 * m1 - 1.0) > 1e-6 * max(1.0, m0 * m1):
         raise ClassificationFailureError(
-            f"cosquare spectrum {np.array(lam)!r} "
+            f"cosquare spectrum {lam!r} "
             "violates the reciprocal pair structure"
         )
     return _reduce_tau_A(a, C, lam)
@@ -237,6 +231,89 @@ def _eigvec(m, lam):
         x0, x1 = x2, x3
     n = math.hypot(abs(x0), abs(x1))
     return (-x1 / n, x0 / n) if n > 0.0 else (1.0, 0.0)
+
+
+def _gram(m) -> tuple:
+    """The Hermitian M* M."""
+    m0, m1, m2, m3 = m
+    h01 = m0.conjugate() * m1 + m2.conjugate() * m3
+    return (abs(m0) ** 2 + abs(m2) ** 2, h01, h01.conjugate(),
+            abs(m1) ** 2 + abs(m3) ** 2)
+
+
+def _top_singular(m):
+    """(s0, v): the largest singular value of M and a unit right singular
+    vector for it, the eigenvector of M* M for s0^2."""
+    s0 = _spectral_norm(*m)
+    return s0, _eigvec(_gram(m), s0 * s0)
+
+
+def _perp(u):
+    """The unit vector orthogonal to the unit vector u."""
+    return (-u[1].conjugate(), u[0].conjugate())
+
+
+def _eigh2(h):
+    """The eigenvalues of a Hermitian h in ascending order and their unit
+    eigenvectors: `_eigvec` of the one of larger modulus, and its
+    orthogonal complement."""
+    lam_m, disc, _ = _mean_split(h)
+    big, small = _roots(lam_m, disc, _det4(h))
+    big, small = big.real, small.real
+    u = _eigvec(h, big)
+    if small <= big:
+        return (small, big), (_perp(u), u)
+    return (big, small), (u, _perp(u))
+
+
+def _inv4(m) -> tuple:
+    """The inverse adj(M) / det M."""
+    k = 1.0 / _det4(m)
+    return (m[3] * k, -m[1] * k, -m[2] * k, m[0] * k)
+
+
+def _sqrtm2_symmetric(m):
+    """A symmetric square root (M + s I) / sqrt(tr M + 2 s), s = +-sqrt(det M),
+    of an invertible symmetric 2x2 M: the one of the two with the smaller
+    residual."""
+    det, tr = _det4(m), m[0] + m[3]
+    best = None
+    for s in (cmath.sqrt(det), -cmath.sqrt(det)):
+        t2 = tr + 2 * s
+        if abs(t2) < 1e-14 * max(1.0, abs(tr)):
+            continue
+        r = cmath.sqrt(t2)
+        x = ((m[0] + s) / r, m[1] / r, m[2] / r, (m[3] + s) / r)
+        res = _gap(_mul4(x, x), m)
+        if best is None or res < best[0]:
+            best = (res, x)
+    if best is None or best[0] > 1e-8 * max(1.0, _max_abs(m)):
+        raise ClassificationFailureError("symmetric square root failed")
+    return best[1]
+
+
+def _takagi_turn(b, u):
+    """u turned by the phase that makes u* B conj(u) real nonnegative."""
+    u0, u1 = u[0].conjugate(), u[1].conjugate()
+    z = u0 * (b[0] * u0 + b[1] * u1) + u1 * (b[2] * u0 + b[3] * u1)
+    w = cmath.exp(0.5j * cmath.phase(z))
+    return u[0] * w, u[1] * w
+
+
+def _takagi(b):
+    """B = U diag(s0, s1) U^T for a symmetric 4-tuple b: ((s0, s1), U) with
+    s0 >= s1 the singular values and U unitary.  Values within 1e-8
+    relative form one block, where B / s0 is unitary and U is its symmetric
+    square root; else U holds the eigenvector of B conj(B) for s0^2 and its
+    orthogonal complement, both turned."""
+    s0, s1 = _singular_values(b)
+    if s0 == 0.0:
+        return (s0, s1), _I4
+    if s0 - s1 <= 1e-8 * s0:
+        return (s0, s1), _sqrtm2_symmetric(tuple(z / s0 for z in b))
+    u = _takagi_turn(b, _eigvec(_mul4(b, [z.conjugate() for z in b]), s0 * s0))
+    w = _takagi_turn(b, _perp(u))
+    return (s0, s1), (u[0], w[0], u[1], w[1])
 
 
 def _quad(u, a) -> complex:
@@ -279,53 +356,52 @@ def _reduce_tau_A(a, C, lam):
     raise ClassificationFailureError("tau-form reduction failed")
 
 
-def _reduce_hermitian_like(arr, lam_m, amb):
+def _reduce_hermitian_like(a, lam_m, amb):
     if abs(abs(lam_m) - 1.0) > 100 * _EIG_TOL:
         raise ClassificationFailureError(
             "scalar cosquare with non-unimodular eigenvalue "
-            f"{np.complex128(lam_m)!r}"
+            f"{lam_m!r}"
         )
     c0 = cmath.exp(-0.5j * cmath.phase(lam_m))
-    H = c0 * arr
-    H = 0.5 * (H + H.conj().T)
-    d, Uh = np.linalg.eigh(H)  # ascending
-    if _near(min(abs(d)), _EIG_TOL * max(abs(d)), amb,
+    # the Hermitian part of c0 A
+    h00, h11 = (c0 * a[0]).real, (c0 * a[3]).real
+    h01 = 0.5 * (c0 * a[1] + (c0 * a[2]).conjugate())
+    (d0, d1), (u, v) = _eigh2((h00, h01, h01.conjugate(), h11))
+    if _near(min(abs(d0), abs(d1)), _EIG_TOL * max(abs(d0), abs(d1)), amb,
              "Hermitian part near singular"):
         raise ClassificationFailureError("rank-2 A with near-singular Hermitian part")
-    if d[0] > 0:
-        P = Uh @ np.diag(1.0 / np.sqrt(d))
-        return ALabel.IDENTITY, BundleParams(), c0, _entries4(P)
-    if d[1] < 0:
-        P = Uh @ np.diag(1.0 / np.sqrt(-d))
-        return ALabel.IDENTITY, BundleParams(), -c0, _entries4(P)
+    if d0 > 0 or d1 < 0:
+        k0, k1 = 1.0 / math.sqrt(abs(d0)), 1.0 / math.sqrt(abs(d1))
+        P = (u[0] * k0, v[0] * k1, u[1] * k0, v[1] * k1)
+        return ALabel.IDENTITY, BundleParams(), c0 if d0 > 0 else -c0, P
     # indefinite: order (positive, negative) for diag(1, -1)
-    P = np.column_stack([Uh[:, 1] / math.sqrt(d[1]), Uh[:, 0] / math.sqrt(-d[0])])
-    return ALabel.ONE_PLUS_MINUS, BundleParams(), c0, _entries4(P)
+    k0, k1 = 1.0 / math.sqrt(d1), 1.0 / math.sqrt(-d0)
+    P = (v[0] * k0, u[0] * k1, v[1] * k0, u[1] * k1)
+    return ALabel.ONE_PLUS_MINUS, BundleParams(), c0, P
 
 
-def _reduce_jordan_A(arr, C, lam_m):
+def _reduce_jordan_A(a, C, lam_m):
     # bring the cosquare to the unipotent Jordan form of [[0,1],[1,i]]
     lam = lam_m / abs(lam_m)
     c = cmath.exp(-0.5j * cmath.phase(lam))
     # Jordan chain of the unipotent cosquare: (Cn - I) p2 = 2i p1
-    V = _jordan_chain(c * c * C, 1.0)
-    P0 = np.column_stack([V[:, 0] / 2j, V[:, 1]])
+    cc2 = c * c
+    V = _jordan_chain(tuple(cc2 * z for z in C), 1.0)
+    P0 = (V[0] / 2j, V[1], V[2] / 2j, V[3])
     for cc in (c, -c):
-        Mt = cc * P0.conj().T @ arr @ P0
-        t = Mt[0, 1]
+        Mt = _star_congruence4(cc, P0, a)
+        t = Mt[1]
         if abs(t.real) < 1e-12 * max(1.0, abs(t)):
             continue
         if t.real < 0:
             continue
         tr = t.real
-        q = Mt[1, 1].real
+        q = Mt[3].real
         a_scale = 1.0 / math.sqrt(tr)
         b_corr = -a_scale * q / (2.0 * tr)
-        K = np.array([[a_scale, b_corr], [0.0, a_scale]], dtype=complex)
-        P = P0 @ K
-        out = cc * P.conj().T @ arr @ P
-        if max_norm(out - np.array([[0, 1], [1, 1j]])) < 0.1:
-            return ALabel.JORDAN_I, BundleParams(), cc, _entries4(P)
+        P = _mul4(P0, (a_scale, b_corr, 0.0, a_scale))
+        if _gap(_star_congruence4(cc, P, a), (0.0, 1.0, 1.0, 1j)) < 0.1:
+            return ALabel.JORDAN_I, BundleParams(), cc, P
     raise ClassificationFailureError("Jordan-type reduction failed")
 
 
@@ -335,21 +411,17 @@ def _reduce_jordan_A(arr, C, lam_m):
 def classify_B(B: SymMat2):
     """Returns (b_label, reducer P, residual, ambiguous)."""
     amb: list[str] = []
-    arr = B.array
-    s, U = takagi(arr)
-    scale = s[0]
+    (scale, s1), U = _takagi((B.a, B.b, B.b, B.d))
     if _near(scale, _RANK_TOL, amb, "B near zero"):
         return BLabel.ZERO, Mat2.identity(), float(scale), tuple(amb)
-    if _near(s[1] / scale, _RANK_TOL, amb, "B near rank-1 boundary"):
-        rank = 1
-        P = np.conj(U) @ np.diag([1.0 / math.sqrt(s[0]), 1.0])
-    else:
-        rank = 2
-        P = np.conj(U) @ np.diag(1.0 / np.sqrt(s))
-    target = np.diag([1.0, 1.0 if rank == 2 else 0.0])
-    res = max_norm(P.T @ arr @ P - target)
-    label = BLabel.RANK2 if rank == 2 else BLabel.RANK1
-    return label, Mat2(P), float(res), tuple(amb)
+    rank1 = _near(s1 / scale, _RANK_TOL, amb, "B near rank-1 boundary")
+    # P = conj(U) diag(1/sqrt(s0), 1/sqrt(s1)), with 1 for a zero s1
+    k0, k1 = 1.0 / math.sqrt(scale), (1.0 if rank1 else 1.0 / math.sqrt(s1))
+    P = (U[0].conjugate() * k0, U[1].conjugate() * k1,
+         U[2].conjugate() * k0, U[3].conjugate() * k1)
+    res = _gap(_congruent_B(P, B), (1.0, 0.0, 0.0 if rank1 else 1.0))
+    label = BLabel.RANK1 if rank1 else BLabel.RANK2
+    return label, _mat4(P), float(res), tuple(amb)
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +454,7 @@ def stabilizer_reduce_B(a_label: ALabel, B: SymMat2,
     # stabilizer membership / A-transport check
     A0 = _representative_A_entries(a_label, a_params)
     A_target = _representative_A_entries(a_label, a_params, shape in _SWAP_SHAPES)
-    defect = _gap(_star_congruence4(g.c, _entries4(g.P), A0), A_target)
+    defect = _gap(_star_congruence4(g.c, g.P.entries, A0), A_target)
     if defect > 1e-7 * max(1.0, _max_abs(A0)):
         raise ClassificationFailureError(
             f"stage-2 reducer leaves the stabilizer of {a_label} (defect {defect:.3e})"
@@ -392,9 +464,6 @@ def stabilizer_reduce_B(a_label: ALabel, B: SymMat2,
 
 # Each stage-2 reducer returns (b_shape, params, c, p) with the reducer's P
 # as a row-major 4-tuple; `stabilizer_reduce_B` builds the GroupElement.
-_I4 = (1.0, 0.0, 0.0, 1.0)
-
-
 def _diag4(x, y) -> tuple:
     return (x, 0j, 0j, y)
 
@@ -407,7 +476,7 @@ def _congruent_B(p, B) -> tuple:
 def _reduce_B_zero(B, amb):
     label, P, _, amb2 = classify_B(B)
     amb.extend(amb2)
-    return BShape(label.value), BundleParams(), 1.0, _entries4(P)
+    return BShape(label.value), BundleParams(), 1.0, P.entries
 
 
 def _reduce_B_one_zero(B, amb):
@@ -432,11 +501,10 @@ def _reduce_B_one_zero(B, amb):
 
 
 def _reduce_B_identity(B, amb):
-    arr = B.array
-    s, U = takagi(arr)  # descending
-    p = _entries4(np.conj(U) @ _S12)  # ascending order
-    scale = max(s[0], 1e-300)
-    s_lo, s_hi = s[1], s[0]
+    (s_hi, s_lo), U = _takagi((B.a, B.b, B.b, B.d))
+    # conj(U) S12: the Takagi values in ascending order
+    p = (U[1].conjugate(), U[0].conjugate(), U[3].conjugate(), U[2].conjugate())
+    scale = max(s_hi, 1e-300)
     if _near(s_hi, _RANK_TOL * max(1.0, scale), amb, "B near zero over I2"):
         return BShape.ZERO, BundleParams(), 1.0, p
     if _near(s_lo / s_hi, _RANK_TOL, amb, "B near rank-1 over I2"):
@@ -584,8 +652,7 @@ def _reduce_B_jordan(B, amb):
 
     def elem(v2, t):
         v = cmath.sqrt(v2)
-        return 1.0, _entries4(v * np.array([[1.0, 1j * t], [0.0, 1.0]],
-                                           dtype=complex))
+        return 1.0, (v, v * (1j * t), 0j, v)
 
     def shear(t_c):
         """The real shear t of the stabilizer; a complex one is off-catalog."""
@@ -615,36 +682,17 @@ def _reduce_B_jordan(B, amb):
 # The stabilizer {(c, P): c = +-1, P* J P = c J} of J = diag(1, -1) moves the
 # invariant N = J conj(B) J B of B only by similarity, N -> P^-1 N P.
 
-def _sqrtm2_symmetric(C):
-    """A symmetric square root of an invertible symmetric 2x2 matrix."""
-    det = C[0, 0] * C[1, 1] - C[0, 1] * C[1, 0]
-    tr = C[0, 0] + C[1, 1]
-    best = None
-    for s in (cmath.sqrt(det), -cmath.sqrt(det)):
-        t2 = tr + 2 * s
-        if abs(t2) < 1e-14 * max(1.0, abs(tr)):
-            continue
-        X = (C + s * np.eye(2)) / cmath.sqrt(t2)
-        r = max_norm(X @ X - C)
-        if best is None or r < best[0]:
-            best = (r, X)
-    if best is None or best[0] > 1e-8 * max(1.0, max_norm(C)):
-        raise ClassificationFailureError("symmetric square root failed")
-    return best[1]
-
-
 def _rot(z):
     c, s = cmath.cos(z), cmath.sin(z)
-    return np.array([[c, s], [-s, c]], dtype=complex)
+    return (c, s, -s, c)
 
 
 def _boost(t):
     """The (1,1)-unitary boost [[cosh t, sinh t], [sinh t, cosh t]]."""
-    return np.array([[math.cosh(t), math.sinh(t)],
-                     [math.sinh(t), math.cosh(t)]], dtype=complex)
+    return (math.cosh(t), math.sinh(t), math.sinh(t), math.cosh(t))
 
 
-_SHALF_INV = _T @ np.diag([1.0, -1j]) @ _T
+_SHALF_INV = _mul4(_mul4(_T, (1.0, 0.0, 0.0, -1j)), _T)
 
 
 def _star_flip(m):
@@ -653,53 +701,49 @@ def _star_flip(m):
             m[3].conjugate())
 
 
-def _u11_membership(P, c=1.0):
-    return max_norm(c * P.conj().T @ _J @ P - _J)
+def _u11_membership(p, c=1.0):
+    """Max-norm distance of c P* J P from J."""
+    return _gap(_star_congruence4(c, p, _J), _J)
 
 
-def _jordan_chain(N, lam):
+def _jordan_chain(n, lam):
     """Columns (v1, v2) with (N - lam I) v2 = v1, for N with the single
-    eigenvalue lam."""
-    M = N - lam * np.eye(2)
-    _, _, Vh = np.linalg.svd(M)
-    v2 = Vh[0].conj()
-    return np.column_stack([M @ v2, v2])
+    eigenvalue lam; v2 is the top right singular vector of N - lam I."""
+    m = (n[0] - lam, n[1], n[2], n[3] - lam)
+    v20, v21 = _top_singular(m)[1]
+    return (m[0] * v20 + m[1] * v21, v20, m[2] * v20 + m[3] * v21, v21)
 
 
 def _reduce_B_one_plus_minus(B, amb):
-    arr = B.array
     zt = _RANK_TOL * max(max_norm(B), 1e-300)
     if max_norm(B) <= zt:
         return BShape.ZERO, BundleParams(), 1.0, _I4
     # the Takagi values of B are its singular values
     b4 = (B.a, B.b, B.b, B.d)
     s0, s1 = _singular_values(b4)
-    c_total = 1.0
-    pre = np.eye(2, dtype=complex)
     if _near(s1 / s0, _RANK_TOL, amb, "B near rank-1 over 1(+)-1"):
-        s, U = takagi(arr)
-        w = math.sqrt(s[0]) * U[:, 0]
-        mu = (abs(w[0]) ** 2 - abs(w[1]) ** 2)
-        if _near(abs(mu), _RANK_TOL * (abs(w[0]) ** 2 + abs(w[1]) ** 2), amb,
+        # B ~ w w^T with w = sqrt(s0) times the top Takagi vector
+        U = _takagi(b4)[1]
+        w0, w1 = math.sqrt(s0) * U[0], math.sqrt(s0) * U[2]
+        mu = (abs(w0) ** 2 - abs(w1) ** 2)
+        if _near(abs(mu), _RANK_TOL * (abs(w0) ** 2 + abs(w1) ** 2), amb,
                  "rank-1 B near the isotropic boundary over 1(+)-1"):
             # isotropic direction: the 1(+)0 cell of the swap representative
-            m = 0.5 * (abs(w[0]) + abs(w[1]))
-            Dw = np.diag([cmath.exp(-1j * cmath.phase(w[0])),
-                          cmath.exp(-1j * cmath.phase(w[1]))])
-            P = Dw @ _boost(-math.log(m * math.sqrt(2.0))) @ _T
-            return BShape.SWAP_ONE_ZERO, BundleParams(), 1.0, _entries4(P)
+            m = 0.5 * (abs(w0) + abs(w1))
+            Dw = _diag4(cmath.exp(-1j * cmath.phase(w0)),
+                        cmath.exp(-1j * cmath.phase(w1)))
+            P = _mul4(_mul4(Dw, _boost(-math.log(m * math.sqrt(2.0)))), _T)
+            return BShape.SWAP_ONE_ZERO, BundleParams(), 1.0, P
+        c_total, pre = 1.0, _I4
         if mu > 0:
-            pre = _S12
-            c_total = -1.0
-            w = _S12 @ w
-            mu = -mu
-        d = -mu
-        # P = D H with phases D and a boost H so that P^T w = sqrt(d) e2
-        r1, r2 = abs(w[0]), abs(w[1])
-        D1 = np.diag([cmath.exp(-1j * cmath.phase(w[0])) if r1 > 0 else 1.0,
-                      cmath.exp(-1j * cmath.phase(w[1]))])
-        P = pre @ D1 @ _boost(math.atanh(-r1 / r2))
-        return BShape.ZERO_D, BundleParams(d=float(d)), c_total, _entries4(P)
+            c_total, pre = -1.0, _S12
+            w0, w1, mu = w1, w0, -mu
+        # P = D H with phases D and a boost H so that P^T w = sqrt(-mu) e2
+        r1, r2 = abs(w0), abs(w1)
+        D1 = _diag4(cmath.exp(-1j * cmath.phase(w0)) if r1 > 0 else 1.0,
+                    cmath.exp(-1j * cmath.phase(w1)))
+        P = _mul4(_mul4(pre, D1), _boost(math.atanh(-r1 / r2)))
+        return BShape.ZERO_D, BundleParams(d=-mu), c_total, P
     # rank 2: classify by the similarity invariant N, det N = |det B|^2
     n4 = _mul4(_star_flip(b4), b4)
     lam_m, disc, sd0 = _mean_split(n4)
@@ -711,46 +755,47 @@ def _reduce_B_one_plus_minus(B, amb):
             raise ClassificationFailureError("scalar invariant with complex eigenvalue")
         if lam_r > 0:
             d = math.sqrt(lam_r)
-            return _opm_scalar(arr, BShape.D_IDENTITY, BundleParams(d=d), d,
+            return _opm_scalar(b4, BShape.D_IDENTITY, BundleParams(d=d), d,
                                _orth_d_identity)
         b = math.sqrt(-lam_r)
-        return _opm_scalar(arr, BShape.ANTI_DIAG, BundleParams(b=b), b,
+        return _opm_scalar(b4, BShape.ANTI_DIAG, BundleParams(b=b), b,
                            _orth_anti_diag)
     if _near(abs(disc) / sd0, _EIG_TOL * max(sd0, 1e-300), amb,
              "similarity invariant near defective over 1(+)-1"):
         if not (abs(lam_m.imag) <= 1e-6 * n_scale and lam_m.real > 0):
             raise ClassificationFailureError(
-                f"defective invariant with eigenvalue {np.complex128(lam_m)!r} "
+                f"defective invariant with eigenvalue {lam_m!r} "
                 "off the catalog"
             )
         b = math.sqrt(lam_m.real)
-        B_sw = np.array([[0.0, b], [b, 1.0]], dtype=complex)
-        return _opm_intertwine(arr, n4, BShape.SWAP_OFF_DIAG_B_ONE,
-                               BundleParams(b=b), _T @ B_sw @ _T, (b * b,))
+        return _opm_intertwine(b4, n4, BShape.SWAP_OFF_DIAG_B_ONE,
+                               BundleParams(b=b),
+                               _mul4(_mul4(_T, (0.0, b, b, 1.0)), _T), (b * b,))
     # distinct eigenvalues
     lam = _roots(lam_m, disc, abs(_det4(b4)) ** 2)
     if abs(lam[0].imag) > 1e-6 * n_scale:
         # a conjugate pair d e^{+-i theta}: the 1 (+) d e^{i theta} swap cell
         lam_p = lam[0] if lam[0].imag > 0 else lam[1]
         d, theta = abs(lam_p), abs(cmath.phase(lam_p))
-        B_sw = np.diag([1.0, d * cmath.exp(1j * theta)])
-        return _opm_intertwine(arr, n4, BShape.SWAP_ONE_DE_ITHETA,
-                               BundleParams(d=d, theta=theta), _T @ B_sw @ _T,
+        B_sw = _diag4(1.0, d * cmath.exp(1j * theta))
+        return _opm_intertwine(b4, n4, BShape.SWAP_ONE_DE_ITHETA,
+                               BundleParams(d=d, theta=theta),
+                               _mul4(_mul4(_T, B_sw), _T),
                                (lam_p, lam_p.conjugate()))
     lam_r = sorted(l.real for l in lam)
     if lam_r[0] <= 0:
         raise ClassificationFailureError(
-            f"real invariant spectrum {[np.float64(l) for l in lam_r]!r} "
+            f"real invariant spectrum {lam_r!r} "
             "off the catalog over 1(+)-1"
         )
     a, d = math.sqrt(lam_r[0]), math.sqrt(lam_r[1])
-    return _opm_intertwine(arr, n4, BShape.DIAG_AD, BundleParams(a=a, d=d),
-                           np.diag([a, d]).astype(complex), lam_r)
+    return _opm_intertwine(b4, n4, BShape.DIAG_AD, BundleParams(a=a, d=d),
+                           _diag4(a, d), lam_r)
 
 
-def _opm_intertwine(arr, n4, shape, params, B_t, lam):
-    """The reducer of B = arr onto the J-frame target B_t, whose invariant
-    has the eigenvalues lam (one entry when both are one defective
+def _opm_intertwine(b4, n4, shape, params, bt, lam):
+    """The reducer of the symmetric B = b4 onto the J-frame target bt, whose
+    invariant has the eigenvalues lam (one entry when both are one defective
     eigenvalue).
 
     R = V Z Uc^-1, where V and Uc hold eigenvectors (or a Jordan chain) of
@@ -759,70 +804,72 @@ def _opm_intertwine(arr, n4, shape, params, B_t, lam):
     eigenvalues, and R^T B R = B_t fixes Z up to signs, which change neither
     residual.  The swap shapes leave the J frame by P = R T.
     """
-    N_t = _J @ np.conj(B_t) @ _J @ B_t
+    nt = _mul4(_star_flip(bt), bt)
     if len(lam) == 2:
-        n4_t = _entries4(N_t)
-        V = np.column_stack([_eigvec(n4, l) for l in lam])
-        Uc = np.column_stack([_eigvec(n4_t, l) for l in lam])
+        (v00, v10), (v01, v11) = (_eigvec(n4, l) for l in lam)
+        (u00, u10), (u01, u11) = (_eigvec(nt, l) for l in lam)
+        V, Uc = (v00, v01, v10, v11), (u00, u01, u10, u11)
     else:
-        V, Uc = _jordan_chain(_array(n4), lam[0]), _jordan_chain(N_t, lam[0])
-    G, H = V.T @ arr @ V, Uc.T @ B_t @ Uc
+        V, Uc = _jordan_chain(n4, lam[0]), _jordan_chain(nt, lam[0])
+    # (g00, g01, g11) of G and (h00, h01, h11) of H
+    G = _transpose_congruence3(V, b4[0], b4[1], b4[3])
+    H = _transpose_congruence3(Uc, bt[0], bt[1], bt[3])
+    g_scale = _max_abs(G)
     Z = None
     if len(lam) == 2:
-        if min(abs(G[0, 0]), abs(G[1, 1])) > 1e-12 * max_norm(G):
-            Z = np.diag([cmath.sqrt(H[0, 0] / G[0, 0]),
-                         cmath.sqrt(H[1, 1] / G[1, 1])])
+        if min(abs(G[0]), abs(G[2])) > 1e-12 * g_scale:
+            Z = _diag4(cmath.sqrt(H[0] / G[0]), cmath.sqrt(H[2] / G[2]))
     # defective: G00 = 0 up to the near-defective gray band, and Z is
     # [[z1, z2], [0, z1]]
-    elif abs(G[0, 0]) > 1e-10 * max_norm(G):
-        z1 = cmath.sqrt(H[0, 0] / G[0, 0])
-        z2 = (H[0, 1] - z1 * z1 * G[0, 1]) / (z1 * G[0, 0])
-        Z = np.array([[z1, z2], [0.0, z1]])
-    elif abs(G[0, 1]) > 1e-10 * max_norm(G):
-        z1 = cmath.sqrt(H[0, 1] / G[0, 1])
-        z2 = (H[1, 1] - z1 * z1 * G[1, 1]) / (2.0 * z1 * G[0, 1])
-        Z = np.array([[z1, z2], [0.0, z1]])
+    elif abs(G[0]) > 1e-10 * g_scale:
+        z1 = cmath.sqrt(H[0] / G[0])
+        z2 = (H[1] - z1 * z1 * G[1]) / (z1 * G[0])
+        Z = (z1, z2, 0.0, z1)
+    elif abs(G[1]) > 1e-10 * g_scale:
+        z1 = cmath.sqrt(H[1] / G[1])
+        z2 = (H[2] - z1 * z1 * G[2]) / (2.0 * z1 * G[1])
+        Z = (z1, z2, 0.0, z1)
     r, c, P = math.inf, 1.0, None
     if Z is not None:
-        P = V @ Z @ np.linalg.inv(Uc)
-        b_res = max_norm(P.T @ arr @ P - B_t)
+        P = _mul4(_mul4(V, Z), _inv4(Uc))
+        b_res = _gap(_transpose_congruence3(P, b4[0], b4[1], b4[3]),
+                     (bt[0], bt[1], bt[3]))
         r, c = min(((max(b_res, _u11_membership(P, cc)), cc)
                     for cc in (1.0, -1.0)), key=lambda rc: rc[0])
-    if not r <= 1e-7 * max(1.0, max_norm(arr)):
+    if not r <= 1e-7 * max(1.0, _max_abs(b4)):
         raise ClassificationFailureError(
             f"1(+)-1 reduction to {shape.value} failed (residual {r:.3e})")
     if shape in _SWAP_SHAPES:
-        P = P @ _T
-    return shape, params, c, _entries4(P)
+        P = _mul4(P, _T)
+    return shape, params, c, P
 
 
 def _orth_d_identity(K):
     """The rotation taking K = Q0^-* J Q0^-1 to J."""
-    return _rot(0.5 * math.atan2(K[0, 1].real, K[0, 0].real))
+    return _rot(0.5 * math.atan2(K[1].real, K[0].real))
 
 
 def _orth_anti_diag(K):
     """The complex-orthogonal factor taking K = Q0^-* J Q0^-1 to the
     anti-diagonal target's frame."""
-    if K[0, 1].imag >= 0:
-        O = _rot(0.5j * math.asinh(K[0, 0].real))
+    if K[1].imag >= 0:
+        O = _rot(0.5j * math.asinh(K[0].real))
     else:
-        O = np.diag([1.0, -1.0]) @ _rot(0.5j * math.asinh(-K[0, 0].real))
-    return _SHALF_INV @ O
+        O = _mul4(_J, _rot(0.5j * math.asinh(-K[0].real)))
+    return _mul4(_SHALF_INV, O)
 
 
-def _opm_scalar(arr, shape, params, s, orth):
-    """The reducer of B = arr with scalar invariant: B / s = Q0^2 with Q0
-    symmetric, so P = (O Q0)^-1 carries B to the target for every complex
-    orthogonal O, and `orth` picks the O that puts P in the (1,1) unitary
-    group."""
-    Q0 = _sqrtm2_symmetric(arr / s)
-    Q0i = np.linalg.inv(Q0)
-    P = np.linalg.inv(orth(Q0i.conj().T @ _J @ Q0i) @ Q0)
+def _opm_scalar(b4, shape, params, s, orth):
+    """The reducer of the symmetric B = b4 with scalar invariant: B / s = Q0^2
+    with Q0 symmetric, so P = (O Q0)^-1 carries B to the target for every
+    complex orthogonal O, and `orth` picks the O that puts P in the (1,1)
+    unitary group."""
+    Q0 = _sqrtm2_symmetric(tuple(z / s for z in b4))
+    P = _inv4(_mul4(orth(_star_congruence4(1.0, _inv4(Q0), _J)), Q0))
     if _u11_membership(P) > 1e-7:
         raise ClassificationFailureError(
             f"1(+)-1 reduction to {shape.value} left the (1,1) unitary group")
-    return shape, params, 1.0, _entries4(P)
+    return shape, params, 1.0, P
 
 
 _STAGE2 = {
@@ -842,7 +889,7 @@ _STAGE2 = {
 
 def classify_pair(x: PairAB) -> Classification:
     a_label, a_params, g1, res1, amb1 = classify_A(x.A)
-    p1 = _entries4(g1.P)
+    p1 = g1.P.entries
     B1 = SymMat2(*_congruent_B(p1, x.B))
     try:
         shape, b_params, g2, amb2 = stabilizer_reduce_B(a_label, B1, a_params)
@@ -859,12 +906,12 @@ def classify_pair(x: PairAB) -> Classification:
     merged = BundleParams(**{**_asdict(a_params), **_asdict(b_params)})
     merged = canonicalize_params(label, merged)
     # the reducer P1 P2; its GroupElement checks |c| = 1 and det P
-    c, p = g1.c * g2.c, _mul4(p1, _entries4(g2.P))
+    c, p = g1.c * g2.c, _mul4(p1, g2.P.entries)
     total = GroupElement(c, _mat4(p))
     if validate_params(label, merged):
         raise ClassificationFailureError(f"incomplete parameters for {label}")
     # residual: max-norm distance of the moved pair to the representative
-    a = _entries4(x.A)
+    a = x.A.entries
     moved = _star_congruence4(c, p, a) + _congruent_B(p, x.B)
     target = (_representative_A_entries(a_label, merged, shape in _SWAP_SHAPES)
               + _representative_B_entries(shape, merged))

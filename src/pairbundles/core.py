@@ -1,9 +1,10 @@
 """Core 2x2 complex matrix kernel: the group, the action, norms, invariants.
 
-Everything here is a small immutable value type backed by numpy arrays, plus
-pure functions.  All other modules build on these.  The action, the norms
-and the value types' checks compute on Python complex scalars: a 2x2 matrix
-inside is the row-major 4-tuple (m00, m01, m10, m11), see `_entries4`.
+Everything here is a small immutable value type plus pure functions.  All
+other modules build on these.  A 2x2 matrix is the row-major 4-tuple
+(m00, m01, m10, m11) of Python complex numbers: `Mat2` stores it, and the
+action, the norms and the value types' checks compute on it.  numpy enters
+only to parse array input and where a caller asks for an array.
 """
 from __future__ import annotations
 
@@ -41,17 +42,13 @@ class ValidationError(ValueError):
     """Raised when a constructor receives an invalid value."""
 
 
-def _as_c2x2(entries) -> np.ndarray:
-    # a C-ordered copy: the caller's array stays writable, and writing into
-    # it later cannot change the matrix or its hash
-    arr = np.array(entries, dtype=complex, order="C")
-    if arr.shape != (2, 2):
-        raise ValidationError(f"expected 2x2 matrix, got shape {arr.shape}")
+def _finite4(m) -> tuple:
+    """m as a 4-tuple of Python complex, checked finite."""
+    m = tuple(map(complex, m))
     # cmath.isfinite(z) tests both float parts with math.isfinite
-    if not all(map(cmath.isfinite, arr.ravel().tolist())):
+    if not all(map(cmath.isfinite, m)):
         raise ValidationError("matrix entries must be finite")
-    arr.flags.writeable = False
-    return arr
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +57,7 @@ def _as_c2x2(entries) -> np.ndarray:
 def _entries4(M) -> tuple:
     """(m00, m01, m10, m11) of a Mat2 or a 2x2 array, as Python complex."""
     if isinstance(M, Mat2):
-        M = M.entries
+        return M.entries
     return tuple(np.asarray(M, dtype=complex).ravel().tolist())
 
 
@@ -134,33 +131,34 @@ def _spectral_norm(m00, m01, m10, m11) -> float:
 
 @dataclass(frozen=True)
 class Mat2:
-    """An arbitrary 2x2 complex matrix."""
+    """An arbitrary 2x2 complex matrix, stored as its row-major 4-tuple."""
 
-    entries: np.ndarray
+    entries: tuple
 
     def __init__(self, entries):
-        object.__setattr__(self, "entries", _as_c2x2(entries))
+        arr = np.asarray(entries, dtype=complex)
+        if arr.shape != (2, 2):
+            raise ValidationError(f"expected 2x2 matrix, got shape {arr.shape}")
+        object.__setattr__(self, "entries", _finite4(arr.ravel().tolist()))
 
     @property
     def array(self) -> np.ndarray:
-        return self.entries
-
-    def __eq__(self, other):
-        return isinstance(other, Mat2) and np.array_equal(self.entries, other.entries)
-
-    def __hash__(self):
-        return hash(self.entries.tobytes())
+        """A fresh read-only 2x2 array of the entries."""
+        arr = np.array(self.entries, dtype=complex).reshape(2, 2)
+        arr.flags.writeable = False
+        return arr
 
     @staticmethod
     def zero() -> "Mat2":
-        return Mat2(np.zeros((2, 2)))
+        return _mat4((0.0, 0.0, 0.0, 0.0))
 
     @staticmethod
     def identity() -> "Mat2":
-        return Mat2(np.eye(2))
+        return _mat4((1.0, 0.0, 0.0, 1.0))
 
     def to_json(self) -> list:
-        return [[_c2j(z) for z in row] for row in self.entries.tolist()]
+        m = self.entries
+        return [[_c2j(m[0]), _c2j(m[1])], [_c2j(m[2]), _c2j(m[3])]]
 
     @staticmethod
     def from_json(doc) -> "Mat2":
@@ -169,12 +167,16 @@ class Mat2:
         return Mat2([[_j2c(z) for z in row] for row in doc])
 
     def __repr__(self):
-        return f"Mat2({self.entries.tolist()!r})"
+        m = self.entries
+        return f"Mat2({[[m[0], m[1]], [m[2], m[3]]]!r})"
 
 
 def _mat4(m) -> Mat2:
-    """The Mat2 of a row-major 4-tuple."""
-    return Mat2([[m[0], m[1]], [m[2], m[3]]])
+    """The Mat2 of a row-major 4-tuple, with the constructor's finiteness
+    check and without numpy."""
+    M = object.__new__(Mat2)
+    object.__setattr__(M, "entries", _finite4(m))
+    return M
 
 
 @dataclass(frozen=True)
@@ -238,7 +240,7 @@ class GroupElement:
         if abs(abs(c) - 1.0) > UNIT_CIRCLE_TOL:
             raise ValidationError(f"|c| must be 1 (got |c| = {abs(c)!r})")
         P = self.P if isinstance(self.P, Mat2) else Mat2(self.P)
-        if abs(_det4(_entries4(P))) <= MIN_ABS_DET:
+        if abs(_det4(P.entries)) <= MIN_ABS_DET:
             raise ValidationError("P must be invertible")
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "P", P)
@@ -325,7 +327,7 @@ def max_norm(M) -> float:
     if isinstance(M, SymMat2):
         return _max_abs((M.a, M.b, M.d))
     if isinstance(M, Mat2):
-        M = M.entries
+        return _max_abs(M.entries)
     return float(_max_abs(np.asarray(M, dtype=complex).ravel().tolist()))
 
 

@@ -872,8 +872,8 @@ def _distance_kernel(x: PairAB, target: BundleLabel, norm: str):
     if norm not in ("max", "spectral"):
         raise ValidationError(f"unknown norm {norm!r}")
     fields = param_fields(target)
-    x00, x01, x10, x11 = (complex(z) for z in x.A.array.ravel())
-    y00, y01, y10, y11 = (complex(z) for z in x.B.array.ravel())
+    x00, x01, x10, x11 = x.A.entries
+    y00, y01, y10, y11 = x.B.a, x.B.b, x.B.b, x.B.d
 
     @functools.lru_cache(maxsize=8)
     def target_entries(coords):
@@ -881,8 +881,7 @@ def _distance_kernel(x: PairAB, target: BundleLabel, norm: str):
         if validate_params(target, params):
             return None
         rep = representative(target, params)
-        return tuple(complex(z) for z in (*rep.A.array.ravel(),
-                                          *rep.B.array.ravel()))
+        return (*rep.A.entries, rep.B.a, rep.B.b, rep.B.b, rep.B.d)
 
     def moved(vec):
         """The 4 + 4 entries of the moved target minus x, or None."""
@@ -1118,7 +1117,7 @@ def monte_carlo_neighborhood(label: BundleLabel,
         raise ValidationError("trials must be >= 1")
     params = params if params is not None else generic_params(label)
     center = representative(label, params)
-    a00, a01, a10, a11 = center.A.array.ravel().tolist()
+    a00, a01, a10, a11 = center.A.entries
     B0 = center.B
 
     histogram: dict = {}

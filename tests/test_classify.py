@@ -14,10 +14,14 @@ from pairbundles.classify import (
     classify_B,
     classify_pair,
     stabilizer_reduce_B,
+    _eigh2,
     _eigvec,
     _mean_split,
     _roots,
     _singular_values,
+    _sqrtm2_symmetric,
+    _takagi,
+    _top_singular,
 )
 from pairbundles.core import (
     GroupElement,
@@ -434,6 +438,108 @@ def test_cosquare_eigenvalues_match_numpy():
             assert min(abs(want - lam)) <= bound * abs(lam)
 
 
+def _kernel_cases(kind, seed):
+    """Random, exactly rank-1 and equal-singular-value 2x2 matrices of a
+    kind ("general", "hermitian" or "symmetric"), each at the scales 1,
+    1e-8 and 1e8."""
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        M = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        x, y = _rand_vec(rng), _rand_vec(rng)
+        U = np.linalg.qr(rng.standard_normal((2, 2))
+                         + 1j * rng.standard_normal((2, 2)))[0]
+        r = math.exp(rng.standard_normal())
+        if kind == "general":
+            cases = [M, np.outer(x, y.conj()), r * U]
+        elif kind == "hermitian":
+            cases = [M, np.outer(x, x.conj()),
+                     U @ np.diag([r, -r]) @ U.conj().T, r * np.eye(2)]
+        else:
+            cases = [M, np.outer(x, x), r * U @ U.T,
+                     r * cmath.exp(1j * rng.uniform(0, 6)) * np.eye(2)]
+        for C in cases:
+            # numpy's products are symmetric only up to rounding
+            if kind == "hermitian":
+                C = 0.5 * (C + C.conj().T)
+            elif kind == "symmetric":
+                C = 0.5 * (C + C.T)
+            for scale in (1.0, 1e-8, 1e8):
+                yield scale * C.astype(complex)
+
+
+def _same_up_to_phase(u, w):
+    z = np.vdot(w, u)
+    return np.linalg.norm(u - (z / abs(z)) * w)
+
+
+def test_top_singular_pair_matches_svd():
+    for M in _kernel_cases("general", 4545):
+        U, sv, Vh = np.linalg.svd(M)
+        s0, v = _top_singular(_e4(M))
+        v = np.array(v)
+        assert abs(s0 - sv[0]) <= 1e-12 * sv[0]
+        assert abs(np.linalg.norm(v) - 1.0) <= 1e-14
+        # v attains sv[0], also where every unit vector does
+        assert abs(np.linalg.norm(M @ v) - sv[0]) <= 1e-12 * sv[0]
+        if sv[0] - sv[1] > 1e-3 * sv[0]:
+            assert _same_up_to_phase(v, Vh[0].conj()) <= 1e-10, M
+
+
+def test_hermitian_eigenpairs_match_eigh():
+    for H in _kernel_cases("hermitian", 4646):
+        d, W = np.linalg.eigh(H)
+        norm = max(abs(d))
+        got_d, vecs = _eigh2(_e4(H))
+        Q = np.array(vecs).T
+        assert np.allclose(got_d, d, rtol=0.0, atol=1e-12 * norm), H
+        assert np.allclose(Q.conj().T @ Q, np.eye(2), rtol=0.0, atol=1e-14)
+        assert np.abs(H @ Q - Q @ np.diag(got_d)).max() <= 1e-12 * norm, H
+        if d[1] - d[0] > 1e-3 * norm:
+            for k in range(2):
+                assert _same_up_to_phase(Q[:, k], W[:, k]) <= 1e-10, H
+
+
+def test_symmetric_square_root_squares_back():
+    # rank-1 inputs x x^T have the root x x^T / sqrt(x^T x)
+    for C in _kernel_cases("symmetric", 4747):
+        X = np.array(_sqrtm2_symmetric(_e4(C))).reshape(2, 2)
+        assert np.array_equal(X, X.T)
+        assert np.abs(X @ X - C).max() <= 1e-12 * np.abs(C).max(), C
+
+
+def test_takagi_factors_at_every_scale():
+    for B in _kernel_cases("symmetric", 4848):
+        s, U = _takagi(_e4(B))
+        U = np.array(U).reshape(2, 2)
+        sv = np.linalg.svd(B, compute_uv=False)
+        assert np.allclose(s, sv, rtol=0.0, atol=1e-12 * sv[0])
+        assert np.allclose(U.conj().T @ U, np.eye(2), rtol=0.0, atol=1e-10)
+        assert np.abs(U @ np.diag(s) @ U.T - B).max() <= 1e-10 * sv[0], B
+
+
+def test_classify_pair_calls_no_numpy_linalg(monkeypatch):
+    """Every cell's moved generic representative classifies with numpy's
+    svd, eig, eigh, inv and qr unavailable; the moves are drawn first,
+    because the sampler calls numpy.linalg.cond."""
+    from pairbundles.numerics import generic_params, sample_group_element
+
+    moved = []
+    for k, cell in enumerate(CELLS):
+        x0 = representative(cell, generic_params(cell))
+        rng = np.random.default_rng([0, 1, k])
+        for _ in range(3):
+            c, P = sample_group_element(rng, cond_max=10)
+            moved.append((cell, apply_action(GroupElement(c, Mat2(P)), x0)))
+
+    def unavailable(*args, **kwargs):
+        raise AssertionError("numpy.linalg called")
+
+    for name in ("svd", "eig", "eigh", "inv", "qr"):
+        monkeypatch.setattr(np.linalg, name, unavailable)
+    for cell, x in moved:
+        assert classify_pair(x).label == cell
+
+
 class TestToleranceHandling(unittest.TestCase):
     def test_gray_band_is_annotated(self):
         # a singular value sitting just inside the rank threshold
@@ -467,7 +573,9 @@ class TestTakagiOracle(unittest.TestCase):
     """Independent check of the symmetric factorization used by stage 2."""
 
     def test_factorization_against_svd(self):
-        from pairbundles._takagi import takagi
+        def takagi(B):
+            s, U = _takagi(tuple(B.ravel().tolist()))
+            return np.array(s), np.array(U).reshape(2, 2)
 
         rng = np.random.default_rng(77)
         for k in range(300):

@@ -73,6 +73,21 @@ class TestConstructors:
         assert m == Mat2.identity() and v == Mat2.identity()
         assert hash(v) == h
 
+    def test_mat2_hash_agrees_with_equality(self):
+        # 0.0 == -0.0, so the two matrices are equal and must hash alike
+        m, n = Mat2([[0.0, 0], [0, 1]]), Mat2([[-0.0, 0], [0, 1]])
+        assert m == n
+        assert hash(m) == hash(n)
+        assert len({m, n}) == 1
+
+    def test_mat2_array_is_a_read_only_copy(self):
+        m = Mat2([[1, 2j], [3, 4]])
+        arr = m.array
+        assert arr.shape == (2, 2) and arr.dtype == complex
+        assert arr.tolist() == [[1, 2j], [3, 4]]
+        assert not arr.flags.writeable
+        assert m.entries == (1, 2j, 3, 4)
+
     def test_symmat2_from_array_averages_offdiag(self):
         B = SymMat2.from_array([[1.0, 2.0 + 1e-12j], [2.0, 3.0]])
         assert B.b == pytest.approx(2.0 + 0.5e-12j)

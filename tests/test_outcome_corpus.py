@@ -1,0 +1,85 @@
+"""The comparison gate of tools/outcome_corpus.py, on hand-made records."""
+import copy
+import importlib.util
+import pathlib
+
+import pytest
+
+_PATH = pathlib.Path(__file__).resolve().parents[1] / "tools" / "outcome_corpus.py"
+_spec = importlib.util.spec_from_file_location("outcome_corpus", _PATH)
+outcome_corpus = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(outcome_corpus)
+
+BASE = [
+    {"case": "move one_theta/diag_ad #0", "label": "one_theta/diag_ad",
+     "params": {"theta": 2.0, "zeta_star": [1.0, -3.0]},
+     "notes": ["cosquare near defective"]},
+    {"case": "mc jordan_i/zero #11", "error": "AmbiguityError",
+     "message": "B is off the strata"},
+    {"case": "mc-report identity/zero seed=0",
+     "report": {"histogram": {"identity/zero": 200}, "violations": [],
+                "ambiguous": 0, "failures": 0}},
+]
+
+
+def diff_lines(edit):
+    head = copy.deepcopy(BASE)
+    edit(head)
+    return list(outcome_corpus.differences(BASE, head))
+
+
+def test_identical_records_have_no_differences():
+    assert diff_lines(lambda head: None) == []
+
+
+@pytest.mark.parametrize("name, base, factor, differs", [
+    # the bound is 1e-8 (1 + |v|): 3e-8 for theta = 2, about 4.2e-8 for
+    # zeta_star = 1 - 3i
+    ("theta", 2.0, 2.9e-8, False),
+    ("theta", 2.0, 3.1e-8, True),
+    ("zeta_star", 1.0, 4.1e-8, False),
+    ("zeta_star", 1.0, 4.3e-8, True),
+])
+def test_parameter_bound(name, base, factor, differs):
+    def edit(head):
+        p = head[0]["params"]
+        if name == "theta":
+            p["theta"] = base + factor
+        else:
+            p["zeta_star"] = [base + factor, -3.0]
+    lines = diff_lines(edit)
+    if differs:
+        assert len(lines) == 1
+        assert lines[0].startswith(f"move one_theta/diag_ad #0: {name} ")
+    else:
+        assert lines == []
+
+
+def test_changed_note():
+    def edit(head):
+        head[0]["notes"] = ["cosquare near scalar"]
+    assert diff_lines(edit) == [
+        "move one_theta/diag_ad #0: notes ['cosquare near defective'] -> "
+        "['cosquare near scalar']"]
+
+
+def test_changed_error_message():
+    def edit(head):
+        head[1]["message"] = "B is off the strata (residual 1.0)"
+    assert diff_lines(edit) == [
+        "mc jordan_i/zero #11: message 'B is off the strata' -> "
+        "'B is off the strata (residual 1.0)'"]
+
+
+def test_changed_monte_carlo_report():
+    def edit(head):
+        head[2]["report"]["failures"] = 1
+    lines = diff_lines(edit)
+    assert len(lines) == 1
+    assert lines[0].startswith("mc-report identity/zero seed=0: report ")
+    assert "'failures': 0}" in lines[0] and "'failures': 1}" in lines[0]
+
+
+def test_size_mismatch():
+    lines = list(outcome_corpus.differences(BASE, BASE[:2]))
+    assert lines == ["corpus sizes differ: 3 vs 2"]
