@@ -47,6 +47,7 @@ from .numerics import (
 )
 from .witnesses import (
     CATALOG,
+    _repair_from,
     witness_eval,
     witness_lookup,
     witness_repair,
@@ -350,7 +351,7 @@ def _suite_witness(args):
     for fam in CATALOG:
         report = witness_verify(fam, tol=args.tol)
         if report.status != "verified":
-            fam, report = witness_repair(fam, tol=args.tol)
+            fam, report = _repair_from(fam, report, args.tol)
         ok = report.status in ("verified", "repaired")
         margin = (args.tol - report.residuals[-1]) if report.residuals else \
             -math.inf

@@ -40,6 +40,7 @@ from .core import (
 from .normal_forms import (
     GENERIC_PARAMS,
     ALabel,
+    BShape,
     BundleLabel,
     BundleParams,
     param_fields,
@@ -867,13 +868,24 @@ def _distance_kernel(x: PairAB, target: BundleLabel, norm: str):
     association ((c P*) A) P - xA and (P^T B) P - xB.  The target's
     representative is memoised on its parameter coordinates, since the
     search moves c and P far more often than the parameters; a miss goes
-    through ``validate_params`` and ``representative``.
+    through ``validate_params`` and ``representative``.  c is recomputed
+    only when the phase moves.
+
+    The A-form of a zero/* cell and the B-form of a */zero cell are
+    identically zero.  For finite P, P* 0 P and P^T 0 P are exactly zero,
+    so that block of differences is -x's block, up to the sign of its zero
+    components, which abs, the squares and ``_spectral_norm`` do not see;
+    the kernel takes the block as that constant and skips its products.
     """
     if norm not in ("max", "spectral"):
         raise ValidationError(f"unknown norm {norm!r}")
     fields = param_fields(target)
     x00, x01, x10, x11 = x.A.entries
     y00, y01, y10, y11 = x.B.a, x.B.b, x.B.b, x.B.d
+    zero_A = target.a_label is ALabel.ZERO
+    zero_B = target.b_shape is BShape.ZERO
+    minus_xA = (-x00, -x01, -x10, -x11)
+    minus_xB = (-y00, -y01, -y10, -y11)
 
     @functools.lru_cache(maxsize=8)
     def target_entries(coords):
@@ -883,8 +895,11 @@ def _distance_kernel(x: PairAB, target: BundleLabel, norm: str):
         rep = representative(target, params)
         return (*rep.A.entries, rep.B.a, rep.B.b, rep.B.b, rep.B.d)
 
+    c_phase, c = math.nan, 0j
+
     def moved(vec):
         """The 4 + 4 entries of the moved target minus x, or None."""
+        nonlocal c_phase, c
         p00, p01 = complex(vec[1], vec[2]), complex(vec[3], vec[4])
         p10, p11 = complex(vec[5], vec[6]), complex(vec[7], vec[8])
         if abs(p00 * p11 - p01 * p10) < 1e-12:
@@ -893,20 +908,27 @@ def _distance_kernel(x: PairAB, target: BundleLabel, norm: str):
         if entries is None:
             return None
         a00, a01, a10, a11, b00, b01, b10, b11 = entries
-        c = cmath.exp(1j * vec[0])
-        # c P*
-        s00, s01 = c * p00.conjugate(), c * p10.conjugate()
-        s10, s11 = c * p01.conjugate(), c * p11.conjugate()
-        # (c P*) A
-        t00, t01 = s00 * a00 + s01 * a10, s00 * a01 + s01 * a11
-        t10, t11 = s10 * a00 + s11 * a10, s10 * a01 + s11 * a11
+        if zero_A:
+            dA = minus_xA
+        else:
+            if vec[0] != c_phase:
+                c_phase = vec[0]
+                c = cmath.exp(1j * c_phase)
+            # c P*
+            s00, s01 = c * p00.conjugate(), c * p10.conjugate()
+            s10, s11 = c * p01.conjugate(), c * p11.conjugate()
+            # (c P*) A
+            t00, t01 = s00 * a00 + s01 * a10, s00 * a01 + s01 * a11
+            t10, t11 = s10 * a00 + s11 * a10, s10 * a01 + s11 * a11
+            dA = (t00 * p00 + t01 * p10 - x00, t00 * p01 + t01 * p11 - x01,
+                  t10 * p00 + t11 * p10 - x10, t10 * p01 + t11 * p11 - x11)
+        if zero_B:
+            return dA + minus_xB
         # P^T B
         u00, u01 = p00 * b00 + p10 * b10, p00 * b01 + p10 * b11
         u10, u11 = p01 * b00 + p11 * b10, p01 * b01 + p11 * b11
-        return (t00 * p00 + t01 * p10 - x00, t00 * p01 + t01 * p11 - x01,
-                t10 * p00 + t11 * p10 - x10, t10 * p01 + t11 * p11 - x11,
-                u00 * p00 + u01 * p10 - y00, u00 * p01 + u01 * p11 - y01,
-                u10 * p00 + u11 * p10 - y10, u10 * p01 + u11 * p11 - y11)
+        return dA + (u00 * p00 + u01 * p10 - y00, u00 * p01 + u01 * p11 - y01,
+                     u10 * p00 + u11 * p10 - y10, u10 * p01 + u11 * p11 - y11)
 
     if norm == "max":
         def objective(vec):
@@ -925,9 +947,61 @@ def _distance_kernel(x: PairAB, target: BundleLabel, norm: str):
         d = moved(vec)
         if d is None:
             return math.inf
-        return sum(z.real * z.real + z.imag * z.imag for z in d)
+        d0, d1, d2, d3, d4, d5, d6, d7 = d
+        return sum((d0.real * d0.real + d0.imag * d0.imag,
+                    d1.real * d1.real + d1.imag * d1.imag,
+                    d2.real * d2.real + d2.imag * d2.imag,
+                    d3.real * d3.real + d3.imag * d3.imag,
+                    d4.real * d4.real + d4.imag * d4.imag,
+                    d5.real * d5.real + d5.imag * d5.imag,
+                    d6.real * d6.real + d6.imag * d6.imag,
+                    d7.real * d7.real + d7.imag * d7.imag))
 
     return objective, surrogate
+
+
+def _pattern_search(vec, fn, max_sweeps=25):
+    """Coordinate pattern search on ``fn`` from ``vec``: returns (value,
+    point).
+
+    The step halves from 0.5 while it is at least 1e-9.  At each step a
+    sweep polls every coordinate at +step and then at -step from wherever
+    the +step poll left it, keeping each poll that lowers the value; the
+    sweeps repeat, at most ``max_sweeps`` times, until one improves
+    nothing.  A poll changes its coordinate in place and restores it when
+    rejected.
+
+    After an accepted +step poll, the -step poll is skipped when
+    (x + step) - step rounds back to x: that is the point just left, and
+    its value, the previous one, is strictly above the accepted value, so
+    the poll could not be accepted.  When the rounding lands elsewhere the
+    poll is made.  The result is the same as polling every time.
+    """
+    vec = list(vec)
+    val = fn(vec)
+    step = 0.5
+    while step >= 1e-9:
+        for _ in range(max_sweeps):
+            improved = False
+            for i in range(len(vec)):
+                here = vec[i]
+                vec[i] = up = here + step
+                tv = fn(vec)
+                if tv < val:
+                    val, improved = tv, True
+                    if up - step == here:
+                        continue
+                    here = up
+                vec[i] = here - step
+                tv = fn(vec)
+                if tv < val:
+                    val, improved = tv, True
+                else:
+                    vec[i] = here
+            if not improved:
+                break
+        step *= 0.5
+    return val, vec
 
 
 def distance_to_bundle(x: PairAB, target: BundleLabel, budget: int = 32,
@@ -941,38 +1015,33 @@ def distance_to_bundle(x: PairAB, target: BundleLabel, budget: int = 32,
     of the reported distance: "max" (entrywise, the default used
     everywhere else) or "spectral" (largest singular value, the gauge in
     which the rank-drop separation constant of the symmetric component is
-    sharp; see the provenance notes on the non-edge floors).
+    sharp; see the provenance notes on the non-edge floors).  Each start
+    is searched first on the smooth surrogate (the sum of squared moduli
+    of the differences) and then on the objective in the chosen gauge.
 
     Each evaluation runs in Python complex scalars (``_distance_kernel``):
     the target's representative is memoised on the parameter coordinates,
     so ``representative`` runs only when the search moves a parameter,
     and the spectral gauge uses the closed-form largest singular value of
-    a 2x2 matrix.
+    a 2x2 matrix.  Two shortcuts leave every result bit for bit the same
+    as evaluating every poll in full:
+
+    * the search (``_pattern_search``) skips the -step poll that would
+      return to the point an accepted +step poll just left, whose value
+      is known to be larger;
+    * a target form that is identically zero (the A-form of a zero/* cell,
+      the B-form of a */zero cell) moves to exactly zero for any finite
+      P, so its block of differences is x's block negated, up to the sign
+      of zero components, which no gauge sees; the kernel takes that
+      block as a constant and skips its products.
+
+    Both keep the order of every reduction, ``sum`` included, so the
+    results match the full evaluation on every Python version.
     """
     if budget < 1:
         raise ValidationError("budget must be >= 1")
     objective, surrogate = _distance_kernel(x, target, norm)
     fields = param_fields(target)
-
-    def search(vec, fn, max_sweeps=25):
-        vec = list(vec)
-        val = fn(vec)
-        step = 0.5
-        while step >= 1e-9:
-            for _ in range(max_sweeps):
-                improved = False
-                for i in range(len(vec)):
-                    for sgn in (1.0, -1.0):
-                        trial = list(vec)
-                        trial[i] += sgn * step
-                        tv = fn(trial)
-                        if tv < val:
-                            vec, val = trial, tv
-                            improved = True
-                if not improved:
-                    break
-            step *= 0.5
-        return val, vec
 
     def encode(c, P, params):
         return ([cmath.phase(complex(c))]
@@ -1008,8 +1077,8 @@ def distance_to_bundle(x: PairAB, target: BundleLabel, budget: int = 32,
     for vec in inits:
         if objective(vec) == float("inf"):
             continue
-        _sv, smoothed = search(vec, surrogate)
-        val, out = search(smoothed, objective)
+        _sv, smoothed = _pattern_search(vec, surrogate)
+        val, out = _pattern_search(smoothed, objective)
         if val < best_val:
             best_val, best_vec = val, out
     if best_vec is None:

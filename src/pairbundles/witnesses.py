@@ -194,7 +194,12 @@ def witness_repair(f: WitnessFamily, tol: float = DEFAULT_TOL):
     recorded in its provenance), and "refuted" when none does (f is
     returned unchanged).
     """
-    report = witness_verify(f, tol=tol)
+    return _repair_from(f, witness_verify(f, tol=tol), tol)
+
+
+def _repair_from(f: WitnessFamily, report: VerifyReport, tol: float):
+    """``witness_repair`` given ``report = witness_verify(f, tol=tol)``,
+    for a caller that has already verified f."""
     if report.status == "verified":
         return f, report
     grid = default_grid(f.s_max)

@@ -268,6 +268,29 @@ class TestVerifySuites:
                     if c.get("status") == "repaired"]
         assert len(repaired) == 2
 
+    def test_witness_suite_verifies_each_family_once(self, capsys,
+                                                     monkeypatch):
+        # the suite hands a failing report on to the repair search, which
+        # then verifies only corrected candidates
+        from pairbundles import witnesses
+        verified = []  # the family objects themselves, so ids stay unique
+
+        def counting(verify):
+            def wrapped(fam, *args, **kwargs):
+                verified.append(fam)
+                return verify(fam, *args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(cli, "witness_verify",
+                            counting(cli.witness_verify))
+        monkeypatch.setattr(witnesses, "witness_verify",
+                            counting(witnesses.witness_verify))
+        code, out, _ = run(capsys, ["verify", "witness"])
+        assert code == 0
+        assert len(json.loads(out)["checks"]) == len(witnesses.CATALOG)
+        assert len({id(f) for f in verified}) == len(verified)
+        assert {id(f) for f in witnesses.CATALOG} <= {id(f) for f in verified}
+
     def test_output_file(self, capsys, tmp_path):
         out_path = tmp_path / "report.csv"
         code, out, _ = run(capsys,

@@ -1,5 +1,9 @@
 import cmath
+import dataclasses
+import functools
+import importlib.util
 import math
+import pathlib
 import unittest
 
 import numpy as np
@@ -16,6 +20,8 @@ from pairbundles.core import (
 )
 from pairbundles.normal_forms import (
     CELLS,
+    ALabel,
+    BShape,
     BundleParams,
     label_from_string as L,
     param_fields,
@@ -23,7 +29,9 @@ from pairbundles.normal_forms import (
     table_dimension,
     validate_params,
 )
+from pairbundles import numerics
 from pairbundles.numerics import (
+    _coords_to_params,
     _distance_kernel,
     _param_coords,
     _spectral_norm,
@@ -487,13 +495,13 @@ def test_spectral_closed_form_at_equal_singular_values():
         assert abs(got - want) <= 1e-14 * want, M
 
 
-_FLOOR_JOBS = [(src, dst, 2, "max") for src, dst in (
-    ("one_theta/zero", "tau_form/zero"),
-    ("tau_form/zero", "one_theta/zero"),
-    ("identity/zero", "one_plus_minus/zero"),
-    ("nilpotent/zero", "jordan_i/zero"),
-    ("one_theta/zero", "one_zero/zero"),
-)] + [("zero/rank2", "zero/rank1", 4, norm) for norm in ("max", "spectral")]
+# the benchmark's floor jobs, as the outcome corpus records them
+_spec = importlib.util.spec_from_file_location(
+    "outcome_corpus",
+    pathlib.Path(__file__).resolve().parents[1] / "tools" / "outcome_corpus.py")
+_outcome_corpus = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_outcome_corpus)
+_FLOOR_JOBS = _outcome_corpus.FLOOR_JOBS
 
 
 @pytest.mark.parametrize("src,dst,budget,norm", _FLOOR_JOBS)
@@ -507,3 +515,239 @@ def test_distance_equals_gauge_at_returned_witness(src, dst, budget, norm):
     again = max(gauge(moved.A.array - x.A.array),
                 gauge(moved.B.array - x.B.array))
     assert abs(d - again) <= 1e-12 * max(1.0, again)
+
+
+# ---------------------------------------------------------------------------
+# the search and its kernel against the plain loop they replaced: each poll
+# copies the vector and is evaluated in full, and both reductions run over
+# all eight differences
+
+def _reference_search(vec, fn, max_sweeps=25):
+    vec = list(vec)
+    val = fn(vec)
+    step = 0.5
+    while step >= 1e-9:
+        for _ in range(max_sweeps):
+            improved = False
+            for i in range(len(vec)):
+                for sgn in (1.0, -1.0):
+                    trial = list(vec)
+                    trial[i] += sgn * step
+                    tv = fn(trial)
+                    if tv < val:
+                        vec, val = trial, tv
+                        improved = True
+            if not improved:
+                break
+        step *= 0.5
+    return val, vec
+
+
+def _reference_kernel(x, target, norm):
+    fields = param_fields(target)
+    x00, x01, x10, x11 = x.A.entries
+    y00, y01, y10, y11 = x.B.a, x.B.b, x.B.b, x.B.d
+
+    @functools.lru_cache(maxsize=8)
+    def target_entries(coords):
+        params = _coords_to_params(fields, coords)
+        if validate_params(target, params):
+            return None
+        rep = representative(target, params)
+        return (*rep.A.entries, rep.B.a, rep.B.b, rep.B.b, rep.B.d)
+
+    def moved(vec):
+        p00, p01 = complex(vec[1], vec[2]), complex(vec[3], vec[4])
+        p10, p11 = complex(vec[5], vec[6]), complex(vec[7], vec[8])
+        if abs(p00 * p11 - p01 * p10) < 1e-12:
+            return None
+        entries = target_entries(tuple(vec[9:]))
+        if entries is None:
+            return None
+        a00, a01, a10, a11, b00, b01, b10, b11 = entries
+        c = cmath.exp(1j * vec[0])
+        s00, s01 = c * p00.conjugate(), c * p10.conjugate()
+        s10, s11 = c * p01.conjugate(), c * p11.conjugate()
+        t00, t01 = s00 * a00 + s01 * a10, s00 * a01 + s01 * a11
+        t10, t11 = s10 * a00 + s11 * a10, s10 * a01 + s11 * a11
+        u00, u01 = p00 * b00 + p10 * b10, p00 * b01 + p10 * b11
+        u10, u11 = p01 * b00 + p11 * b10, p01 * b01 + p11 * b11
+        return (t00 * p00 + t01 * p10 - x00, t00 * p01 + t01 * p11 - x01,
+                t10 * p00 + t11 * p10 - x10, t10 * p01 + t11 * p11 - x11,
+                u00 * p00 + u01 * p10 - y00, u00 * p01 + u01 * p11 - y01,
+                u10 * p00 + u11 * p10 - y10, u10 * p01 + u11 * p11 - y11)
+
+    def objective(vec):
+        d = moved(vec)
+        if d is None:
+            return math.inf
+        if norm == "max":
+            return max(map(abs, d))
+        return max(_spectral_norm(*d[:4]), _spectral_norm(*d[4:]))
+
+    def surrogate(vec):
+        d = moved(vec)
+        if d is None:
+            return math.inf
+        return sum(z.real * z.real + z.imag * z.imag for z in d)
+
+    return objective, surrogate
+
+
+def _bits(value):
+    """Hex digits of every float in a search result, so that == is exact."""
+    if isinstance(value, (tuple, list)):
+        return tuple(_bits(v) for v in value)
+    if isinstance(value, BundleParams):
+        return _bits(dataclasses.astuple(value))
+    if isinstance(value, complex):
+        return (value.real.hex(), value.imag.hex())
+    if isinstance(value, float):
+        return value.hex()
+    return value
+
+
+def _result_bits(result):
+    d, (g, params) = result
+    return _bits((d, complex(g.c), g.P.entries, params))
+
+
+@pytest.mark.parametrize("seed", [0, 4])
+@pytest.mark.parametrize("src,dst,budget,norm", _FLOOR_JOBS + [
+    ("identity/diag_ad", "one_theta/diag_ad", 1, "max"),
+    ("one_theta/diag_ad", "identity/diag_ad", 1, "spectral"),
+])
+def test_search_matches_reference_loop(monkeypatch, src, dst, budget, norm,
+                                       seed):
+    """Floor, c, P and parameters are bit-identical to the full loop.  On
+    seed 4 the identity -> one_plus_minus floor comes from a random
+    start."""
+    x = representative(L(src), generic_params(L(src)))
+    got = distance_to_bundle(x, L(dst), budget=budget, seed=seed, norm=norm)
+    monkeypatch.setattr(numerics, "_distance_kernel", _reference_kernel)
+    monkeypatch.setattr(numerics, "_pattern_search", _reference_search)
+    want = distance_to_bundle(x, L(dst), budget=budget, seed=seed, norm=norm)
+    assert _result_bits(got) == _result_bits(want)
+
+
+def test_pattern_search_polls_where_the_return_step_rounds_elsewhere():
+    """(0.1 + 0.5) - 0.5 rounds to 0.09999999999999998, not 0.1: that -step
+    poll is a new point and must be made, and here it wins."""
+    back = (0.1 + 0.5) - 0.5
+    assert back != 0.1
+    table = {(0.1, 0.0): 1.0, (0.6, 0.0): 0.5, (back, 0.0): 0.25,
+             (0.6, 0.5): 0.3}
+
+    def fn(vec):
+        return table.get(tuple(vec), 2.0)
+
+    want = _reference_search([0.1, 0.0], fn)
+    assert want == (0.25, [back, 0.0])
+    assert numerics._pattern_search([0.1, 0.0], fn) == want
+
+
+def test_pattern_search_matches_reference_loop_on_test_functions():
+    rng = np.random.default_rng(2026)
+    for k in range(6):
+        n = 3 + k
+        centre = rng.standard_normal(n)
+        M = rng.standard_normal((n, n))
+        H = M @ M.T + np.eye(n)
+
+        def quadratic(vec):
+            d = np.asarray(vec) - centre
+            return float(d @ H @ d)
+
+        def walled(vec):
+            # inf outside a box, and a kink at |v_0| = 0.3
+            if max(map(abs, vec)) > 1.5:
+                return math.inf
+            return sum(abs(v - c) for v, c in zip(vec, centre)) \
+                + (abs(vec[0]) < 0.3)
+
+        start = list(rng.uniform(-1.0, 1.0, n))
+        for fn in (quadratic, walled):
+            want = _reference_search(start, fn, max_sweeps=5 + k)
+            got = numerics._pattern_search(start, fn, max_sweeps=5 + k)
+            assert _bits(got) == _bits(want)
+
+
+def _edge_params(cell):
+    """Parameters on both sides of the cell's domain boundary."""
+    tiny = 5e-324
+    fields = param_fields(cell)
+    if fields == ("theta",):
+        inside = (tiny, math.nextafter(math.pi, 0.0))
+        outside = (0.0, -tiny, math.pi)
+        name = "theta"
+    elif fields == ("tau",):
+        inside = (tiny, math.nextafter(1.0, 0.0))
+        outside = (0.0, 1.0, -tiny)
+        name = "tau"
+    else:
+        return [], []
+    return ([BundleParams(**{name: v}) for v in inside],
+            [BundleParams(**{name: v}) for v in outside])
+
+
+def _kernel_sources(rng):
+    """Random pairs (both constant blocks nonzero), representatives with
+    exact zero components, and pairs with a zero form."""
+    zero = Mat2(np.zeros((2, 2)))
+    rand_A = Mat2(_rand_mat(rng))
+    rand_B = SymMat2.from_array(_rand_sym(rng))
+    yield PairAB(rand_A, rand_B)
+    yield PairAB(Mat2(_rand_mat(rng, 1e-3)),
+                 SymMat2.from_array(_rand_sym(rng, 1e3)))
+    yield PairAB(zero, rand_B)
+    yield PairAB(rand_A, SymMat2(0, 0, 0))
+    for name in ("one_theta/diag_ad", "nilpotent/zero", "zero/rank2",
+                 "jordan_i/zero_d"):
+        yield representative(L(name), generic_params(L(name)))
+
+
+@pytest.mark.parametrize("cell", CELLS, ids=str)
+def test_zero_labels_name_the_zero_forms(cell):
+    """The kernel reads which target form is identically zero from the
+    label: ALabel.ZERO and BShape.ZERO, and no other label, give a zero
+    form, at the generic parameters and at random ones."""
+    rng = np.random.default_rng([78, CELLS.index(cell)])
+    for params in (generic_params(cell), _random_params(cell, rng)):
+        rep = representative(cell, params)
+        assert (not any(rep.A.entries)) == (cell.a_label is ALabel.ZERO)
+        assert (not any((rep.B.a, rep.B.b, rep.B.d))) == \
+            (cell.b_shape is BShape.ZERO)
+
+
+@pytest.mark.parametrize("norm", ["max", "spectral"])
+@pytest.mark.parametrize("cell", CELLS, ids=str)
+def test_kernel_matches_reference_kernel(cell, norm):
+    """Objective and surrogate equal the full evaluation bit for bit, on
+    random points, on both sides of |det P| = 1e-12 and of the parameter
+    domain, and with the phase of c at +0.0 and -0.0 (every zero/* and */zero
+    target takes the constant-block path)."""
+    rng = np.random.default_rng([77, CELLS.index(cell), norm == "spectral"])
+    inside, outside = _edge_params(cell)
+    for x in _kernel_sources(rng):
+        objective, surrogate = _distance_kernel(x, cell, norm)
+        ref_objective, ref_surrogate = _reference_kernel(x, cell, norm)
+        vecs = []
+        for _ in range(12):
+            c, P = sample_group_element(rng)
+            vecs.append(_search_vector(cell, c, P, _random_params(cell, rng)))
+        params = generic_params(cell)
+        for phase in (0.0, -0.0, 0.0):
+            vecs.append(_search_vector(cell, 1.0, np.eye(2), params))
+            vecs[-1][0] = phase
+        for delta, feasible in ((0.999e-12, False), (1.001e-12, True)):
+            P = np.array([[1.0, 2.0], [2.0, 4.0 + delta]])
+            vecs.append(_search_vector(cell, 1j, P, params))
+            assert (ref_objective(vecs[-1]) < math.inf) == feasible
+        for p, feasible in [(p, True) for p in inside] + \
+                [(p, False) for p in outside]:
+            vecs.append(_search_vector(cell, -1.0, np.eye(2), p))
+            assert (ref_objective(vecs[-1]) < math.inf) == feasible
+        # one pass in order, so the memo and the cached c see every change
+        for vec in vecs:
+            assert _bits(objective(vec)) == _bits(ref_objective(vec)), vec
+            assert _bits(surrogate(vec)) == _bits(ref_surrogate(vec)), vec

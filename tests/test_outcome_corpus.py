@@ -1,6 +1,9 @@
 """The comparison gate of tools/outcome_corpus.py, on hand-made records."""
+import ast
 import copy
 import importlib.util
+import json
+import math
 import pathlib
 
 import pytest
@@ -83,3 +86,51 @@ def test_changed_monte_carlo_report():
 def test_size_mismatch():
     lines = list(outcome_corpus.differences(BASE, BASE[:2]))
     assert lines == ["corpus sizes differ: 3 vs 2"]
+
+
+DISTANCE = {
+    "case": "distance one_theta/zero -> tau_form/zero budget=2 norm=max "
+            "seed=0",
+    "distance": {"floor": 0.13037601890135193,
+                 "group_element": {"c": [0.9998, -0.019996],
+                                   "P": [[[1.02, 0.0], [0.0, 0.1]],
+                                         [[-0.3, 0.0], [0.97, 1e-9]]]},
+                 "params": {"tau": 0.4999999999999999}}}
+
+
+def distance_diff_lines(edit):
+    head = copy.deepcopy(DISTANCE)
+    edit(head["distance"])
+    return list(outcome_corpus.differences([DISTANCE], [head]))
+
+
+def test_distance_records_survive_json_round_trip():
+    again = json.loads(json.dumps([DISTANCE], indent=0))
+    assert list(outcome_corpus.differences([DISTANCE], again)) == []
+
+
+@pytest.mark.parametrize("edit", [
+    # the floor moved by one unit in the last place
+    lambda d: d.update(floor=math.nextafter(d["floor"], 1.0)),
+    lambda d: d["group_element"]["P"][1][0].__setitem__(1, -0.0),
+    lambda d: d["params"].update(tau=0.5),
+], ids=["floor", "signed-zero-in-P", "params"])
+def test_changed_distance_result(edit):
+    lines = distance_diff_lines(edit)
+    assert len(lines) == 1
+    assert lines[0].startswith(f"{DISTANCE['case']}: distance ")
+
+
+def test_floor_jobs_follow_the_benchmark():
+    """The corpus's psi1 floor jobs are the benchmark's nonedge-distance
+    pairs, read from perfbench/run.py without importing it (it sets thread
+    variables on import); the rank-drop jobs are spelled inline there."""
+    run_py = _PATH.parents[1] / "perfbench" / "run.py"
+    tree = ast.parse(run_py.read_text())
+    nonedges = next(ast.literal_eval(node.value) for node in tree.body
+                    if isinstance(node, ast.Assign)
+                    and [t.id for t in node.targets] == ["PSI1_NONEDGES"])
+    assert outcome_corpus.FLOOR_JOBS == (
+        [(src, dst, 2, "max") for src, dst in nonedges]
+        + [("zero/rank2", "zero/rank1", 4, norm)
+           for norm in ("max", "spectral")])

@@ -1,4 +1,5 @@
-"""Dump and compare classifier outcomes on a fixed, seeded corpus.
+"""Dump and compare classifier and optimizer outcomes on a fixed, seeded
+corpus.
 
 The corpus has 46,000 `classify_pair` calls:
 
@@ -20,13 +21,21 @@ epsilon: its histogram, violations and ambiguous and failure counts.  A
 change in how the package draws its trials shows there even when the
 classifier's outcomes on the corpus above do not change.
 
+Last come the `distance_to_bundle` results of the benchmark's seven
+separation floors (the five psi1 non-edges with budget 2 in the max norm,
+and zero/rank2 -> zero/rank1 with budget 4 in both norms) for optimizer
+seeds 0-2: the floor, the group element (c, P) and the target's
+parameters.  JSON keeps every float exactly, so these must match bit for
+bit.  In all, a dump holds 46,113 records: 46,000 calls, 92 Monte Carlo
+reports and 21 distance results.
+
     PYTHONPATH=src python tools/outcome_corpus.py dump OUT.json
     python tools/outcome_corpus.py compare BASE.json HEAD.json
 
-`compare` exits 1 when any label, note list, error type, message or Monte
-Carlo report differs, or when a parameter differs by more than
-1e-8 (1 + |v|).  Reducers are not compared: they may differ by an element
-of the stabilizer.
+`compare` exits 1 when any label, note list, error type, message, Monte
+Carlo report or distance result differs, or when a parameter differs by
+more than 1e-8 (1 + |v|).  Reducers are not compared: they may differ by
+an element of the stabilizer.
 """
 from __future__ import annotations
 
@@ -46,6 +55,17 @@ MC_TRIALS = 200
 MC_EPSILON = 1e-3
 PARAM_RTOL = 1e-8
 MAX_REPORTED = 20
+# (source, target, budget, norm) of the benchmark's nonedge-distance sweep;
+# tests/test_numerics.py runs the same list, and tests/test_outcome_corpus.py
+# checks it against perfbench/run.py
+FLOOR_JOBS = [(src, dst, 2, "max") for src, dst in (
+    ("one_theta/zero", "tau_form/zero"),
+    ("tau_form/zero", "one_theta/zero"),
+    ("identity/zero", "one_plus_minus/zero"),
+    ("nilpotent/zero", "jordan_i/zero"),
+    ("one_theta/zero", "one_zero/zero"),
+)] + [("zero/rank2", "zero/rank1", 4, norm) for norm in ("max", "spectral")]
+FLOOR_SEEDS = (0, 1, 2)
 
 
 def _group_move(rng, cond_max):
@@ -111,6 +131,24 @@ def mc_reports():
                                         "ambiguous", "failures")})
 
 
+def distance_results():
+    """Yield (case id, result fields) of the floor jobs' distance searches."""
+    from pairbundles.normal_forms import label_from_string, representative
+    from pairbundles.numerics import distance_to_bundle, generic_params
+
+    for src, dst, budget, norm in FLOOR_JOBS:
+        src_label = label_from_string(src)
+        x = representative(src_label, generic_params(src_label))
+        for seed in FLOOR_SEEDS:
+            floor, (g, params) = distance_to_bundle(
+                x, label_from_string(dst), budget=budget, seed=seed,
+                norm=norm)
+            yield (f"distance {src} -> {dst} budget={budget} norm={norm} "
+                   f"seed={seed}",
+                   {"floor": floor, "group_element": g.to_json(),
+                    "params": params.to_json()})
+
+
 def dump(out_path: str) -> int:
     import pairbundles
     from pairbundles.classify import (AmbiguityError,
@@ -130,6 +168,8 @@ def dump(out_path: str) -> int:
                         "notes": list(cl.ambiguous)})
     for case, report in mc_reports():
         records.append({"case": case, "report": report})
+    for case, result in distance_results():
+        records.append({"case": case, "distance": result})
     with open(out_path, "w") as fh:
         json.dump(records, fh, indent=0)
     print(f"{len(records)} records of {pairbundles.__file__} -> {out_path}",
@@ -153,6 +193,10 @@ def differences(base: list, head: list):
         for key in ("label", "notes", "error", "message", "report"):
             if r0.get(key) != r1.get(key):
                 yield f"{case}: {key} {r0.get(key)!r} -> {r1.get(key)!r}"
+        # compared as text, so that even the sign of a zero counts
+        d0, d1 = r0.get("distance"), r1.get("distance")
+        if json.dumps(d0) != json.dumps(d1):
+            yield f"{case}: distance {d0!r} -> {d1!r}"
         p0, p1 = r0.get("params", {}), r1.get("params", {})
         if set(p0) != set(p1):
             yield f"{case}: parameters {sorted(p0)} -> {sorted(p1)}"
@@ -180,7 +224,7 @@ def compare(base_path: str, head_path: str) -> int:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = p.add_subparsers(dest="cmd", required=True)
-    q = sub.add_parser("dump", help="classify the corpus and write outcomes")
+    q = sub.add_parser("dump", help="run the corpus and write its outcomes")
     q.add_argument("out")
     q = sub.add_parser("compare", help="exit 1 if two dumps differ")
     q.add_argument("base")
