@@ -28,11 +28,15 @@ import warnings
 from dataclasses import dataclass, field
 
 from .normal_forms import (
+    COMPLEX_FIELDS,
+    GENERIC_PARAMS,
     ALabel,
     BLabel,
     BShape,
     BundleLabel,
     CELLS,
+    _B_FORMS,
+    _representative_B_entries,
     label_from_string,
     table_dimension,
 )
@@ -155,50 +159,26 @@ def is_path_psi1(src: ALabel, dst: ALabel) -> bool:
 # entry (zeta or zeta*) can drop rank on a thin subset and are not pure.
 # ---------------------------------------------------------------------------
 
-_SHAPE_RANK: dict[BShape, int | None] = {
-    BShape.ZERO: 0,
-    BShape.DIAG_A0: 1,
-    BShape.ZERO_D: 1,
-    BShape.ONE_ZERO: 1,
-    BShape.ZERO_ONE: 1,
-    BShape.RANK1: 1,
-    BShape.SWAP_ONE_ZERO: 1,
-    BShape.DIAG_AD: 2,
-    BShape.ANTI_DIAG: 2,
-    BShape.D_IDENTITY: 2,
-    BShape.SWAP: 2,
-    BShape.RANK2: 2,
-    BShape.OFF_DIAG_PLUS_D: 2,
-    BShape.A_PLUS_OFF_DIAG: 2,
-    BShape.OFF_DIAG_PHASE: 2,
-    BShape.OFF_DIAG_B_ONE: 2,
-    BShape.ONE_B_ZERO: 2,
-    BShape.DIAG_A_ONE: 2,
-    BShape.SWAP_ONE_DE_ITHETA: 2,
-    BShape.SWAP_OFF_DIAG_B_ONE: 2,
-    # parameter-dependent (not rank pure): generically 2, can degenerate
-    BShape.ONE_ZETA: None,
-    BShape.DIAG_A_ZETA: None,
-    BShape.ZETA_B_ONE: None,
-    BShape.FULL_HERMITIAN_LIKE: None,
-    BShape.PHASE_FORM: None,
-}
+def _generic_rank(shape: BShape) -> int:
+    """Rank of the shape's form at the generic parameters."""
+    b11, b12, b22 = _representative_B_entries(shape, GENERIC_PARAMS)
+    if b11 == b12 == b22 == 0:
+        return 0
+    return 1 if b11 * b22 - b12 * b12 == 0 else 2
+
+
+def _rank_pure(shape: BShape) -> bool:
+    return COMPLEX_FIELDS.isdisjoint(_B_FORMS[shape][0])
 
 
 def shape_rank(shape: BShape) -> int | None:
     """Rank of the shape if rank-pure, else None."""
-    return _SHAPE_RANK[shape]
+    return _generic_rank(shape) if _rank_pure(shape) else None
 
 
 def shape_min_rank(shape: BShape) -> int:
     """Smallest rank attained over the shape's parameter range."""
-    r = _SHAPE_RANK[shape]
-    return 1 if r is None else r
-
-
-def _generic_rank(shape: BShape) -> int:
-    r = _SHAPE_RANK[shape]
-    return 2 if r is None else r
+    return _generic_rank(shape) if _rank_pure(shape) else 1
 
 
 # ---------------------------------------------------------------------------

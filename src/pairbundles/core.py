@@ -282,10 +282,22 @@ def _c2j(z: complex) -> list:
     return [z.real, z.imag]
 
 
+def _is_json_number(doc) -> bool:
+    # bool is a subclass of int, but JSON's true and false are not numbers
+    return isinstance(doc, (int, float)) and not isinstance(doc, bool)
+
+
+def _j2f(doc) -> float:
+    if not _is_json_number(doc):
+        raise ValidationError(f"real scalar JSON must be a number, got {doc!r}")
+    return float(doc)
+
+
 def _j2c(doc) -> complex:
-    if isinstance(doc, (int, float)):
+    if _is_json_number(doc):
         return complex(doc)
-    if not (isinstance(doc, list) and len(doc) == 2):
+    if not (isinstance(doc, list) and len(doc) == 2
+            and all(map(_is_json_number, doc))):
         raise ValidationError(f"complex scalar JSON must be [re, im], got {doc!r}")
     return complex(doc[0], doc[1])
 

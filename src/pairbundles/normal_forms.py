@@ -12,12 +12,13 @@ reconstruction; nothing is silently guessed.
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
 
-from .core import Mat2, PairAB, SymMat2, _mat4
+from .core import Mat2, PairAB, SymMat2, _c2j, _j2c, _j2f, _mat4
 
 __all__ = [
     "ALabel",
@@ -132,29 +133,17 @@ class BundleParams:
     zeta_star: Optional[complex] = None
 
     def to_json(self) -> dict:
-        out = {}
-        for name in ("theta", "tau", "phi", "a", "b", "d"):
-            v = getattr(self, name)
-            if v is not None:
-                out[name] = float(v)
-        for name in ("zeta", "zeta_star"):
-            v = getattr(self, name)
-            if v is not None:
-                v = complex(v)
-                out[name] = [v.real, v.imag]
-        return out
+        return {name: _c2j(v) if name in COMPLEX_FIELDS else float(v)
+                for name, v in vars(self).items() if v is not None}
 
     @staticmethod
     def from_json(doc: dict) -> "BundleParams":
-        kw = {}
-        for name in ("theta", "tau", "phi", "a", "b", "d"):
-            if name in doc:
-                kw[name] = float(doc[name])
-        for name in ("zeta", "zeta_star"):
-            if name in doc:
-                v = doc[name]
-                kw[name] = complex(v[0], v[1]) if isinstance(v, list) else complex(v)
-        return BundleParams(**kw)
+        """Parameters from `to_json`'s layout; a complex parameter may also
+        be a plain number.  Anything but a JSON number, booleans included,
+        raises ValidationError."""
+        return BundleParams(**{
+            f.name: (_j2c if f.name in COMPLEX_FIELDS else _j2f)(doc[f.name])
+            for f in dataclasses.fields(BundleParams) if f.name in doc})
 
 
 # ---------------------------------------------------------------------------
@@ -260,85 +249,84 @@ GENERIC_PARAMS = BundleParams(
     zeta=0.3 + 0.4j, zeta_star=1.0 + 1.0j,
 )
 
-# which parameter fields each shape uses (the A-part contributes theta / tau)
-_SHAPE_FIELDS: dict[BShape, tuple[str, ...]] = {
-    _B.ZERO: (),
-    _B.FULL_HERMITIAN_LIKE: ("a", "d", "zeta_star"),
-    _B.OFF_DIAG_PLUS_D: ("b", "d"),
-    _B.A_PLUS_OFF_DIAG: ("a", "b"),
-    _B.DIAG_AD: ("a", "d"),
-    _B.ANTI_DIAG: ("b",),
-    _B.DIAG_A0: ("a",),
-    _B.ZERO_D: ("d",),
-    _B.PHASE_FORM: ("phi", "b", "zeta"),
-    _B.OFF_DIAG_PHASE: ("b", "phi"),
-    _B.ONE_ZETA: ("zeta",),
-    _B.ZERO_ONE: (),
-    _B.DIAG_A_ZETA: ("a", "zeta"),
-    _B.ZETA_B_ONE: ("zeta_star", "b"),
-    _B.OFF_DIAG_B_ONE: ("b",),
-    _B.DIAG_A_ONE: ("a",),
-    _B.ONE_B_ZERO: ("b",),
-    _B.ONE_ZERO: (),
-    _B.D_IDENTITY: ("d",),
-    _B.SWAP: (),
-    _B.RANK1: (),
-    _B.RANK2: (),
-    _B.SWAP_ONE_DE_ITHETA: ("d", "theta"),
-    _B.SWAP_OFF_DIAG_B_ONE: ("b",),
-    _B.SWAP_ONE_ZERO: (),
-}
-
-
-def param_fields(label: BundleLabel) -> tuple[str, ...]:
-    """Names of the free continuous parameters of a bundle."""
-    fields = []
-    if label.a_label is _A.ONE_THETA:
-        fields.append("theta")
-    elif label.a_label is _A.TAU_FORM:
-        fields.append("tau")
-    for f in _SHAPE_FIELDS[label.b_shape]:
-        if f not in fields:
-            fields.append(f)
-    return tuple(fields)
+# the complex-valued parameters; every other parameter is real
+COMPLEX_FIELDS = frozenset({"zeta", "zeta_star"})
 
 
 # ---------------------------------------------------------------------------
-# representatives
+# the normal forms: for each A-label and each B-shape, its free parameters
+# in search-coordinate order and its entries as a function of them
 
+# row-major entries (a00, a01, a10, a11) of each A-form
+_A_FORMS: dict = {
+    _A.ZERO: ((), lambda p: (0.0, 0.0, 0.0, 0.0)),
+    _A.ONE_ZERO: ((), lambda p: (1.0, 0.0, 0.0, 0.0)),
+    _A.IDENTITY: ((), lambda p: (1.0, 0.0, 0.0, 1.0)),
+    _A.ONE_PLUS_MINUS: ((), lambda p: (1.0, 0.0, 0.0, -1.0)),
+    _A.ONE_THETA: (("theta",),
+                   lambda p: (1.0, 0.0, 0.0, cmath.exp(1j * p.theta))),
+    _A.NILPOTENT: ((), lambda p: (0.0, 1.0, 0.0, 0.0)),
+    _A.TAU_FORM: (("tau",), lambda p: (0.0, 1.0, p.tau, 0.0)),
+    _A.JORDAN_I: ((), lambda p: (0.0, 1.0, 1.0, 1j)),
+}
+# the 1 (+) -1 class under its anti-diagonal representative
+_SWAP_REP_A_ENTRIES = (0.0, 1.0, 1.0, 0.0)
 _SWAP_SHAPES = frozenset(
     {_B.SWAP_ONE_DE_ITHETA, _B.SWAP_OFF_DIAG_B_ONE, _B.SWAP_ONE_ZERO}
 )
 
-
-# row-major entries (a00, a01, a10, a11) of the parameter-free A-forms
-_REP_A_ENTRIES: dict[ALabel, tuple] = {
-    _A.ZERO: (0.0, 0.0, 0.0, 0.0),
-    _A.ONE_ZERO: (1.0, 0.0, 0.0, 0.0),
-    _A.IDENTITY: (1.0, 0.0, 0.0, 1.0),
-    _A.ONE_PLUS_MINUS: (1.0, 0.0, 0.0, -1.0),
-    _A.NILPOTENT: (0.0, 1.0, 0.0, 0.0),
-    _A.JORDAN_I: (0.0, 1.0, 1.0, 1j),
+# (b11, b12, b22) of each B-form [[b11, b12], [b12, b22]]
+_B_FORMS: dict = {
+    _B.ZERO: ((), lambda p: (0.0, 0.0, 0.0)),
+    _B.FULL_HERMITIAN_LIKE: (("a", "d", "zeta_star"),
+                             lambda p: (p.a, p.zeta_star, p.d)),
+    _B.OFF_DIAG_PLUS_D: (("b", "d"), lambda p: (0.0, p.b, p.d)),
+    _B.A_PLUS_OFF_DIAG: (("a", "b"), lambda p: (p.a, p.b, 0.0)),
+    _B.DIAG_AD: (("a", "d"), lambda p: (p.a, 0.0, p.d)),
+    _B.ANTI_DIAG: (("b",), lambda p: (0.0, p.b, 0.0)),
+    _B.DIAG_A0: (("a",), lambda p: (p.a, 0.0, 0.0)),
+    _B.ZERO_D: (("d",), lambda p: (0.0, 0.0, p.d)),
+    _B.PHASE_FORM: (("phi", "b", "zeta"),
+                    lambda p: (cmath.exp(1j * p.phi), p.b, p.zeta)),
+    _B.OFF_DIAG_PHASE: (("b", "phi"),
+                        lambda p: (0.0, p.b, cmath.exp(1j * p.phi))),
+    _B.ONE_ZETA: (("zeta",), lambda p: (1.0, 0.0, p.zeta)),
+    _B.ZERO_ONE: ((), lambda p: (0.0, 0.0, 1.0)),
+    _B.DIAG_A_ZETA: (("a", "zeta"), lambda p: (p.a, 0.0, p.zeta)),
+    _B.ZETA_B_ONE: (("zeta_star", "b"), lambda p: (p.zeta_star, p.b, 1.0)),
+    _B.OFF_DIAG_B_ONE: (("b",), lambda p: (0.0, p.b, 1.0)),
+    _B.DIAG_A_ONE: (("a",), lambda p: (p.a, 0.0, 1.0)),
+    _B.ONE_B_ZERO: (("b",), lambda p: (1.0, p.b, 0.0)),
+    _B.ONE_ZERO: ((), lambda p: (1.0, 0.0, 0.0)),
+    _B.D_IDENTITY: (("d",), lambda p: (p.d, 0.0, p.d)),
+    _B.SWAP: ((), lambda p: (0.0, 1.0, 0.0)),
+    _B.RANK1: ((), lambda p: (1.0, 0.0, 0.0)),
+    _B.RANK2: ((), lambda p: (1.0, 0.0, 1.0)),
+    _B.SWAP_ONE_DE_ITHETA: (("d", "theta"), lambda p: (
+        1.0, 0.0, p.d * cmath.exp(1j * p.theta))),
+    _B.SWAP_OFF_DIAG_B_ONE: (("b",), lambda p: (0.0, p.b, 1.0)),
+    _B.SWAP_ONE_ZERO: ((), lambda p: (1.0, 0.0, 0.0)),
 }
-_SWAP_REP_A_ENTRIES = (0.0, 1.0, 1.0, 0.0)
+
+
+def param_fields(label: BundleLabel) -> tuple[str, ...]:
+    """Names of the free continuous parameters of a bundle: the A-form's,
+    then the B-form's."""
+    return _A_FORMS[label.a_label][0] + _B_FORMS[label.b_shape][0]
 
 
 def _representative_A_entries(a_label: ALabel, p: BundleParams,
                               swap_rep: bool = False) -> tuple:
     """Row-major entries of `representative_A`."""
-    if a_label is _A.ONE_THETA:
-        if p.theta is None:
-            raise ValueError("one_theta requires parameter theta")
-        return (1.0, 0.0, 0.0, cmath.exp(1j * p.theta))
-    if a_label is _A.TAU_FORM:
-        if p.tau is None:
-            raise ValueError("tau_form requires parameter tau")
-        return (0.0, 1.0, p.tau, 0.0)
-    if swap_rep and a_label is _A.ONE_PLUS_MINUS:
-        return _SWAP_REP_A_ENTRIES
     if not isinstance(a_label, ALabel):
         raise ValueError(a_label)
-    return _REP_A_ENTRIES[a_label]
+    if swap_rep and a_label is _A.ONE_PLUS_MINUS:
+        return _SWAP_REP_A_ENTRIES
+    fields, form = _A_FORMS[a_label]
+    for name in fields:
+        if getattr(p, name) is None:
+            raise ValueError(f"{a_label.value} requires parameter {name}")
+    return form(p)
 
 
 def representative_A(a_label: ALabel, params: BundleParams | None = None,
@@ -348,40 +336,10 @@ def representative_A(a_label: ALabel, params: BundleParams | None = None,
                                            swap_rep))
 
 
-# (b11, b12, b22) of each B-form [[b11, b12], [b12, b22]]
-_B_FORMS = {
-    _B.ZERO: lambda p: (0.0, 0.0, 0.0),
-    _B.FULL_HERMITIAN_LIKE: lambda p: (p.a, p.zeta_star, p.d),
-    _B.OFF_DIAG_PLUS_D: lambda p: (0.0, p.b, p.d),
-    _B.A_PLUS_OFF_DIAG: lambda p: (p.a, p.b, 0.0),
-    _B.DIAG_AD: lambda p: (p.a, 0.0, p.d),
-    _B.ANTI_DIAG: lambda p: (0.0, p.b, 0.0),
-    _B.DIAG_A0: lambda p: (p.a, 0.0, 0.0),
-    _B.ZERO_D: lambda p: (0.0, 0.0, p.d),
-    _B.PHASE_FORM: lambda p: (cmath.exp(1j * p.phi), p.b, p.zeta),
-    _B.OFF_DIAG_PHASE: lambda p: (0.0, p.b, cmath.exp(1j * p.phi)),
-    _B.ONE_ZETA: lambda p: (1.0, 0.0, p.zeta),
-    _B.ZERO_ONE: lambda p: (0.0, 0.0, 1.0),
-    _B.DIAG_A_ZETA: lambda p: (p.a, 0.0, p.zeta),
-    _B.ZETA_B_ONE: lambda p: (p.zeta_star, p.b, 1.0),
-    _B.OFF_DIAG_B_ONE: lambda p: (0.0, p.b, 1.0),
-    _B.DIAG_A_ONE: lambda p: (p.a, 0.0, 1.0),
-    _B.ONE_B_ZERO: lambda p: (1.0, p.b, 0.0),
-    _B.ONE_ZERO: lambda p: (1.0, 0.0, 0.0),
-    _B.D_IDENTITY: lambda p: (p.d, 0.0, p.d),
-    _B.SWAP: lambda p: (0.0, 1.0, 0.0),
-    _B.RANK1: lambda p: (1.0, 0.0, 0.0),
-    _B.RANK2: lambda p: (1.0, 0.0, 1.0),
-    _B.SWAP_ONE_DE_ITHETA: lambda p: (1.0, 0.0, p.d * cmath.exp(1j * p.theta)),
-    _B.SWAP_OFF_DIAG_B_ONE: lambda p: (0.0, p.b, 1.0),
-    _B.SWAP_ONE_ZERO: lambda p: (1.0, 0.0, 0.0),
-}
-
-
 def _representative_B_entries(shape: BShape, p: BundleParams) -> tuple:
     """(b11, b12, b22) of the B-part of `representative`."""
     try:
-        form = _B_FORMS[shape]
+        form = _B_FORMS[shape][1]
     except KeyError:
         raise ValueError(shape) from None
     return form(p)

@@ -12,7 +12,9 @@ Four groups of tools:
 * a derivative-free distance-to-bundle optimizer and a Monte Carlo
   neighborhood validator for the closure graph.
 
-Everything is measured in the entrywise max-norm.
+Bounds and residuals are measured in the entrywise max-norm.
+`distance_to_bundle` and `nonedge_floor` measure in that norm by default
+and in the spectral norm with ``norm="spectral"``.
 """
 
 import cmath
@@ -38,6 +40,7 @@ from .core import (
     pair_distance,
 )
 from .normal_forms import (
+    COMPLEX_FIELDS,
     GENERIC_PARAMS,
     ALabel,
     BShape,
@@ -70,7 +73,6 @@ __all__ = [
 ]
 
 _MATCH_TOL = 1e-9
-_COMPLEX_FIELDS = ("zeta", "zeta_star")
 
 
 def generic_params(label: BundleLabel) -> BundleParams:
@@ -224,16 +226,10 @@ def bundle_dimension_numeric(label: BundleLabel,
         rows.append(_embed_pair(Ekj @ A0 + A0 @ Ejk, Ekj @ B0 + B0 @ Ejk))
         rows.append(_embed_pair(1j * (-Ekj @ A0 + A0 @ Ejk),
                                 1j * (Ekj @ B0 + B0 @ Ejk)))
-    zero_b = np.zeros((2, 2), dtype=complex)
-    rows.append(_embed_pair(1j * A0, zero_b))  # phase direction
-    if label.a_label is ALabel.ONE_THETA:
-        dA = np.zeros((2, 2), dtype=complex)
-        dA[1, 1] = 1j * cmath.exp(1j * params.theta)
-        rows.append(_embed_pair(dA, zero_b))
-    elif label.a_label is ALabel.TAU_FORM:
-        rows.append(_embed_pair(_unit_matrix(1, 0).astype(complex), zero_b))
+    # phase direction
+    rows.append(_embed_pair(1j * A0, np.zeros((2, 2), dtype=complex)))
     for name in param_fields(label):
-        deltas = (step, 1j * step) if name in _COMPLEX_FIELDS else (step,)
+        deltas = (step, 1j * step) if name in COMPLEX_FIELDS else (step,)
         for delta in deltas:
             hi = representative(label, _shifted(params, name, delta))
             lo = representative(label, _shifted(params, name, -delta))
@@ -838,7 +834,7 @@ def _param_coords(fields, params):
     out = []
     for f in fields:
         val = getattr(params, f)
-        if f in _COMPLEX_FIELDS:
+        if f in COMPLEX_FIELDS:
             out.extend([complex(val).real, complex(val).imag])
         else:
             out.append(float(val))
@@ -849,7 +845,7 @@ def _coords_to_params(fields, coords):
     kw = {}
     i = 0
     for f in fields:
-        if f in _COMPLEX_FIELDS:
+        if f in COMPLEX_FIELDS:
             kw[f] = complex(coords[i], coords[i + 1])
             i += 2
         else:
@@ -1060,7 +1056,7 @@ def distance_to_bundle(x: PairAB, target: BundleLabel, budget: int = 32,
         kw = {}
         for f in fields:
             val = getattr(params, f)
-            if f in _COMPLEX_FIELDS:
+            if f in COMPLEX_FIELDS:
                 kw[f] = complex(val) * (1 + 0.5 * rng.standard_normal()) \
                     + 0.5j * rng.standard_normal()
             elif f == "theta":

@@ -106,6 +106,41 @@ class TestUsageErrors:
         assert code == 1
 
 
+class TestJsonNumbers:
+    """JSON's true, false and strings are not numbers."""
+
+    @pytest.mark.parametrize("A, B", [
+        ([[True, False], [False, True]], {"a": True, "b": False, "d": 2}),
+        ([[1, 0], [0, 1]], {"a": [True, 0], "b": 0, "d": 2}),
+        ([[1, 0], [0, 1]], {"a": "1", "b": 0, "d": 2}),
+    ], ids=["booleans", "boolean-part", "string"])
+    def test_pair_document(self, capsys, tmp_path, A, B):
+        p = tmp_path / "pair.json"
+        p.write_text(json.dumps({"A": A, "B": B}))
+        code, out, err = run(capsys, ["classify", "--input", str(p)])
+        assert code == 1 and out == ""
+        assert "invalid pair document" in err
+
+    @pytest.mark.parametrize("label, params", [
+        ("identity/diag_ad", {"a": True, "d": "2"}),
+        ("identity/diag_ad", {"a": 1, "d": "2"}),
+        ("identity/diag_ad", {"a": False, "d": 2}),
+        ("tau_form/one_zeta", {"tau": 0.5, "zeta": "1+2j"}),
+        ("tau_form/one_zeta", {"tau": 0.5, "zeta": [1, True]}),
+    ])
+    def test_params(self, capsys, label, params):
+        code, out, err = run(capsys, ["dim", label,
+                                      "--params", json.dumps(params)])
+        assert code == 1 and out == ""
+        assert "invalid --params" in err
+
+    def test_numbers_still_parse(self, capsys):
+        params = {"tau": 0.5, "zeta": [1, 2]}
+        code, out, _ = run(capsys, ["dim", "tau_form/one_zeta",
+                                    "--params", json.dumps(params)])
+        assert code == 0 and json.loads(out)["agrees"]
+
+
 class TestDim:
     def test_matches_table(self, capsys):
         code, out, _ = run(capsys, ["dim", "one_theta/full_hermitian_like"])

@@ -134,3 +134,27 @@ def test_floor_jobs_follow_the_benchmark():
         [(src, dst, 2, "max") for src, dst in nonedges]
         + [("zero/rank2", "zero/rank1", 4, norm)
            for norm in ("max", "spectral")])
+
+
+FACTS = [
+    {"case": "shape anti_diag",
+     "facts": {"shape_rank": 2, "shape_min_rank": 2}},
+    {"case": "successors tau_form/zero_one",
+     "facts": {"successors": ["tau_form/one_zeta", "tau_form/phase_form",
+                              "tau_form/zero_one"],
+               "needs_suspect_edge": ["tau_form/one_zeta"]}},
+]
+
+
+@pytest.mark.parametrize("index, edit", [
+    (0, lambda f: f.update(shape_rank=None)),
+    (0, lambda f: f.update(shape_min_rank=1)),
+    (1, lambda f: f["successors"].remove("tau_form/one_zeta")),
+    (1, lambda f: f.update(needs_suspect_edge=[])),
+], ids=["rank", "min-rank", "successors", "suspect"])
+def test_changed_catalogue_fact(index, edit):
+    head = copy.deepcopy(FACTS)
+    edit(head[index]["facts"])
+    lines = list(outcome_corpus.differences(FACTS, head))
+    assert len(lines) == 1
+    assert lines[0].startswith(f"{FACTS[index]['case']}: facts ")

@@ -26,16 +26,23 @@ separation floors (the five psi1 non-edges with budget 2 in the max norm,
 and zero/rank2 -> zero/rank1 with budget 4 in both norms) for optimizer
 seeds 0-2: the floor, the group element (c, P) and the target's
 parameters.  JSON keeps every float exactly, so these must match bit for
-bit.  In all, a dump holds 46,113 records: 46,000 calls, 92 Monte Carlo
-reports and 21 distance results.
+bit.
+
+Then come the catalogue and closure facts that the classifier's outcomes do
+not show: for each cell its parameter fields, tabulated and numeric
+dimensions and generic representative; for each B-shape its rank and
+minimum rank; for each source cell its sorted successors in the pair graph
+and those among them that only a suspect edge reaches.  These too must match
+exactly.  In all, a dump holds 46,230 records: 46,000 calls, 92 Monte Carlo
+reports, 21 distance results, 46 cells, 25 shapes and 46 successor lists.
 
     PYTHONPATH=src python tools/outcome_corpus.py dump OUT.json
     python tools/outcome_corpus.py compare BASE.json HEAD.json
 
 `compare` exits 1 when any label, note list, error type, message, Monte
-Carlo report or distance result differs, or when a parameter differs by
-more than 1e-8 (1 + |v|).  Reducers are not compared: they may differ by
-an element of the stabilizer.
+Carlo report, distance result or catalogue fact differs, or when a
+parameter differs by more than 1e-8 (1 + |v|).  Reducers are not compared:
+they may differ by an element of the stabilizer.
 """
 from __future__ import annotations
 
@@ -149,6 +156,34 @@ def distance_results():
                     "params": params.to_json()})
 
 
+def catalogue_facts():
+    """Yield (case id, facts) of every cell, B-shape and source cell."""
+    from pairbundles.closure import bundle_graph, shape_min_rank, shape_rank
+    from pairbundles.normal_forms import (CELLS, BShape, param_fields,
+                                          representative, table_dimension)
+    from pairbundles.numerics import (bundle_dimension_numeric,
+                                      generic_params)
+
+    for cell in CELLS:
+        yield (f"cell {cell}",
+               {"param_fields": list(param_fields(cell)),
+                "table_dimension": table_dimension(cell),
+                "bundle_dimension_numeric": bundle_dimension_numeric(cell),
+                "representative":
+                    representative(cell, generic_params(cell)).to_json()})
+    for shape in BShape:
+        yield (f"shape {shape.value}",
+               {"shape_rank": shape_rank(shape),
+                "shape_min_rank": shape_min_rank(shape)})
+    graph = bundle_graph()
+    for src in CELLS:
+        succ = sorted(graph.successors(src), key=str)
+        yield (f"successors {src}",
+               {"successors": [str(dst) for dst in succ],
+                "needs_suspect_edge": [str(dst) for dst in succ
+                                       if graph.needs_suspect_edge(src, dst)]})
+
+
 def dump(out_path: str) -> int:
     import pairbundles
     from pairbundles.classify import (AmbiguityError,
@@ -170,6 +205,8 @@ def dump(out_path: str) -> int:
         records.append({"case": case, "report": report})
     for case, result in distance_results():
         records.append({"case": case, "distance": result})
+    for case, facts in catalogue_facts():
+        records.append({"case": case, "facts": facts})
     with open(out_path, "w") as fh:
         json.dump(records, fh, indent=0)
     print(f"{len(records)} records of {pairbundles.__file__} -> {out_path}",
@@ -194,9 +231,10 @@ def differences(base: list, head: list):
             if r0.get(key) != r1.get(key):
                 yield f"{case}: {key} {r0.get(key)!r} -> {r1.get(key)!r}"
         # compared as text, so that even the sign of a zero counts
-        d0, d1 = r0.get("distance"), r1.get("distance")
-        if json.dumps(d0) != json.dumps(d1):
-            yield f"{case}: distance {d0!r} -> {d1!r}"
+        for key in ("distance", "facts"):
+            d0, d1 = r0.get(key), r1.get(key)
+            if json.dumps(d0) != json.dumps(d1):
+                yield f"{case}: {key} {d0!r} -> {d1!r}"
         p0, p1 = r0.get("params", {}), r1.get("params", {})
         if set(p0) != set(p1):
             yield f"{case}: parameters {sorted(p0)} -> {sorted(p1)}"
