@@ -6,19 +6,26 @@ stabilizer subgroup of the canonical A to the catalogued B-shape, extracting
 the continuous parameters.  Every reducer is verified by re-application; a
 failed verification raises rather than returning a wrong answer.
 
-Inside, matrices are row-major 4-tuples of Python complex numbers (see
-`core`), and every kernel is a 2x2 closed form: singular values from M*M and
-|det M|, eigenvalues from the quadratic formula, eigenvectors as null
-vectors of a row (`_eigvec`), the top singular pair of the rank-1 and
-Jordan reducers from M*M, Hermitian eigenpairs (`_eigh2`), Takagi factors
-(`_takagi`), a symmetric square root and adjugate inverses.  The two 1(+)-1
-solvers of a rank-2 B build on them: `_opm_intertwine` carries the
-invariant N = J conj(B) J B onto its target's through eigenvectors or a
-Jordan chain, and `_opm_scalar` serves a scalar N through a symmetric
-square root of B.  The stage-2 reducers return (c, P) as a scalar and a
-4-tuple, and the verification tail composes the reducers and measures the
-residual on 4-tuples.  The checked value types are built only for what the
-public functions return.
+One raw core does the work: `_classify4` runs stage 1 (`_classify_A4`),
+stage 2 (`_stabilizer_reduce3`, over the `_STAGE2` reducers) and the
+verification tail on row-major 4-tuples of Python complex numbers (see
+`core`), scalars and plain parameter dicts.  Each stage's (c, P) and the
+composed reducer pass `core._group4`, the check a `GroupElement` makes; the
+stage-2 reducer must also fix the canonical A-form, the merged parameters
+must be complete, and the moved pair must land on the representative.  The
+public functions are thin wrappers that build the checked value types only
+for what they return: `classify_pair` one `BundleParams`, one
+`GroupElement` and one `Classification`, its label taken from the catalogue.
+Only `classify_A` measures the stage-1 residual.
+
+Every kernel is a 2x2 closed form: singular values from M*M and |det M|,
+eigenvalues from the quadratic formula, eigenvectors as null vectors of a
+row (`_eigvec`), the top singular pair of the rank-1 and Jordan reducers
+from M*M, Hermitian eigenpairs (`_eigh2`), Takagi factors (`_takagi`), a
+symmetric square root and adjugate inverses.  The two 1(+)-1 solvers of a
+rank-2 B build on them: `_opm_intertwine` carries the invariant
+N = J conj(B) J B onto its target's through eigenvectors or a Jordan chain,
+and `_opm_scalar` serves a scalar N through a symmetric square root of B.
 """
 from __future__ import annotations
 
@@ -33,6 +40,7 @@ from .core import (
     SymMat2,
     _cosquare4,
     _det4,
+    _group4,
     _mat4,
     _max_abs,
     _mul4,
@@ -40,7 +48,6 @@ from .core import (
     _star_congruence4,
     _transpose_congruence3,
     apply_action,  # unused here; perfbench/spans.py wraps it in this module
-    max_norm,
 )
 from .normal_forms import (
     ALabel,
@@ -48,11 +55,12 @@ from .normal_forms import (
     BShape,
     BundleLabel,
     BundleParams,
+    _CELL_OF,
     _SWAP_SHAPES,
+    _canonical_updates,
     _representative_A_entries,
     _representative_B_entries,
     _wrap_phase_halfturn,
-    canonicalize_params,
     representative,  # unused here; perfbench/spans.py wraps it in this module
     validate_params,
 )
@@ -132,22 +140,28 @@ def _gap(m, t) -> float:
     return _max_abs([x - y for x, y in zip(m, t)])
 
 
-def classify_A(A: Mat2):
-    """Returns (a_label, params, reducer, residual, ambiguous)."""
-    a = A.entries
-    amb: list[str] = []
+def _classify_A4(a, amb):
+    """Stage 1 on the row-major 4-tuple a: (a_label, params, c, P), with
+    the parameters as a dict and (c, P) not yet checked."""
     scale, sv1 = _singular_values(a)
     if _near(scale, _RANK_TOL, amb, "A near zero"):
-        g = GroupElement(1.0, Mat2.identity())
-        return ALabel.ZERO, BundleParams(), g, float(scale), tuple(amb)
+        return ALabel.ZERO, {}, 1.0, _I4
     if _near(sv1 / scale, _RANK_TOL, amb, "A near rank-1 boundary"):
-        label, c, p = _reduce_rank1_A(a, amb)
-        params = BundleParams()
-    else:
-        label, params, c, p = _reduce_rank2_A(a, amb)
-    res = _gap(_star_congruence4(c, p, a),
-               _representative_A_entries(label, params))
-    return label, params, GroupElement(c, _mat4(p)), float(res), tuple(amb)
+        return _reduce_rank1_A(a, amb)
+    return _reduce_rank2_A(a, amb)
+
+
+def classify_A(A: Mat2):
+    """Returns (a_label, params, reducer, residual, ambiguous).  The
+    residual is the max-norm distance of the moved A to the canonical form,
+    and for the zero class the spectral norm of A."""
+    a = A.entries
+    amb: list[str] = []
+    label, params, c, p = _classify_A4(a, amb)
+    res = (_spectral_norm(*a) if label is ALabel.ZERO else _gap(
+        _star_congruence4(c, p, a), _representative_A_entries(label, params)))
+    return (label, BundleParams(**params), GroupElement(c, _mat4(p)),
+            float(res), tuple(amb))
 
 
 def _unit2(x, y):
@@ -166,7 +180,7 @@ def _reduce_rank1_A(a, amb):
         r = math.sqrt(s0)
         w0, w1 = _unit2(-v1.conjugate(), v0.conjugate())
         P = (v0 / r, w0, v1 / r, w1)
-        return ALabel.ONE_ZERO, cmath.exp(-1j * cmath.phase(vu)), P
+        return ALabel.ONE_ZERO, {}, cmath.exp(-1j * cmath.phase(vu)), P
     # nilpotent: send u -> e1 direction, v -> e2 direction
     uv = vu.conjugate()
     p10, p11 = _unit2(u0 - v0 * vu, u1 - v1 * vu)  # perpendicular to v
@@ -174,7 +188,7 @@ def _reduce_rank1_A(a, amb):
     z = (s0 * (p10.conjugate() * u0 + p11.conjugate() * u1)
          * (v0.conjugate() * p20 + v1.conjugate() * p21))
     m = abs(z)
-    return ALabel.NILPOTENT, z.conjugate() / m, (p10 / m, p20, p11 / m, p21)
+    return ALabel.NILPOTENT, {}, z.conjugate() / m, (p10 / m, p20, p11 / m, p21)
 
 
 def _reduce_rank2_A(a, amb):
@@ -332,7 +346,7 @@ def _reduce_one_theta_A(a, C, lam):
         if 0.0 < theta < math.pi:
             k0, k1 = 1.0 / math.sqrt(abs(n0)), 1.0 / math.sqrt(abs(n1))
             P = (u[0] * k0, v[0] * k1, u[1] * k0, v[1] * k1)
-            return ALabel.ONE_THETA, BundleParams(theta=theta), c, P
+            return ALabel.ONE_THETA, {"theta": theta}, c, P
     raise ClassificationFailureError("no eigenvalue order yields theta in (0, pi)")
 
 
@@ -352,7 +366,7 @@ def _reduce_tau_A(a, C, lam):
         k0, k1 = 1.0 / r.conjugate(), 1.0 / r
         P = (S[0] * k0, S[1] * k1, S[2] * k0, S[3] * k1)
         if abs(_star_congruence4(cc, P, a)[1] - 1.0) < 0.5:
-            return ALabel.TAU_FORM, BundleParams(tau=float(tau)), cc, P
+            return ALabel.TAU_FORM, {"tau": float(tau)}, cc, P
     raise ClassificationFailureError("tau-form reduction failed")
 
 
@@ -373,11 +387,11 @@ def _reduce_hermitian_like(a, lam_m, amb):
     if d0 > 0 or d1 < 0:
         k0, k1 = 1.0 / math.sqrt(abs(d0)), 1.0 / math.sqrt(abs(d1))
         P = (u[0] * k0, v[0] * k1, u[1] * k0, v[1] * k1)
-        return ALabel.IDENTITY, BundleParams(), c0 if d0 > 0 else -c0, P
+        return ALabel.IDENTITY, {}, c0 if d0 > 0 else -c0, P
     # indefinite: order (positive, negative) for diag(1, -1)
     k0, k1 = 1.0 / math.sqrt(d1), 1.0 / math.sqrt(-d0)
     P = (v[0] * k0, u[0] * k1, v[1] * k0, u[1] * k1)
-    return ALabel.ONE_PLUS_MINUS, BundleParams(), c0, P
+    return ALabel.ONE_PLUS_MINUS, {}, c0, P
 
 
 def _reduce_jordan_A(a, C, lam_m):
@@ -401,7 +415,7 @@ def _reduce_jordan_A(a, C, lam_m):
         b_corr = -a_scale * q / (2.0 * tr)
         P = _mul4(P0, (a_scale, b_corr, 0.0, a_scale))
         if _gap(_star_congruence4(cc, P, a), (0.0, 1.0, 1.0, 1j)) < 0.1:
-            return ALabel.JORDAN_I, BundleParams(), cc, P
+            return ALabel.JORDAN_I, {}, cc, P
     raise ClassificationFailureError("Jordan-type reduction failed")
 
 
@@ -419,7 +433,8 @@ def classify_B(B: SymMat2):
     k0, k1 = 1.0 / math.sqrt(scale), (1.0 if rank1 else 1.0 / math.sqrt(s1))
     P = (U[0].conjugate() * k0, U[1].conjugate() * k1,
          U[2].conjugate() * k0, U[3].conjugate() * k1)
-    res = _gap(_congruent_B(P, B), (1.0, 0.0, 0.0 if rank1 else 1.0))
+    res = _gap(_congruent_B(P, (B.a, B.b, B.d)),
+               (1.0, 0.0, 0.0 if rank1 else 1.0))
     label = BLabel.RANK1 if rank1 else BLabel.RANK2
     return label, _mat4(P), float(res), tuple(amb)
 
@@ -427,15 +442,32 @@ def classify_B(B: SymMat2):
 # ---------------------------------------------------------------------------
 # stage 2: stabilizer reduction of the transported B
 
-def _zero_flags(B: SymMat2):
+def _zero_flags(b):
     """Which of b11, b12, b22 exceed the rank threshold relative to |B|."""
-    zt = _RANK_TOL * max(max_norm(B), 1e-300)
-    return (abs(B.a) > zt, abs(B.b) > zt, abs(B.d) > zt)
+    zt = _RANK_TOL * max(_max_abs(b), 1e-300)
+    return (abs(b[0]) > zt, abs(b[1]) > zt, abs(b[2]) > zt)
 
 
 def _phase_sqrt(z: complex) -> complex:
     """A unit-modulus x with x^2 * z real positive (z != 0)."""
     return cmath.exp(-0.5j * cmath.phase(z))
+
+
+def _stabilizer_reduce3(a_label, a_params, b, amb):
+    """Stage 2 on b = (b11, b12, b22): (b_shape, params, c, P), with the
+    parameters as dicts and (c, P) checked as a group element and as a
+    member of the stabilizer of the canonical A-form."""
+    shape, params, c, p = _STAGE2[a_label](b, amb)
+    c, p = _group4(c, p)
+    # stabilizer membership / A-transport check
+    A0 = _representative_A_entries(a_label, a_params)
+    A_target = _representative_A_entries(a_label, a_params, shape in _SWAP_SHAPES)
+    defect = _gap(_star_congruence4(c, p, A0), A_target)
+    if defect > 1e-7 * max(1.0, _max_abs(A0)):
+        raise ClassificationFailureError(
+            f"stage-2 reducer leaves the stabilizer of {a_label} (defect {defect:.3e})"
+        )
+    return shape, params, c, p
 
 
 def stabilizer_reduce_B(a_label: ALabel, B: SymMat2,
@@ -447,80 +479,72 @@ def stabilizer_reduce_B(a_label: ALabel, B: SymMat2,
     itself except for the cells displayed in the anti-diagonal representative
     of the 1(+)-1 class.
     """
-    a_params = a_params or BundleParams()
     amb: list[str] = []
-    shape, params, c, p = _STAGE2[a_label](B, amb)
-    g = GroupElement(c, _mat4(p))
-    # stabilizer membership / A-transport check
-    A0 = _representative_A_entries(a_label, a_params)
-    A_target = _representative_A_entries(a_label, a_params, shape in _SWAP_SHAPES)
-    defect = _gap(_star_congruence4(g.c, g.P.entries, A0), A_target)
-    if defect > 1e-7 * max(1.0, _max_abs(A0)):
-        raise ClassificationFailureError(
-            f"stage-2 reducer leaves the stabilizer of {a_label} (defect {defect:.3e})"
-        )
-    return shape, params, g, tuple(amb)
+    shape, params, c, p = _stabilizer_reduce3(
+        a_label, vars(a_params or BundleParams()), (B.a, B.b, B.d), amb)
+    return shape, BundleParams(**params), GroupElement(c, _mat4(p)), tuple(amb)
 
 
-# Each stage-2 reducer returns (b_shape, params, c, p) with the reducer's P
-# as a row-major 4-tuple; `stabilizer_reduce_B` builds the GroupElement.
+# Each stage-2 reducer takes b = (b11, b12, b22) and returns (b_shape,
+# params, c, p), the parameters as a dict and the reducer's P as a row-major
+# 4-tuple; `_stabilizer_reduce3` checks (c, P).
 def _diag4(x, y) -> tuple:
     return (x, 0j, 0j, y)
 
 
-def _congruent_B(p, B) -> tuple:
-    """(b11, b12, b22) of P^T B P."""
-    return _transpose_congruence3(p, B.a, B.b, B.d)
+def _congruent_B(p, b) -> tuple:
+    """(b11, b12, b22) of P^T B P for b = (b11, b12, b22) of B."""
+    return _transpose_congruence3(p, *b)
 
 
-def _reduce_B_zero(B, amb):
-    label, P, _, amb2 = classify_B(B)
+def _reduce_B_zero(b, amb):
+    label, P, _, amb2 = classify_B(SymMat2(*b))
     amb.extend(amb2)
-    return BShape(label.value), BundleParams(), 1.0, P.entries
+    return BShape(label.value), {}, 1.0, P.entries
 
 
-def _reduce_B_one_zero(B, amb):
-    zt = _RANK_TOL * max(max_norm(B), 1e-300)
-    b11, b12, b22 = B.a, B.b, B.d
+def _reduce_B_one_zero(b, amb):
+    zt = _RANK_TOL * max(_max_abs(b), 1e-300)
+    b11, b12, b22 = b
     if abs(b22) > zt:
         v = 1.0 / cmath.sqrt(b22)
         w = (b11 * b22 - b12 * b12) / b22  # det B / b22
         if _near(abs(w), zt, amb, "B(1,1) residual near zero over 1(+)0"):
             P = (1.0, 0.0, -b12 / b22, v)
-            return BShape.ZERO_ONE, BundleParams(), 1.0, P
+            return BShape.ZERO_ONE, {}, 1.0, P
         x = _phase_sqrt(w)
         P = (x, 0.0, -x * b12 / b22, v)
-        return BShape.DIAG_A_ONE, BundleParams(a=abs(w)), 1.0, P
+        return BShape.DIAG_A_ONE, {"a": abs(w)}, 1.0, P
     if abs(b12) > zt:
         P = (1.0, 0.0, -b11 / (2 * b12), 1.0 / b12)
-        return BShape.SWAP, BundleParams(), 1.0, P
+        return BShape.SWAP, {}, 1.0, P
     if abs(b11) > zt:
         x = _phase_sqrt(b11)
-        return BShape.DIAG_A0, BundleParams(a=abs(b11)), 1.0, _diag4(x, 1.0)
-    return BShape.ZERO, BundleParams(), 1.0, _I4
+        return BShape.DIAG_A0, {"a": abs(b11)}, 1.0, _diag4(x, 1.0)
+    return BShape.ZERO, {}, 1.0, _I4
 
 
-def _reduce_B_identity(B, amb):
-    (s_hi, s_lo), U = _takagi((B.a, B.b, B.b, B.d))
+def _reduce_B_identity(b, amb):
+    (s_hi, s_lo), U = _takagi((b[0], b[1], b[1], b[2]))
     # conj(U) S12: the Takagi values in ascending order
     p = (U[1].conjugate(), U[0].conjugate(), U[3].conjugate(), U[2].conjugate())
     scale = max(s_hi, 1e-300)
     if _near(s_hi, _RANK_TOL * max(1.0, scale), amb, "B near zero over I2"):
-        return BShape.ZERO, BundleParams(), 1.0, p
+        return BShape.ZERO, {}, 1.0, p
     if _near(s_lo / s_hi, _RANK_TOL, amb, "B near rank-1 over I2"):
-        return BShape.ZERO_D, BundleParams(d=float(s_hi)), 1.0, p
+        return BShape.ZERO_D, {"d": float(s_hi)}, 1.0, p
     if _near((s_hi - s_lo) / s_hi, _EIG_TOL, amb,
              "Takagi values near coincidence over I2"):
-        return (BShape.D_IDENTITY, BundleParams(d=float(0.5 * (s_lo + s_hi))),
+        return (BShape.D_IDENTITY, {"d": float(0.5 * (s_lo + s_hi))},
                 1.0, p)
-    return BShape.DIAG_AD, BundleParams(a=float(s_lo), d=float(s_hi)), 1.0, p
+    return BShape.DIAG_AD, {"a": float(s_lo), "d": float(s_hi)}, 1.0, p
 
 
-def _reduce_B_one_theta(B, amb):
-    f11, f12, f22 = _zero_flags(B)
-    b11, b12, b22 = B.a, B.b, B.d
+def _reduce_B_one_theta(b, amb):
+    f11, f12, f22 = _zero_flags(b)
+    b11, b12, b22 = b
     phi1 = phi2 = 0.0
-    shape, params = None, BundleParams()
+    shape, params = None, {}
     if f11 and f12 and f22:
         phi1 = -0.5 * cmath.phase(b11)
         phi2 = -0.5 * cmath.phase(b22)
@@ -530,36 +554,36 @@ def _reduce_B_one_theta(B, amb):
             phi1 += math.pi
             zs = -zs
         shape = BShape.FULL_HERMITIAN_LIKE
-        params = BundleParams(a=abs(b11), d=abs(b22), zeta_star=zs)
+        params = {"a": abs(b11), "d": abs(b22), "zeta_star": zs}
     elif f11 and f12:
         phi1 = -0.5 * cmath.phase(b11)
         phi2 = -cmath.phase(b12) - phi1
-        shape, params = BShape.A_PLUS_OFF_DIAG, BundleParams(a=abs(b11), b=abs(b12))
+        shape, params = BShape.A_PLUS_OFF_DIAG, {"a": abs(b11), "b": abs(b12)}
     elif f12 and f22:
         phi2 = -0.5 * cmath.phase(b22)
         phi1 = -cmath.phase(b12) - phi2
-        shape, params = BShape.OFF_DIAG_PLUS_D, BundleParams(b=abs(b12), d=abs(b22))
+        shape, params = BShape.OFF_DIAG_PLUS_D, {"b": abs(b12), "d": abs(b22)}
     elif f11 and f22:
         phi1 = -0.5 * cmath.phase(b11)
         phi2 = -0.5 * cmath.phase(b22)
-        shape, params = BShape.DIAG_AD, BundleParams(a=abs(b11), d=abs(b22))
+        shape, params = BShape.DIAG_AD, {"a": abs(b11), "d": abs(b22)}
     elif f12:
         phi1 = -cmath.phase(b12)
-        shape, params = BShape.ANTI_DIAG, BundleParams(b=abs(b12))
+        shape, params = BShape.ANTI_DIAG, {"b": abs(b12)}
     elif f11:
         phi1 = -0.5 * cmath.phase(b11)
-        shape, params = BShape.DIAG_A0, BundleParams(a=abs(b11))
+        shape, params = BShape.DIAG_A0, {"a": abs(b11)}
     elif f22:
         phi2 = -0.5 * cmath.phase(b22)
-        shape, params = BShape.ZERO_D, BundleParams(d=abs(b22))
+        shape, params = BShape.ZERO_D, {"d": abs(b22)}
     else:
         shape = BShape.ZERO
     return shape, params, 1.0, _diag4(cmath.exp(1j * phi1), cmath.exp(1j * phi2))
 
 
-def _reduce_B_tau(B, amb):
-    f11, f12, f22 = _zero_flags(B)
-    b11, b12, b22 = B.a, B.b, B.d
+def _reduce_B_tau(b, amb):
+    f11, f12, f22 = _zero_flags(b)
+    b11, b12, b22 = b
 
     def elem(p, c):
         return c, _diag4(p, c / p.conjugate())
@@ -579,29 +603,29 @@ def _reduce_B_tau(B, amb):
     if f11 and f12:
         phi, (c, p) = phase_elem(abs(b11) ** -0.5, b11)
         return (BShape.PHASE_FORM,
-                BundleParams(phi=phi, b=abs(b12), zeta=_congruent_B(p, B)[2]),
+                {"phi": phi, "b": abs(b12), "zeta": _congruent_B(p, b)[2]},
                 c, p)
     if f11:
         c, p = elem(1.0 / cmath.sqrt(b11), 1.0)
-        return BShape.ONE_ZETA, BundleParams(zeta=_congruent_B(p, B)[2]), c, p
+        return BShape.ONE_ZETA, {"zeta": _congruent_B(p, b)[2]}, c, p
     if f22 and f12:
         phi, g = phase_elem(abs(b22) ** 0.5, b22)
-        return BShape.OFF_DIAG_PHASE, BundleParams(b=abs(b12), phi=phi), *g
+        return BShape.OFF_DIAG_PHASE, {"b": abs(b12), "phi": phi}, *g
     if f22:
         rho = abs(b22) ** 0.5
         psi = -0.5 * cmath.phase(b22)
-        return (BShape.ZERO_ONE, BundleParams(),
+        return (BShape.ZERO_ONE, {},
                 *elem(rho * cmath.exp(1j * psi), 1.0))
     if f12:
         psi = -0.5 * cmath.phase(b12)
-        return (BShape.ANTI_DIAG, BundleParams(b=abs(b12)),
+        return (BShape.ANTI_DIAG, {"b": abs(b12)},
                 *elem(cmath.exp(1j * psi), 1.0))
-    return BShape.ZERO, BundleParams(), 1.0, _I4
+    return BShape.ZERO, {}, 1.0, _I4
 
 
-def _reduce_B_nilpotent(B, amb):
-    f11, f12, f22 = _zero_flags(B)
-    b11, b12, b22 = B.a, B.b, B.d
+def _reduce_B_nilpotent(b, amb):
+    f11, f12, f22 = _zero_flags(b)
+    b11, b12, b22 = b
     a1 = cmath.phase(b11) if f11 else 0.0
     a2 = cmath.phase(b12) if f12 else 0.0
     a3 = cmath.phase(b22) if f22 else 0.0
@@ -619,36 +643,36 @@ def _reduce_B_nilpotent(B, amb):
         c, p = elem(rho, psi, gamma)
         if f11:
             return (BShape.ZETA_B_ONE,
-                    BundleParams(zeta_star=_congruent_B(p, B)[0], b=abs(b12)),
+                    {"zeta_star": _congruent_B(p, b)[0], "b": abs(b12)},
                     c, p)
-        return BShape.OFF_DIAG_B_ONE, BundleParams(b=abs(b12)), c, p
+        return BShape.OFF_DIAG_B_ONE, {"b": abs(b12)}, c, p
     if f11 and f12:  # b22 = 0
         x = 1.0 / cmath.sqrt(b11)
         psi = cmath.phase(x)
         gamma = 2 * psi + a2
         g = elem(abs(x), psi, gamma)
-        return BShape.ONE_B_ZERO, BundleParams(b=abs(b12)), *g
+        return BShape.ONE_B_ZERO, {"b": abs(b12)}, *g
     if f11 and f22:  # b12 = 0
         rho = abs(b22) ** 0.5
         psi = -0.5 * a1
         x = rho * cmath.exp(1j * psi)
         g = stab(x, cmath.sqrt(b22) / x.conjugate())
-        return BShape.DIAG_A_ONE, BundleParams(a=abs(b11) * abs(b22)), *g
+        return BShape.DIAG_A_ONE, {"a": abs(b11) * abs(b22)}, *g
     if f11:
-        return (BShape.ONE_ZERO, BundleParams(),
+        return (BShape.ONE_ZERO, {},
                 *stab(1.0 / cmath.sqrt(b11), 1.0))
     if f22:
         rho = abs(b22) ** 0.5
-        return (BShape.ZERO_ONE, BundleParams(),
+        return (BShape.ZERO_ONE, {},
                 *stab(rho, cmath.sqrt(b22) / rho))
     if f12:
-        return BShape.ANTI_DIAG, BundleParams(b=abs(b12)), *elem(1.0, 0.0, a2)
-    return BShape.ZERO, BundleParams(), 1.0, _I4
+        return BShape.ANTI_DIAG, {"b": abs(b12)}, *elem(1.0, 0.0, a2)
+    return BShape.ZERO, {}, 1.0, _I4
 
 
-def _reduce_B_jordan(B, amb):
-    f11, f12, f22 = _zero_flags(B)
-    b11, b12, b22 = B.a, B.b, B.d
+def _reduce_B_jordan(b, amb):
+    f11, f12, f22 = _zero_flags(b)
+    b11, b12, b22 = b
 
     def elem(v2, t):
         v = cmath.sqrt(v2)
@@ -667,15 +691,15 @@ def _reduce_B_jordan(B, amb):
         t = shear(1j * b12 / b11)
         c, p = elem(b11.conjugate() / abs(b11), t)
         return (BShape.DIAG_A_ZETA,
-                BundleParams(a=abs(b11), zeta=_congruent_B(p, B)[2]), c, p)
+                {"a": abs(b11), "zeta": _congruent_B(p, b)[2]}, c, p)
     if f12:
         t = shear(1j * b22 / (2 * b12))
         g = elem(b12.conjugate() / abs(b12), t)
-        return BShape.ANTI_DIAG, BundleParams(b=abs(b12)), *g
+        return BShape.ANTI_DIAG, {"b": abs(b12)}, *g
     if f22:
         v2 = b22.conjugate() / abs(b22)
-        return BShape.ZERO_D, BundleParams(d=abs(b22)), *elem(v2, 0.0)
-    return BShape.ZERO, BundleParams(), 1.0, _I4
+        return BShape.ZERO_D, {"d": abs(b22)}, *elem(v2, 0.0)
+    return BShape.ZERO, {}, 1.0, _I4
 
 
 # --- the 1 (+) -1 class -----------------------------------------------------
@@ -714,12 +738,12 @@ def _jordan_chain(n, lam):
     return (m[0] * v20 + m[1] * v21, v20, m[2] * v20 + m[3] * v21, v21)
 
 
-def _reduce_B_one_plus_minus(B, amb):
-    zt = _RANK_TOL * max(max_norm(B), 1e-300)
-    if max_norm(B) <= zt:
-        return BShape.ZERO, BundleParams(), 1.0, _I4
+def _reduce_B_one_plus_minus(b, amb):
+    zt = _RANK_TOL * max(_max_abs(b), 1e-300)
+    if _max_abs(b) <= zt:
+        return BShape.ZERO, {}, 1.0, _I4
     # the Takagi values of B are its singular values
-    b4 = (B.a, B.b, B.b, B.d)
+    b4 = (b[0], b[1], b[1], b[2])
     s0, s1 = _singular_values(b4)
     if _near(s1 / s0, _RANK_TOL, amb, "B near rank-1 over 1(+)-1"):
         # B ~ w w^T with w = sqrt(s0) times the top Takagi vector
@@ -733,7 +757,7 @@ def _reduce_B_one_plus_minus(B, amb):
             Dw = _diag4(cmath.exp(-1j * cmath.phase(w0)),
                         cmath.exp(-1j * cmath.phase(w1)))
             P = _mul4(_mul4(Dw, _boost(-math.log(m * math.sqrt(2.0)))), _T)
-            return BShape.SWAP_ONE_ZERO, BundleParams(), 1.0, P
+            return BShape.SWAP_ONE_ZERO, {}, 1.0, P
         c_total, pre = 1.0, _I4
         if mu > 0:
             c_total, pre = -1.0, _S12
@@ -743,7 +767,7 @@ def _reduce_B_one_plus_minus(B, amb):
         D1 = _diag4(cmath.exp(-1j * cmath.phase(w0)) if r1 > 0 else 1.0,
                     cmath.exp(-1j * cmath.phase(w1)))
         P = _mul4(_mul4(pre, D1), _boost(math.atanh(-r1 / r2)))
-        return BShape.ZERO_D, BundleParams(d=-mu), c_total, P
+        return BShape.ZERO_D, {"d": -mu}, c_total, P
     # rank 2: classify by the similarity invariant N, det N = |det B|^2
     n4 = _mul4(_star_flip(b4), b4)
     lam_m, disc, sd0 = _mean_split(n4)
@@ -755,10 +779,10 @@ def _reduce_B_one_plus_minus(B, amb):
             raise ClassificationFailureError("scalar invariant with complex eigenvalue")
         if lam_r > 0:
             d = math.sqrt(lam_r)
-            return _opm_scalar(b4, BShape.D_IDENTITY, BundleParams(d=d), d,
+            return _opm_scalar(b4, BShape.D_IDENTITY, {"d": d}, d,
                                _orth_d_identity)
         b = math.sqrt(-lam_r)
-        return _opm_scalar(b4, BShape.ANTI_DIAG, BundleParams(b=b), b,
+        return _opm_scalar(b4, BShape.ANTI_DIAG, {"b": b}, b,
                            _orth_anti_diag)
     if _near(abs(disc) / sd0, _EIG_TOL * max(sd0, 1e-300), amb,
              "similarity invariant near defective over 1(+)-1"):
@@ -769,7 +793,7 @@ def _reduce_B_one_plus_minus(B, amb):
             )
         b = math.sqrt(lam_m.real)
         return _opm_intertwine(b4, n4, BShape.SWAP_OFF_DIAG_B_ONE,
-                               BundleParams(b=b),
+                               {"b": b},
                                _mul4(_mul4(_T, (0.0, b, b, 1.0)), _T), (b * b,))
     # distinct eigenvalues
     lam = _roots(lam_m, disc, abs(_det4(b4)) ** 2)
@@ -779,7 +803,7 @@ def _reduce_B_one_plus_minus(B, amb):
         d, theta = abs(lam_p), abs(cmath.phase(lam_p))
         B_sw = _diag4(1.0, d * cmath.exp(1j * theta))
         return _opm_intertwine(b4, n4, BShape.SWAP_ONE_DE_ITHETA,
-                               BundleParams(d=d, theta=theta),
+                               {"d": d, "theta": theta},
                                _mul4(_mul4(_T, B_sw), _T),
                                (lam_p, lam_p.conjugate()))
     lam_r = sorted(l.real for l in lam)
@@ -789,7 +813,7 @@ def _reduce_B_one_plus_minus(B, amb):
             "off the catalog over 1(+)-1"
         )
     a, d = math.sqrt(lam_r[0]), math.sqrt(lam_r[1])
-    return _opm_intertwine(b4, n4, BShape.DIAG_AD, BundleParams(a=a, d=d),
+    return _opm_intertwine(b4, n4, BShape.DIAG_AD, {"a": a, "d": d},
                            _diag4(a, d), lam_r)
 
 
@@ -887,12 +911,19 @@ _STAGE2 = {
 # ---------------------------------------------------------------------------
 # the full pair
 
-def classify_pair(x: PairAB) -> Classification:
-    a_label, a_params, g1, res1, amb1 = classify_A(x.A)
-    p1 = g1.P.entries
-    B1 = SymMat2(*_congruent_B(p1, x.B))
+def _classify4(a, b):
+    """The classifier on the row-major 4-tuple a of A and b = (b11, b12,
+    b22) of B: (label, params, c, P, residual, ambiguous), with (c, P) the
+    reducer as a scalar and a row-major 4-tuple."""
+    amb1, amb2 = [], []
+    a_label, a_params, c1, p1 = _classify_A4(a, amb1)
+    c1, p1 = _group4(c1, p1)
+    b1 = _congruent_B(p1, b)
+    if not all(map(cmath.isfinite, b1)):
+        SymMat2(*b1)  # raises the moved B's ValidationError
     try:
-        shape, b_params, g2, amb2 = stabilizer_reduce_B(a_label, B1, a_params)
+        shape, b_params, c2, p2 = _stabilizer_reduce3(a_label, a_params, b1,
+                                                      amb2)
     except ClassificationFailureError:
         if amb1:
             # the A part was snapped to a degenerate class inside the
@@ -902,30 +933,29 @@ def classify_pair(x: PairAB) -> Classification:
                 tuple(amb1),
                 f"B is off the strata of the tentative class {a_label}")
         raise
-    label = BundleLabel(a_label, shape)
-    merged = BundleParams(**{**_asdict(a_params), **_asdict(b_params)})
-    merged = canonicalize_params(label, merged)
-    # the reducer P1 P2; its GroupElement checks |c| = 1 and det P
-    c, p = g1.c * g2.c, _mul4(p1, g2.P.entries)
-    total = GroupElement(c, _mat4(p))
-    if validate_params(label, merged):
+    # an uncatalogued pair raises BundleLabel's ValueError
+    label = _CELL_OF.get((a_label, shape)) or BundleLabel(a_label, shape)
+    merged = {**a_params, **b_params}
+    merged.update(_canonical_updates(label, merged))
+    params = BundleParams(**merged)
+    # the reducer P1 P2, checked as a group element
+    c, p = _group4(c1 * c2, _mul4(p1, p2))
+    if validate_params(label, params):
         raise ClassificationFailureError(f"incomplete parameters for {label}")
     # residual: max-norm distance of the moved pair to the representative
-    a = x.A.entries
-    moved = _star_congruence4(c, p, a) + _congruent_B(p, x.B)
+    moved = _star_congruence4(c, p, a) + _congruent_B(p, b)
     target = (_representative_A_entries(a_label, merged, shape in _SWAP_SHAPES)
               + _representative_B_entries(shape, merged))
     residual = _gap(moved, target)
-    scale = max(1.0, _max_abs(a), max_norm(x.B))
-    ambiguous = tuple(amb1) + tuple(amb2)
+    scale = max(1.0, _max_abs(a), _max_abs(b))
     # a NaN residual (an overflowed product) fails too
     if not residual <= 1e-5 * scale:
         raise ClassificationFailureError(
             f"classification of {label} failed verification (residual {residual:.3e})"
         )
-    return Classification(label, merged, total, float(residual), ambiguous)
+    return label, params, c, p, float(residual), tuple(amb1 + amb2)
 
 
-def _asdict(p: BundleParams) -> dict:
-    return {k: v for k, v in p.__dict__.items() if v is not None}
-
+def classify_pair(x: PairAB) -> Classification:
+    label, params, c, p, res, amb = _classify4(x.A.entries, (x.B.a, x.B.b, x.B.d))
+    return Classification(label, params, GroupElement(c, _mat4(p)), res, amb)

@@ -34,6 +34,7 @@ from .normal_forms import (
     CELLS,
     BundleParams,
     label_from_string,
+    param_fields,
     representative,
     table_dimension,
 )
@@ -88,14 +89,19 @@ def _read_pair(args) -> PairAB:
         raise SystemExit((EXIT_USAGE, f"invalid pair document: {exc}"))
 
 
-def _params_arg(args) -> BundleParams | None:
+def _params_arg(args, label) -> BundleParams | None:
     raw = getattr(args, "params", None)
     if not raw:
         return None
     try:
-        return BundleParams.from_json(json.loads(raw))
+        params = BundleParams.from_json(json.loads(raw))
     except (json.JSONDecodeError, ValueError, TypeError) as exc:
         raise SystemExit((EXIT_USAGE, f"invalid --params: {exc}"))
+    unused = sorted(set(params.to_json()) - set(param_fields(label)))
+    if unused:
+        raise SystemExit((EXIT_USAGE, f"invalid --params: parameters not "
+                          f"used by {label}: {', '.join(unused)}"))
+    return params
 
 
 def _label_arg(text: str):
@@ -149,7 +155,7 @@ def cmd_classify(args) -> int:
 
 def cmd_dim(args) -> int:
     label = _label_arg(args.label)
-    params = _params_arg(args)
+    params = _params_arg(args, label)
     try:
         got = bundle_dimension_numeric(label, params)
     except (ValidationError, ValueError) as exc:
@@ -411,7 +417,7 @@ def cmd_mc(args) -> int:
         raise SystemExit((EXIT_USAGE, "--trials must be >= 1"))
     label = _label_arg(args.label)
     try:
-        rep = monte_carlo_neighborhood(label, _params_arg(args),
+        rep = monte_carlo_neighborhood(label, _params_arg(args, label),
                                        args.epsilon, args.trials,
                                        seed=args.seed)
     except ValidationError as exc:

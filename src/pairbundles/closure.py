@@ -161,7 +161,7 @@ def is_path_psi1(src: ALabel, dst: ALabel) -> bool:
 
 def _generic_rank(shape: BShape) -> int:
     """Rank of the shape's form at the generic parameters."""
-    b11, b12, b22 = _representative_B_entries(shape, GENERIC_PARAMS)
+    b11, b12, b22 = _representative_B_entries(shape, vars(GENERIC_PARAMS))
     if b11 == b12 == b22 == 0:
         return 0
     return 1 if b11 * b22 - b12 * b12 == 0 else 2

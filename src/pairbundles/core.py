@@ -228,6 +228,19 @@ class SymMat2:
         return SymMat2(_j2c(doc["a"]), _j2c(doc["b"]), _j2c(doc["d"]))
 
 
+def _group4(c, p) -> tuple:
+    """(c, P) as a Python complex and a row-major 4-tuple of Python complex,
+    with `GroupElement`'s checks: |c| = 1 within UNIT_CIRCLE_TOL, P finite
+    and |det P| > MIN_ABS_DET."""
+    c = complex(c)
+    if abs(abs(c) - 1.0) > UNIT_CIRCLE_TOL:
+        raise ValidationError(f"|c| must be 1 (got |c| = {abs(c)!r})")
+    p = _finite4(p)
+    if abs(_det4(p)) <= MIN_ABS_DET:
+        raise ValidationError("P must be invertible")
+    return c, p
+
+
 @dataclass(frozen=True)
 class GroupElement:
     """A pair (c, P) with |c| = 1 and P invertible, acting on matrix pairs."""
@@ -236,13 +249,8 @@ class GroupElement:
     P: Mat2
 
     def __post_init__(self):
-        c = complex(self.c)
-        if abs(abs(c) - 1.0) > UNIT_CIRCLE_TOL:
-            raise ValidationError(f"|c| must be 1 (got |c| = {abs(c)!r})")
         P = self.P if isinstance(self.P, Mat2) else Mat2(self.P)
-        if abs(_det4(P.entries)) <= MIN_ABS_DET:
-            raise ValidationError("P must be invertible")
-        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "c", _group4(self.c, P.entries)[0])
         object.__setattr__(self, "P", P)
 
     def to_json(self) -> dict:

@@ -18,7 +18,8 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
 
-from .core import Mat2, PairAB, SymMat2, _c2j, _j2c, _j2f, _mat4
+from .core import (Mat2, PairAB, SymMat2, ValidationError, _c2j, _j2c,
+                   _j2f, _mat4)
 
 __all__ = [
     "ALabel",
@@ -139,11 +140,18 @@ class BundleParams:
     @staticmethod
     def from_json(doc: dict) -> "BundleParams":
         """Parameters from `to_json`'s layout; a complex parameter may also
-        be a plain number.  Anything but a JSON number, booleans included,
-        raises ValidationError."""
+        be a plain number.  A document that is not an object, an unknown
+        key, and a value that is not a JSON number, booleans included,
+        raise ValidationError."""
+        if not isinstance(doc, dict):
+            raise ValidationError("parameters JSON must be an object")
+        names = [f.name for f in dataclasses.fields(BundleParams)]
+        unknown = sorted(set(doc) - set(names))
+        if unknown:
+            raise ValidationError(f"unknown parameters: {', '.join(unknown)}")
         return BundleParams(**{
-            f.name: (_j2c if f.name in COMPLEX_FIELDS else _j2f)(doc[f.name])
-            for f in dataclasses.fields(BundleParams) if f.name in doc})
+            name: (_j2c if name in COMPLEX_FIELDS else _j2f)(doc[name])
+            for name in names if name in doc})
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +221,8 @@ _DIMENSIONS: dict[tuple[ALabel, BShape], int] = {
 CELLS: tuple[BundleLabel, ...] = tuple(
     BundleLabel(a, b) for (a, b) in _DIMENSIONS
 )
+# (a_label, b_shape) -> its cell
+_CELL_OF = {(cell.a_label, cell.b_shape): cell for cell in CELLS}
 
 #: machine-readable notes for every reconstructed / repaired cell
 PROVENANCE_NOTES: dict[BundleLabel, str] = {
@@ -264,9 +274,9 @@ _A_FORMS: dict = {
     _A.IDENTITY: ((), lambda p: (1.0, 0.0, 0.0, 1.0)),
     _A.ONE_PLUS_MINUS: ((), lambda p: (1.0, 0.0, 0.0, -1.0)),
     _A.ONE_THETA: (("theta",),
-                   lambda p: (1.0, 0.0, 0.0, cmath.exp(1j * p.theta))),
+                   lambda p: (1.0, 0.0, 0.0, cmath.exp(1j * p["theta"]))),
     _A.NILPOTENT: ((), lambda p: (0.0, 1.0, 0.0, 0.0)),
-    _A.TAU_FORM: (("tau",), lambda p: (0.0, 1.0, p.tau, 0.0)),
+    _A.TAU_FORM: (("tau",), lambda p: (0.0, 1.0, p["tau"], 0.0)),
     _A.JORDAN_I: ((), lambda p: (0.0, 1.0, 1.0, 1j)),
 }
 # the 1 (+) -1 class under its anti-diagonal representative
@@ -279,32 +289,32 @@ _SWAP_SHAPES = frozenset(
 _B_FORMS: dict = {
     _B.ZERO: ((), lambda p: (0.0, 0.0, 0.0)),
     _B.FULL_HERMITIAN_LIKE: (("a", "d", "zeta_star"),
-                             lambda p: (p.a, p.zeta_star, p.d)),
-    _B.OFF_DIAG_PLUS_D: (("b", "d"), lambda p: (0.0, p.b, p.d)),
-    _B.A_PLUS_OFF_DIAG: (("a", "b"), lambda p: (p.a, p.b, 0.0)),
-    _B.DIAG_AD: (("a", "d"), lambda p: (p.a, 0.0, p.d)),
-    _B.ANTI_DIAG: (("b",), lambda p: (0.0, p.b, 0.0)),
-    _B.DIAG_A0: (("a",), lambda p: (p.a, 0.0, 0.0)),
-    _B.ZERO_D: (("d",), lambda p: (0.0, 0.0, p.d)),
+                             lambda p: (p["a"], p["zeta_star"], p["d"])),
+    _B.OFF_DIAG_PLUS_D: (("b", "d"), lambda p: (0.0, p["b"], p["d"])),
+    _B.A_PLUS_OFF_DIAG: (("a", "b"), lambda p: (p["a"], p["b"], 0.0)),
+    _B.DIAG_AD: (("a", "d"), lambda p: (p["a"], 0.0, p["d"])),
+    _B.ANTI_DIAG: (("b",), lambda p: (0.0, p["b"], 0.0)),
+    _B.DIAG_A0: (("a",), lambda p: (p["a"], 0.0, 0.0)),
+    _B.ZERO_D: (("d",), lambda p: (0.0, 0.0, p["d"])),
     _B.PHASE_FORM: (("phi", "b", "zeta"),
-                    lambda p: (cmath.exp(1j * p.phi), p.b, p.zeta)),
+                    lambda p: (cmath.exp(1j * p["phi"]), p["b"], p["zeta"])),
     _B.OFF_DIAG_PHASE: (("b", "phi"),
-                        lambda p: (0.0, p.b, cmath.exp(1j * p.phi))),
-    _B.ONE_ZETA: (("zeta",), lambda p: (1.0, 0.0, p.zeta)),
+                        lambda p: (0.0, p["b"], cmath.exp(1j * p["phi"]))),
+    _B.ONE_ZETA: (("zeta",), lambda p: (1.0, 0.0, p["zeta"])),
     _B.ZERO_ONE: ((), lambda p: (0.0, 0.0, 1.0)),
-    _B.DIAG_A_ZETA: (("a", "zeta"), lambda p: (p.a, 0.0, p.zeta)),
-    _B.ZETA_B_ONE: (("zeta_star", "b"), lambda p: (p.zeta_star, p.b, 1.0)),
-    _B.OFF_DIAG_B_ONE: (("b",), lambda p: (0.0, p.b, 1.0)),
-    _B.DIAG_A_ONE: (("a",), lambda p: (p.a, 0.0, 1.0)),
-    _B.ONE_B_ZERO: (("b",), lambda p: (1.0, p.b, 0.0)),
+    _B.DIAG_A_ZETA: (("a", "zeta"), lambda p: (p["a"], 0.0, p["zeta"])),
+    _B.ZETA_B_ONE: (("zeta_star", "b"), lambda p: (p["zeta_star"], p["b"], 1.0)),
+    _B.OFF_DIAG_B_ONE: (("b",), lambda p: (0.0, p["b"], 1.0)),
+    _B.DIAG_A_ONE: (("a",), lambda p: (p["a"], 0.0, 1.0)),
+    _B.ONE_B_ZERO: (("b",), lambda p: (1.0, p["b"], 0.0)),
     _B.ONE_ZERO: ((), lambda p: (1.0, 0.0, 0.0)),
-    _B.D_IDENTITY: (("d",), lambda p: (p.d, 0.0, p.d)),
+    _B.D_IDENTITY: (("d",), lambda p: (p["d"], 0.0, p["d"])),
     _B.SWAP: ((), lambda p: (0.0, 1.0, 0.0)),
     _B.RANK1: ((), lambda p: (1.0, 0.0, 0.0)),
     _B.RANK2: ((), lambda p: (1.0, 0.0, 1.0)),
     _B.SWAP_ONE_DE_ITHETA: (("d", "theta"), lambda p: (
-        1.0, 0.0, p.d * cmath.exp(1j * p.theta))),
-    _B.SWAP_OFF_DIAG_B_ONE: (("b",), lambda p: (0.0, p.b, 1.0)),
+        1.0, 0.0, p["d"] * cmath.exp(1j * p["theta"]))),
+    _B.SWAP_OFF_DIAG_B_ONE: (("b",), lambda p: (0.0, p["b"], 1.0)),
     _B.SWAP_ONE_ZERO: ((), lambda p: (1.0, 0.0, 0.0)),
 }
 
@@ -315,16 +325,17 @@ def param_fields(label: BundleLabel) -> tuple[str, ...]:
     return _A_FORMS[label.a_label][0] + _B_FORMS[label.b_shape][0]
 
 
-def _representative_A_entries(a_label: ALabel, p: BundleParams,
+def _representative_A_entries(a_label: ALabel, p: dict,
                               swap_rep: bool = False) -> tuple:
-    """Row-major entries of `representative_A`."""
+    """Row-major entries of `representative_A`, with the parameters as a
+    dict from field name to value (None or left out when absent)."""
     if not isinstance(a_label, ALabel):
         raise ValueError(a_label)
     if swap_rep and a_label is _A.ONE_PLUS_MINUS:
         return _SWAP_REP_A_ENTRIES
     fields, form = _A_FORMS[a_label]
     for name in fields:
-        if getattr(p, name) is None:
+        if p.get(name) is None:
             raise ValueError(f"{a_label.value} requires parameter {name}")
     return form(p)
 
@@ -332,12 +343,13 @@ def _representative_A_entries(a_label: ALabel, p: BundleParams,
 def representative_A(a_label: ALabel, params: BundleParams | None = None,
                      *, swap_rep: bool = False) -> Mat2:
     """Canonical first-component matrix for an A-class."""
-    return _mat4(_representative_A_entries(a_label, params or BundleParams(),
-                                           swap_rep))
+    return _mat4(_representative_A_entries(
+        a_label, vars(params) if params is not None else {}, swap_rep))
 
 
-def _representative_B_entries(shape: BShape, p: BundleParams) -> tuple:
-    """(b11, b12, b22) of the B-part of `representative`."""
+def _representative_B_entries(shape: BShape, p: dict) -> tuple:
+    """(b11, b12, b22) of the B-part of `representative`, with the
+    parameters as a dict as for `_representative_A_entries`."""
     try:
         form = _B_FORMS[shape][1]
     except KeyError:
@@ -355,7 +367,8 @@ def representative(label: BundleLabel, params: BundleParams | None = None) -> Pa
         )
     A = representative_A(label.a_label, p,
                          swap_rep=label.b_shape in _SWAP_SHAPES)
-    return PairAB(A, SymMat2(*_representative_B_entries(label.b_shape, p)))
+    return PairAB(A, SymMat2(*_representative_B_entries(label.b_shape,
+                                                        vars(p))))
 
 
 def table_dimension(label: BundleLabel) -> int:
@@ -413,28 +426,36 @@ def _canonical_zeta_star(z: complex) -> complex:
     return z if 0.0 <= cmath.phase(z) < math.pi else -z
 
 
-def canonicalize_params(label: BundleLabel, params: BundleParams) -> BundleParams:
-    """Unique representative per parameter equivalence class; idempotent."""
-    p = params
+def _canonical_updates(label: BundleLabel, p: dict) -> dict:
+    """The parameter values that `canonicalize_params` replaces, for the
+    parameters as a dict as for `_representative_A_entries`.  Every update
+    is returned, also one that compares equal to the value it replaces (a
+    flipped zero keeps its new sign)."""
     updates: dict = {}
-    fields = param_fields(label)
-    if "phi" in fields and p.phi is not None:
-        updates["phi"] = _wrap_phase_halfturn(p.phi)
-    if (label.b_shape is BShape.FULL_HERMITIAN_LIKE
-            and p.zeta_star is not None):
+    phi, zeta_star, zeta = p.get("phi"), p.get("zeta_star"), p.get("zeta")
+    if "phi" in param_fields(label) and phi is not None:
+        updates["phi"] = _wrap_phase_halfturn(phi)
+    if label.b_shape is BShape.FULL_HERMITIAN_LIKE and zeta_star is not None:
         # the sign identification -zeta* ~ zeta* is specific to this cell;
         # over the nilpotent form the sign of zeta* is a genuine invariant
-        updates["zeta_star"] = _canonical_zeta_star(complex(p.zeta_star))
-    if label.b_shape is BShape.PHASE_FORM and p.phi is not None:
+        updates["zeta_star"] = _canonical_zeta_star(complex(zeta_star))
+    if label.b_shape is BShape.PHASE_FORM and phi is not None:
         # (phi, zeta) ~ (phi + pi, -zeta); the wrap above fixed phi in
         # [0, pi), so flip zeta when a half turn was removed
-        if p.zeta is not None:
-            halfturns = round((p.phi - updates["phi"]) / math.pi)
+        if zeta is not None:
+            halfturns = round((phi - updates["phi"]) / math.pi)
             if halfturns % 2:
-                updates["zeta"] = -complex(p.zeta)
+                updates["zeta"] = -complex(zeta)
     if label.b_shape is BShape.DIAG_AD and label.a_label in (
         ALabel.IDENTITY, ALabel.ONE_PLUS_MINUS
     ):
-        if p.a is not None and p.d is not None and p.a > p.d:
-            updates["a"], updates["d"] = p.d, p.a
-    return replace(p, **updates) if updates else p
+        a, d = p.get("a"), p.get("d")
+        if a is not None and d is not None and a > d:
+            updates["a"], updates["d"] = d, a
+    return updates
+
+
+def canonicalize_params(label: BundleLabel, params: BundleParams) -> BundleParams:
+    """Unique representative per parameter equivalence class; idempotent."""
+    updates = _canonical_updates(label, vars(params))
+    return replace(params, **updates) if updates else params

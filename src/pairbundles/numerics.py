@@ -35,6 +35,7 @@ from .core import (
     PairAB,
     SymMat2,
     ValidationError,
+    _mat4,
     _spectral_norm,
     max_norm,
     pair_distance,
@@ -1194,7 +1195,7 @@ def monte_carlo_neighborhood(label: BundleLabel,
         warnings.simplefilter("ignore", SuspectEdgeWarning)
         for t in range(trials):
             d = _trial_perturbation(seed, t, epsilon)
-            x = PairAB(Mat2([[a00 + d[0], a01 + d[1]], [a10 + d[2], a11 + d[3]]]),
+            x = PairAB(_mat4((a00 + d[0], a01 + d[1], a10 + d[2], a11 + d[3])),
                        SymMat2(B0.a + d[4], B0.b + d[5], B0.d + d[6]))
             try:
                 cls = classify_pair(x)

@@ -29,6 +29,7 @@ from pairbundles.core import (
     PairAB,
     SymMat2,
     _cosquare4,
+    _mul4,
     apply_action,
     apply_psi1,
     apply_psi2,
@@ -341,9 +342,9 @@ def test_incomplete_parameters_raise(monkeypatch):
     """A stage-2 reducer that loses a parameter fails before the residual."""
     reduce_one_theta = classify_module._STAGE2[ALabel.ONE_THETA]
 
-    def lossy(B, amb):
-        shape, _, c, p = reduce_one_theta(B, amb)
-        return shape, BundleParams(), c, p
+    def lossy(b, amb):
+        shape, _, c, p = reduce_one_theta(b, amb)
+        return shape, {}, c, p
 
     monkeypatch.setitem(classify_module._STAGE2, ALabel.ONE_THETA, lossy)
     label = BundleLabel(ALabel.ONE_THETA, BShape.FULL_HERMITIAN_LIKE)
@@ -538,6 +539,35 @@ def test_classify_pair_calls_no_numpy_linalg(monkeypatch):
         monkeypatch.setattr(np.linalg, name, unavailable)
     for cell, x in moved:
         assert classify_pair(x).label == cell
+
+
+@pytest.mark.parametrize("k, cell", list(enumerate(CELLS)),
+                         ids=[str(cell) for cell in CELLS])
+def test_public_stages_compose_to_classify_pair(k, cell):
+    """On 20 seeded moves of the cell, classify_A, then stabilizer_reduce_B
+    on the moved B, then the canonical merged parameters give
+    classify_pair's label, parameters and reducer bit for bit (repr tells
+    the sign of a zero)."""
+    from pairbundles.numerics import generic_params, sample_group_element
+
+    x0 = representative(cell, generic_params(cell))
+    rng = np.random.default_rng([0, 1, k])
+    for _ in range(20):
+        c, P = sample_group_element(rng, cond_max=10)
+        x = apply_action(GroupElement(c, Mat2(P)), x0)
+        a_label, a_params, g1, _, _ = classify_A(x.A)
+        shape, b_params, g2, _ = stabilizer_reduce_B(
+            a_label, apply_psi2(g1.P, x.B), a_params)
+        label = BundleLabel(a_label, shape)
+        merged = {name: v for p in (a_params, b_params)
+                  for name, v in vars(p).items() if v is not None}
+        params = canonicalize_params(label, BundleParams(**merged))
+        got = classify_pair(x)
+        assert got.label == label == cell
+        assert repr(got.params) == repr(params)
+        assert repr(got.reducer.c) == repr(g1.c * g2.c)
+        assert repr(got.reducer.P.entries) == repr(
+            _mul4(g1.P.entries, g2.P.entries))
 
 
 class TestToleranceHandling(unittest.TestCase):

@@ -141,6 +141,31 @@ class TestJsonNumbers:
         assert code == 0 and json.loads(out)["agrees"]
 
 
+class TestStrictParams:
+    """--params accepts an object of the label's own parameters only."""
+
+    @pytest.mark.parametrize("cmd", [["dim"], ["mc", "--trials", "1"]],
+                             ids=["dim", "mc"])
+    @pytest.mark.parametrize("raw, says", [
+        ('{"d": 2, "zeta_str": [1, 0], "theta": 7}',
+         "unknown parameters: zeta_str"),
+        ('{"d": 2, "theta": 7, "a": 1}',
+         "parameters not used by identity/d_identity: a, theta"),
+        ("[1, 2]", "parameters JSON must be an object"),
+        ("2", "parameters JSON must be an object"),
+    ], ids=["misspelt", "unused", "array", "number"])
+    def test_rejected(self, capsys, cmd, raw, says):
+        code, out, err = run(capsys, cmd[:1] + ["identity/d_identity"]
+                             + cmd[1:] + ["--params", raw])
+        assert code == 1 and out == ""
+        assert err == f"invalid --params: {says}\n"
+
+    def test_own_parameters_pass(self, capsys):
+        code, out, _ = run(capsys, ["dim", "identity/d_identity",
+                                    "--params", '{"d": 2}'])
+        assert code == 0 and json.loads(out)["agrees"]
+
+
 class TestDim:
     def test_matches_table(self, capsys):
         code, out, _ = run(capsys, ["dim", "one_theta/full_hermitian_like"])

@@ -24,6 +24,7 @@ from pairbundles.core import (
     pair_distance,
     _cosquare4,
     _det4,
+    _group4,
     _max_abs,
     _mul4,
     _star_congruence4,
@@ -104,6 +105,28 @@ class TestConstructors:
     def test_group_element_singular_P(self):
         with pytest.raises(ValidationError):
             GroupElement(1.0, Mat2(np.zeros((2, 2))))
+
+
+class TestGroupCheck:
+    """GroupElement and the classifier's raw core share one check of (c, P),
+    `core._group4`, with the same messages."""
+
+    @pytest.mark.parametrize("c, P, message", [
+        (2.0, [[1, 0], [0, 1]], r"^\|c\| must be 1 \(got \|c\| = 2\.0\)$"),
+        (1.0, [[1, 2], [2, 4]], "^P must be invertible$"),
+        (1.0, [[1, 0], [0, math.nan]], "^matrix entries must be finite$"),
+        (1j, [[1, math.inf], [0, 1]], "^matrix entries must be finite$"),
+    ], ids=["unit-circle", "singular", "nan", "inf"])
+    def test_same_message(self, c, P, message):
+        with pytest.raises(ValidationError, match=message):
+            GroupElement(c, P)
+        with pytest.raises(ValidationError, match=message):
+            _group4(c, [z for row in P for z in row])
+
+    def test_returns_python_complex(self):
+        c, p = _group4(-1, (1.0, 0, 0, 2))
+        assert (c, p) == (-1, (1, 0, 0, 2))
+        assert all(type(z) is complex for z in (c, *p))
 
 
 class TestValueTypeChecks:

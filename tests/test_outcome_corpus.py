@@ -158,3 +158,32 @@ def test_changed_catalogue_fact(index, edit):
     lines = list(outcome_corpus.differences(FACTS, head))
     assert len(lines) == 1
     assert lines[0].startswith(f"{FACTS[index]['case']}: facts ")
+
+
+CALL = {"case": "move identity/zero seed=0 cond_max=10 #3",
+        "label": "identity/zero", "params": {}, "notes": [],
+        "reducer": {"c": [0.6, 0.8],
+                    "P": [[[1.5, 0.0], [0.0, -0.25]], [[0.0, 0.0], [2.0, 0.0]]]},
+        "residual": 4.440892098500626e-16}
+
+
+@pytest.mark.parametrize("edit, counted", [
+    (lambda r: None, 0),
+    # a zero that changed sign: only the text tells
+    (lambda r: r["reducer"]["P"][1][0].__setitem__(0, -0.0), 1),
+    (lambda r: r["reducer"].update(c=[-0.6, -0.8]), 1),
+    (lambda r: r.update(residual=math.nextafter(r["residual"], 1.0)), 1),
+], ids=["same", "signed-zero-in-P", "stabilizer-sign", "residual"])
+def test_reducer_and_residual_are_counted_not_failed(tmp_path, capsys, edit,
+                                                      counted):
+    head = copy.deepcopy(CALL)
+    edit(head)
+    assert outcome_corpus.reducer_differences([CALL], [head]) == counted
+    base_path, head_path = tmp_path / "base.json", tmp_path / "head.json"
+    base_path.write_text(json.dumps([CALL], indent=0))
+    head_path.write_text(json.dumps([head], indent=0))
+    assert outcome_corpus.compare(str(base_path), str(head_path)) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "0 differences in 1 records",
+        f"{counted} records differ bit for bit in the reducer or residual "
+        "(information only)"]

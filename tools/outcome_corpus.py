@@ -13,7 +13,8 @@ The corpus has 46,000 `classify_pair` calls:
 The draws and the group action are computed here with numpy, so the inputs
 depend on the package under test only through its cell list, generic
 parameters and representatives.  Per call the dump records the label, the
-canonical parameters and the ambiguity notes, or the error type and message.
+canonical parameters, the ambiguity notes, the reducer (c, P) and the
+residual, or the error type and message.
 
 The dump also records the package's own `monte_carlo_neighborhood` report
 around every generic representative for the same seeds, trials and
@@ -41,8 +42,10 @@ reports, 21 distance results, 46 cells, 25 shapes and 46 successor lists.
 
 `compare` exits 1 when any label, note list, error type, message, Monte
 Carlo report, distance result or catalogue fact differs, or when a
-parameter differs by more than 1e-8 (1 + |v|).  Reducers are not compared:
-they may differ by an element of the stabilizer.
+parameter differs by more than 1e-8 (1 + |v|).  Reducers and residuals do
+not fail the compare, since a reducer may differ by an element of the
+stabilizer; `compare` prints how many calls differ in them bit for bit, so
+that a change meant to keep every output shows that it did.
 """
 from __future__ import annotations
 
@@ -200,7 +203,9 @@ def dump(out_path: str) -> int:
             continue
         records.append({"case": case, "label": str(cl.label),
                         "params": cl.params.to_json(),
-                        "notes": list(cl.ambiguous)})
+                        "notes": list(cl.ambiguous),
+                        "reducer": cl.reducer.to_json(),
+                        "residual": cl.residual})
     for case, report in mc_reports():
         records.append({"case": case, "report": report})
     for case, result in distance_results():
@@ -245,6 +250,14 @@ def differences(base: list, head: list):
                 yield f"{case}: {name} {v0!r} -> {v1!r}"
 
 
+def reducer_differences(base: list, head: list) -> int:
+    """The number of paired records whose reducer or residual differ as
+    text, the sign of a zero included."""
+    return sum(json.dumps([r0.get("reducer"), r0.get("residual")])
+               != json.dumps([r1.get("reducer"), r1.get("residual")])
+               for r0, r1 in zip(base, head))
+
+
 def compare(base_path: str, head_path: str) -> int:
     with open(base_path) as fh:
         base = json.load(fh)
@@ -256,6 +269,8 @@ def compare(base_path: str, head_path: str) -> int:
     if len(diffs) > MAX_REPORTED:
         print(f"... {len(diffs) - MAX_REPORTED} more")
     print(f"{len(diffs)} differences in {len(base)} records")
+    print(f"{reducer_differences(base, head)} records differ bit for bit in "
+          "the reducer or residual (information only)")
     return 1 if diffs else 0
 
 
