@@ -22,10 +22,12 @@ Every kernel is a 2x2 closed form: singular values from M*M and |det M|,
 eigenvalues from the quadratic formula, eigenvectors as null vectors of a
 row (`_eigvec`), the top singular pair of the rank-1 and Jordan reducers
 from M*M, Hermitian eigenpairs (`_eigh2`), Takagi factors (`_takagi`), a
-symmetric square root and adjugate inverses.  The two 1(+)-1 solvers of a
-rank-2 B build on them: `_opm_intertwine` carries the invariant
-N = J conj(B) J B onto its target's through eigenvectors or a Jordan chain,
-and `_opm_scalar` serves a scalar N through a symmetric square root of B.
+symmetric square root and adjugate inverses; the kernels that other modules
+share (`_singular_values`, `_inv4`, `_gap`) live in `core`.  The two
+1(+)-1 solvers of a rank-2 B build on them: `_opm_intertwine` carries the
+invariant N = J conj(B) J B onto its target's through eigenvectors or a
+Jordan chain, and `_opm_scalar` serves a scalar N through a symmetric
+square root of B.
 """
 from __future__ import annotations
 
@@ -40,10 +42,13 @@ from .core import (
     SymMat2,
     _cosquare4,
     _det4,
+    _gap,
     _group4,
+    _inv4,
     _mat4,
     _max_abs,
     _mul4,
+    _singular_values,
     _spectral_norm,
     _star_congruence4,
     _transpose_congruence3,
@@ -127,18 +132,6 @@ def _near(q, thresh, amb, note):
 
 # ---------------------------------------------------------------------------
 # stage 1: the A-part
-
-def _singular_values(m):
-    """Both singular values of a 2x2 matrix in closed form: sv[0] from M*M
-    (`core._spectral_norm`), sv[1] = |det M| / sv[0]."""
-    s0 = _spectral_norm(*m)
-    return s0, (abs(_det4(m)) / s0 if s0 > 0.0 else 0.0)
-
-
-def _gap(m, t) -> float:
-    """Max-norm distance of two row-major 4-tuples."""
-    return _max_abs([x - y for x, y in zip(m, t)])
-
 
 def _classify_A4(a, amb):
     """Stage 1 on the row-major 4-tuple a: (a_label, params, c, P), with
@@ -278,12 +271,6 @@ def _eigh2(h):
     if small <= big:
         return (small, big), (_perp(u), u)
     return (big, small), (u, _perp(u))
-
-
-def _inv4(m) -> tuple:
-    """The inverse adj(M) / det M."""
-    k = 1.0 / _det4(m)
-    return (m[3] * k, -m[1] * k, -m[2] * k, m[0] * k)
 
 
 def _sqrtm2_symmetric(m):

@@ -104,6 +104,16 @@ def _params_arg(args, label) -> BundleParams | None:
     return params
 
 
+def _check_sampling_args(args) -> None:
+    """Refuse out-of-range sampling options before any work starts."""
+    if getattr(args, "trials", 1) < 1:
+        raise SystemExit((EXIT_USAGE, "--trials must be >= 1"))
+    if not 0 < getattr(args, "epsilon", 1e-3) <= 0.1:
+        raise SystemExit((EXIT_USAGE, "--epsilon must lie in (0, 0.1]"))
+    if getattr(args, "seed", 0) < 0:
+        raise SystemExit((EXIT_USAGE, "--seed must be >= 0"))
+
+
 def _label_arg(text: str):
     try:
         return label_from_string(text)
@@ -368,8 +378,7 @@ def _suite_witness(args):
 
 
 def cmd_verify(args) -> int:
-    if args.trials < 1:
-        raise SystemExit((EXIT_USAGE, "--trials must be >= 1"))
+    _check_sampling_args(args)
     suites = {
         "dims": _suite_dims,
         "bounds": _suite_bounds,
@@ -400,6 +409,7 @@ def cmd_verify(args) -> int:
 # distance / Monte Carlo
 
 def cmd_dist(args) -> int:
+    _check_sampling_args(args)
     x = _read_pair(args)
     target = _label_arg(args.target)
     try:
@@ -413,8 +423,7 @@ def cmd_dist(args) -> int:
 
 
 def cmd_mc(args) -> int:
-    if args.trials < 1:
-        raise SystemExit((EXIT_USAGE, "--trials must be >= 1"))
+    _check_sampling_args(args)
     label = _label_arg(args.label)
     try:
         rep = monte_carlo_neighborhood(label, _params_arg(args, label),

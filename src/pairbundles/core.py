@@ -3,8 +3,12 @@
 Everything here is a small immutable value type plus pure functions.  All
 other modules build on these.  A 2x2 matrix is the row-major 4-tuple
 (m00, m01, m10, m11) of Python complex numbers: `Mat2` stores it, and the
-action, the norms and the value types' checks compute on it.  numpy enters
-only to parse array input and where a caller asks for an array.
+action, the norms and the value types' checks compute on it.  This is the
+one module that knows that storage: the private 4-tuple kernels below
+serve `classify`, `numerics` and `witnesses` too, and `_entries4` converts
+a value type, an array or nested lists at their API edge.  numpy enters
+only to parse array input, where a caller asks for an array, and in the
+4x4 determinant of `det_invariant`.
 """
 from __future__ import annotations
 
@@ -55,14 +59,26 @@ def _finite4(m) -> tuple:
 # scalar 2x2 kernels on row-major 4-tuples of Python complex numbers
 
 def _entries4(M) -> tuple:
-    """(m00, m01, m10, m11) of a Mat2 or a 2x2 array, as Python complex."""
+    """(m00, m01, m10, m11) of a Mat2, a SymMat2 or 2x2 array data (an
+    ndarray or nested lists), as Python complex."""
     if isinstance(M, Mat2):
         return M.entries
-    return tuple(np.asarray(M, dtype=complex).ravel().tolist())
+    if isinstance(M, SymMat2):
+        return (M.a, M.b, M.b, M.d)
+    arr = np.asarray(M, dtype=complex)
+    if arr.shape != (2, 2):
+        raise ValidationError(f"expected 2x2 matrix, got shape {arr.shape}")
+    return tuple(arr.ravel().tolist())
 
 
 def _det4(m) -> complex:
     return m[0] * m[3] - m[1] * m[2]
+
+
+def _inv4(m) -> tuple:
+    """The inverse adj(M) / det M."""
+    k = 1.0 / _det4(m)
+    return (m[3] * k, -m[1] * k, -m[2] * k, m[0] * k)
 
 
 def _mul4(x, y) -> tuple:
@@ -97,6 +113,13 @@ def _transpose_congruence3(p, a, b, d) -> tuple:
             t2 * p1 + t3 * p3)
 
 
+def _transpose_congruence4(p, b) -> tuple:
+    """`_transpose_congruence3` for a symmetric B given by its 4-tuple, as a
+    4-tuple."""
+    m00, m01, m11 = _transpose_congruence3(p, b[0], b[1], b[3])
+    return (m00, m01, m01, m11)
+
+
 def _cosquare4(a) -> tuple:
     """The cosquare (A*)^{-1} A = adj(A*) A / conj(det A) of an invertible
     A, and its determinant det A / conj(det A)."""
@@ -115,6 +138,11 @@ def _max_abs(values) -> float:
     return total if total != total else max(mods)
 
 
+def _gap(m, t) -> float:
+    """Max-norm distance of two row-major 4-tuples."""
+    return _max_abs([x - y for x, y in zip(m, t)])
+
+
 def _spectral_norm(m00, m01, m10, m11) -> float:
     """Largest singular value of [[m00, m01], [m10, m11]]: the square root
     of the largest eigenvalue of the Hermitian M*M = [[h00, h01], [., h11]].
@@ -129,6 +157,13 @@ def _spectral_norm(m00, m01, m10, m11) -> float:
                      + math.hypot(0.5 * (h00 - h11), abs(h01)))
 
 
+def _singular_values(m):
+    """Both singular values of a 2x2 matrix in closed form: sv[0] from M*M
+    (`_spectral_norm`), sv[1] = |det M| / sv[0]."""
+    s0 = _spectral_norm(*m)
+    return s0, (abs(_det4(m)) / s0 if s0 > 0.0 else 0.0)
+
+
 @dataclass(frozen=True)
 class Mat2:
     """An arbitrary 2x2 complex matrix, stored as its row-major 4-tuple."""
@@ -136,10 +171,7 @@ class Mat2:
     entries: tuple
 
     def __init__(self, entries):
-        arr = np.asarray(entries, dtype=complex)
-        if arr.shape != (2, 2):
-            raise ValidationError(f"expected 2x2 matrix, got shape {arr.shape}")
-        object.__setattr__(self, "entries", _finite4(arr.ravel().tolist()))
+        object.__setattr__(self, "entries", _finite4(_entries4(entries)))
 
     @property
     def array(self) -> np.ndarray:
@@ -201,10 +233,8 @@ class SymMat2:
     @staticmethod
     def from_array(arr) -> "SymMat2":
         """Build from a (nearly) symmetric array, averaging the off-diagonal."""
-        arr = np.asarray(arr, dtype=complex)
-        if arr.shape != (2, 2):
-            raise ValidationError(f"expected 2x2 matrix, got shape {arr.shape}")
-        return SymMat2(arr[0, 0], 0.5 * (arr[0, 1] + arr[1, 0]), arr[1, 1])
+        m = _entries4(arr)
+        return SymMat2(m[0], 0.5 * (m[1] + m[2]), m[3])
 
     @staticmethod
     def zero() -> "SymMat2":
@@ -223,8 +253,7 @@ class SymMat2:
 
     @staticmethod
     def from_json(doc) -> "SymMat2":
-        if not (isinstance(doc, dict) and set(doc) >= {"a", "b", "d"}):
-            raise ValidationError('SymMat2 JSON must have keys "a", "b", "d"')
+        _check_keys(doc, ("a", "b", "d"), "SymMat2")
         return SymMat2(_j2c(doc["a"]), _j2c(doc["b"]), _j2c(doc["d"]))
 
 
@@ -279,6 +308,7 @@ class PairAB:
 
     @staticmethod
     def from_json(doc) -> "PairAB":
+        _check_keys(doc, ("A", "B"), "PairAB")
         return PairAB(Mat2.from_json(doc["A"]), SymMat2.from_json(doc["B"]))
 
 
@@ -288,6 +318,16 @@ class PairAB:
 def _c2j(z: complex) -> list:
     z = complex(z)
     return [z.real, z.imag]
+
+
+def _check_keys(doc, keys, what) -> None:
+    """A JSON object with exactly the given keys."""
+    if not (isinstance(doc, dict) and set(doc) >= set(keys)):
+        raise ValidationError(f"{what} JSON must have keys "
+                              + ", ".join(f'"{k}"' for k in keys))
+    unknown = ", ".join(sorted(map(str, set(doc) - set(keys))))
+    if unknown:
+        raise ValidationError(f"{what} JSON has unknown keys: {unknown}")
 
 
 def _is_json_number(doc) -> bool:
@@ -344,10 +384,8 @@ def apply_action(g: GroupElement, x: PairAB) -> PairAB:
 
 def max_norm(M) -> float:
     """Largest entry modulus.  Satisfies ||XY|| <= 2 ||X|| ||Y|| for 2x2."""
-    if isinstance(M, SymMat2):
-        return _max_abs((M.a, M.b, M.d))
-    if isinstance(M, Mat2):
-        return _max_abs(M.entries)
+    if isinstance(M, (Mat2, SymMat2)):
+        return _max_abs(_entries4(M))
     return float(_max_abs(np.asarray(M, dtype=complex).ravel().tolist()))
 
 
@@ -401,4 +439,4 @@ def group_inverse(g: GroupElement) -> GroupElement:
     c_inv = c.conjugate() / abs(c) ** 2
     # renormalize onto the circle against round-off
     c_inv /= abs(c_inv)
-    return GroupElement(c_inv, Mat2(np.linalg.inv(g.P.array)))
+    return GroupElement(c_inv, _mat4(_inv4(g.P.entries)))

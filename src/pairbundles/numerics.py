@@ -15,6 +15,16 @@ Four groups of tools:
 Bounds and residuals are measured in the entrywise max-norm.
 `distance_to_bundle` and `nonedge_floor` measure in that norm by default
 and in the spectral norm with ``norm="spectral"``.
+
+The 2x2 arithmetic is `core`'s: the bounds, their samplers, the table
+residuals, `nu_fit` and the optimizer's (c, P) encoding work on row-major
+4-tuples of Python complex numbers with `core`'s determinant, product,
+inverse, congruence and max-norm kernels.  The public functions accept
+value types, numpy arrays and nested lists and convert them once, at the
+edge, with `core._entries4`.  numpy stays where the work is not 2x2
+arithmetic: the seeded RNG streams, `sample_group_element` (its array and
+its condition-number test decide which draws are kept, and so the distance
+floors bit for bit) and the tangent-rank SVDs of the dimension counts.
 """
 
 import cmath
@@ -35,10 +45,16 @@ from .core import (
     PairAB,
     SymMat2,
     ValidationError,
+    _det4,
+    _entries4,
+    _gap,
+    _inv4,
     _mat4,
+    _max_abs,
+    _singular_values,
     _spectral_norm,
-    max_norm,
-    pair_distance,
+    _star_congruence4,
+    _transpose_congruence4,
 )
 from .normal_forms import (
     COMPLEX_FIELDS,
@@ -257,25 +273,15 @@ def psi2_orbit_dimension_numeric(B: SymMat2, *,
 # ---------------------------------------------------------------------------
 # determinant perturbation bounds
 
-def _as_array(M) -> np.ndarray:
-    if isinstance(M, (Mat2, SymMat2)):
-        return M.array
-    return np.asarray(M, dtype=complex)
-
-
-def _det(M) -> complex:
-    return complex(M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0])
-
-
 def _is_singular(detval: complex, norm: float) -> bool:
     return abs(detval) <= 1e-12 * max(1.0, norm * norm)
 
 
 def detxe_bound(X, D) -> BoundReport:
     """|det(X+D) - det X| against the explicit perturbation bound."""
-    X, D = _as_array(X), _as_array(D)
-    nX, nD = max_norm(X), max_norm(D)
-    observed = abs(_det(X + D) - _det(X))
+    x, d = _entries4(X), _entries4(D)
+    nX, nD = _max_abs(x), _max_abs(d)
+    observed = abs(_det4([s + t for s, t in zip(x, d)]) - _det4(x))
     bound = nD * (4.0 * nX + 2.0 * nD)
     return BoundReport(True, bound, observed, bound - observed, name="detxe")
 
@@ -283,6 +289,16 @@ def detxe_bound(X, D) -> BoundReport:
 def _short_circuit(mode: str) -> BoundReport:
     nan = float("nan")
     return BoundReport(False, nan, nan, nan, name=mode)
+
+
+def _parts4(x) -> tuple:
+    """The A- and B-part 4-tuples of a PairAB, or of bare 2x2 data, whose
+    B-part averages the off-diagonal as `SymMat2.from_array` does."""
+    if isinstance(x, PairAB):
+        return x.A.entries, _entries4(x.B)
+    m = _entries4(x)
+    b = 0.5 * (m[1] + m[2])
+    return m, (m[0], b, b, m[3])
 
 
 def lemadet_verify(src, dst, g: GroupElement, mode: str) -> BoundReport:
@@ -299,26 +315,21 @@ def lemadet_verify(src, dst, g: GroupElement, mode: str) -> BoundReport:
     mode = str(mode)
     if mode not in ("PAE", "cE", "PBF", "part3"):
         raise ValueError(f"unknown mode {mode!r}")
-    c = complex(g.c)
-    P = _as_array(g.P)
-    detP = _det(P)
+    if mode == "part3" and not (isinstance(src, PairAB)
+                                and isinstance(dst, PairAB)):
+        raise TypeError("mode part3 needs full pairs")
+    (at, bt), (a, b) = _parts4(src), _parts4(dst)
+    return _lemadet4(mode, at, bt, a, b, complex(g.c), _entries4(g.P))
 
-    def a_parts():
-        At = src.A.array if isinstance(src, PairAB) else _as_array(src)
-        A = dst.A.array if isinstance(dst, PairAB) else _as_array(dst)
-        E = c * P.conj().T @ A @ P - At
-        return At, A, E
 
-    def b_parts():
-        Bt = src.B.array if isinstance(src, PairAB) else _as_array(src)
-        B = dst.B.array if isinstance(dst, PairAB) else _as_array(dst)
-        F = P.T @ B @ P - Bt
-        return Bt, B, F
-
+def _lemadet4(mode, at, bt, a, b, c, p) -> BoundReport:
+    """`lemadet_verify` on the 4-tuples of the limit's parts (at, bt), the
+    moved object's parts (a, b) and P, with E = c P* A P - At and
+    F = P^T B P - Bt."""
+    detP = _det4(p)
     if mode in ("PAE", "cE"):
-        At, A, E = a_parts()
-        nAt, nE = max_norm(At), max_norm(E)
-        detAt, detA = _det(At), _det(A)
+        nAt, nE = _max_abs(at), _gap(_star_congruence4(c, p, a), at)
+        detAt, detA = _det4(at), _det4(a)
         singular = _is_singular(detAt, nAt)
         if mode == "PAE":
             limit = 1.0 if singular else min(abs(detAt) / (8 * nAt + 4), 1.0)
@@ -331,7 +342,7 @@ def lemadet_verify(src, dst, g: GroupElement, mode: str) -> BoundReport:
             else:
                 bound = nE * (4 * nAt + 2) / abs(detAt)
         else:  # cE: both components nonsingular
-            if singular or _is_singular(detA, max_norm(A)):
+            if singular or _is_singular(detA, _max_abs(a)):
                 return _short_circuit(mode)
             limit = min(abs(detAt) / (8 * nAt + 4), 1.0)
             if nE > limit:
@@ -343,9 +354,9 @@ def lemadet_verify(src, dst, g: GroupElement, mode: str) -> BoundReport:
         return BoundReport(True, bound, observed, bound - observed, name=mode)
 
     if mode == "PBF":
-        Bt, B, F = b_parts()
-        nBt, nB, nF = max_norm(Bt), max_norm(B), max_norm(F)
-        detBt, detB = _det(Bt), _det(B)
+        nBt, nB = _max_abs(bt), _max_abs(b)
+        nF = _gap(_transpose_congruence4(p, b), bt)
+        detBt, detB = _det4(bt), _det4(b)
         singular = _is_singular(detBt, nBt)
         limit = 1.0 if singular else min(abs(detBt) / (4 * nB + 2), 1.0)
         if nF > limit:
@@ -360,39 +371,49 @@ def lemadet_verify(src, dst, g: GroupElement, mode: str) -> BoundReport:
         return BoundReport(True, bound, observed, bound - observed, name=mode)
 
     # part3
-    if not (isinstance(src, PairAB) and isinstance(dst, PairAB)):
-        raise TypeError("mode part3 needs full pairs")
-    At, A, E = a_parts()
-    Bt, B, F = b_parts()
-    nAt, nE, nF = max_norm(At), max_norm(E), max_norm(F)
-    detAt, detA = _det(At), _det(A)
-    detBt, detB = _det(Bt), _det(B)
-    if _is_singular(detAt, nAt) or _is_singular(detA, max_norm(A)):
+    nAt, nE = _max_abs(at), _gap(_star_congruence4(c, p, a), at)
+    nF = _gap(_transpose_congruence4(p, b), bt)
+    detAt, detA = _det4(at), _det4(a)
+    detBt, detB = _det4(bt), _det4(b)
+    if _is_singular(detAt, nAt) or _is_singular(detA, _max_abs(a)):
         return _short_circuit(mode)
-    inv_norm = max_norm(np.linalg.inv(At))
+    inv_norm = _max_abs(_inv4(at))
     limit = min(1.0, 1.0 / inv_norm, abs(detAt) / (8 * nAt + 4))
     if nE > limit:
         return _short_circuit(mode)
     observed = abs(abs(detAt * detB) - abs(detBt * detA))
-    big = max(nAt, max_norm(Bt), abs(detAt), abs(detBt))
+    big = max(nAt, _max_abs(bt), abs(detAt), abs(detBt))
     bound = (max(nE, nF) * (abs(detA) / abs(detAt)) * (4 * big + 2) ** 2)
     return BoundReport(True, bound, observed, bound - observed, name=mode)
 
 
-def _rand_full(rng, scale=1.0):
-    return scale * (rng.standard_normal((2, 2))
-                    + 1j * rng.standard_normal((2, 2)))
+def _rand4(rng, scale=1.0) -> tuple:
+    """scale (G + i H) for standard normal 2x2 G and H, as a 4-tuple: one
+    draw of 8 doubles gives G's entries, then H's, the stream of two
+    `standard_normal((2, 2))` calls."""
+    z = rng.standard_normal(8).tolist()
+    return tuple(scale * complex(re, im) for re, im in zip(z[:4], z[4:]))
 
 
-def _rand_sym_mat(rng, scale=1.0):
-    M = _rand_full(rng, scale)
-    return (M + M.T) / 2
+def _rand_sym4(rng) -> tuple:
+    """The symmetric part (M + M^T) / 2 of a `_rand4` draw M."""
+    m0, m1, m2, m3 = _rand4(rng)
+    b = 0.5 * (m1 + m2)
+    return (m0, b, b, m3)
+
+
+def _plus_defect(x, rng, draw, lo, hi, limit=1.0) -> tuple:
+    """x + k M for a draw M = draw(rng), with k = uniform(lo, hi) limit /
+    max|M| drawn after M, so that the defect's max-norm is k max|M|."""
+    m = draw(rng)
+    k = rng.uniform(lo, hi) * limit / _max_abs(m)
+    return tuple(t + k * z for t, z in zip(x, m))
 
 
 def sample_detxe_case(rng) -> BoundReport:
     """One random determinant-perturbation check (norms up to ~10)."""
-    X = _rand_full(rng, rng.uniform(0.0, 5.0))
-    D = _rand_full(rng, rng.uniform(0.0, 5.0))
+    X = _mat4(_rand4(rng, rng.uniform(0.0, 5.0)))
+    D = _mat4(_rand4(rng, rng.uniform(0.0, 5.0)))
     return detxe_bound(X, D)
 
 
@@ -403,37 +424,31 @@ def sample_lemadet_case(mode: str, rng) -> tuple[BoundReport, int]:
     20 draws in all."""
     for attempts in range(1, 21):
         c, P = sample_group_element(rng)
-        Pi = np.linalg.inv(P)
+        p = _entries4(P)
+        pi = _inv4(p)
+        # the moved object is the limit plus a planted defect, moved back
+        # by (1/c, P^-1)
         if mode in ("PAE", "cE"):
-            At = _rand_full(rng)
-            limit = min(abs(_det(At)) / (8 * max_norm(At) + 4), 1.0)
-            E = _rand_full(rng)
-            E *= rng.uniform(0.05, 0.95) * limit / max_norm(E)
-            A = (1 / c) * Pi.conj().T @ (At + E) @ Pi
-            rep = lemadet_verify(Mat2(At), Mat2(A), GroupElement(c, Mat2(P)),
-                                 mode)
+            at = _rand4(rng)
+            limit = min(abs(_det4(at)) / (8 * _max_abs(at) + 4), 1.0)
+            a = _star_congruence4(1 / c, pi, _plus_defect(
+                at, rng, _rand4, 0.05, 0.95, limit))
+            rep = _lemadet4(mode, at, at, a, a, c, p)
         elif mode == "PBF":
-            Bt = _rand_sym_mat(rng)
-            F = _rand_sym_mat(rng)
-            limit = min(abs(_det(Bt)) / 6.0, 1.0)
-            F *= rng.uniform(0.05, 0.5) * limit / max_norm(F)
-            B = Pi.T @ (Bt + F) @ Pi
-            rep = lemadet_verify(SymMat2.from_array(Bt), SymMat2.from_array(B),
-                                 GroupElement(c, Mat2(P)), mode)
+            bt = _rand_sym4(rng)
+            limit = min(abs(_det4(bt)) / 6.0, 1.0)
+            b = _transpose_congruence4(pi, _plus_defect(
+                bt, rng, _rand_sym4, 0.05, 0.5, limit))
+            rep = _lemadet4(mode, bt, bt, b, b, c, p)
         elif mode == "part3":
-            At, Bt = _rand_full(rng), _rand_sym_mat(rng)
-            limit = min(1.0, 1.0 / max_norm(np.linalg.inv(At)),
-                        abs(_det(At)) / (8 * max_norm(At) + 4))
-            E = _rand_full(rng)
-            E *= rng.uniform(0.05, 0.95) * limit / max_norm(E)
-            F = _rand_sym_mat(rng)
-            F *= rng.uniform(0.01, 0.3) / max_norm(F)
-            A = (1 / c) * Pi.conj().T @ (At + E) @ Pi
-            B = Pi.T @ (Bt + F) @ Pi
-            rep = lemadet_verify(
-                PairAB(Mat2(At), SymMat2.from_array(Bt)),
-                PairAB(Mat2(A), SymMat2.from_array(B)),
-                GroupElement(c, Mat2(P)), mode)
+            at, bt = _rand4(rng), _rand_sym4(rng)
+            limit = min(1.0, 1.0 / _max_abs(_inv4(at)),
+                        abs(_det4(at)) / (8 * _max_abs(at) + 4))
+            a = _star_congruence4(1 / c, pi, _plus_defect(
+                at, rng, _rand4, 0.05, 0.95, limit))
+            b = _transpose_congruence4(pi, _plus_defect(
+                bt, rng, _rand_sym4, 0.01, 0.3))
+            rep = _lemadet4(mode, at, bt, a, b, c, p)
         else:
             raise ValueError(f"unknown mode {mode!r}")
         if rep.hypothesis_ok:
@@ -448,21 +463,28 @@ def _close(z, w, tol=_MATCH_TOL) -> bool:
     return abs(complex(z) - complex(w)) <= tol
 
 
+def _allclose4(m, t) -> bool:
+    """``np.allclose(m, t, atol=_MATCH_TOL)`` on 4-tuples, with numpy's
+    default rtol=1e-5 kept: an entry of t equal to 1 accepts an m entry
+    off by about 1e-5, far more than _MATCH_TOL."""
+    return all(abs(x - y) <= _MATCH_TOL + 1e-5 * abs(y) for x, y in zip(m, t))
+
+
 def _match_alpha_diag0(M):
     """alpha (+) 0 with alpha in {0, 1}, else None."""
-    if not (_close(M[0, 1], 0) and _close(M[1, 0], 0) and _close(M[1, 1], 0)):
+    if not (_close(M[1], 0) and _close(M[2], 0) and _close(M[3], 0)):
         return None
     for alpha in (0.0, 1.0):
-        if _close(M[0, 0], alpha):
+        if _close(M[0], alpha):
             return alpha
     return None
 
 
 def _match_one_theta(M, lo=0.0, hi=math.pi, closed=False):
     """diag(1, e^{i theta}) with theta in the stated range, else None."""
-    if not (_close(M[0, 1], 0) and _close(M[1, 0], 0) and _close(M[0, 0], 1)):
+    if not (_close(M[1], 0) and _close(M[2], 0) and _close(M[0], 1)):
         return None
-    z = complex(M[1, 1])
+    z = complex(M[3])
     if abs(abs(z) - 1.0) > _MATCH_TOL:
         return None
     th = cmath.phase(z)
@@ -474,19 +496,19 @@ def _match_one_theta(M, lo=0.0, hi=math.pi, closed=False):
 
 def _match_swap_omega(M, allowed=(0.0, 1j)):
     """[[0,1],[1,omega]] with omega in ``allowed``, else None."""
-    if not (_close(M[0, 0], 0) and _close(M[0, 1], 1) and _close(M[1, 0], 1)):
+    if not (_close(M[0], 0) and _close(M[1], 1) and _close(M[2], 1)):
         return None
     for om in allowed:
-        if _close(M[1, 1], om):
+        if _close(M[3], om):
             return om
     return None
 
 
 def _match_tau(M, lo_open=False):
     """[[0,1],[tau,0]] with 0 <= tau < 1 (strictly positive if asked)."""
-    if not (_close(M[0, 0], 0) and _close(M[0, 1], 1) and _close(M[1, 1], 0)):
+    if not (_close(M[0], 0) and _close(M[1], 1) and _close(M[3], 0)):
         return None
-    t = complex(M[1, 0])
+    t = complex(M[2])
     if abs(t.imag) > _MATCH_TOL:
         return None
     tau = t.real
@@ -499,21 +521,21 @@ def _match_tau(M, lo_open=False):
 
 def _match_sym_discrete(M, combos):
     """[[alpha,beta],[beta,omega]] against a list of (alpha, beta, omega)."""
-    if not _close(M[0, 1], M[1, 0]):
+    if not _close(M[1], M[2]):
         return None
     for alpha, beta, omega in combos:
-        if (_close(M[0, 0], alpha) and _close(M[0, 1], beta)
-                and _close(M[1, 1], omega)):
+        if (_close(M[0], alpha) and _close(M[1], beta)
+                and _close(M[3], omega)):
             return (alpha, beta, omega)
     return None
 
 
 def _match_diag_sign(M):
     """diag(1, sigma), sigma in {1,-1}, else None."""
-    if not (_close(M[0, 1], 0) and _close(M[1, 0], 0) and _close(M[0, 0], 1)):
+    if not (_close(M[1], 0) and _close(M[2], 0) and _close(M[0], 1)):
         return None
     for s in (1.0, -1.0):
-        if _close(M[1, 1], s):
+        if _close(M[3], s):
             return s
     return None
 
@@ -526,13 +548,11 @@ def table3_residuals(row: str, A_tilde, A, c, P) -> list:
     """Moduli of the tabulated residual expressions for one closure-graph
     row, minimizing jointly over the discrete sign index k in {0, 1}
     (only its parity matters)."""
-    At, Am = _as_array(A_tilde), _as_array(A)
-    Pm = _as_array(P)
+    At, Am, p = _entries4(A_tilde), _entries4(A), _entries4(P)
     c = complex(c)
     if abs(abs(c) - 1.0) > 1e-9:
         raise ValidationError("c must be unimodular")
-    x, y = complex(Pm[0, 0]), complex(Pm[0, 1])
-    u, v = complex(Pm[1, 0]), complex(Pm[1, 1])
+    x, y, u, v = p
     xc, yc, uc, vc = x.conjugate(), y.conjugate(), u.conjugate(), v.conjugate()
     row = str(row)
 
@@ -542,7 +562,7 @@ def table3_residuals(row: str, A_tilde, A, c, P) -> list:
 
     if row == "C1":
         alpha = _match_alpha_diag0(At)
-        if alpha is None or not np.allclose(Am, np.eye(2), atol=_MATCH_TOL):
+        if alpha is None or not _allclose4(Am, (1.0, 0.0, 0.0, 1.0)):
             _mismatch(row, "(alpha(+)0, I2)")
         return [abs(abs(x) ** 2 + abs(u) ** 2 - alpha / c),
                 abs(y * y), abs(v * v)]
@@ -711,13 +731,11 @@ def table3_residuals(row: str, A_tilde, A, c, P) -> list:
 
     if row == "C12b":
         alpha = _match_alpha_diag0(At)
-        if alpha is None or not np.allclose(Am, np.diag([1.0, 0.0]),
-                                            atol=_MATCH_TOL):
+        if alpha is None or not _allclose4(Am, (1.0, 0.0, 0.0, 0.0)):
             _mismatch(row, "(alpha(+)0, diag(1,0))")
         out = [abs(y * y), abs(abs(x) ** 2 - alpha)]
         if alpha == 1.0:
-            E = c * Pm.conj().T @ Am @ Pm - At
-            if max_norm(E) <= 0.5:
+            if _gap(_star_congruence4(c, p, Am), At) <= 0.5:
                 out.append(abs(c - 1.0))
         return out
 
@@ -729,8 +747,8 @@ def table3_residuals(row: str, A_tilde, A, c, P) -> list:
 
 def _shape_of_d_row(row, B):
     """Extract the shape data (a, b, d as applicable) or complain."""
-    a, b, d = complex(B[0, 0]), complex(B[0, 1]), complex(B[1, 1])
-    if not _close(B[0, 1], B[1, 0]):
+    a, b, d = complex(B[0]), complex(B[1]), complex(B[3])
+    if not _close(B[1], B[2]):
         _mismatch(row, "second component not symmetric")
     if row == "D1":   # [[0,b],[b,d]]
         if not _close(a, 0) or _close(b, 0):
@@ -755,35 +773,30 @@ def _shape_of_d_row(row, B):
     raise ValueError(f"unknown row {row!r}")
 
 
-def _numeric_rank(M, tol=1e-9):
-    sv = np.linalg.svd(M, compute_uv=False)
-    if sv[0] <= tol:
-        return 0
-    return int(np.sum(sv > tol * sv[0]))
-
-
 def table4_residuals(row: str, B_tilde, B, P, F=None) -> BoundReport:
     """Defects of the tabulated congruence equations for one row of the
     symmetric-component table, minimizing over the sign index l, compared
     with the printed allowance on the auxiliary off-diagonal terms."""
     row = str(row)
-    Bt, Bm, Pm = _as_array(B_tilde), _as_array(B), _as_array(P)
+    Bt, Bm, p = _entries4(B_tilde), _entries4(B), _entries4(P)
     info = _shape_of_d_row(row, Bm)
     if F is None:
-        Fm = Pm.T @ Bm @ Pm - Bt
+        Fm = [m - t for m, t in zip(_transpose_congruence4(p, Bm), Bt)]
     else:
-        Fm = _as_array(F)
-    at, bt, dt = complex(Bt[0, 0]), complex(Bt[0, 1]), complex(Bt[1, 1])
-    e1, e2, e4 = complex(Fm[0, 0]), complex(Fm[0, 1]), complex(Fm[1, 1])
-    x, y = complex(Pm[0, 0]), complex(Pm[0, 1])
-    u, v = complex(Pm[1, 0]), complex(Pm[1, 1])
-    nF, nBt = max_norm(Fm), max_norm(Bt)
-    detBt = _det(Bt)
+        Fm = _entries4(F)
+    at, bt, dt = Bt[0], Bt[1], Bt[3]
+    e1, e2, e4 = Fm[0], Fm[1], Fm[3]
+    x, y, u, v = p
+    nF, nBt = _max_abs(Fm), _max_abs(Bt)
+    detBt = _det4(Bt)
     if _is_singular(detBt, nBt):
         bound = math.sqrt(nF * (4 * nBt + 3))
     else:
         bound = nF * (4 * nBt + 2 + abs(detBt)) / abs(detBt)
-    hyp = _numeric_rank(Bt) <= info["rank"]
+    # the numeric rank of Bt at the relative cutoff 1e-9 (0 below 1e-9)
+    s0, s1 = _singular_values(Bt)
+    rank = 0 if s0 <= 1e-9 else 1 + (s1 > 1e-9 * s0)
+    hyp = rank <= info["rank"]
     root = cmath.sqrt(detBt)
 
     def needed(defect, coef):
@@ -826,7 +839,7 @@ def sample_group_element(rng, cond_max: float = 1e3, spread: float = 1.0):
         P = (np.eye(2)
              + spread * (rng.standard_normal((2, 2))
                          + 1j * rng.standard_normal((2, 2))) / math.sqrt(2))
-        if abs(_det(P)) > 1e-9 and np.linalg.cond(P) <= cond_max:
+        if abs(_det4(_entries4(P))) > 1e-9 and np.linalg.cond(P) <= cond_max:
             break
     return cmath.exp(1j * phi), P
 
@@ -1042,14 +1055,11 @@ def distance_to_bundle(x: PairAB, target: BundleLabel, budget: int = 32,
 
     def encode(c, P, params):
         return ([cmath.phase(complex(c))]
-                + [w for z in np.asarray(P).ravel()
-                   for w in (z.real, z.imag)]
+                + [w for z in _entries4(P) for w in (z.real, z.imag)]
                 + _param_coords(fields, params))
 
-    inits = []
-    for g, params in starts:
-        inits.append(encode(g.c, _as_array(g.P), params))
-    inits.append(encode(1.0, np.eye(2), generic_params(target)))
+    inits = [encode(g.c, g.P, params) for g, params in starts]
+    inits.append(encode(1.0, Mat2.identity(), generic_params(target)))
     for r in range(1, budget):
         rng = np.random.default_rng([seed, r])
         c, P = sample_group_element(rng, spread=0.7)
@@ -1081,11 +1091,9 @@ def distance_to_bundle(x: PairAB, target: BundleLabel, budget: int = 32,
     if best_vec is None:
         raise ValidationError(f"no feasible start found for {target}")
     c = cmath.exp(1j * best_vec[0])
-    P = np.array([[best_vec[1] + 1j * best_vec[2],
-                   best_vec[3] + 1j * best_vec[4]],
-                  [best_vec[5] + 1j * best_vec[6],
-                   best_vec[7] + 1j * best_vec[8]]])
-    g = GroupElement(c, Mat2(P))
+    P = (best_vec[1] + 1j * best_vec[2], best_vec[3] + 1j * best_vec[4],
+         best_vec[5] + 1j * best_vec[6], best_vec[7] + 1j * best_vec[8])
+    g = GroupElement(c, _mat4(P))
     return best_val, (g, _coords_to_params(fields, best_vec[9:]))
 
 
@@ -1136,12 +1144,11 @@ def nu_fit(family, row: str, s_grid=None) -> EmpiricalConstants:
     src = family.source_pair()
     ratios = []
     for s in grid:
-        g, _moved, _r = witness_eval(family, s)
-        inst = family.target_instance_of_s(s)
-        c, P = complex(g.c), g.P.array
-        E = c * P.conj().T @ inst.A.array @ P - src.A.array
-        nE = max_norm(E)
-        res = table3_residuals(row, src.A.array, inst.A.array, c, P)
+        # the moved first component is c P* A P, so E = moved.A - src.A
+        g, moved, _r = witness_eval(family, s)
+        nE = _gap(moved.A.entries, src.A.entries)
+        res = table3_residuals(row, src.A, family.target_instance_of_s(s).A,
+                               g.c, g.P)
         if nE > 0:
             ratios.append(max(res) / math.sqrt(nE))
     nu = max(ratios) if ratios else None

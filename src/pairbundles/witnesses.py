@@ -15,6 +15,11 @@ ground truth).
 Families are immutable and carry no trust status: `witness_verify` is a
 pure function, and a family's status lives only in the `VerifyReport` that
 `witness_verify` or `witness_repair` returns.
+
+A family's P(s) is closed-form numpy data.  `witness_eval` turns it into a
+`GroupElement`, whose check rejects a non-finite or singular P(s), and
+moves the instance with `core`'s 4-tuple action; nothing here multiplies
+2x2 arrays.
 """
 
 import cmath
@@ -106,14 +111,13 @@ def witness_eval(f: WitnessFamily, s: float):
     """Evaluate a family at one parameter value.
 
     Returns (group element, transported pair, residual to the source
-    representative).  Raises on s outside (0, s_max] and on singular P(s).
+    representative).  Raises ValueError on s outside (0, s_max], and the
+    `GroupElement` it builds raises ValidationError (a ValueError) on a
+    non-finite or singular P(s).
     """
     if not 0.0 < s <= f.s_max:
         raise ValueError(f"s must lie in (0, {f.s_max}] (got {s})")
-    P = np.asarray(f.P_of_s(s), dtype=complex)
-    if not np.isfinite(P).all() or abs(np.linalg.det(P)) < 1e-300:
-        raise ValueError(f"P({s}) is singular or non-finite")
-    g = GroupElement(f.c_of_s(s), Mat2(P))
+    g = GroupElement(f.c_of_s(s), Mat2(f.P_of_s(s)))
     moved = apply_action(g, f.target_instance_of_s(s))
     return g, moved, pair_distance(moved, f.source_pair())
 

@@ -391,3 +391,58 @@ class TestDistAndMc:
         code, _, _ = run(capsys,
                          ["mc", "zero/zero", "--epsilon", "0.5"])
         assert code == 1
+
+
+class TestOutOfRangeOptions:
+    """A bad --epsilon or --seed is refused before any work starts: exit 1,
+    one line on stderr, nothing on stdout."""
+
+    @pytest.mark.parametrize("argv, says", [
+        (["verify", "all", "--epsilon", "0.5"], "--epsilon must lie in (0, 0.1]"),
+        (["verify", "graph", "--epsilon", "0"], "--epsilon must lie in (0, 0.1]"),
+        (["verify", "graph", "--epsilon", "nan"],
+         "--epsilon must lie in (0, 0.1]"),
+        (["verify", "bounds", "--seed", "-1"], "--seed must be >= 0"),
+        (["verify", "graph", "--seed", "-1", "--trials", "1"],
+         "--seed must be >= 0"),
+        (["verify", "all", "--seed", "-1"], "--seed must be >= 0"),
+        (["mc", "zero/zero", "--seed", "-1"], "--seed must be >= 0"),
+        (["mc", "zero/zero", "--epsilon", "0.5"],
+         "--epsilon must lie in (0, 0.1]"),
+    ], ids=["verify-all-epsilon", "verify-graph-epsilon-zero",
+            "verify-graph-epsilon-nan", "verify-bounds-seed",
+            "verify-graph-seed", "verify-all-seed", "mc-seed", "mc-epsilon"])
+    def test_refused(self, capsys, argv, says):
+        code, out, err = run(capsys, argv)
+        assert (code, out, err) == (1, "", says + "\n")
+
+    def test_dist_seed(self, capsys, identity_pair):
+        code, out, err = run(capsys, ["dist", "identity/diag_ad", "--input",
+                                      identity_pair, "--budget", "2",
+                                      "--seed", "-1"])
+        assert (code, out, err) == (1, "", "--seed must be >= 0\n")
+
+
+class TestStrictPairDocument:
+    """A pair document takes exactly the keys that `to_json` writes."""
+
+    @pytest.mark.parametrize("doc, says", [
+        ({"A": [[1, 0], [0, 1]], "B": {"a": 1, "b": 0, "d": 2}, "extra": 1},
+         "PairAB JSON has unknown keys: extra"),
+        ({"A": [[1, 0], [0, 1]], "B": {"a": 1, "b": 0, "d": 2, "zz": 7}},
+         "SymMat2 JSON has unknown keys: zz"),
+    ], ids=["top-level", "B"])
+    def test_unknown_key(self, capsys, tmp_path, doc, says):
+        p = tmp_path / "pair.json"
+        p.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["classify", "--input", str(p)])
+        assert (code, out, err) == (1, "", f"invalid pair document: {says}\n")
+
+    def test_reduce_representative_classifies(self, capsys, tmp_path,
+                                              identity_pair):
+        code, out, _ = run(capsys, ["reduce", "--input", identity_pair])
+        assert code == 0
+        p = tmp_path / "rep.json"
+        p.write_text(json.dumps(json.loads(out)["representative"]))
+        code, out, _ = run(capsys, ["classify", "--input", str(p)])
+        assert code == 0 and json.loads(out)["label"] == "identity/diag_ad"

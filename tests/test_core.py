@@ -413,6 +413,29 @@ class TestJson:
         h = GroupElement.from_json(doc)
         assert np.allclose(g.P.array, h.P.array) and abs(g.c - h.c) < 1e-15
 
+    def test_every_written_document_is_accepted(self):
+        from pairbundles.normal_forms import CELLS, representative
+        from pairbundles.numerics import generic_params
+
+        for cell in CELLS:
+            x = representative(cell, generic_params(cell))
+            doc = json.loads(json.dumps(x.to_json()))
+            assert PairAB.from_json(doc) == x
+            assert SymMat2.from_json(doc["B"]) == x.B
+
+    @pytest.mark.parametrize("build, doc", [
+        (PairAB.from_json, {"A": [[1, 0], [0, 1]],
+                            "B": {"a": 1, "b": 0, "d": 2}, "C": 0}),
+        (PairAB.from_json, {"A": [[1, 0], [0, 1]]}),
+        (PairAB.from_json, [[1, 0], [0, 1]]),
+        (SymMat2.from_json, {"a": 1, "b": 0, "d": 2, "e": 0}),
+        (SymMat2.from_json, {"a": 1, "b": 0}),
+    ], ids=["pair-unknown", "pair-missing", "pair-array", "sym-unknown",
+            "sym-missing"])
+    def test_documents_take_exactly_their_keys(self, build, doc):
+        with pytest.raises(ValidationError):
+            build(doc)
+
     def test_seventeen_digit_roundtrip(self):
         v = 0.1234567890123456789
         m = Mat2([[v, 0], [0, 0]])

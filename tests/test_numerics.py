@@ -149,6 +149,21 @@ class TestLemadet(unittest.TestCase):
         with self.assertRaises(ValueError):
             lemadet_verify(Mat2.identity(), Mat2.identity(), g, "nope")
 
+    def test_bare_b_data_is_read_as_its_symmetric_part(self):
+        # as PairAB and SymMat2.from_array read an array B
+        P = np.array([[1.0, 0.3j], [0.1, 0.9]])
+        Pi = np.linalg.inv(P)
+        skew = np.array([[0.0, 1e-3], [-1e-3, 0.0]])
+        Bt = np.array([[1.0, 0.2], [0.2, 2.0]])
+        B = Pi.T @ (Bt + np.diag([1e-3, -2e-3])) @ Pi + skew
+        Bt = Bt + 1j * skew
+        want = lemadet_verify(SymMat2.from_array(Bt), SymMat2.from_array(B),
+                              _ge(1.0, P), "PBF")
+        self.assertTrue(want.hypothesis_ok)
+        for src, dst in ((Bt, B), (Bt.tolist(), B.tolist())):
+            self.assertEqual(lemadet_verify(src, dst, _ge(1.0, P), "PBF"),
+                             want)
+
     def _in_hypothesis_sample(self, mode, t):
         rng = np.random.default_rng([17, t])
         c, P = sample_group_element(rng)
@@ -310,6 +325,75 @@ def test_table3_residual_vanishes_along_family(row, fam):
     coarse = _table3_max_residual(row, fam, 0.1)
     fine = _table3_max_residual(row, fam, 1e-3)
     assert fine <= 2e-2 * coarse or fine <= 1e-12
+
+
+@pytest.mark.parametrize("row, A", [
+    ("C1", [[1.0, 0.0], [0.0, 1.0]]),
+    ("C12b", [[1.0, 0.0], [0.0, 0.0]]),
+])
+def test_identity_matchers_keep_numpys_default_rtol(row, A):
+    """C1 and C12b test "A is I2" and "A is diag(1, 0)" as np.allclose does
+    with atol=1e-9 and numpy's default rtol=1e-5: a diagonal 1 may be off
+    by about 1e-5, a zero by 1e-9 only."""
+    def residuals(j, k, delta):
+        M = np.array(A, dtype=complex)
+        M[j, k] += delta
+        return table3_residuals(row, np.diag([1.0, 0.0]), M, 1.0, np.eye(2))
+
+    assert residuals(0, 0, 9e-6)
+    assert residuals(0, 1, 9e-10)
+    for j, k, delta in ((0, 0, 1.1e-5), (0, 1, 2e-9), (1, 0, 2e-9j)):
+        with pytest.raises(ValueError, match=f"row {row}"):
+            residuals(j, k, delta)
+
+
+def test_engines_take_value_types_arrays_and_lists():
+    """Mat2/SymMat2, ndarrays and nested lists give the same reports."""
+    X = np.array([[1.0, 0.5j], [-0.2, 2.0]])
+    D = np.array([[0.01, 0.0], [0.02j, -0.01]])
+    P = np.array([[1.0, 0.4j], [0.2, 1.1]])
+    B = TestTable4.ROWS["D1"]
+    Bt = P.T @ B @ P
+    for conv in (Mat2, np.asarray, np.ndarray.tolist):
+        assert detxe_bound(conv(X), conv(D)) == detxe_bound(X, D)
+        assert (table3_residuals("C4", conv(np.diag([1.0, 0.0])),
+                                 conv(np.array([[0, 1], [0.5, 0]])), 1.0,
+                                 conv(P))
+                == table3_residuals("C4", np.diag([1.0, 0.0]),
+                                    [[0, 1], [0.5, 0]], 1.0, P))
+        assert (table4_residuals("D1", conv(Bt), conv(B), conv(P))
+                == table4_residuals("D1", Bt, B, P))
+    assert (table4_residuals("D1", Bt, SymMat2.from_array(B), P)
+            == table4_residuals("D1", Bt, B, P))
+
+
+def test_verification_engines_call_no_numpy_inv_or_det(monkeypatch, capsys):
+    """The bounds suite, witness evaluation over the catalogue, the pinned
+    table matches, nu_fit and group_inverse all run with numpy.linalg.inv
+    and numpy.linalg.det unavailable: their 2x2 arithmetic is core's."""
+    from pairbundles.cli import main
+    from pairbundles.core import group_inverse
+    from pairbundles.witnesses import witness_verify
+
+    def unavailable(*args, **kwargs):
+        raise AssertionError("numpy.linalg called")
+
+    for name in ("inv", "det"):
+        monkeypatch.setattr(np.linalg, name, unavailable)
+    assert main(["verify", "bounds", "--trials", "20"]) == 0
+    assert '"pass": true' in capsys.readouterr().out
+    statuses = [witness_verify(f).status for f in CATALOG]
+    assert statuses.count("verified") == 27
+    for row, fam in _TABLE3_MATCHES:
+        _table3_max_residual(row, fam, 0.1)
+    P = np.array([[1.0, 0.4j], [0.2, 1.1]])
+    for row, B in TestTable4.ROWS.items():
+        assert table4_residuals(row, P.T @ B @ P, B, P).hypothesis_ok
+    fam = witness_lookup(L("one_zero/zero"), L("tau_form/zero"))
+    assert nu_fit(fam, "C4").nu_estimate > 0.0
+    g = _ge(1j, np.array([[1.0, 2.0], [0.5j, 3.0]]))
+    want = np.array([[3.0, -2.0], [-0.5j, 1.0]]) / (3.0 - 1j)
+    assert max_norm(group_inverse(g).P.array - want) <= 1e-15
 
 
 class TestTable4(unittest.TestCase):

@@ -187,3 +187,53 @@ def test_reducer_and_residual_are_counted_not_failed(tmp_path, capsys, edit,
         "0 differences in 1 records",
         f"{counted} records differ bit for bit in the reducer or residual "
         "(information only)"]
+
+
+BOUND = {"case": "bound bound-lemadet-PBF seed=0",
+         "values": {"pass": True, "margin": 0.004, "samples": 200,
+                    "skipped": 0, "redraws": 44}}
+
+
+@pytest.mark.parametrize("edit, differs", [
+    (lambda v: None, False),
+    (lambda v: v.update(redraws=45), True),
+    (lambda v: v.update(skipped=1), True),
+    (lambda v: v.update({"pass": False}), True),
+    # the bound is 1e-8 (1 + |m|), about 1.00400e-8 at m = 0.004
+    (lambda v: v.update(margin=0.004 + 1.0039e-8), False),
+    (lambda v: v.update(margin=0.004 - 1.0039e-8), False),
+    (lambda v: v.update(margin=0.004 + 1.0041e-8), True),
+    (lambda v: v.update(margin=None), True),
+], ids=["same", "redraws", "skipped", "pass", "margin-inside-above",
+        "margin-inside-below", "margin-outside", "margin-null"])
+def test_changed_bound_check(edit, differs):
+    head = copy.deepcopy(BOUND)
+    edit(head["values"])
+    lines = list(outcome_corpus.differences([BOUND], [head]))
+    assert lines == ([f"{BOUND['case']}: values {BOUND['values']!r} -> "
+                      f"{head['values']!r}"] if differs else [])
+
+
+@pytest.mark.parametrize("v0, v1, close", [
+    (float("nan"), float("nan"), True),
+    (float("inf"), float("inf"), True),
+    (float("inf"), 1e300, False),
+    ([0.0, 1e-9], [5e-9, 0.0], True),
+    ([0.0, 1e-9], [0.0], False),
+    (3, 3.0, False),
+])
+def test_close_values(v0, v1, close):
+    assert outcome_corpus._close_values(v0, v1) is close
+
+
+def test_table4_rows_follow_the_tests():
+    """The corpus's table-4 shapes are TestTable4.ROWS of
+    tests/test_numerics.py."""
+    spec = importlib.util.spec_from_file_location(
+        "_table4_source", pathlib.Path(__file__).with_name("test_numerics.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    rows = module.TestTable4.ROWS
+    assert list(outcome_corpus.TABLE4_ROWS) == list(rows)
+    for name, B in rows.items():
+        assert B.tolist() == outcome_corpus.TABLE4_ROWS[name]

@@ -34,18 +34,35 @@ not show: for each cell its parameter fields, tabulated and numeric
 dimensions and generic representative; for each B-shape its rank and
 minimum rank; for each source cell its sorted successors in the pair graph
 and those among them that only a suspect edge reaches.  These too must match
-exactly.  In all, a dump holds 46,230 records: 46,000 calls, 92 Monte Carlo
-reports, 21 distance results, 46 cells, 25 shapes and 46 successor lists.
+exactly.
+
+Last come the verification engines' numbers:
+
+- the `verify bounds` checks for seeds 0-1 with 200 trials each;
+- the `table3_residuals` at s = 0.1 of every (row, family) pair of rows
+  C1-C12, C12a, C12b and the catalogue's families (the garbled ones in
+  their repaired form) whose A-forms fit the row's types: 30 pairs today;
+- the `table4_residuals` of rows D1-D5, each at an exact congruence and at
+  a perturbed one;
+- the `nu_fit` of the one_zero/zero -> tau_form/zero family for row C4.
+
+Their floats may differ by PARAM_RTOL (1 + |v|), since these engines may
+round differently; everything else in them (check ids, pass flags, skipped
+and redraw counts, hypothesis flags, which pairs match) must match exactly.
+In all, a dump holds 46,281 records: 46,000 calls, 92 Monte Carlo reports,
+21 distance results, 46 cells, 25 shapes, 46 successor lists, 10 bound
+checks, 30 table-3 residual lists, 10 table-4 reports and 1 nu fit.
 
     PYTHONPATH=src python tools/outcome_corpus.py dump OUT.json
     python tools/outcome_corpus.py compare BASE.json HEAD.json
 
 `compare` exits 1 when any label, note list, error type, message, Monte
 Carlo report, distance result or catalogue fact differs, or when a
-parameter differs by more than 1e-8 (1 + |v|).  Reducers and residuals do
-not fail the compare, since a reducer may differ by an element of the
-stabilizer; `compare` prints how many calls differ in them bit for bit, so
-that a change meant to keep every output shows that it did.
+parameter or a float of the verification engines differs by more than
+1e-8 (1 + |v|).  Reducers and residuals do not fail the compare, since a
+reducer may differ by an element of the stabilizer; `compare` prints how
+many calls differ in them bit for bit, so that a change meant to keep
+every output shows that it did.
 """
 from __future__ import annotations
 
@@ -76,6 +93,21 @@ FLOOR_JOBS = [(src, dst, 2, "max") for src, dst in (
     ("one_theta/zero", "one_zero/zero"),
 )] + [("zero/rank2", "zero/rank1", 4, norm) for norm in ("max", "spectral")]
 FLOOR_SEEDS = (0, 1, 2)
+BOUND_SEEDS = (0, 1)
+BOUND_TRIALS = 200
+TABLE3_ROWS = tuple(f"C{k}" for k in range(1, 13)) + ("C12a", "C12b")
+TABLE3_S = 0.1
+# the shapes of tests/test_numerics.py's TestTable4.ROWS, a congruence P
+# and a symmetric defect for the perturbed limit
+TABLE4_ROWS = {
+    "D1": [[0.0, 1.3], [1.3, 0.7]],
+    "D2": [[0.9, -0.4], [-0.4, 0.0]],
+    "D3": [[0.0, 0.0], [0.0, 2.0]],
+    "D4": [[0.0, 1.1], [1.1, 0.0]],
+    "D5": [[1.7, 0.0], [0.0, 0.0]],
+}
+TABLE4_P = [[1.0, 0.4j], [0.2, 1.1]]
+TABLE4_DEFECT = [[3e-3, -2e-3j], [-2e-3j, 5e-3]]
 
 
 def _group_move(rng, cond_max):
@@ -187,6 +219,63 @@ def catalogue_facts():
                                        if graph.needs_suspect_edge(src, dst)]})
 
 
+def bound_checks():
+    """Yield (case id, check fields) of `verify bounds` for each seed."""
+    from pairbundles.cli import _suite_bounds
+
+    for seed in BOUND_SEEDS:
+        args = argparse.Namespace(seed=seed, trials=BOUND_TRIALS)
+        for check in _suite_bounds(args):
+            fields = {k: v for k, v in check.items() if k != "id"}
+            yield f"bound {check['id']} seed={seed}", fields
+
+
+def table3_results():
+    """Yield (case id, residuals) of every (row, family) match."""
+    from pairbundles.numerics import table3_residuals
+    from pairbundles.witnesses import CATALOG, witness_eval, witness_repair
+
+    for fam in (witness_repair(f)[0] for f in CATALOG):
+        src_A = fam.source_pair().A
+        g, _moved, _r = witness_eval(fam, TABLE3_S)
+        inst_A = fam.target_instance_of_s(TABLE3_S).A
+        for row in TABLE3_ROWS:
+            try:
+                res = table3_residuals(row, src_A, inst_A, g.c, g.P)
+            except ValueError:
+                continue
+            yield f"table3 {row} {fam.name} s={TABLE3_S}", res
+
+
+def table4_results():
+    """Yield (case id, report) of every row at both limits.  The report's
+    `ok` is left out: it is margin >= 0, and at an exact congruence the
+    margin is rounding noise of either sign (for D2 the bound is 0 or a
+    few ulps, against an observed 7e-17)."""
+    from pairbundles.numerics import table4_residuals
+
+    P = np.array(TABLE4_P)
+    for row, rows in TABLE4_ROWS.items():
+        B = np.array(rows)
+        exact = P.T @ B @ P
+        for limit, Bt in (("exact", exact),
+                          ("perturbed", exact + np.array(TABLE4_DEFECT))):
+            report = table4_residuals(row, Bt, B, P).to_json()
+            del report["ok"]
+            yield f"table4 {row} {limit}", report
+
+
+def nu_fit_results():
+    """Yield (case id, constants) of the nu fit."""
+    from pairbundles.normal_forms import label_from_string
+    from pairbundles.numerics import nu_fit
+    from pairbundles.witnesses import witness_lookup
+
+    fam = witness_lookup(label_from_string("one_zero/zero"),
+                         label_from_string("tau_form/zero"))
+    yield f"nu_fit C4 {fam.name}", nu_fit(fam, "C4").to_json()
+
+
 def dump(out_path: str) -> int:
     import pairbundles
     from pairbundles.classify import (AmbiguityError,
@@ -212,6 +301,10 @@ def dump(out_path: str) -> int:
         records.append({"case": case, "distance": result})
     for case, facts in catalogue_facts():
         records.append({"case": case, "facts": facts})
+    for results in (bound_checks, table3_results, table4_results,
+                     nu_fit_results):
+        for case, values in results():
+            records.append({"case": case, "values": values})
     with open(out_path, "w") as fh:
         json.dump(records, fh, indent=0)
     print(f"{len(records)} records of {pairbundles.__file__} -> {out_path}",
@@ -221,6 +314,22 @@ def dump(out_path: str) -> int:
 
 def _as_complex(v) -> complex:
     return complex(v[0], v[1]) if isinstance(v, list) else complex(v)
+
+
+def _close_values(v0, v1) -> bool:
+    """Floats within PARAM_RTOL (1 + |v|) of each other (NaN matches NaN,
+    an infinity only itself); anything else exactly, nested alike."""
+    if isinstance(v0, float) and isinstance(v1, float):
+        if v0 == v1 or (math.isnan(v0) and math.isnan(v1)):
+            return True
+        return (math.isfinite(v0)
+                and abs(v1 - v0) <= PARAM_RTOL * (1.0 + abs(v0)))
+    if isinstance(v0, dict) and isinstance(v1, dict):
+        return v0.keys() == v1.keys() and all(
+            _close_values(v0[k], v1[k]) for k in v0)
+    if isinstance(v0, list) and isinstance(v1, list):
+        return len(v0) == len(v1) and all(map(_close_values, v0, v1))
+    return type(v0) is type(v1) and v0 == v1
 
 
 def differences(base: list, head: list):
@@ -240,6 +349,9 @@ def differences(base: list, head: list):
             d0, d1 = r0.get(key), r1.get(key)
             if json.dumps(d0) != json.dumps(d1):
                 yield f"{case}: {key} {d0!r} -> {d1!r}"
+        v0, v1 = r0.get("values"), r1.get("values")
+        if not _close_values(v0, v1):
+            yield f"{case}: values {v0!r} -> {v1!r}"
         p0, p1 = r0.get("params", {}), r1.get("params", {})
         if set(p0) != set(p1):
             yield f"{case}: parameters {sorted(p0)} -> {sorted(p1)}"
