@@ -1,9 +1,14 @@
 """Command-line front end.
 
-All randomness flows from a single --seed: every sampling loop derives a
-per-trial generator as default_rng([seed, stream, trial]) where stream is
-a fixed number per suite, so reports are reproducible across machines and
-worker counts.
+All randomness flows from a single --seed, so reports are reproducible
+across machines and worker counts.  Each sampling loop derives one
+generator per trial:
+
+* the bound suites draw default_rng([seed, stream, trial]), where stream
+  is a fixed number per suite;
+* the Monte Carlo checks (`verify graph`, `mc`) draw
+  default_rng([seed, trial]);
+* `dist` draws default_rng([seed, r]) for its r-th random start.
 
 Exit codes: 0 pass, 1 usage/IO error, 2 classification ambiguity,
 3 verification failure.
@@ -61,7 +66,7 @@ EXIT_AMBIGUOUS = 2
 EXIT_VERIFY = 3
 
 # fixed per-suite stream numbers for the seed scheme
-_STREAMS = {"detxe": 1, "PAE": 2, "cE": 3, "PBF": 4, "part3": 5, "mc": 6}
+_STREAMS = {"detxe": 1, "PAE": 2, "cE": 3, "PBF": 4, "part3": 5}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -73,11 +78,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_pair(args) -> PairAB:
-    if getattr(args, "input", None):
-        with open(args.input) as fh:
-            text = fh.read()
-    else:
-        text = sys.stdin.read()
+    try:
+        if getattr(args, "input", None):
+            with open(args.input) as fh:
+                text = fh.read()
+        else:
+            text = sys.stdin.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SystemExit((EXIT_USAGE, f"cannot read the pair document: {exc}"))
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -134,12 +142,20 @@ def _emit(doc, args) -> None:
         text = buf.getvalue()
     else:
         text = core.dumps(doc, indent=2) + "\n"
+    _write(text, args)
+
+
+def _write(text: str, args) -> None:
+    """Write text to --output when given, else to stdout."""
     out = getattr(args, "output", None)
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise SystemExit((EXIT_USAGE, f"cannot write --output: {exc}"))
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +186,8 @@ def cmd_dim(args) -> int:
         got = bundle_dimension_numeric(label, params)
     except (ValidationError, ValueError) as exc:
         raise SystemExit((EXIT_USAGE, str(exc)))
+    except ArithmeticError as exc:
+        raise SystemExit((EXIT_VERIFY, str(exc)))
     want = table_dimension(label)
     _emit({"label": str(label), "dimension": got, "table": want,
            "agrees": got == want}, args)
@@ -198,9 +216,7 @@ def cmd_closure(args) -> int:
         return EXIT_OK
     if args.closure_cmd == "successors":
         src = _label_arg(args.src)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", SuspectEdgeWarning)
-            succ = sorted(str(s) for s in g.successors(src))
+        succ = sorted(str(s) for s in g.successors(src))
         _emit({"src": str(src), "successors": succ}, args)
         return EXIT_OK
     # export
@@ -211,12 +227,7 @@ def cmd_closure(args) -> int:
         text = _export_psi1(fmt)
     else:
         text = _export_psi2(fmt)
-    out = getattr(args, "output", None)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, args)
     return EXIT_OK
 
 

@@ -18,11 +18,20 @@ is kept around for audit in ``ClosureGraphPsi.filtered_edges``.
 
 Several figure cells are garbled in the source (duplicated, truncated or
 mislabelled nodes).  Edges touching a reconstructed node carry
-``suspect=True``; queries whose every realizing path runs through a
-suspect edge emit a :class:`SuspectEdgeWarning`.
+``suspect=True``.  Only ``is_path`` warns: it emits a
+:class:`SuspectEdgeWarning` when every realizing path runs through a
+suspect edge.  ``successors``, ``predecessors``, ``path_edges`` and
+``needs_suspect_edge`` never warn.
+
+All three graphs answer their queries from one breadth-first search
+(``_search``) per root over their edges, taken in order.  The pair graph
+runs it twice, over all base edges and over the non-suspect ones; its
+``path_edges`` chain is the first-discovery chain of the first search, a
+shortest one.
 """
 from __future__ import annotations
 
+import functools
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -66,24 +75,60 @@ class SuspectEdgeWarning(UserWarning):
 
 
 # ---------------------------------------------------------------------------
+# reachability: one breadth-first search serves all three graphs
+# ---------------------------------------------------------------------------
+
+def _search(nodes, arcs) -> dict:
+    """Breadth-first search from every node over (src, dst, edge) arcs,
+    taken in order.  For each root: {reached node: the edge that first
+    reached it}, with the root itself mapped to None."""
+    out_arcs = {x: [] for x in nodes}
+    for src, dst, edge in arcs:
+        out_arcs[src].append((dst, edge))
+    trees = {}
+    for root in nodes:
+        tree = {root: None}
+        queue = [root]
+        for x in queue:
+            for dst, edge in out_arcs[x]:
+                if dst not in tree:
+                    tree[dst] = edge
+                    queue.append(dst)
+        trees[root] = tree
+    return trees
+
+
+class _Graph:
+    """Reflexive-transitive closure of `edges` over `nodes`, answered from
+    one search tree per root."""
+
+    nodes: tuple
+    edges: tuple
+
+    def __init__(self) -> None:
+        self._tree = _search(self.nodes,
+                             [(s, d, (s, d)) for s, d in self.edges])
+
+    def is_path(self, src, dst) -> bool:
+        return dst in self._tree[src]
+
+    def successors(self, src) -> set:
+        return set(self._tree[src])
+
+    def predecessors(self, dst) -> set:
+        return {x for x in self.nodes if dst in self._tree[x]}
+
+
+# ---------------------------------------------------------------------------
 # congruence action on B alone: rank is a complete invariant, and the
 # closure order is the rank chain 0 -> 1 -> 2
 # ---------------------------------------------------------------------------
 
-class ClosureGraphPsi2:
+class ClosureGraphPsi2(_Graph):
     """Reflexive-transitive closure of the chain Zero -> Rank1 -> Rank2."""
 
     nodes = tuple(BLabel)
     edges = ((BLabel.ZERO, BLabel.RANK1), (BLabel.RANK1, BLabel.RANK2))
-
-    def is_path(self, src: BLabel, dst: BLabel) -> bool:
-        return src.rank <= dst.rank
-
-    def successors(self, src: BLabel) -> set[BLabel]:
-        return {x for x in BLabel if self.is_path(src, x)}
-
-    def predecessors(self, dst: BLabel) -> set[BLabel]:
-        return {x for x in BLabel if self.is_path(x, dst)}
 
 
 PSI2_GRAPH = ClosureGraphPsi2()
@@ -110,40 +155,11 @@ _PSI1_GENERATORS: tuple[tuple[ALabel, ALabel], ...] = (
 )
 
 
-def _transitive_closure(nodes, edges):
-    reach = {x: {x} for x in nodes}
-    for s, d in edges:
-        reach[s].add(d)
-    changed = True
-    while changed:
-        changed = False
-        for x in nodes:
-            new = set()
-            for y in reach[x]:
-                new |= reach[y]
-            if not new <= reach[x]:
-                reach[x] |= new
-                changed = True
-    return {x: frozenset(v) for x, v in reach.items()}
-
-
-class ClosureGraphPsi1:
+class ClosureGraphPsi1(_Graph):
     """Reflexive-transitive closure of the A-part generator edges."""
 
     nodes = tuple(ALabel)
     edges = _PSI1_GENERATORS
-
-    def __init__(self) -> None:
-        self._reach = _transitive_closure(self.nodes, self.edges)
-
-    def is_path(self, src: ALabel, dst: ALabel) -> bool:
-        return dst in self._reach[src]
-
-    def successors(self, src: ALabel) -> set[ALabel]:
-        return set(self._reach[src])
-
-    def predecessors(self, dst: ALabel) -> set[ALabel]:
-        return {x for x in ALabel if dst in self._reach[x]}
 
 
 PSI1_GRAPH = ClosureGraphPsi1()
@@ -420,9 +436,10 @@ def _edge_violation(src: BundleLabel, dst: BundleLabel) -> str | None:
 
 
 @dataclass
-class ClosureGraphPsi:
+class ClosureGraphPsi(_Graph):
     """Reflexive-transitive closure over the 46-cell catalog."""
 
+    nodes = CELLS
     base_edges: list[Edge] = field(default_factory=list)
     filtered_edges: list[tuple[Edge, str]] = field(default_factory=list)
 
@@ -446,65 +463,36 @@ class ClosureGraphPsi:
                 self.base_edges.append(e)
             else:
                 self.filtered_edges.append((e, reason))
-        pairs = [(e.src, e.dst) for e in self.base_edges]
-        self._reach = _transitive_closure(CELLS, pairs)
-        strict = [(e.src, e.dst) for e in self.base_edges if not e.suspect]
-        self._reach_strict = _transitive_closure(CELLS, strict)
-        self._adj: dict[BundleLabel, list[Edge]] = {c: [] for c in CELLS}
-        for e in self.base_edges:
-            self._adj[e.src].append(e)
+        arcs = [(e.src, e.dst, e) for e in self.base_edges]
+        self._tree = _search(CELLS, arcs)
+        self._strict = _search(CELLS, [a for a in arcs if not a[2].suspect])
 
     # -- queries ----------------------------------------------------------
     def is_path(self, src: BundleLabel, dst: BundleLabel) -> bool:
-        hit = dst in self._reach[src]
-        if hit and dst not in self._reach_strict[src]:
+        if self.needs_suspect_edge(src, dst):
             warnings.warn(
                 f"path {src} -> {dst} exists only through suspect "
                 f"(garbled-row) edges",
                 SuspectEdgeWarning,
                 stacklevel=2,
             )
-        return hit
+        return super().is_path(src, dst)
 
     def needs_suspect_edge(self, src: BundleLabel, dst: BundleLabel) -> bool:
-        return (dst in self._reach[src]
-                and dst not in self._reach_strict[src])
-
-    def successors(self, src: BundleLabel) -> set[BundleLabel]:
-        return set(self._reach[src])
-
-    def predecessors(self, dst: BundleLabel) -> set[BundleLabel]:
-        return {x for x in CELLS if dst in self._reach[x]}
+        return dst in self._tree[src] and dst not in self._strict[src]
 
     def path_edges(self, src: BundleLabel,
                    dst: BundleLabel) -> list[Edge] | None:
-        """A shortest chain of base edges realizing the path, if any."""
-        if src == dst:
-            return []
-        if dst not in self._reach[src]:
+        """A shortest chain of base edges realizing the path, if any: the
+        first-discovery chain of the breadth-first search from src."""
+        tree = self._tree[src]
+        if dst not in tree:
             return None
-        # BFS over base edges
-        frontier = [src]
-        parent: dict[BundleLabel, Edge] = {}
-        seen = {src}
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for e in self._adj[x]:
-                    if e.dst in seen:
-                        continue
-                    seen.add(e.dst)
-                    parent[e.dst] = e
-                    if e.dst == dst:
-                        chain = []
-                        cur = dst
-                        while cur != src:
-                            chain.append(parent[cur])
-                            cur = parent[cur].src
-                        return chain[::-1]
-                    nxt.append(e.dst)
-            frontier = nxt
-        return None  # pragma: no cover (closure and BFS agree)
+        chain = []
+        while dst != src:
+            chain.append(tree[dst])
+            dst = tree[dst].src
+        return chain[::-1]
 
     # -- export -----------------------------------------------------------
     def to_json(self) -> str:
@@ -534,14 +522,9 @@ class ClosureGraphPsi:
         return "\n".join(lines)
 
 
-_BUNDLE_GRAPH: ClosureGraphPsi | None = None
-
-
+@functools.cache
 def bundle_graph() -> ClosureGraphPsi:
-    global _BUNDLE_GRAPH
-    if _BUNDLE_GRAPH is None:
-        _BUNDLE_GRAPH = ClosureGraphPsi()
-    return _BUNDLE_GRAPH
+    return ClosureGraphPsi()
 
 
 def is_path(src: BundleLabel, dst: BundleLabel) -> bool:

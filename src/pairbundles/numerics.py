@@ -28,17 +28,15 @@ floors bit for bit) and the tangent-rank SVDs of the dimension counts.
 """
 
 import cmath
-import dataclasses
 import functools
 import math
-import warnings
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Optional
 
 import numpy as np
 
-from .closure import SuspectEdgeWarning, bundle_graph
+from .closure import bundle_graph
 from .core import (
     GroupElement,
     Mat2,
@@ -63,6 +61,9 @@ from .normal_forms import (
     BShape,
     BundleLabel,
     BundleParams,
+    _SWAP_SHAPES,
+    _representative_A_entries,
+    _representative_B_entries,
     param_fields,
     representative,
     validate_params,
@@ -220,22 +221,35 @@ def _stable_rank(rows, cutoff_ratio=1e-8, *, what="tangent rank"):
     return r
 
 
-def _shifted(params: BundleParams, name: str, delta):
-    return dataclasses.replace(params, **{name: getattr(params, name) + delta})
+# the central-difference step of the parameter directions
+_DIM_STEP = 1e-6
 
 
 def bundle_dimension_numeric(label: BundleLabel,
                              params: BundleParams | None = None,
-                             *, cutoff_ratio: float = 1e-8,
-                             step: float = 1e-6) -> int:
+                             *, cutoff_ratio: float = 1e-8) -> int:
     """Real dimension of a bundle, as the rank of its numerically
-    assembled tangent directions at the representative."""
+    assembled tangent directions at the representative.
+
+    The parameter directions are central differences of the form records,
+    so the shifted points need not lie in the domain: only the given point
+    is validated.  Near the edge of the domain the rank may be honestly
+    unstable, which raises ArithmeticError."""
     params = params if params is not None else generic_params(label)
     problems = validate_params(label, params)
     if problems:
         raise ValidationError("; ".join(problems))
-    x0 = representative(label, params)
-    A0, B0 = x0.A.array, x0.B.array
+    swap = label.b_shape in _SWAP_SHAPES
+
+    def arrays(p):
+        """The representative's A and B arrays at the parameter dict p."""
+        A = _representative_A_entries(label.a_label, p, swap)
+        b11, b12, b22 = _representative_B_entries(label.b_shape, p)
+        return (np.array(A, dtype=complex).reshape(2, 2),
+                np.array([[b11, b12], [b12, b22]], dtype=complex))
+
+    p0 = vars(params)
+    A0, B0 = arrays(p0)
 
     rows = []
     for j, k in product(range(2), range(2)):
@@ -246,12 +260,13 @@ def bundle_dimension_numeric(label: BundleLabel,
     # phase direction
     rows.append(_embed_pair(1j * A0, np.zeros((2, 2), dtype=complex)))
     for name in param_fields(label):
-        deltas = (step, 1j * step) if name in COMPLEX_FIELDS else (step,)
+        deltas = ((_DIM_STEP, 1j * _DIM_STEP) if name in COMPLEX_FIELDS
+                  else (_DIM_STEP,))
         for delta in deltas:
-            hi = representative(label, _shifted(params, name, delta))
-            lo = representative(label, _shifted(params, name, -delta))
-            rows.append(_embed_pair((hi.A.array - lo.A.array) / (2 * step),
-                                    (hi.B.array - lo.B.array) / (2 * step)))
+            hiA, hiB = arrays({**p0, name: p0[name] + delta})
+            loA, loB = arrays({**p0, name: p0[name] - delta})
+            rows.append(_embed_pair((hiA - loA) / (2 * _DIM_STEP),
+                                    (hiB - loB) / (2 * _DIM_STEP)))
     return _stable_rank(rows, cutoff_ratio,
                         what=f"dimension of {label}")
 
@@ -1097,12 +1112,6 @@ def distance_to_bundle(x: PairAB, target: BundleLabel, budget: int = 32,
     return best_val, (g, _coords_to_params(fields, best_vec[9:]))
 
 
-def _quiet_is_path(src, dst) -> bool:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", SuspectEdgeWarning)
-        return bundle_graph().is_path(src, dst)
-
-
 def nonedge_floor(src, dst: BundleLabel, budget: int = 32,
                   seed: int = 0, *, norm: str = "max") -> EmpiricalConstants:
     """Empirical lower-distance floor for a catalogued non-edge.
@@ -1117,7 +1126,7 @@ def nonedge_floor(src, dst: BundleLabel, budget: int = 32,
         src_label, src_params = src
         if src_params is None:
             src_params = generic_params(src_label)
-    if _quiet_is_path(src_label, dst):
+    if dst in bundle_graph().successors(src_label):
         raise ValidationError(
             f"{src_label} -> {dst} is an edge; no separation floor exists")
     rep = representative(src_label, src_params)
@@ -1196,29 +1205,27 @@ def monte_carlo_neighborhood(label: BundleLabel,
     histogram: dict = {}
     violations: list = []
     ambiguous = failures = 0
-    graph = bundle_graph()
-    with warnings.catch_warnings():
-        # reachability through a suspect edge still counts as reachable
-        warnings.simplefilter("ignore", SuspectEdgeWarning)
-        for t in range(trials):
-            d = _trial_perturbation(seed, t, epsilon)
-            x = PairAB(_mat4((a00 + d[0], a01 + d[1], a10 + d[2], a11 + d[3])),
-                       SymMat2(B0.a + d[4], B0.b + d[5], B0.d + d[6]))
-            try:
-                cls = classify_pair(x)
-            except AmbiguityError:
-                ambiguous += 1
-                continue
-            except ClassificationFailureError:
-                failures += 1
-                continue
-            name = str(cls.label)
-            histogram[name] = histogram.get(name, 0) + 1
-            if cls.ambiguous:
-                ambiguous += 1
-                continue
-            if not graph.is_path(label, cls.label):
-                violations.append((t, name))
+    # reachability through a suspect edge still counts as reachable
+    reachable = bundle_graph().successors(label)
+    for t in range(trials):
+        d = _trial_perturbation(seed, t, epsilon)
+        x = PairAB(_mat4((a00 + d[0], a01 + d[1], a10 + d[2], a11 + d[3])),
+                   SymMat2(B0.a + d[4], B0.b + d[5], B0.d + d[6]))
+        try:
+            cls = classify_pair(x)
+        except AmbiguityError:
+            ambiguous += 1
+            continue
+        except ClassificationFailureError:
+            failures += 1
+            continue
+        name = str(cls.label)
+        histogram[name] = histogram.get(name, 0) + 1
+        if cls.ambiguous:
+            ambiguous += 1
+            continue
+        if cls.label not in reachable:
+            violations.append((t, name))
     return NeighborhoodReport(
         center=str(label), center_params=params.to_json(),
         epsilon=float(epsilon), trials=int(trials),

@@ -105,6 +105,25 @@ class TestUsageErrors:
         code, _, _ = run(capsys, ["dim", "not/a-label"])
         assert code == 1
 
+    @pytest.mark.parametrize("content", [None, b"\xd0\xff{}"],
+                             ids=["missing", "not-utf8"])
+    def test_unreadable_input_file(self, capsys, tmp_path, content):
+        path = tmp_path / "pair.json"
+        if content is not None:
+            path.write_bytes(content)
+        code, out, err = run(capsys, ["classify", "--input", str(path)])
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1
+        assert err.startswith("cannot read the pair document")
+
+    @pytest.mark.parametrize("argv", [["closure", "export", "psi1"],
+                                      ["dim", "zero/zero"]])
+    def test_unwritable_output(self, capsys, tmp_path, argv):
+        code, out, err = run(capsys, argv + [
+            "--output", str(tmp_path / "missing" / "out.json")])
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and err.startswith("cannot write --output")
+
 
 class TestJsonNumbers:
     """JSON's true, false and strings are not numbers."""
@@ -177,6 +196,25 @@ class TestDim:
         code, out, _ = run(capsys, ["dim", "zero/zero"])
         assert code == 0
         assert json.loads(out)["dimension"] == 0
+
+    @pytest.mark.parametrize("label, params", [
+        ("one_zero/diag_a0", '{"a": 1e-7}'),
+        ("one_theta/zero", '{"theta": 1e-7}'),
+        ("tau_form/zero", '{"tau": 0.9999999}'),
+        ("identity/diag_ad", '{"a": 1, "d": 1.0000001}'),
+    ])
+    def test_valid_point_near_the_domain_edge(self, capsys, label, params):
+        """The central differences step outside the domain, which is not the
+        user's fault; the rank there is a number or one line saying it is
+        unstable."""
+        code, out, err = run(capsys, ["dim", label, "--params", params])
+        assert "invalid parameters" not in err
+        if out:
+            assert code in (0, 3)
+            assert json.loads(out)["label"] == label
+        else:
+            assert code == 3
+            assert err.count("\n") == 1 and "unstable" in err
 
 
 class TestClosure:

@@ -26,10 +26,28 @@ from pairbundles.normal_forms import (
 )
 
 
-def _quiet_successors(g, src):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", SuspectEdgeWarning)
-        return g.successors(src)
+def _distances(edges, src):
+    """Edge count of a shortest path from src to each node it reaches."""
+    dist, frontier = {src: 0}, [src]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for s, d in edges:
+                if s == x and d not in dist:
+                    dist[d] = dist[x] + 1
+                    nxt.append(d)
+        frontier = nxt
+    return dist
+
+
+def _warshall(nodes, edges):
+    """Reflexive-transitive closure by Warshall's algorithm."""
+    reach = {x: {x} | {d for s, d in edges if s == x} for x in nodes}
+    for k in nodes:
+        for x in nodes:
+            if k in reach[x]:
+                reach[x] |= reach[k]
+    return reach
 
 
 class TestPsi2(unittest.TestCase):
@@ -97,7 +115,7 @@ class TestPairGraph(unittest.TestCase):
         self.g = bundle_graph()
 
     def test_zero_pair_reaches_everything(self):
-        self.assertEqual(_quiet_successors(self.g, L("zero/zero")),
+        self.assertEqual(self.g.successors(L("zero/zero")),
                          set(CELLS))
 
     def test_zero_pair_has_no_proper_predecessor(self):
@@ -120,31 +138,31 @@ class TestPairGraph(unittest.TestCase):
         phase = L("tau_form/phase_form")
         for cell in CELLS:
             if cell.a_label not in (ALabel.TAU_FORM, ALabel.NILPOTENT):
-                self.assertIn(full, _quiet_successors(self.g, cell))
+                self.assertIn(full, self.g.successors(cell))
             if cell.a_label not in (ALabel.ONE_THETA, ALabel.IDENTITY):
-                self.assertIn(phase, _quiet_successors(self.g, cell))
+                self.assertIn(phase, self.g.successors(cell))
 
     def test_reflexive(self):
         for cell in CELLS:
             self.assertTrue(self.g.needs_suspect_edge(cell, cell) is False)
-            self.assertIn(cell, _quiet_successors(self.g, cell))
+            self.assertIn(cell, self.g.successors(cell))
 
     def test_transitive(self):
         for x in CELLS:
-            sx = _quiet_successors(self.g, x)
+            sx = self.g.successors(x)
             for y in sx:
-                self.assertLessEqual(_quiet_successors(self.g, y), sx)
+                self.assertLessEqual(self.g.successors(y), sx)
 
     def test_dimension_monotone(self):
         for x in CELLS:
-            for y in _quiet_successors(self.g, x):
+            for y in self.g.successors(x):
                 if x != y:
                     self.assertLess(table_dimension(x), table_dimension(y),
                                     msg=f"{x} -> {y}")
 
     def test_projections(self):
         for x in CELLS:
-            for y in _quiet_successors(self.g, x):
+            for y in self.g.successors(x):
                 self.assertTrue(is_path_psi1(x.a_label, y.a_label),
                                 msg=f"{x} -> {y}")
                 r = shape_rank(y.b_shape)
@@ -200,6 +218,55 @@ class TestPathEdges(unittest.TestCase):
     def test_trivial_and_missing(self):
         self.assertEqual(path_edges(L("zero/zero"), L("zero/zero")), [])
         self.assertIsNone(path_edges(L("one_theta/zero"), L("zero/zero")))
+
+
+class TestEveryPair(unittest.TestCase):
+    """Every ordered pair of the 46 cells, against searches made here."""
+
+    def test_pair_graph(self):
+        g = bundle_graph()
+        base = set(g.base_edges)
+        edges = [(e.src, e.dst) for e in g.base_edges]
+        strict = [(e.src, e.dst) for e in g.base_edges if not e.suspect]
+        dists = {x: _distances(edges, x) for x in CELLS}
+        for src in CELLS:
+            dist = dists[src]
+            strict_reach = _distances(strict, src)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                self.assertEqual(g.successors(src), set(dist))
+                self.assertEqual(g.predecessors(src),
+                                 {x for x in CELLS if src in dists[x]})
+            for dst in CELLS:
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    reachable = g.is_path(src, dst)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    needs = g.needs_suspect_edge(src, dst)
+                    chain = g.path_edges(src, dst)
+                self.assertEqual(reachable, dst in dist)
+                self.assertEqual(needs, dst in dist
+                                 and dst not in strict_reach)
+                self.assertEqual([w.category for w in caught],
+                                 [SuspectEdgeWarning] if needs else [])
+                if not reachable:
+                    self.assertIsNone(chain)
+                    continue
+                self.assertEqual(len(chain), dist[dst])
+                self.assertLessEqual(set(chain), base)
+                self.assertEqual([src] + [e.dst for e in chain],
+                                 [e.src for e in chain] + [dst])
+
+    def test_projection_graphs(self):
+        for graph in (PSI1_GRAPH, PSI2_GRAPH):
+            reach = _warshall(graph.nodes, graph.edges)
+            for x in graph.nodes:
+                self.assertEqual(graph.successors(x), reach[x])
+                self.assertEqual(graph.predecessors(x),
+                                 {y for y in graph.nodes if x in reach[y]})
+                for y in graph.nodes:
+                    self.assertEqual(graph.is_path(x, y), y in reach[x])
 
 
 class TestExport(unittest.TestCase):

@@ -139,10 +139,18 @@ def test_floor_jobs_follow_the_benchmark():
 FACTS = [
     {"case": "shape anti_diag",
      "facts": {"shape_rank": 2, "shape_min_rank": 2}},
-    {"case": "successors tau_form/zero_one",
+    {"case": "closure tau_form/zero_one",
      "facts": {"successors": ["tau_form/one_zeta", "tau_form/phase_form",
                               "tau_form/zero_one"],
-               "needs_suspect_edge": ["tau_form/one_zeta"]}},
+               "needs_suspect_edge": ["tau_form/one_zeta"],
+               "predecessors": ["tau_form/zero", "tau_form/zero_one",
+                                "zero/zero"],
+               "path_edges": {
+                   "tau_form/one_zeta": [["tau_form/zero_one",
+                                          "tau_form/one_zeta"]],
+                   "tau_form/phase_form": [["tau_form/zero_one",
+                                            "tau_form/phase_form"]],
+                   "tau_form/zero_one": []}}},
 ]
 
 
@@ -151,7 +159,13 @@ FACTS = [
     (0, lambda f: f.update(shape_min_rank=1)),
     (1, lambda f: f["successors"].remove("tau_form/one_zeta")),
     (1, lambda f: f.update(needs_suspect_edge=[])),
-], ids=["rank", "min-rank", "successors", "suspect"])
+    (1, lambda f: f["predecessors"].remove("zero/zero")),
+    # the same endpoints reached through another cell
+    (1, lambda f: f["path_edges"].update({"tau_form/phase_form": [
+        ["tau_form/zero_one", "tau_form/one_zeta"],
+        ["tau_form/one_zeta", "tau_form/phase_form"]]})),
+], ids=["rank", "min-rank", "successors", "suspect", "predecessors",
+        "chain"])
 def test_changed_catalogue_fact(index, edit):
     head = copy.deepcopy(FACTS)
     edit(head[index]["facts"])

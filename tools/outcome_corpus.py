@@ -32,9 +32,10 @@ bit.
 Then come the catalogue and closure facts that the classifier's outcomes do
 not show: for each cell its parameter fields, tabulated and numeric
 dimensions and generic representative; for each B-shape its rank and
-minimum rank; for each source cell its sorted successors in the pair graph
-and those among them that only a suspect edge reaches.  These too must match
-exactly.
+minimum rank; for each cell of the pair graph its sorted successors, those
+among them that only a suspect edge reaches, its sorted predecessors, and
+the `path_edges` chain to each successor as (src, dst) pairs.  These too
+must match exactly.
 
 Last come the verification engines' numbers:
 
@@ -50,7 +51,7 @@ Their floats may differ by PARAM_RTOL (1 + |v|), since these engines may
 round differently; everything else in them (check ids, pass flags, skipped
 and redraw counts, hypothesis flags, which pairs match) must match exactly.
 In all, a dump holds 46,281 records: 46,000 calls, 92 Monte Carlo reports,
-21 distance results, 46 cells, 25 shapes, 46 successor lists, 10 bound
+21 distance results, 46 cells, 25 shapes, 46 closure records, 10 bound
 checks, 30 table-3 residual lists, 10 table-4 reports and 1 nu fit.
 
     PYTHONPATH=src python tools/outcome_corpus.py dump OUT.json
@@ -213,10 +214,14 @@ def catalogue_facts():
     graph = bundle_graph()
     for src in CELLS:
         succ = sorted(graph.successors(src), key=str)
-        yield (f"successors {src}",
+        yield (f"closure {src}",
                {"successors": [str(dst) for dst in succ],
                 "needs_suspect_edge": [str(dst) for dst in succ
-                                       if graph.needs_suspect_edge(src, dst)]})
+                                       if graph.needs_suspect_edge(src, dst)],
+                "predecessors": sorted(map(str, graph.predecessors(src))),
+                "path_edges": {str(dst): [[str(e.src), str(e.dst)]
+                                          for e in graph.path_edges(src, dst)]
+                               for dst in succ}})
 
 
 def bound_checks():
