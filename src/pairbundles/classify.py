@@ -12,10 +12,14 @@ verification tail on row-major 4-tuples of Python complex numbers (see
 `core`), scalars and plain parameter dicts.  Each stage's (c, P) and the
 composed reducer pass `core._group4`, the check a `GroupElement` makes; the
 stage-2 reducer must also fix the canonical A-form, the merged parameters
-must be complete, and the moved pair must land on the representative.  The
-public functions are thin wrappers that build the checked value types only
-for what they return: `classify_pair` one `BundleParams`, one
-`GroupElement` and one `Classification`, its label taken from the catalogue.
+must be complete, and the moved pair must land on the representative.  A
+reducer that fails the group check, or a moved B that overflows, is the
+classifier's failure on a valid input and raises
+`ClassificationFailureError` with the check's message.  The public
+functions are thin wrappers that build the checked value types only for
+what they return: `classify_pair` one `BundleParams`, one `GroupElement`
+(not checked again, see `core._checked_group_element`) and one
+`Classification`, its label taken from the catalogue.
 Only `classify_A` measures the stage-1 residual.
 
 Every kernel is a 2x2 closed form: singular values from M*M and |det M|,
@@ -40,6 +44,8 @@ from .core import (
     Mat2,
     PairAB,
     SymMat2,
+    ValidationError,
+    _checked_group_element,
     _cosquare4,
     _det4,
     _gap,
@@ -121,6 +127,17 @@ class AmbiguityError(ValueError):
 class ClassificationFailureError(RuntimeError):
     """No catalogued shape is reachable within tolerance (taxonomy bug or a
     genuine off-catalog input)."""
+
+
+def _own_check(check, *args):
+    """One of `core`'s value checks on something the classifier built, such
+    as a reducer or the moved B.  Its failure is the classifier's on a valid
+    input, so the `ValidationError` becomes a `ClassificationFailureError`
+    with the same message."""
+    try:
+        return check(*args)
+    except ValidationError as exc:
+        raise ClassificationFailureError(str(exc)) from exc
 
 
 def _near(q, thresh, amb, note):
@@ -445,7 +462,7 @@ def _stabilizer_reduce3(a_label, a_params, b, amb):
     parameters as dicts and (c, P) checked as a group element and as a
     member of the stabilizer of the canonical A-form."""
     shape, params, c, p = _STAGE2[a_label](b, amb)
-    c, p = _group4(c, p)
+    c, p = _own_check(_group4, c, p)
     # stabilizer membership / A-transport check
     A0 = _representative_A_entries(a_label, a_params)
     A_target = _representative_A_entries(a_label, a_params, shape in _SWAP_SHAPES)
@@ -904,10 +921,10 @@ def _classify4(a, b):
     reducer as a scalar and a row-major 4-tuple."""
     amb1, amb2 = [], []
     a_label, a_params, c1, p1 = _classify_A4(a, amb1)
-    c1, p1 = _group4(c1, p1)
+    c1, p1 = _own_check(_group4, c1, p1)
     b1 = _congruent_B(p1, b)
     if not all(map(cmath.isfinite, b1)):
-        SymMat2(*b1)  # raises the moved B's ValidationError
+        _own_check(SymMat2, *b1)  # names the first non-finite entry
     try:
         shape, b_params, c2, p2 = _stabilizer_reduce3(a_label, a_params, b1,
                                                       amb2)
@@ -926,7 +943,7 @@ def _classify4(a, b):
     merged.update(_canonical_updates(label, merged))
     params = BundleParams(**merged)
     # the reducer P1 P2, checked as a group element
-    c, p = _group4(c1 * c2, _mul4(p1, p2))
+    c, p = _own_check(_group4, c1 * c2, _mul4(p1, p2))
     if validate_params(label, params):
         raise ClassificationFailureError(f"incomplete parameters for {label}")
     # residual: max-norm distance of the moved pair to the representative
@@ -945,4 +962,5 @@ def _classify4(a, b):
 
 def classify_pair(x: PairAB) -> Classification:
     label, params, c, p, res, amb = _classify4(x.A.entries, (x.B.a, x.B.b, x.B.d))
-    return Classification(label, params, GroupElement(c, _mat4(p)), res, amb)
+    return Classification(label, params, _checked_group_element(c, p), res,
+                          amb)

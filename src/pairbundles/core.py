@@ -290,6 +290,17 @@ class GroupElement:
         return GroupElement(_j2c(doc["c"]), Mat2.from_json(doc["P"]))
 
 
+def _checked_group_element(c: complex, p: tuple) -> GroupElement:
+    """The GroupElement of a (c, P) that `_group4` has already returned,
+    built without checking it again."""
+    g = object.__new__(GroupElement)
+    P = object.__new__(Mat2)
+    object.__setattr__(P, "entries", p)
+    object.__setattr__(g, "c", c)
+    object.__setattr__(g, "P", P)
+    return g
+
+
 @dataclass(frozen=True)
 class PairAB:
     """The state (A, B) acted on by the group."""

@@ -354,6 +354,83 @@ def test_incomplete_parameters_raise(monkeypatch):
         classify_pair(x)
 
 
+@pytest.mark.parametrize("s", [3e-9, 1e-9])
+def test_singular_reducer_is_a_classification_failure(s):
+    """Along plus-minus-in-jordan-zero-d at tiny s (A near 1(+)-1, B about
+    1e-17 [[1, 1], [1, 1]]) stage 2 builds a singular P: the group check's
+    message comes out as the classifier's failure on a valid pair."""
+    from pairbundles.witnesses import CATALOG, witness_eval
+
+    fam = next(f for f in CATALOG if f.name == "plus-minus-in-jordan-zero-d")
+    with pytest.raises(ClassificationFailureError,
+                       match="^P must be invertible$") as info:
+        classify_pair(witness_eval(fam, s)[1])
+    assert type(info.value.__cause__).__name__ == "ValidationError"
+
+
+def test_singular_stage2_reducer_after_an_ambiguous_stage1(monkeypatch):
+    """With stage 1 inside its ambiguity zone, a stage-2 reducer that
+    fails the group check makes the snap ambiguous, as any other stage-2
+    failure does."""
+    def singular(b, amb):
+        return BShape.ZERO, {}, 1.0, (1.0, 1.0, 1.0, 1.0)
+
+    monkeypatch.setitem(classify_module._STAGE2, ALabel.ONE_ZERO, singular)
+    x = PairAB(Mat2(np.diag([1.0, 3e-7])), SymMat2(1.0, 0.0, 2.0))
+    with pytest.raises(AmbiguityError, match="ONE_ZERO"):
+        classify_pair(x)
+    with pytest.raises(ClassificationFailureError,
+                       match="^P must be invertible$"):
+        classify_pair(PairAB(Mat2(np.diag([1.0, 0.0])),
+                             SymMat2(1.0, 0.0, 2.0)))
+
+
+def test_singular_composed_reducer_is_a_classification_failure(monkeypatch):
+    """Two checked stages whose product underflows to a singular P fail
+    the composed check as the classifier's failure."""
+    stage2 = classify_module._stabilizer_reduce3
+
+    def tiny(a_label, a_params, b, amb):
+        shape, params, c, p = stage2(a_label, a_params, b, amb)
+        return shape, params, c, tuple(1e-160 * z for z in p)
+
+    monkeypatch.setattr(classify_module, "_stabilizer_reduce3", tiny)
+    with pytest.raises(ClassificationFailureError,
+                       match="^P must be invertible$"):
+        classify_pair(representative(CELLS[0], GENERIC_PARAMS))
+
+
+def test_non_finite_moved_B_is_a_classification_failure():
+    """Stage 1 scales A = 1e-5 I up by about 316, which overflows a finite
+    B of 1e306."""
+    x = PairAB(Mat2(1e-5 * np.eye(2)), SymMat2(1e306, 0.0, 1e306))
+    with pytest.raises(ClassificationFailureError,
+                       match=r"^SymMat2\.a must be finite$"):
+        classify_pair(x)
+
+
+@pytest.mark.parametrize("k, cell", list(enumerate(CELLS)),
+                         ids=[str(cell) for cell in CELLS])
+def test_returned_reducer_is_the_checked_group_element(k, cell):
+    """classify_pair builds its reducer without checking it again; on 20
+    seeded moves it equals the public GroupElement of the same entries,
+    with the same repr and hash, and its P holds Python complex numbers.
+    The public constructor's checks are TestGroupCheck's in test_core."""
+    from pairbundles.numerics import generic_params, sample_group_element
+
+    x0 = representative(cell, generic_params(cell))
+    rng = np.random.default_rng([0, 1, k])
+    for _ in range(20):
+        c, P = sample_group_element(rng, cond_max=1e3)
+        g = classify_pair(apply_action(GroupElement(c, Mat2(P)), x0)).reducer
+        e = g.P.entries
+        public = GroupElement(g.c, Mat2([[e[0], e[1]], [e[2], e[3]]]))
+        assert type(g) is GroupElement and type(g.P) is Mat2
+        assert g == public and hash(g) == hash(public)
+        assert repr(g) == repr(public)
+        assert all(type(z) is complex for z in (g.c, *e))
+
+
 # ---------------------------------------------------------------------------
 # the classifier's closed-form 2x2 helpers against numpy
 

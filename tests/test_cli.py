@@ -73,6 +73,19 @@ class TestClassify:
         assert code == 1
         assert "line 1" in err
 
+    def test_classifier_failure_exits_3_without_traceback(self, capsys,
+                                                          tmp_path):
+        # a valid pair on which stage 2 builds a singular reducer
+        from pairbundles.witnesses import CATALOG, witness_eval
+        fam = next(f for f in CATALOG
+                   if f.name == "plus-minus-in-jordan-zero-d")
+        p = tmp_path / "pair.json"
+        p.write_text(json.dumps(witness_eval(fam, 3e-9)[1].to_json()))
+        code, out, err = run(capsys, ["classify", "--input", str(p)])
+        # one JSON document on stdout and nothing, so no traceback, on stderr
+        assert (code, err) == (3, "")
+        assert json.loads(out) == {"error": "P must be invertible"}
+
     def test_reduce_includes_representative(self, capsys, identity_pair):
         code, out, _ = run(capsys, ["reduce", "--input", identity_pair])
         assert code == 0

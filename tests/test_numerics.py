@@ -37,6 +37,7 @@ from pairbundles.numerics import (
     _param_coords,
     _spectral_norm,
     _trial_perturbation,
+    _trial_perturbations,
     bundle_dimension_numeric,
     detxe_bound,
     distance_to_bundle,
@@ -536,6 +537,44 @@ class TestMonteCarlo(unittest.TestCase):
                 angle = rng.uniform(0.0, 2 * math.pi)
                 expected.append(r * cmath.exp(1j * angle))
             self.assertEqual(_trial_perturbation(seed, t, eps), expected)
+
+    def test_trial_table_is_the_per_trial_stream(self):
+        """Entry t of the held table is trial t's perturbation, bit for bit
+        (repr tells the sign of a zero), as a tuple of tuples."""
+        for seed, trials, eps in ((0, 5, 1e-3), (3, 17, 0.1),
+                                  (12345, 1, 2.5e-2)):
+            _trial_perturbations.cache_clear()
+            table = _trial_perturbations(seed, trials, eps)
+            self.assertIs(type(table), tuple)
+            self.assertTrue(all(type(row) is tuple for row in table))
+            self.assertEqual(repr(table), repr(tuple(
+                tuple(_trial_perturbation(seed, t, eps))
+                for t in range(trials))))
+
+    def test_reports_do_not_depend_on_the_held_table(self):
+        """Reports from a cold table, a warm one, and one held after a run
+        with another seed, epsilon or trial count are the same.  The first
+        three centres' histograms move with each of the three."""
+        centres = [L(s) for s in ("jordan_i/zero", "one_plus_minus/diag_ad",
+                                  "one_zero/zero", "tau_form/zero")]
+
+        def reports():
+            return [monte_carlo_neighborhood(c, None, 1e-2, 40,
+                                             seed=5).to_json()
+                    for c in centres]
+
+        _trial_perturbations.cache_clear()
+        cold = reports()
+        self.assertEqual(reports(), cold)
+        for seed, eps, trials in ((6, 1e-2, 40), (5, 1e-1, 40),
+                                  (5, 1e-2, 30)):
+            other = [monte_carlo_neighborhood(c, None, eps, trials,
+                                              seed=seed).to_json()
+                     for c in centres]
+            # the interleaved run saw other perturbations
+            self.assertNotEqual([r["histogram"] for r in other],
+                                [r["histogram"] for r in cold])
+            self.assertEqual(reports(), cold, (seed, eps, trials))
 
 
 @pytest.mark.parametrize("cell", CELLS, ids=str)

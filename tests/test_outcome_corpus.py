@@ -251,3 +251,60 @@ def test_table4_rows_follow_the_tests():
     assert list(outcome_corpus.TABLE4_ROWS) == list(rows)
     for name, B in rows.items():
         assert B.tolist() == outcome_corpus.TABLE4_ROWS[name]
+
+
+def test_mc_report_cases(monkeypatch):
+    """The Monte Carlo reports are the seed-0 block, the steps' centres and
+    the seed-1 block, in this order: 107 records, each from the call its
+    case id names."""
+    from pairbundles import numerics
+    from pairbundles.normal_forms import CELLS
+
+    calls = []
+
+    class Report:
+        def to_json(self):
+            return {"histogram": {}, "violations": [], "ambiguous": 0,
+                    "failures": 0}
+
+    def fake(cell, params, epsilon, trials, seed=0):
+        calls.append((str(cell), seed, trials, epsilon))
+        return Report()
+
+    monkeypatch.setattr(numerics, "monte_carlo_neighborhood", fake)
+    cases = [case for case, _ in outcome_corpus.mc_reports()]
+    block = [(str(cell), seed, 200, 1e-3) for seed in (0, 1) for cell in CELLS]
+    steps = [(name, seed, trials, eps)
+             for seed, trials, eps in outcome_corpus.MC_STEPS
+             for name in outcome_corpus.MC_STEP_CENTRES]
+    assert calls == block[:46] + steps + block[46:]
+    assert len(cases) == 107
+    assert cases[46] == ("mc-report jordan_i/zero seed=0 trials=50 "
+                         "epsilon=0.001")
+    assert cases[47:61:5] == [
+        "mc-report one_plus_minus/diag_ad seed=0 trials=50 epsilon=0.001",
+        "mc-report one_plus_minus/diag_ad seed=0 trials=50 epsilon=0.01",
+        "mc-report one_plus_minus/diag_ad seed=1 trials=50 epsilon=0.01"]
+    assert cases[61] == f"mc-report {CELLS[0]} seed=1"
+
+
+def test_mc_steps_change_each_component_alone():
+    """From the seed-0 block's setting, each step changes exactly one of
+    (seed, trials, epsilon), and each of the three changes alone once; the
+    step centres' reports move with every change, so a trial table held
+    under a key that drops any one of them changes a report."""
+    from pairbundles.normal_forms import label_from_string
+    from pairbundles.numerics import monte_carlo_neighborhood
+
+    chain = [(outcome_corpus.MC_SEEDS[0], outcome_corpus.MC_TRIALS,
+              outcome_corpus.MC_EPSILON), *outcome_corpus.MC_STEPS]
+    changed = [[i for i in range(3) if a[i] != b[i]]
+               for a, b in zip(chain, chain[1:])]
+    assert sorted(changed) == [[0], [1], [2]]
+    centres = [label_from_string(name)
+               for name in outcome_corpus.MC_STEP_CENTRES]
+    reports = [[monte_carlo_neighborhood(c, None, eps, trials,
+                                         seed=seed).histogram
+                for c in centres] for seed, trials, eps in chain]
+    for before, after in zip(reports, reports[1:]):
+        assert before != after

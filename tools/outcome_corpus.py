@@ -20,7 +20,12 @@ The dump also records the package's own `monte_carlo_neighborhood` report
 around every generic representative for the same seeds, trials and
 epsilon: its histogram, violations and ambiguous and failure counts.  A
 change in how the package draws its trials shows there even when the
-classifier's outcomes on the corpus above do not change.
+classifier's outcomes on the corpus above do not change.  Between the
+seed-0 and seed-1 blocks come the reports of five centres at (seed,
+trials, epsilon) = (0, 50, 1e-3), then (0, 50, 1e-2), then (1, 50, 1e-2).
+Each setting changes one of the three from the call before it, and these
+centres' reports move with each, so a held trial table that is keyed on
+less than all three shows here.
 
 Last come the `distance_to_bundle` results of the benchmark's seven
 separation floors (the five psi1 non-edges with budget 2 in the max norm,
@@ -50,7 +55,7 @@ Last come the verification engines' numbers:
 Their floats may differ by PARAM_RTOL (1 + |v|), since these engines may
 round differently; everything else in them (check ids, pass flags, skipped
 and redraw counts, hypothesis flags, which pairs match) must match exactly.
-In all, a dump holds 46,281 records: 46,000 calls, 92 Monte Carlo reports,
+In all, a dump holds 46,296 records: 46,000 calls, 107 Monte Carlo reports,
 21 distance results, 46 cells, 25 shapes, 46 closure records, 10 bound
 checks, 30 table-3 residual lists, 10 table-4 reports and 1 nu fit.
 
@@ -81,6 +86,13 @@ MOVES_PER_CELL = 100
 MC_SEEDS = (0, 1)
 MC_TRIALS = 200
 MC_EPSILON = 1e-3
+# (seed, trials, epsilon) settings between the seed-0 and seed-1 report
+# blocks, each one component away from the call before it, and centres whose
+# reports move with every component
+MC_STEPS = ((0, 50, 1e-3), (0, 50, 1e-2), (1, 50, 1e-2))
+MC_STEP_CENTRES = ("jordan_i/zero", "one_plus_minus/diag_ad",
+                   "one_plus_minus/swap_one_zero", "one_zero/zero",
+                   "zero/zero")
 PARAM_RTOL = 1e-8
 MAX_REPORTED = 20
 # (source, target, budget, norm) of the benchmark's nonedge-distance sweep;
@@ -162,16 +174,26 @@ def corpus():
 
 def mc_reports():
     """Yield (case id, report fields) of the package's Monte Carlo reports."""
-    from pairbundles.normal_forms import CELLS
+    from pairbundles.normal_forms import CELLS, label_from_string
     from pairbundles.numerics import monte_carlo_neighborhood
+
+    def report(cell, seed, trials, epsilon):
+        rep = monte_carlo_neighborhood(cell, None, epsilon, trials,
+                                       seed=seed).to_json()
+        return {k: rep[k] for k in ("histogram", "violations", "ambiguous",
+                                    "failures")}
 
     for seed in MC_SEEDS:
         for cell in CELLS:
-            rep = monte_carlo_neighborhood(cell, None, MC_EPSILON, MC_TRIALS,
-                                           seed=seed).to_json()
             yield (f"mc-report {cell} seed={seed}",
-                   {k: rep[k] for k in ("histogram", "violations",
-                                        "ambiguous", "failures")})
+                   report(cell, seed, MC_TRIALS, MC_EPSILON))
+        if seed == MC_SEEDS[0]:
+            for step, trials, epsilon in MC_STEPS:
+                for name in MC_STEP_CENTRES:
+                    yield (f"mc-report {name} seed={step} trials={trials} "
+                           f"epsilon={epsilon:g}",
+                           report(label_from_string(name), step, trials,
+                                  epsilon))
 
 
 def distance_results():
