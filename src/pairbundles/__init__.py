@@ -1,5 +1,12 @@
 """Classification, closure graphs and numerical verification for pairs of
-2x2 complex matrices under the action (c, P): (A, B) -> (c P* A P, P^T B P)."""
+2x2 complex matrices under the action (c, P): (A, B) -> (c P* A P, P^T B P).
+
+`import pairbundles` loads only the numpy-free modules `core`,
+`normal_forms`, `classify` and `closure`, so classifying pairs and querying
+the closure graph never import numpy.  The verification engines
+`numerics` and `witnesses` import numpy, and they load on the first use of
+one of their names here (`pairbundles.distance_to_bundle`,
+`pairbundles.CATALOG`, ...) or of the submodule itself."""
 
 from .core import (
     GroupElement,
@@ -52,31 +59,58 @@ from .closure import (
     predecessors,
     successors,
 )
-from .witnesses import (
-    CATALOG,
-    VerifyReport,
-    WitnessFamily,
-    default_grid,
-    witness_eval,
-    witness_lookup,
-    witness_repair,
-    witness_verify,
-)
-from .numerics import (
-    BoundReport,
-    EmpiricalConstants,
-    NeighborhoodReport,
-    bundle_dimension_numeric,
-    detxe_bound,
-    distance_to_bundle,
-    lemadet_verify,
-    monte_carlo_neighborhood,
-    nonedge_floor,
-    nu_fit,
-    psi2_orbit_dimension_numeric,
-    sample_group_element,
-    table3_residuals,
-    table4_residuals,
-)
+
+# name -> the submodule that defines it, loaded on first access (PEP 562)
+_LAZY = {
+    **dict.fromkeys((
+        "witnesses",
+        "CATALOG",
+        "VerifyReport",
+        "WitnessFamily",
+        "default_grid",
+        "witness_eval",
+        "witness_lookup",
+        "witness_repair",
+        "witness_verify",
+    ), "witnesses"),
+    **dict.fromkeys((
+        "numerics",
+        "BoundReport",
+        "EmpiricalConstants",
+        "NeighborhoodReport",
+        "bundle_dimension_numeric",
+        "detxe_bound",
+        "distance_to_bundle",
+        "lemadet_verify",
+        "monte_carlo_neighborhood",
+        "nonedge_floor",
+        "nu_fit",
+        "psi2_orbit_dimension_numeric",
+        "sample_group_element",
+        "table3_residuals",
+        "table4_residuals",
+    ), "numerics"),
+}
+
+# the eager names, the four eager submodules and every lazy name
+__all__ = sorted({n for n in globals() if not n.startswith("_")}
+                 | _LAZY.keys())
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    value = importlib.import_module(f".{module}", __name__)
+    if name != module:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(globals().keys() | _LAZY.keys())

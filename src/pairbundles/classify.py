@@ -430,6 +430,10 @@ def classify_B(B: SymMat2):
     """Returns (b_label, reducer P, residual, ambiguous)."""
     amb: list[str] = []
     (scale, s1), U = _takagi((B.a, B.b, B.b, B.d))
+    # squared entries past 1e154 overflow B*B, and so its singular values
+    if not scale < math.inf:
+        raise ClassificationFailureError(
+            f"singular values of B overflow to {scale!r}")
     if _near(scale, _RANK_TOL, amb, "B near zero"):
         return BLabel.ZERO, Mat2.identity(), float(scale), tuple(amb)
     rank1 = _near(s1 / scale, _RANK_TOL, amb, "B near rank-1 boundary")

@@ -8,7 +8,10 @@ one module that knows that storage: the private 4-tuple kernels below
 serve `classify`, `numerics` and `witnesses` too, and `_entries4` converts
 a value type, an array or nested lists at their API edge.  numpy enters
 only to parse array input, where a caller asks for an array, and in the
-4x4 determinant of `det_invariant`.
+4x4 determinant of `det_invariant`.  Each of those places imports numpy
+itself: importing this module, and the action and norms on value types,
+do not load numpy, while a `Mat2` built from an array or nested lists
+(`Mat2.from_json` included) does.
 """
 from __future__ import annotations
 
@@ -17,8 +20,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from typing import Union
-
-import numpy as np
 
 __all__ = [
     "Mat2",
@@ -65,6 +66,8 @@ def _entries4(M) -> tuple:
         return M.entries
     if isinstance(M, SymMat2):
         return (M.a, M.b, M.b, M.d)
+    import numpy as np
+
     arr = np.asarray(M, dtype=complex)
     if arr.shape != (2, 2):
         raise ValidationError(f"expected 2x2 matrix, got shape {arr.shape}")
@@ -176,6 +179,8 @@ class Mat2:
     @property
     def array(self) -> np.ndarray:
         """A fresh read-only 2x2 array of the entries."""
+        import numpy as np
+
         arr = np.array(self.entries, dtype=complex).reshape(2, 2)
         arr.flags.writeable = False
         return arr
@@ -228,6 +233,8 @@ class SymMat2:
 
     @property
     def array(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([[self.a, self.b], [self.b, self.d]], dtype=complex)
 
     @staticmethod
@@ -397,6 +404,8 @@ def max_norm(M) -> float:
     """Largest entry modulus.  Satisfies ||XY|| <= 2 ||X|| ||Y|| for 2x2."""
     if isinstance(M, (Mat2, SymMat2)):
         return _max_abs(_entries4(M))
+    import numpy as np
+
     return float(_max_abs(np.asarray(M, dtype=complex).ravel().tolist()))
 
 
@@ -421,6 +430,8 @@ def cosquare(A: Mat2) -> Mat2:
 
 def det_invariant(x: PairAB, rtol: float = 1e-9) -> float:
     """det [[A, conj(B)], [B, conj(A)]] -- always real and action-invariant."""
+    import numpy as np
+
     A = x.A.array
     B = x.B.array
     M = np.block([[A, B.conj()], [B, A.conj()]])

@@ -1001,26 +1001,36 @@ def _pattern_search(vec, fn, max_sweeps=25):
     its value, the previous one, is strictly above the accepted value, so
     the poll could not be accepted.  When the rounding lands elsewhere the
     poll is made.  The result is the same as polling every time.
+
+    A sweep that reaches, with nothing accepted yet, the coordinate just
+    after the last accepted poll at this step ends there, and so do the
+    sweeps at this step: the point and its value are those that every
+    later poll of the previous sweep saw and rejected, so each poll left
+    would repeat one of them.
     """
     vec = list(vec)
     val = fn(vec)
     step = 0.5
     while step >= 1e-9:
+        # the coordinate after the last accepted poll at this step
+        settled = None
         for _ in range(max_sweeps):
             improved = False
             for i in range(len(vec)):
+                if i == settled and not improved:
+                    break
                 here = vec[i]
                 vec[i] = up = here + step
                 tv = fn(vec)
                 if tv < val:
-                    val, improved = tv, True
+                    val, improved, settled = tv, True, i + 1
                     if up - step == here:
                         continue
                     here = up
                 vec[i] = here - step
                 tv = fn(vec)
                 if tv < val:
-                    val, improved = tv, True
+                    val, improved, settled = tv, True, i + 1
                 else:
                     vec[i] = here
             if not improved:
@@ -1053,7 +1063,8 @@ def distance_to_bundle(x: PairAB, target: BundleLabel, budget: int = 32,
 
     * the search (``_pattern_search``) skips the -step poll that would
       return to the point an accepted +step poll just left, whose value
-      is known to be larger;
+      is known to be larger, and ends a sweep at the coordinate from
+      which it would only repeat polls that the previous sweep rejected;
     * a target form that is identically zero (the A-form of a zero/* cell,
       the B-form of a */zero cell) moves to exactly zero for any finite
       P, so its block of differences is x's block negated, up to the sign

@@ -409,6 +409,33 @@ def test_non_finite_moved_B_is_a_classification_failure():
         classify_pair(x)
 
 
+@pytest.mark.parametrize("A, b, sigma", [
+    (1e-150 * np.eye(2), (1e200, 0.0, 1e200), "nan"),
+    (np.zeros((2, 2)), (1e155, 0.0, 1e155), "nan"),
+    (np.zeros((2, 2)), (1e200, 1e200, 1.0), "inf"),
+])
+def test_overflowing_singular_values_of_B_are_a_classification_failure(
+        A, b, sigma):
+    """Over A = 0, a B with entries past 1e154 overflows B*B: the singular
+    values come out non-finite, and classify_B fails by name instead of
+    dividing by a zero sigma_2 or returning a non-finite reducer."""
+    x = PairAB(Mat2(A), SymMat2(*b))
+    with pytest.raises(ClassificationFailureError,
+                       match=f"^singular values of B overflow to {sigma}$"):
+        classify_pair(x)
+
+
+def test_overflow_after_an_ambiguous_stage1_is_ambiguous():
+    """A = diag(1e-7, 0) sits in the "A near zero" band, so the overflow
+    failure of 1e303 I over the zero class makes the snap ambiguous."""
+    x = PairAB(Mat2(np.diag([1e-7, 0.0])), SymMat2(1e303, 0.0, 1e303))
+    with pytest.raises(AmbiguityError, match="A near zero") as info:
+        classify_pair(x)
+    cause = info.value.__context__
+    assert isinstance(cause, ClassificationFailureError)
+    assert str(cause) == "singular values of B overflow to nan"
+
+
 @pytest.mark.parametrize("k, cell", list(enumerate(CELLS)),
                          ids=[str(cell) for cell in CELLS])
 def test_returned_reducer_is_the_checked_group_element(k, cell):

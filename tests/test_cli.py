@@ -86,6 +86,14 @@ class TestClassify:
         assert (code, err) == (3, "")
         assert json.loads(out) == {"error": "P must be invertible"}
 
+    def test_overflowing_B_exits_3_without_traceback(self, capsys, tmp_path):
+        p = tmp_path / "pair.json"
+        p.write_text(pair_doc(1e-150 * np.eye(2), (1e200, 0, 1e200)))
+        code, out, err = run(capsys, ["classify", "--input", str(p)])
+        assert (code, err) == (3, "")
+        assert json.loads(out) == {
+            "error": "singular values of B overflow to nan"}
+
     def test_reduce_includes_representative(self, capsys, identity_pair):
         code, out, _ = run(capsys, ["reduce", "--input", identity_pair])
         assert code == 0

@@ -830,7 +830,8 @@ def test_pattern_search_polls_where_the_return_step_rounds_elsewhere():
     assert numerics._pattern_search([0.1, 0.0], fn) == want
 
 
-def test_pattern_search_matches_reference_loop_on_test_functions():
+def _search_cases():
+    """(start, fn, max_sweeps) of seeded deterministic test functions."""
     rng = np.random.default_rng(2026)
     for k in range(6):
         n = 3 + k
@@ -838,11 +839,11 @@ def test_pattern_search_matches_reference_loop_on_test_functions():
         M = rng.standard_normal((n, n))
         H = M @ M.T + np.eye(n)
 
-        def quadratic(vec):
+        def quadratic(vec, centre=centre, H=H):
             d = np.asarray(vec) - centre
             return float(d @ H @ d)
 
-        def walled(vec):
+        def walled(vec, centre=centre):
             # inf outside a box, and a kink at |v_0| = 0.3
             if max(map(abs, vec)) > 1.5:
                 return math.inf
@@ -851,9 +852,88 @@ def test_pattern_search_matches_reference_loop_on_test_functions():
 
         start = list(rng.uniform(-1.0, 1.0, n))
         for fn in (quadratic, walled):
-            want = _reference_search(start, fn, max_sweeps=5 + k)
-            got = numerics._pattern_search(start, fn, max_sweeps=5 + k)
-            assert _bits(got) == _bits(want)
+            yield start, fn, 5 + k
+
+
+def test_pattern_search_matches_reference_loop_on_test_functions():
+    for start, fn, max_sweeps in _search_cases():
+        want = _reference_search(start, fn, max_sweeps=max_sweeps)
+        got = numerics._pattern_search(start, fn, max_sweeps=max_sweeps)
+        assert _bits(got) == _bits(want)
+
+
+# the search as it was before its sweeps ended early: every sweep polls
+# every coordinate, skipping only the -step poll back to the point left
+def _full_sweep_search(vec, fn, max_sweeps=25):
+    vec = list(vec)
+    val = fn(vec)
+    step = 0.5
+    while step >= 1e-9:
+        for _ in range(max_sweeps):
+            improved = False
+            for i in range(len(vec)):
+                here = vec[i]
+                vec[i] = up = here + step
+                tv = fn(vec)
+                if tv < val:
+                    val, improved = tv, True
+                    if up - step == here:
+                        continue
+                    here = up
+                vec[i] = here - step
+                tv = fn(vec)
+                if tv < val:
+                    val, improved = tv, True
+                else:
+                    vec[i] = here
+            if not improved:
+                break
+        step *= 0.5
+    return val, vec
+
+
+def _counted(search, counts):
+    """search with each of its evaluations counted in counts[0]."""
+    def run(vec, fn, max_sweeps=25):
+        def counted_fn(v):
+            counts[0] += 1
+            return fn(v)
+        return search(vec, counted_fn, max_sweeps)
+    return run
+
+
+def test_early_sweep_end_repeats_no_result_and_saves_evaluations():
+    """Ending a sweep where it would only repeat rejected polls changes no
+    (value, point) and never adds an evaluation."""
+    saved = 0
+    for start, fn, max_sweeps in _search_cases():
+        new, old = [0], [0]
+        got = _counted(numerics._pattern_search, new)(start, fn, max_sweeps)
+        want = _counted(_full_sweep_search, old)(start, fn, max_sweeps)
+        assert _bits(got) == _bits(want)
+        assert new[0] <= old[0]
+        saved += old[0] - new[0]
+    assert saved > 0
+
+
+@pytest.mark.parametrize("src,dst,budget,norm", [
+    ("one_theta/zero", "tau_form/zero", 2, "max"),
+    ("zero/rank2", "zero/rank1", 4, "spectral"),
+])
+def test_early_sweep_end_in_distance_search(monkeypatch, src, dst, budget,
+                                            norm):
+    x = representative(L(src), generic_params(L(src)))
+    runs = {}
+    for search in (numerics._pattern_search, _full_sweep_search):
+        counts = [0]
+        monkeypatch.setattr(numerics, "_pattern_search",
+                            _counted(search, counts))
+        result = distance_to_bundle(x, L(dst), budget=budget, seed=0,
+                                    norm=norm)
+        runs[search] = (_result_bits(result), counts[0])
+    (got, new), (want, old) = runs.values()
+    assert got == want
+    assert new < old
 
 
 def _edge_params(cell):

@@ -1,0 +1,92 @@
+"""What `import pairbundles` loads, and the names it binds on first use."""
+import ast
+import importlib
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+import pairbundles
+
+# every public name that `from pairbundles import *` bound when the package
+# imported all six submodules eagerly
+PUBLIC_NAMES = {
+    "ALabel", "AmbiguityError", "BLabel", "BShape", "BoundReport",
+    "BundleLabel", "BundleParams", "CATALOG", "CELLS", "Classification",
+    "ClassificationFailureError", "ClosureGraphPsi", "Edge",
+    "EmpiricalConstants", "GroupElement", "Mat2", "NeighborhoodReport",
+    "PSI1_GRAPH", "PSI2_GRAPH", "PairAB", "SuspectEdgeWarning", "SymMat2",
+    "ValidationError", "VerifyReport", "WitnessFamily", "apply_action",
+    "apply_psi1", "apply_psi2", "bundle_dimension_numeric", "bundle_graph",
+    "canonicalize_params", "classify", "classify_pair", "closure", "core",
+    "cosquare", "default_grid", "det_invariant", "detxe_bound",
+    "distance_to_bundle", "group_compose", "group_identity",
+    "group_inverse", "is_path", "is_path_psi1", "is_path_psi2",
+    "label_from_string", "lemadet_verify", "max_norm",
+    "monte_carlo_neighborhood", "nonedge_floor", "normal_forms", "nu_fit",
+    "numerics", "pair_distance", "path_edges", "predecessors",
+    "psi2_orbit_dimension_numeric", "representative",
+    "sample_group_element", "successors", "table3_residuals",
+    "table4_residuals", "table_dimension", "validate_params",
+    "witness_eval", "witness_lookup", "witness_repair", "witness_verify",
+    "witnesses",
+}
+
+_HEAVY = ("numpy", "pairbundles.numerics", "pairbundles.witnesses")
+
+_COLD_START = """
+import pairbundles
+from pairbundles import Mat2, PairAB, SymMat2, classify_pair
+from pairbundles import label_from_string as L
+pairbundles.bundle_graph()
+assert pairbundles.is_path(L("zero/zero"), L("one_theta/full_hermitian_like"))
+x = PairAB(Mat2.identity(), SymMat2(1.0, 0.0, 3.0))
+assert classify_pair(x).label == L("identity/diag_ad")
+"""
+
+
+def _loaded_after(code):
+    """Which of _HEAVY a fresh interpreter has imported after running code."""
+    src = pathlib.Path(pairbundles.__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(src),
+                                         os.environ.get("PYTHONPATH")]))
+    report = f"import sys\nprint([m for m in {_HEAVY!r} if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-c", f"{code}\n{report}"],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    return ast.literal_eval(proc.stdout)
+
+
+def test_classifier_and_closure_graph_import_no_numpy():
+    assert _loaded_after(_COLD_START) == []
+
+
+def test_first_use_of_a_lazy_name_loads_its_module():
+    assert _loaded_after("import pairbundles\npairbundles.CATALOG") == [
+        "numpy", "pairbundles.witnesses"]
+
+
+@pytest.mark.parametrize("name", sorted(pairbundles._LAZY))
+def test_lazy_name_is_its_submodules_attribute(name):
+    submodule = pairbundles._LAZY[name]
+    module = importlib.import_module(f"pairbundles.{submodule}")
+    want = module if name == submodule else getattr(module, name)
+    assert getattr(pairbundles, name) is want
+    # a second access reads the package's own binding
+    assert pairbundles.__dict__[name] is want
+
+
+def test_dir_and_star_import_bind_every_public_name():
+    assert set(pairbundles._LAZY) <= set(dir(pairbundles))
+    namespace = {}
+    exec("from pairbundles import *", namespace)
+    del namespace["__builtins__"]
+    assert set(namespace) == set(pairbundles.__all__) == PUBLIC_NAMES
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'frobnicate'"):
+        pairbundles.frobnicate
