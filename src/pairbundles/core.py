@@ -7,11 +7,11 @@ action, the norms and the value types' checks compute on it.  This is the
 one module that knows that storage: the private 4-tuple kernels below
 serve `classify`, `numerics` and `witnesses` too, and `_entries4` converts
 a value type, an array or nested lists at their API edge.  numpy enters
-only to parse array input, where a caller asks for an array, and in the
+only to parse ndarray input, where a caller asks for an array, and in the
 4x4 determinant of `det_invariant`.  Each of those places imports numpy
-itself: importing this module, and the action and norms on value types,
-do not load numpy, while a `Mat2` built from an array or nested lists
-(`Mat2.from_json` included) does.
+itself: importing this module, the action and norms on value types, and a
+`Mat2` built from nested lists (`Mat2.from_json` included) do not load
+numpy, while one built from an ndarray does.
 """
 from __future__ import annotations
 
@@ -61,11 +61,15 @@ def _finite4(m) -> tuple:
 
 def _entries4(M) -> tuple:
     """(m00, m01, m10, m11) of a Mat2, a SymMat2 or 2x2 array data (an
-    ndarray or nested lists), as Python complex."""
+    ndarray, or nested lists or tuples), as Python complex."""
     if isinstance(M, Mat2):
         return M.entries
     if isinstance(M, SymMat2):
         return (M.a, M.b, M.b, M.d)
+    if isinstance(M, (list, tuple)):
+        if [len(r) if isinstance(r, (list, tuple)) else 0 for r in M] != [2, 2]:
+            raise ValidationError(f"expected 2x2 matrix, got {M!r}")
+        return tuple(complex(z) for row in M for z in row)
     import numpy as np
 
     arr = np.asarray(M, dtype=complex)

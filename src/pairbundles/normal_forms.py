@@ -261,23 +261,32 @@ GENERIC_PARAMS = BundleParams(
 
 # the complex-valued parameters; every other parameter is real
 COMPLEX_FIELDS = frozenset({"zeta", "zeta_star"})
+# the angles v, which enter a form only as e(v) = e^{iv}
+ANGLE_FIELDS = frozenset({"theta", "phi"})
+
+
+def _cis(v) -> complex:
+    return cmath.exp(1j * v)
 
 
 # ---------------------------------------------------------------------------
 # the normal forms: for each A-label and each B-shape, its free parameters
-# in search-coordinate order and its entries as a function of them
+# in search-coordinate order and its entries as a function (p, e) of them,
+# with e the map v -> e^{iv} of an angle.  Each entry is a sum of constants
+# and products of parameters and e(angle)s, affine in each one: the exact
+# tangent ranks of `numerics` rely on that.
 
 # row-major entries (a00, a01, a10, a11) of each A-form
 _A_FORMS: dict = {
-    _A.ZERO: ((), lambda p: (0.0, 0.0, 0.0, 0.0)),
-    _A.ONE_ZERO: ((), lambda p: (1.0, 0.0, 0.0, 0.0)),
-    _A.IDENTITY: ((), lambda p: (1.0, 0.0, 0.0, 1.0)),
-    _A.ONE_PLUS_MINUS: ((), lambda p: (1.0, 0.0, 0.0, -1.0)),
+    _A.ZERO: ((), lambda p, e: (0.0, 0.0, 0.0, 0.0)),
+    _A.ONE_ZERO: ((), lambda p, e: (1.0, 0.0, 0.0, 0.0)),
+    _A.IDENTITY: ((), lambda p, e: (1.0, 0.0, 0.0, 1.0)),
+    _A.ONE_PLUS_MINUS: ((), lambda p, e: (1.0, 0.0, 0.0, -1.0)),
     _A.ONE_THETA: (("theta",),
-                   lambda p: (1.0, 0.0, 0.0, cmath.exp(1j * p["theta"]))),
-    _A.NILPOTENT: ((), lambda p: (0.0, 1.0, 0.0, 0.0)),
-    _A.TAU_FORM: (("tau",), lambda p: (0.0, 1.0, p["tau"], 0.0)),
-    _A.JORDAN_I: ((), lambda p: (0.0, 1.0, 1.0, 1j)),
+                   lambda p, e: (1.0, 0.0, 0.0, e(p["theta"]))),
+    _A.NILPOTENT: ((), lambda p, e: (0.0, 1.0, 0.0, 0.0)),
+    _A.TAU_FORM: (("tau",), lambda p, e: (0.0, 1.0, p["tau"], 0.0)),
+    _A.JORDAN_I: ((), lambda p, e: (0.0, 1.0, 1.0, 1j)),
 }
 # the 1 (+) -1 class under its anti-diagonal representative
 _SWAP_REP_A_ENTRIES = (0.0, 1.0, 1.0, 0.0)
@@ -287,35 +296,35 @@ _SWAP_SHAPES = frozenset(
 
 # (b11, b12, b22) of each B-form [[b11, b12], [b12, b22]]
 _B_FORMS: dict = {
-    _B.ZERO: ((), lambda p: (0.0, 0.0, 0.0)),
+    _B.ZERO: ((), lambda p, e: (0.0, 0.0, 0.0)),
     _B.FULL_HERMITIAN_LIKE: (("a", "d", "zeta_star"),
-                             lambda p: (p["a"], p["zeta_star"], p["d"])),
-    _B.OFF_DIAG_PLUS_D: (("b", "d"), lambda p: (0.0, p["b"], p["d"])),
-    _B.A_PLUS_OFF_DIAG: (("a", "b"), lambda p: (p["a"], p["b"], 0.0)),
-    _B.DIAG_AD: (("a", "d"), lambda p: (p["a"], 0.0, p["d"])),
-    _B.ANTI_DIAG: (("b",), lambda p: (0.0, p["b"], 0.0)),
-    _B.DIAG_A0: (("a",), lambda p: (p["a"], 0.0, 0.0)),
-    _B.ZERO_D: (("d",), lambda p: (0.0, 0.0, p["d"])),
+                             lambda p, e: (p["a"], p["zeta_star"], p["d"])),
+    _B.OFF_DIAG_PLUS_D: (("b", "d"), lambda p, e: (0.0, p["b"], p["d"])),
+    _B.A_PLUS_OFF_DIAG: (("a", "b"), lambda p, e: (p["a"], p["b"], 0.0)),
+    _B.DIAG_AD: (("a", "d"), lambda p, e: (p["a"], 0.0, p["d"])),
+    _B.ANTI_DIAG: (("b",), lambda p, e: (0.0, p["b"], 0.0)),
+    _B.DIAG_A0: (("a",), lambda p, e: (p["a"], 0.0, 0.0)),
+    _B.ZERO_D: (("d",), lambda p, e: (0.0, 0.0, p["d"])),
     _B.PHASE_FORM: (("phi", "b", "zeta"),
-                    lambda p: (cmath.exp(1j * p["phi"]), p["b"], p["zeta"])),
+                    lambda p, e: (e(p["phi"]), p["b"], p["zeta"])),
     _B.OFF_DIAG_PHASE: (("b", "phi"),
-                        lambda p: (0.0, p["b"], cmath.exp(1j * p["phi"]))),
-    _B.ONE_ZETA: (("zeta",), lambda p: (1.0, 0.0, p["zeta"])),
-    _B.ZERO_ONE: ((), lambda p: (0.0, 0.0, 1.0)),
-    _B.DIAG_A_ZETA: (("a", "zeta"), lambda p: (p["a"], 0.0, p["zeta"])),
-    _B.ZETA_B_ONE: (("zeta_star", "b"), lambda p: (p["zeta_star"], p["b"], 1.0)),
-    _B.OFF_DIAG_B_ONE: (("b",), lambda p: (0.0, p["b"], 1.0)),
-    _B.DIAG_A_ONE: (("a",), lambda p: (p["a"], 0.0, 1.0)),
-    _B.ONE_B_ZERO: (("b",), lambda p: (1.0, p["b"], 0.0)),
-    _B.ONE_ZERO: ((), lambda p: (1.0, 0.0, 0.0)),
-    _B.D_IDENTITY: (("d",), lambda p: (p["d"], 0.0, p["d"])),
-    _B.SWAP: ((), lambda p: (0.0, 1.0, 0.0)),
-    _B.RANK1: ((), lambda p: (1.0, 0.0, 0.0)),
-    _B.RANK2: ((), lambda p: (1.0, 0.0, 1.0)),
-    _B.SWAP_ONE_DE_ITHETA: (("d", "theta"), lambda p: (
-        1.0, 0.0, p["d"] * cmath.exp(1j * p["theta"]))),
-    _B.SWAP_OFF_DIAG_B_ONE: (("b",), lambda p: (0.0, p["b"], 1.0)),
-    _B.SWAP_ONE_ZERO: ((), lambda p: (1.0, 0.0, 0.0)),
+                        lambda p, e: (0.0, p["b"], e(p["phi"]))),
+    _B.ONE_ZETA: (("zeta",), lambda p, e: (1.0, 0.0, p["zeta"])),
+    _B.ZERO_ONE: ((), lambda p, e: (0.0, 0.0, 1.0)),
+    _B.DIAG_A_ZETA: (("a", "zeta"), lambda p, e: (p["a"], 0.0, p["zeta"])),
+    _B.ZETA_B_ONE: (("zeta_star", "b"), lambda p, e: (p["zeta_star"], p["b"], 1.0)),
+    _B.OFF_DIAG_B_ONE: (("b",), lambda p, e: (0.0, p["b"], 1.0)),
+    _B.DIAG_A_ONE: (("a",), lambda p, e: (p["a"], 0.0, 1.0)),
+    _B.ONE_B_ZERO: (("b",), lambda p, e: (1.0, p["b"], 0.0)),
+    _B.ONE_ZERO: ((), lambda p, e: (1.0, 0.0, 0.0)),
+    _B.D_IDENTITY: (("d",), lambda p, e: (p["d"], 0.0, p["d"])),
+    _B.SWAP: ((), lambda p, e: (0.0, 1.0, 0.0)),
+    _B.RANK1: ((), lambda p, e: (1.0, 0.0, 0.0)),
+    _B.RANK2: ((), lambda p, e: (1.0, 0.0, 1.0)),
+    _B.SWAP_ONE_DE_ITHETA: (("d", "theta"), lambda p, e: (
+        1.0, 0.0, p["d"] * e(p["theta"]))),
+    _B.SWAP_OFF_DIAG_B_ONE: (("b",), lambda p, e: (0.0, p["b"], 1.0)),
+    _B.SWAP_ONE_ZERO: ((), lambda p, e: (1.0, 0.0, 0.0)),
 }
 
 
@@ -326,9 +335,10 @@ def param_fields(label: BundleLabel) -> tuple[str, ...]:
 
 
 def _representative_A_entries(a_label: ALabel, p: dict,
-                              swap_rep: bool = False) -> tuple:
+                              swap_rep: bool = False, e=_cis) -> tuple:
     """Row-major entries of `representative_A`, with the parameters as a
-    dict from field name to value (None or left out when absent)."""
+    dict from field name to value (None or left out when absent), and e
+    the form records' angle map."""
     if not isinstance(a_label, ALabel):
         raise ValueError(a_label)
     if swap_rep and a_label is _A.ONE_PLUS_MINUS:
@@ -337,7 +347,7 @@ def _representative_A_entries(a_label: ALabel, p: dict,
     for name in fields:
         if p.get(name) is None:
             raise ValueError(f"{a_label.value} requires parameter {name}")
-    return form(p)
+    return form(p, e)
 
 
 def representative_A(a_label: ALabel, params: BundleParams | None = None,
@@ -347,14 +357,14 @@ def representative_A(a_label: ALabel, params: BundleParams | None = None,
         a_label, vars(params) if params is not None else {}, swap_rep))
 
 
-def _representative_B_entries(shape: BShape, p: dict) -> tuple:
+def _representative_B_entries(shape: BShape, p: dict, e=_cis) -> tuple:
     """(b11, b12, b22) of the B-part of `representative`, with the
-    parameters as a dict as for `_representative_A_entries`."""
+    parameters and e as for `_representative_A_entries`."""
     try:
         form = _B_FORMS[shape][1]
     except KeyError:
         raise ValueError(shape) from None
-    return form(p)
+    return form(p, e)
 
 
 def representative(label: BundleLabel, params: BundleParams | None = None) -> PairAB:

@@ -2,8 +2,8 @@
 
 Four groups of tools:
 
-* tangent-rank dimension counts for the catalogued bundles (and for the
-  symmetric-part orbits alone),
+* exact tangent-rank dimension counts for the catalogued bundles (and for
+  the symmetric-part orbits alone), in integer arithmetic,
 * quantitative determinant/parameter bounds with explicit hypotheses,
   reported as pass/fail margins,
 * residual evaluation for the tabulated necessary conditions attached to
@@ -22,9 +22,9 @@ residuals, `nu_fit` and the optimizer's (c, P) encoding work on row-major
 inverse, congruence and max-norm kernels.  The public functions accept
 value types, numpy arrays and nested lists and convert them once, at the
 edge, with `core._entries4`.  numpy stays where the work is not 2x2
-arithmetic: the seeded RNG streams, `sample_group_element` (its array and
+arithmetic: the seeded RNG streams and `sample_group_element` (its array and
 its condition-number test decide which draws are kept, and so the distance
-floors bit for bit) and the tangent-rank SVDs of the dimension counts.
+floors bit for bit).
 """
 
 import cmath
@@ -45,6 +45,7 @@ from .core import (
     ValidationError,
     _det4,
     _entries4,
+    _finite4,
     _gap,
     _inv4,
     _mat4,
@@ -55,6 +56,7 @@ from .core import (
     _transpose_congruence4,
 )
 from .normal_forms import (
+    ANGLE_FIELDS,
     COMPLEX_FIELDS,
     GENERIC_PARAMS,
     ALabel,
@@ -62,6 +64,7 @@ from .normal_forms import (
     BundleLabel,
     BundleParams,
     _SWAP_SHAPES,
+    _cis,
     _representative_A_entries,
     _representative_B_entries,
     param_fields,
@@ -184,105 +187,103 @@ class NeighborhoodReport:
 
 
 # ---------------------------------------------------------------------------
-# tangent-rank dimensions
+# tangent-rank dimensions, counted exactly
+#
+# A float is a binary rational, so the tangent directions at a representative
+# are integer vectors once each one's entries share a power-of-two
+# denominator.  Scaling a direction leaves the rank alone, so the
+# denominators are dropped, and the rank is that of the given point exactly.
 
-def _unit_matrix(j, k):
-    E = np.zeros((2, 2), dtype=complex)
-    E[j, k] = 1.0
-    return E
+_I = (0, 1)
 
 
-def _embed_pair(dA, dB) -> np.ndarray:
-    """Real 14-vector of a tangent direction (8 reals for the first
-    component, 6 for the symmetric second component)."""
-    out = np.empty(14)
-    out[0:4] = dA.real.ravel()
-    out[4:8] = dA.imag.ravel()
-    vals = (dB[0, 0], dB[0, 1], dB[1, 1])
-    out[8:14] = [w for z in vals for w in (z.real, z.imag)]
+def _gaussian(values) -> list:
+    """Complex values as (re, im) integer pairs over one common power-of-two
+    denominator."""
+    ratios = [x.as_integer_ratio() for z in map(complex, values)
+              for x in (z.real, z.imag)]
+    den = max(d for _, d in ratios)
+    ints = [n * (den // d) for n, d in ratios]
+    return list(zip(ints[::2], ints[1::2]))
+
+
+def _times(w, v) -> list:
+    """The integer pairs v, each multiplied by the Gaussian integer w."""
+    return [(x * w[0] - y * w[1], x * w[1] + y * w[0]) for x, y in v]
+
+
+def _sides(m, j, k, sign) -> list:
+    """sign E_kj M + M E_jk, for the row-major integer pairs m of M: row j
+    of M moved to row k, plus column j of M moved to column k."""
+    out = [(0, 0)] * 4
+    out[2 * k:2 * k + 2] = [(sign * x, sign * y) for x, y in m[2 * j:2 * j + 2]]
+    for r in (0, 1):
+        (x, y), (s, t) = out[2 * r + k], m[2 * r + j]
+        out[2 * r + k] = (x + s, y + t)
     return out
 
 
-def _stable_rank(rows, cutoff_ratio=1e-8, *, what="tangent rank"):
-    M = np.asarray(rows)
-    if M.size == 0 or not np.any(np.abs(M) > 0):
-        return 0
-    sv = np.linalg.svd(M, compute_uv=False)
-    top = sv[0]
-
-    def rank_at(ratio):
-        return int(np.sum(sv > ratio * top))
-
-    r = rank_at(cutoff_ratio)
-    if rank_at(cutoff_ratio * 10) != r or rank_at(cutoff_ratio / 10) != r:
-        raise ArithmeticError(
-            f"{what} unstable under cutoff x10 / /10 "
-            f"(singular values {sv.tolist()})")
-    return r
-
-
-# the central-difference step of the parameter directions
-_DIM_STEP = 1e-6
+def _rank(rows) -> int:
+    """Real rank of rows of integer pairs, by fraction-free (Bareiss)
+    elimination."""
+    rows = [[x for z in row for x in z] for row in rows]
+    rank, prev = 0, 1
+    while rows := [row for row in rows if any(row)]:
+        top = rows.pop()
+        col, p = next((i, x) for i, x in enumerate(top) if x)
+        rows = [[(p * x - row[col] * y) // prev for x, y in zip(row, top)]
+                if row[col] else [p * x // prev for x in row] for row in rows]
+        prev, rank = p, rank + 1
+    return rank
 
 
 def bundle_dimension_numeric(label: BundleLabel,
-                             params: BundleParams | None = None,
-                             *, cutoff_ratio: float = 1e-8) -> int:
-    """Real dimension of a bundle, as the rank of its numerically
-    assembled tangent directions at the representative.
-
-    The parameter directions are central differences of the form records,
-    so the shifted points need not lie in the domain: only the given point
-    is validated.  Near the edge of the domain the rank may be honestly
-    unstable, which raises ArithmeticError."""
+                             params: BundleParams | None = None) -> int:
+    """Real dimension of a bundle, as the exact rank of its tangent
+    directions at the representative (A, B): X*A + AX and XᵀB + BX for
+    X = E_jk and iE_jk, the phase iA, and one derivative per real parameter
+    direction.  A form record is affine in each parameter, and in e^{iv}
+    for an angle v, so a derivative is the record at 1 minus the record at
+    0, exact in floats, times i e^{iv} for an angle."""
     params = params if params is not None else generic_params(label)
     problems = validate_params(label, params)
     if problems:
         raise ValidationError("; ".join(problems))
     swap = label.b_shape in _SWAP_SHAPES
 
-    def arrays(p):
-        """The representative's A and B arrays at the parameter dict p."""
-        A = _representative_A_entries(label.a_label, p, swap)
-        b11, b12, b22 = _representative_B_entries(label.b_shape, p)
-        return (np.array(A, dtype=complex).reshape(2, 2),
-                np.array([[b11, b12], [b12, b22]], dtype=complex))
+    def entries(p, e=_cis):
+        """A's entries and B's, b12 twice, at the parameter dict p."""
+        b11, b12, b22 = _representative_B_entries(label.b_shape, p, e)
+        return (_representative_A_entries(label.a_label, p, swap, e)
+                + (b11, b12, b12, b22))
 
     p0 = vars(params)
-    A0, B0 = arrays(p0)
-
-    rows = []
-    for j, k in product(range(2), range(2)):
-        Ejk, Ekj = _unit_matrix(j, k), _unit_matrix(k, j)
-        rows.append(_embed_pair(Ekj @ A0 + A0 @ Ejk, Ekj @ B0 + B0 @ Ejk))
-        rows.append(_embed_pair(1j * (-Ekj @ A0 + A0 @ Ejk),
-                                1j * (Ekj @ B0 + B0 @ Ejk)))
-    # phase direction
-    rows.append(_embed_pair(1j * A0, np.zeros((2, 2), dtype=complex)))
+    base = _gaussian(_finite4(entries(p0)))
+    a, b = base[:4], base[4:]
+    rows = [_times(_I, a) + [(0, 0)] * 4]
+    for j, k in product((0, 1), repeat=2):
+        rows.append(_sides(a, j, k, 1) + _sides(b, j, k, 1))
+        rows.append(_times(_I, _sides(a, j, k, -1) + _sides(b, j, k, 1)))
     for name in param_fields(label):
-        deltas = ((_DIM_STEP, 1j * _DIM_STEP) if name in COMPLEX_FIELDS
-                  else (_DIM_STEP,))
-        for delta in deltas:
-            hiA, hiB = arrays({**p0, name: p0[name] + delta})
-            loA, loB = arrays({**p0, name: p0[name] - delta})
-            rows.append(_embed_pair((hiA - loA) / (2 * _DIM_STEP),
-                                    (hiB - loB) / (2 * _DIM_STEP)))
-    return _stable_rank(rows, cutoff_ratio,
-                        what=f"dimension of {label}")
+        # an angle's direction is its e-coefficient times i e^{iv} (1j * z
+        # is exact in floats); any other direction is taken as it is
+        angle = name in ANGLE_FIELDS
+        e = (lambda v: v) if angle else _cis
+        w = _gaussian([1j * _cis(p0[name]) if angle else 1])[0]
+        for one in ((1, 1j) if name in COMPLEX_FIELDS else (1,)):
+            hi, lo = entries({**p0, name: one}, e), entries({**p0, name: 0}, e)
+            rows.append(_times(w, _gaussian([h - l for h, l in zip(hi, lo)])))
+    return _rank(rows)
 
 
-def psi2_orbit_dimension_numeric(B: SymMat2, *,
-                                 cutoff_ratio: float = 1e-8) -> int:
-    """Complex dimension of the T-congruence orbit of a symmetric matrix
-    (its tangent space is a complex subspace, so the complex rank is the
-    natural count here)."""
-    arr = B.array if isinstance(B, SymMat2) else np.asarray(B, dtype=complex)
-    rows = []
-    for j, k in product(range(2), range(2)):
-        Ejk, Ekj = _unit_matrix(j, k), _unit_matrix(k, j)
-        dB = Ekj @ arr + arr @ Ejk
-        rows.append([dB[0, 0], dB[0, 1], dB[1, 1]])
-    return _stable_rank(rows, cutoff_ratio, what="orbit rank")
+def psi2_orbit_dimension_numeric(B: SymMat2) -> int:
+    """Complex dimension of the T-congruence orbit of a symmetric matrix:
+    half the exact real rank of XᵀB + BX for X = E_jk and iE_jk (its
+    tangent space is a complex subspace)."""
+    b = _gaussian(_finite4(_entries4(B)))
+    rows = [[_sides(b, j, k, 1)[i] for i in (0, 1, 3)]
+            for j, k in product((0, 1), repeat=2)]
+    return _rank(rows + [_times(_I, d) for d in rows]) // 2
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from pairbundles.core import (
     pair_distance,
     _cosquare4,
     _det4,
+    _entries4,
     _group4,
     _max_abs,
     _mul4,
@@ -55,6 +56,29 @@ class TestConstructors:
     def test_mat2_rejects_wrong_shape(self):
         with pytest.raises(ValidationError):
             Mat2(np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("rows", [
+        [[1, 2], [3]], [[1, 2]], [[1, 2], [3, 4], [5, 6]], [1, 2, 3, 4],
+        ((1, 2), (3, 4, 5)), [[1, 2], 3],
+    ])
+    def test_mat2_rejects_ragged_nested_lists(self, rows):
+        with pytest.raises(ValidationError, match="expected 2x2 matrix"):
+            Mat2(rows)
+
+    @pytest.mark.parametrize("rows", [
+        [[1, -2], [0, 3]],
+        [[0.1, -0.0], [1e-300, 2.5]],
+        ((1 + 2j, -0.0j), (complex(-0.0, 0.0), 3j)),
+        [[True, False], [1, 0.5]],
+        [[np.float32(0.1), np.int64(7)],
+         [np.complex64(1 + 1j), np.float64(-0.0)]],
+    ])
+    def test_nested_lists_parse_like_numpy(self, rows):
+        # bit for bit: repr tells the signs of zeros apart
+        got = _entries4(rows)
+        want = np.asarray(rows, dtype=complex).ravel().tolist()
+        assert all(type(z) is complex for z in got)
+        assert list(map(repr, got)) == list(map(repr, want))
 
     def test_mat2_immutable(self):
         m = Mat2.identity()

@@ -7,6 +7,8 @@ import pytest
 
 from pairbundles.core import max_norm
 from pairbundles.normal_forms import (
+    ANGLE_FIELDS,
+    COMPLEX_FIELDS,
     ALabel,
     BShape,
     BundleLabel,
@@ -14,6 +16,8 @@ from pairbundles.normal_forms import (
     CELLS,
     GENERIC_PARAMS,
     PROVENANCE_NOTES,
+    _A_FORMS,
+    _B_FORMS,
     canonicalize_params,
     label_from_string,
     param_fields,
@@ -245,3 +249,41 @@ def test_representative_matches_declared_shape(label):
     }
     for name in zero_positions[label.b_shape]:
         assert getattr(B, name) == 0
+
+
+# every form record: (fields, form) with an id naming its table and key
+_FORM_RECORDS = [pytest.param(*record, id=f"{part}-{key.value}")
+                 for part, table in (("A", _A_FORMS), ("B", _B_FORMS))
+                 for key, record in table.items()]
+
+
+@pytest.mark.parametrize("fields, form", _FORM_RECORDS)
+def test_form_records_are_affine_in_each_field(fields, form):
+    """With e the identity, each form record has equal first differences in
+    each field, so the exact tangent ranks may take a derivative as the
+    record at 1 minus the record at 0.  A form quadratic in a field fails
+    here."""
+    p = vars(GENERIC_PARAMS)
+    for name in fields:
+        for steps in (((0, 1, 2), (0, 1j, 2j)) if name in COMPLEX_FIELDS
+                      else ((0, 1, 2),)):
+            f0, f1, f2 = (form({**p, name: v}, lambda v: v) for v in steps)
+            assert ([y - x for x, y in zip(f0, f1)]
+                    == [y - x for x, y in zip(f1, f2)]), name
+
+
+@pytest.mark.parametrize("fields, form", _FORM_RECORDS)
+def test_angles_enter_the_form_records_only_through_e(fields, form):
+    """An angle's value reaches a form only as e(angle), and e sees nothing
+    else, so the angle's derivative is i e^{iv} times e's coefficient."""
+    seen = []
+
+    def e(v):
+        seen.append(v)
+        return 0.0
+
+    values = [form({**vars(GENERIC_PARAMS), **dict.fromkeys(ANGLE_FIELDS, x)},
+                   e) for x in (0.125, 0.375)]
+    assert values[0] == values[1]
+    assert set(seen) <= {0.125, 0.375}
+    assert bool(seen) == bool(ANGLE_FIELDS & set(fields))

@@ -86,13 +86,27 @@ class TestDimensions(unittest.TestCase):
                                      BundleParams(a=1.0, d=3.0)), 11)
         self.assertEqual(
             bundle_dimension_numeric(L("one_theta/full_hermitian_like")), 14)
+        # the rank is that of the given point, however far out its values
+        for a in (1e-300, 1e300):
+            self.assertEqual(bundle_dimension_numeric(
+                L("one_zero/diag_a0"), BundleParams(a=a)), 6)
 
-    def test_cutoff_stability_is_enforced(self):
-        # same rank at cutoff, x10 and /10 for a generic cell
-        for ratio in (1e-7, 1e-8, 1e-9):
-            self.assertEqual(
-                bundle_dimension_numeric(L("tau_form/phase_form"),
-                                         cutoff_ratio=ratio), 14)
+    def test_every_cell_matches_the_table_at_a_second_point(self):
+        # the bundle dimension is constant on the bundle; these values share
+        # nothing with GENERIC_PARAMS
+        second = BundleParams(theta=2.0, tau=0.25, a=0.75, b=3.0, d=2.5,
+                              phi=-1.0, zeta=-0.5 + 0.125j,
+                              zeta_star=2.0 - 1.0j)
+        for cell in CELLS:
+            params = BundleParams(**{f: getattr(second, f)
+                                     for f in param_fields(cell)})
+            self.assertEqual(bundle_dimension_numeric(cell, params),
+                             table_dimension(cell), msg=str(cell))
+
+    def test_non_finite_params_rejected(self):
+        with self.assertRaises(ValidationError):
+            bundle_dimension_numeric(L("one_zero/diag_a0"),
+                                     BundleParams(a=math.inf))
 
     def test_invalid_params_rejected(self):
         with self.assertRaises(ValidationError):
@@ -103,6 +117,9 @@ class TestDimensions(unittest.TestCase):
         self.assertEqual(psi2_orbit_dimension_numeric(SymMat2.diag(1, 0)), 2)
         self.assertEqual(psi2_orbit_dimension_numeric(SymMat2.identity()), 3)
         self.assertEqual(psi2_orbit_dimension_numeric(SymMat2.zero()), 0)
+        # nonsingular, however small its second singular value
+        self.assertEqual(
+            psi2_orbit_dimension_numeric(SymMat2.diag(1, 1e-12)), 3)
 
 
 class TestDetxe(unittest.TestCase):

@@ -44,6 +44,9 @@ pairbundles.bundle_graph()
 assert pairbundles.is_path(L("zero/zero"), L("one_theta/full_hermitian_like"))
 x = PairAB(Mat2.identity(), SymMat2(1.0, 0.0, 3.0))
 assert classify_pair(x).label == L("identity/diag_ad")
+doc = {"A": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+       "B": {"a": [1.0, 0.0], "b": [0.0, 0.0], "d": [3.0, 0.0]}}
+assert classify_pair(PairAB.from_json(doc)) == classify_pair(x)
 """
 
 
