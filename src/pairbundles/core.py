@@ -66,8 +66,8 @@ def _entries4(M) -> tuple:
         return M.entries
     if isinstance(M, SymMat2):
         return (M.a, M.b, M.b, M.d)
-    if isinstance(M, (list, tuple)):
-        if [len(r) if isinstance(r, (list, tuple)) else 0 for r in M] != [2, 2]:
+    if isinstance(M, (list, tuple)) and all(isinstance(r, (list, tuple)) for r in M):
+        if [len(r) for r in M] != [2, 2]:
             raise ValidationError(f"expected 2x2 matrix, got {M!r}")
         return tuple(complex(z) for row in M for z in row)
     import numpy as np

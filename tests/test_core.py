@@ -59,7 +59,7 @@ class TestConstructors:
 
     @pytest.mark.parametrize("rows", [
         [[1, 2], [3]], [[1, 2]], [[1, 2], [3, 4], [5, 6]], [1, 2, 3, 4],
-        ((1, 2), (3, 4, 5)), [[1, 2], 3],
+        ((1, 2), (3, 4, 5)), [],
     ])
     def test_mat2_rejects_ragged_nested_lists(self, rows):
         with pytest.raises(ValidationError, match="expected 2x2 matrix"):
@@ -72,6 +72,8 @@ class TestConstructors:
         [[True, False], [1, 0.5]],
         [[np.float32(0.1), np.int64(7)],
          [np.complex64(1 + 1j), np.float64(-0.0)]],
+        # rows that are ndarrays go through numpy
+        [np.array([1.5, -0.0]), np.array([2j, 3])],
     ])
     def test_nested_lists_parse_like_numpy(self, rows):
         # bit for bit: repr tells the signs of zeros apart
