@@ -4,9 +4,10 @@
 `import pairbundles` loads only the numpy-free modules `core`,
 `normal_forms`, `classify` and `closure`, so classifying pairs and querying
 the closure graph never import numpy.  The verification engines
-`numerics` and `witnesses` import numpy, and they load on the first use of
-one of their names here (`pairbundles.distance_to_bundle`,
-`pairbundles.CATALOG`, ...) or of the submodule itself."""
+`numerics` and `witnesses` load on the first use of one of their names
+here (`pairbundles.distance_to_bundle`, `pairbundles.CATALOG`, ...) or of
+the submodule itself; they import numpy only in the functions that draw
+seeded samples, search distances or evaluate a family."""
 
 from .core import (
     GroupElement,

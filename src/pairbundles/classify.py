@@ -54,6 +54,7 @@ from .core import (
     _mat4,
     _max_abs,
     _mul4,
+    _record_json,
     _singular_values,
     _spectral_norm,
     _star_congruence4,
@@ -107,13 +108,7 @@ class Classification:
     ambiguous: tuple = ()
 
     def to_json(self) -> dict:
-        return {
-            "label": str(self.label),
-            "params": self.params.to_json(),
-            "reducer": self.reducer.to_json(),
-            "residual": self.residual,
-            "ambiguous": list(self.ambiguous),
-        }
+        return _record_json(self)
 
 
 class AmbiguityError(ValueError):

@@ -11,7 +11,9 @@ generator per trial:
 * `dist` draws default_rng([seed, r]) for its r-th random start.
 
 Exit codes: 0 pass, 1 usage/IO error, 2 classification ambiguity,
-3 verification failure.
+3 verification failure.  An invalid argument, parameter or input document
+raises `ValidationError` wherever it is found, and `main` alone turns it
+into one line on stderr and exit 1.
 """
 
 import argparse
@@ -21,8 +23,6 @@ import json
 import math
 import sys
 import warnings
-
-import numpy as np
 
 from . import core
 from .classify import (
@@ -85,16 +85,15 @@ def _read_pair(args) -> PairAB:
         else:
             text = sys.stdin.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise SystemExit((EXIT_USAGE, f"cannot read the pair document: {exc}"))
+        raise ValidationError(f"cannot read the pair document: {exc}")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise SystemExit((EXIT_USAGE,
-                          f"malformed JSON: {exc}"))  # includes line/col
+        raise ValidationError(f"malformed JSON: {exc}")  # includes line/col
     try:
         return PairAB.from_json(doc)
-    except (ValidationError, ValueError, KeyError, TypeError) as exc:
-        raise SystemExit((EXIT_USAGE, f"invalid pair document: {exc}"))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValidationError(f"invalid pair document: {exc}")
 
 
 def _params_arg(args, label) -> BundleParams | None:
@@ -103,35 +102,28 @@ def _params_arg(args, label) -> BundleParams | None:
         return None
     try:
         params = BundleParams.from_json(json.loads(raw))
-    except (json.JSONDecodeError, ValueError, TypeError) as exc:
-        raise SystemExit((EXIT_USAGE, f"invalid --params: {exc}"))
+    except (ValueError, TypeError) as exc:
+        raise ValidationError(f"invalid --params: {exc}")
     unused = sorted(set(params.to_json()) - set(param_fields(label)))
     if unused:
-        raise SystemExit((EXIT_USAGE, f"invalid --params: parameters not "
-                          f"used by {label}: {', '.join(unused)}"))
+        raise ValidationError(f"invalid --params: parameters not used by "
+                              f"{label}: {', '.join(unused)}")
     return params
 
 
 def _check_sampling_args(args) -> None:
     """Refuse out-of-range sampling options before any work starts."""
     if getattr(args, "trials", 1) < 1:
-        raise SystemExit((EXIT_USAGE, "--trials must be >= 1"))
+        raise ValidationError("--trials must be >= 1")
     if not 0 < getattr(args, "epsilon", 1e-3) <= 0.1:
-        raise SystemExit((EXIT_USAGE, "--epsilon must lie in (0, 0.1]"))
+        raise ValidationError("--epsilon must lie in (0, 0.1]")
     if getattr(args, "seed", 0) < 0:
-        raise SystemExit((EXIT_USAGE, "--seed must be >= 0"))
-
-
-def _label_arg(text: str):
-    try:
-        return label_from_string(text)
-    except ValueError as exc:
-        raise SystemExit((EXIT_USAGE, str(exc)))
+        raise ValidationError("--seed must be >= 0")
 
 
 def _emit(doc, args) -> None:
-    fmt = getattr(args, "format", "json")
-    if fmt == "csv" and isinstance(doc, dict) and "checks" in doc:
+    """Write a document as JSON, or `verify`'s checks as CSV rows."""
+    if getattr(args, "format", "json") == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["id", "status", "margin"])
@@ -155,7 +147,7 @@ def _write(text: str, args) -> None:
         with open(out, "w") as fh:
             fh.write(text)
     except OSError as exc:
-        raise SystemExit((EXIT_USAGE, f"cannot write --output: {exc}"))
+        raise ValidationError(f"cannot write --output: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -180,12 +172,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_dim(args) -> int:
-    label = _label_arg(args.label)
-    params = _params_arg(args, label)
-    try:
-        got = bundle_dimension_numeric(label, params)
-    except (ValidationError, ValueError) as exc:
-        raise SystemExit((EXIT_USAGE, str(exc)))
+    label = label_from_string(args.label)
+    got = bundle_dimension_numeric(label, _params_arg(args, label))
     want = table_dimension(label)
     _emit({"label": str(label), "dimension": got, "table": want,
            "agrees": got == want}, args)
@@ -198,7 +186,7 @@ def cmd_dim(args) -> int:
 def cmd_closure(args) -> int:
     g = bundle_graph()
     if args.closure_cmd == "path":
-        src, dst = _label_arg(args.src), _label_arg(args.dst)
+        src, dst = label_from_string(args.src), label_from_string(args.dst)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", SuspectEdgeWarning)
             reachable = g.is_path(src, dst)
@@ -213,7 +201,7 @@ def cmd_closure(args) -> int:
         _emit(doc, args)
         return EXIT_OK
     if args.closure_cmd == "successors":
-        src = _label_arg(args.src)
+        src = label_from_string(args.src)
         succ = sorted(str(s) for s in g.successors(src))
         _emit({"src": str(src), "successors": succ}, args)
         return EXIT_OK
@@ -268,22 +256,13 @@ def _export_psi2(fmt: str) -> str:
 # ---------------------------------------------------------------------------
 # witness commands
 
-def _lookup_or_die(args):
-    src, dst = _label_arg(args.src), _label_arg(args.dst)
+def cmd_witness(args) -> int:
+    src, dst = label_from_string(args.src), label_from_string(args.dst)
     fam = witness_lookup(src, dst)
     if fam is None:
-        raise SystemExit((EXIT_USAGE,
-                          f"no catalogued family for {src} -> {dst}"))
-    return fam
-
-
-def cmd_witness(args) -> int:
-    fam = _lookup_or_die(args)
+        raise ValidationError(f"no catalogued family for {src} -> {dst}")
     if args.witness_cmd == "eval":
-        try:
-            g, moved, residual = witness_eval(fam, args.s)
-        except ValueError as exc:
-            raise SystemExit((EXIT_USAGE, str(exc)))
+        g, moved, residual = witness_eval(fam, args.s)
         _emit({"name": fam.name, "s": args.s, "residual": residual,
                "group_element": g.to_json(), "moved": moved.to_json()},
               args)
@@ -330,6 +309,8 @@ def _margin(value: float, reason: str) -> dict:
 
 
 def _suite_bounds(args):
+    import numpy as np
+
     checks = []
     trials = args.trials
     worst = math.inf
@@ -420,12 +401,9 @@ def cmd_verify(args) -> int:
 def cmd_dist(args) -> int:
     _check_sampling_args(args)
     x = _read_pair(args)
-    target = _label_arg(args.target)
-    try:
-        d, (g, params) = distance_to_bundle(x, target, budget=args.budget,
-                                            seed=args.seed)
-    except ValidationError as exc:
-        raise SystemExit((EXIT_USAGE, str(exc)))
+    target = label_from_string(args.target)
+    d, (g, params) = distance_to_bundle(x, target, budget=args.budget,
+                                        seed=args.seed)
     _emit({"target": str(target), "distance": d,
            "group_element": g.to_json(), "params": params.to_json()}, args)
     return EXIT_OK
@@ -433,13 +411,9 @@ def cmd_dist(args) -> int:
 
 def cmd_mc(args) -> int:
     _check_sampling_args(args)
-    label = _label_arg(args.label)
-    try:
-        rep = monte_carlo_neighborhood(label, _params_arg(args, label),
-                                       args.epsilon, args.trials,
-                                       seed=args.seed)
-    except ValidationError as exc:
-        raise SystemExit((EXIT_USAGE, str(exc)))
+    label = label_from_string(args.label)
+    rep = monte_carlo_neighborhood(label, _params_arg(args, label),
+                                   args.epsilon, args.trials, seed=args.seed)
     _emit(rep.to_json(), args)
     return EXIT_OK if rep.ok else EXIT_VERIFY
 
@@ -453,7 +427,6 @@ def build_parser() -> _Parser:
     sub = p.add_subparsers(dest="cmd", required=True)
 
     def common(sp, pair_input=False):
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("--output", help="write the report here")
         if pair_input:
             sp.add_argument("--input", help="pair JSON file (default stdin)")
@@ -495,7 +468,8 @@ def build_parser() -> _Parser:
         q.add_argument("dst")
         if name == "eval":
             q.add_argument("--s", type=float, required=True)
-        q.add_argument("--tol", type=float, default=1e-4)
+        else:
+            q.add_argument("--tol", type=float, default=1e-4)
         common(q)
     sp.set_defaults(fn=cmd_witness)
 
@@ -506,6 +480,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--trials", type=int, default=200)
     sp.add_argument("--epsilon", type=float, default=1e-3)
     sp.add_argument("--tol", type=float, default=1e-4)
+    sp.add_argument("--format", choices=("json", "csv"), default="json")
     common(sp)
     sp.set_defaults(fn=cmd_verify)
 
@@ -528,16 +503,12 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except SystemExit as exc:
-        if isinstance(exc.code, tuple):
-            code, message = exc.code
-            print(message, file=sys.stderr)
-            return code
-        raise
+    except ValidationError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -36,6 +36,7 @@ import json
 import warnings
 from dataclasses import dataclass, field
 
+from .core import _record_json
 from .normal_forms import (
     COMPLEX_FIELDS,
     GENERIC_PARAMS,
@@ -498,11 +499,7 @@ class ClosureGraphPsi(_Graph):
     def to_json(self) -> str:
         return json.dumps({
             "nodes": [str(c) for c in CELLS],
-            "edges": [
-                {"src": str(e.src), "dst": str(e.dst),
-                 "provenance": e.provenance, "suspect": e.suspect}
-                for e in self.base_edges
-            ],
+            "edges": [_record_json(e) for e in self.base_edges],
             "filtered_edges": [
                 {"src": str(e.src), "dst": str(e.dst),
                  "provenance": e.provenance, "reason": reason}

@@ -18,7 +18,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Union
 
 __all__ = [
@@ -370,6 +370,25 @@ def _j2c(doc) -> complex:
             and all(map(_is_json_number, doc))):
         raise ValidationError(f"complex scalar JSON must be [re, im], got {doc!r}")
     return complex(doc[0], doc[1])
+
+
+def _record_json(record, *properties) -> dict:
+    """The JSON object of a dataclass record: its fields in declaration
+    order, then the named properties.  A value with a `to_json` writes
+    itself, a tuple or list becomes a list and a dict a copy."""
+    doc = {}
+    for f in fields(record):
+        v = getattr(record, f.name)
+        if hasattr(v, "to_json"):
+            v = v.to_json()
+        elif isinstance(v, (tuple, list)):
+            v = list(v)
+        elif isinstance(v, dict):
+            v = dict(v)
+        doc[f.name] = v
+    for name in properties:
+        doc[name] = getattr(record, name)
+    return doc
 
 
 def dumps(obj, **kw) -> str:

@@ -116,7 +116,7 @@ def label_from_string(s: str) -> BundleLabel:
         a, b = s.split("/")
         return BundleLabel(ALabel(a), BShape(b))
     except ValueError as exc:
-        raise ValueError(f"invalid bundle label {s!r}") from exc
+        raise ValidationError(f"invalid bundle label {s!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -372,7 +372,7 @@ def representative(label: BundleLabel, params: BundleParams | None = None) -> Pa
     p = params or BundleParams()
     violations = validate_params(label, p)
     if violations:
-        raise ValueError(
+        raise ValidationError(
             f"invalid parameters for {label}: " + "; ".join(violations)
         )
     A = representative_A(label.a_label, p,
@@ -407,8 +407,13 @@ def validate_params(label: BundleLabel, params: BundleParams) -> list[str]:
             out.append("theta must lie in (0, pi)")
         elif name == "tau" and not (0.0 < p.tau < 1.0):
             out.append("tau must lie in (0, 1)")
-        elif name in ("a", "b", "d") and not (float(getattr(p, name)) > 0.0):
-            out.append(f"{name} must be positive")
+        elif name in ("a", "b", "d") and not (
+                0.0 < float(getattr(p, name)) < math.inf):
+            out.append(f"{name} must be "
+                       + ("positive" if getattr(p, name) <= 0.0 else "finite"))
+        elif name in ("phi", "zeta", "zeta_star") and not cmath.isfinite(
+                getattr(p, name)):
+            out.append(f"{name} must be finite")
         elif name == "zeta_star" and complex(p.zeta_star) == 0:
             out.append("zeta_star must be nonzero")
     if not out and label.b_shape is BShape.DIAG_AD and label.a_label in (

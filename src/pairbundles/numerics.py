@@ -24,7 +24,9 @@ value types, numpy arrays and nested lists and convert them once, at the
 edge, with `core._entries4`.  numpy stays where the work is not 2x2
 arithmetic: the seeded RNG streams and `sample_group_element` (its array and
 its condition-number test decide which draws are kept, and so the distance
-floors bit for bit).
+floors bit for bit).  `sample_group_element`, `distance_to_bundle` and
+`_trial_perturbation` import numpy themselves, so importing this module
+does not load it.
 """
 
 import cmath
@@ -33,8 +35,6 @@ import math
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Optional
-
-import numpy as np
 
 from .closure import bundle_graph
 from .core import (
@@ -50,6 +50,7 @@ from .core import (
     _inv4,
     _mat4,
     _max_abs,
+    _record_json,
     _singular_values,
     _spectral_norm,
     _star_congruence4,
@@ -120,14 +121,7 @@ class BoundReport:
         return (not self.hypothesis_ok) or self.margin >= 0.0
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "hypothesis_ok": self.hypothesis_ok,
-            "bound_value": self.bound_value,
-            "observed_value": self.observed_value,
-            "margin": self.margin,
-            "ok": self.ok,
-        }
+        return _record_json(self, "ok")
 
 
 @dataclass
@@ -145,16 +139,7 @@ class EmpiricalConstants:
     detail: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "src": self.src,
-            "dst": self.dst,
-            "mu_estimate": self.mu_estimate,
-            "nu_estimate": self.nu_estimate,
-            "floor": self.floor,
-            "flagged": self.flagged,
-            "grid": list(self.grid),
-            "detail": self.detail,
-        }
+        return _record_json(self)
 
 
 @dataclass
@@ -173,17 +158,7 @@ class NeighborhoodReport:
         return not self.violations
 
     def to_json(self) -> dict:
-        return {
-            "center": self.center,
-            "center_params": self.center_params,
-            "epsilon": self.epsilon,
-            "trials": self.trials,
-            "histogram": dict(self.histogram),
-            "violations": list(self.violations),
-            "ambiguous": self.ambiguous,
-            "failures": self.failures,
-            "ok": self.ok,
-        }
+        return _record_json(self, "ok")
 
 
 # ---------------------------------------------------------------------------
@@ -850,6 +825,8 @@ def table4_residuals(row: str, B_tilde, B, P, F=None) -> BoundReport:
 
 def sample_group_element(rng, cond_max: float = 1e3, spread: float = 1.0):
     """Random (c, P) with P of bounded condition number."""
+    import numpy as np
+
     phi = rng.uniform(0.0, 2 * math.pi)
     while True:
         P = (np.eye(2)
@@ -1075,6 +1052,8 @@ def distance_to_bundle(x: PairAB, target: BundleLabel, budget: int = 32,
     Both keep the order of every reduction, ``sum`` included, so the
     results match the full evaluation on every Python version.
     """
+    import numpy as np
+
     if budget < 1:
         raise ValidationError("budget must be >= 1")
     objective, surrogate = _distance_kernel(x, target, norm)
@@ -1188,6 +1167,8 @@ def _trial_perturbation(seed: int, t: int, epsilon: float) -> list:
     epsilon sqrt(u) and angle 2 pi u' from consecutive draws (u, u') of
     `default_rng([seed, t])`.  One draw of 14 doubles is the stream of 14
     scalar `uniform()` calls, and `uniform(0, 2 pi)` is 2 pi u."""
+    import numpy as np
+
     u = np.random.default_rng([seed, t]).random(14).tolist()
     return [epsilon * math.sqrt(u[i]) * cmath.exp(1j * (2 * math.pi * u[i + 1]))
             for i in range(0, 14, 2)]

@@ -16,24 +16,27 @@ Families are immutable and carry no trust status: `witness_verify` is a
 pure function, and a family's status lives only in the `VerifyReport` that
 `witness_verify` or `witness_repair` returns.
 
-A family's P(s) is closed-form numpy data.  `witness_eval` turns it into a
+A family's P(s) is closed-form numpy data, so numpy loads on the first
+evaluation of a family, not on import.  `witness_eval` turns P(s) into a
 `GroupElement`, whose check rejects a non-finite or singular P(s), and
 moves the instance with `core`'s 4-tuple action; nothing here multiplies
 2x2 arrays.
 """
+
+from __future__ import annotations
 
 import cmath
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
 from .core import (
     GroupElement,
     Mat2,
     PairAB,
     SymMat2,
+    ValidationError,
+    _record_json,
     apply_action,
     pair_distance,
 )
@@ -91,13 +94,7 @@ class VerifyReport:
     message: str
 
     def to_json(self) -> dict:
-        return {
-            "family": self.family,
-            "s_grid": list(self.s_grid),
-            "residuals": list(self.residuals),
-            "status": self.status,
-            "message": self.message,
-        }
+        return _record_json(self)
 
 
 def default_grid(s_max: float = DEFAULT_S_MAX) -> tuple:
@@ -111,12 +108,11 @@ def witness_eval(f: WitnessFamily, s: float):
     """Evaluate a family at one parameter value.
 
     Returns (group element, transported pair, residual to the source
-    representative).  Raises ValueError on s outside (0, s_max], and the
-    `GroupElement` it builds raises ValidationError (a ValueError) on a
-    non-finite or singular P(s).
+    representative).  Raises ValidationError on s outside (0, s_max], and
+    the `GroupElement` it builds raises it on a non-finite or singular P(s).
     """
     if not 0.0 < s <= f.s_max:
-        raise ValueError(f"s must lie in (0, {f.s_max}] (got {s})")
+        raise ValidationError(f"s must lie in (0, {f.s_max}] (got {s})")
     g = GroupElement(f.c_of_s(s), Mat2(f.P_of_s(s)))
     moved = apply_action(g, f.target_instance_of_s(s))
     return g, moved, pair_distance(moved, f.source_pair())
@@ -164,6 +160,8 @@ _PREFERRED_PHASES = (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)
 
 def _corrected(f: WitnessFamily, t: float, psi: float,
                transpose: bool) -> WitnessFamily:
+    import numpy as np
+
     base_P, base_c = f.P_of_s, f.c_of_s
 
     def P(s, _t=t, _tr=transpose):
@@ -234,6 +232,8 @@ def witness_lookup(src: BundleLabel, dst: BundleLabel):
 # ---------------------------------------------------------------------------
 
 def _arr(rows):
+    import numpy as np
+
     return np.array(rows, dtype=complex)
 
 

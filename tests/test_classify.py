@@ -436,6 +436,42 @@ def test_overflow_after_an_ambiguous_stage1_is_ambiguous():
     assert str(cause) == "singular values of B overflow to nan"
 
 
+# The scaled representatives that the classifier labels wrongly with no
+# note (ROADMAP item 3): at t = 1e-8 each one comes out zero/zero, and at
+# t = 1e8 each one comes out as a neighbouring cell of the same A-class.
+_SILENT_AT_SCALE = {(1e-8, cell) for cell in (
+    "tau_form/one_zeta", "tau_form/zero_one", "tau_form/anti_diag",
+    "tau_form/zero", "nilpotent/diag_a_one", "nilpotent/anti_diag",
+    "nilpotent/one_zero", "nilpotent/zero_one", "nilpotent/zero",
+    "identity/zero", "one_plus_minus/anti_diag", "one_plus_minus/zero",
+    "one_plus_minus/swap_one_zero", "one_zero/diag_a_one", "one_zero/swap",
+    "one_zero/zero_one", "one_zero/diag_a0", "one_zero/zero", "zero/rank2",
+    "zero/rank1")} | {(1e8, cell) for cell in (
+    "nilpotent/zeta_b_one", "nilpotent/off_diag_b_one",
+    "nilpotent/diag_a_one", "nilpotent/one_b_zero", "one_zero/diag_a_one")}
+
+
+@pytest.mark.parametrize("t, cell", [
+    pytest.param(t, cell, id=f"{t:g}-{cell}", marks=pytest.mark.xfail(
+        strict=True, reason="silent wrong label at this scale (item 3)"))
+    if (t, str(cell)) in _SILENT_AT_SCALE
+    else pytest.param(t, cell, id=f"{t:g}-{cell}")
+    for t in (1e-8, 1e-4, 1e4, 1e8) for cell in CELLS])
+def test_exact_scaling_gives_no_silent_wrong_label(t, cell):
+    """(1, sqrt(t) I) is a group element, so the scaled representative
+    lies in the cell's own orbit.  The classifier may give the cell's
+    label, a label with an ambiguity note, or one of its two errors, but
+    never another label with no note."""
+    g = GroupElement(1.0, Mat2([[math.sqrt(t), 0], [0, math.sqrt(t)]]))
+    x = apply_action(g, representative(
+        cell, canonicalize_params(cell, GENERIC_PARAMS)))
+    try:
+        cls = classify_pair(x)
+    except (AmbiguityError, ClassificationFailureError):
+        return
+    assert cls.label == cell or cls.ambiguous, f"silent {cls.label}"
+
+
 @pytest.mark.parametrize("k, cell", list(enumerate(CELLS)),
                          ids=[str(cell) for cell in CELLS])
 def test_returned_reducer_is_the_checked_group_element(k, cell):

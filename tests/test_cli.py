@@ -276,6 +276,13 @@ class TestClosure:
                      "one_theta (dim 8)", "tau_form (dim 8)"):
             assert frag in out
 
+    def test_export_psi2_dot(self, capsys):
+        code, out, _ = run(capsys,
+                           ["closure", "export", "psi2", "--format", "dot"])
+        assert code == 0
+        assert out == ('digraph psi2 {\n  "zero";\n  "rank1";\n  "rank2";\n'
+                       '  "zero" -> "rank1";\n  "rank1" -> "rank2";\n}\n')
+
     def test_export_psi_json_has_46_nodes(self, capsys):
         code, out, _ = run(capsys, ["closure", "export", "psi"])
         assert code == 0
@@ -470,6 +477,49 @@ class TestOutOfRangeOptions:
     def test_refused(self, capsys, argv, says):
         code, out, err = run(capsys, argv)
         assert (code, out, err) == (1, "", says + "\n")
+
+    @pytest.mark.parametrize("argv, says", [
+        (["mc", "one_zero/diag_a0", "--params", '{"a": -1}'],
+         "invalid parameters for one_zero/diag_a0: a must be positive"),
+        (["mc", "one_zero/diag_a0", "--params", '{"a": Infinity}'],
+         "invalid parameters for one_zero/diag_a0: a must be finite"),
+        (["mc", "identity/d_identity", "--params", '{"d": NaN}'],
+         "invalid parameters for identity/d_identity: d must be finite"),
+        (["dim", "one_zero/diag_a0", "--params", '{"a": Infinity}'],
+         "a must be finite"),
+        (["dim", "tau_form/phase_form", "--params",
+          '{"tau": 0.5, "phi": NaN, "b": 1, "zeta": [1, 0]}'],
+         "phi must be finite"),
+        (["dim", "tau_form/phase_form", "--params",
+          '{"tau": 0.5, "phi": 1, "b": 1, "zeta": [Infinity, 0]}'],
+         "zeta must be finite"),
+        (["dim", "nilpotent/zeta_b_one", "--params",
+          '{"zeta_star": [0, -Infinity], "b": 1}'],
+         "zeta_star must be finite"),
+        (["witness", "eval", "one_zero/zero", "tau_form/zero", "--s", "0.5"],
+         "s must lie in (0, 0.3] (got 0.5)"),
+    ], ids=["mc-negative", "mc-infinite", "mc-nan", "dim-infinite",
+            "dim-nan-phi", "dim-infinite-zeta", "dim-infinite-zeta-star",
+            "witness-eval-s"])
+    def test_out_of_domain_values(self, capsys, argv, says):
+        """A value outside its domain is one stderr line naming it, and
+        exit 1, never a traceback."""
+        code, out, err = run(capsys, argv)
+        assert (code, out, err) == (1, "", says + "\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--format", "json"],
+        ["dim", "zero/zero", "--format", "csv"],
+        ["closure", "path", "zero/zero", "zero/rank1", "--format", "csv"],
+        ["witness", "eval", "one_zero/zero", "tau_form/zero", "--s", "0.1",
+         "--tol", "1"],
+        ["mc", "zero/zero", "--format", "json"],
+    ], ids=["classify-format", "dim-format", "closure-path-format",
+            "witness-eval-tol", "mc-format"])
+    def test_removed_options_are_usage_errors(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == ""
+        assert "unrecognized arguments" in err
 
     def test_dist_seed(self, capsys, identity_pair):
         code, out, err = run(capsys, ["dist", "identity/diag_ad", "--input",

@@ -28,6 +28,7 @@ from pairbundles.core import (
     _group4,
     _max_abs,
     _mul4,
+    _record_json,
     _star_congruence4,
     _transpose_congruence3,
 )
@@ -461,6 +462,37 @@ class TestJson:
     def test_documents_take_exactly_their_keys(self, build, doc):
         with pytest.raises(ValidationError):
             build(doc)
+
+    def test_record_json_writes_fields_in_order_then_properties(self):
+        """A value with to_json writes itself, a tuple or list becomes a
+        list and a dict a copy; the named properties come last."""
+        from dataclasses import dataclass
+
+        from pairbundles.numerics import BoundReport
+
+        @dataclass
+        class Record:
+            g: GroupElement
+            grid: tuple
+            hits: list
+            detail: dict
+            residual: float
+
+            @property
+            def ok(self):
+                return self.residual < 1
+
+        g = GroupElement(1j, Mat2.identity())
+        rec = Record(g, (0.5, 0.25), [(1, "x")], {"seed": 0}, 0.5)
+        doc = _record_json(rec, "ok")
+        assert list(doc) == ["g", "grid", "hits", "detail", "residual", "ok"]
+        assert doc == {"g": g.to_json(), "grid": [0.5, 0.25],
+                       "hits": [(1, "x")], "detail": {"seed": 0},
+                       "residual": 0.5, "ok": True}
+        assert doc["hits"] is not rec.hits and doc["detail"] is not rec.detail
+        assert list(BoundReport(True, 1.0, 0.5, 0.5, name="D1").to_json()) == [
+            "hypothesis_ok", "bound_value", "observed_value", "margin", "name",
+            "ok"]
 
     def test_seventeen_digit_roundtrip(self):
         v = 0.1234567890123456789

@@ -5,7 +5,7 @@ import unittest
 import numpy as np
 import pytest
 
-from pairbundles.core import max_norm
+from pairbundles.core import ValidationError, max_norm
 from pairbundles.normal_forms import (
     ANGLE_FIELDS,
     COMPLEX_FIELDS,
@@ -60,7 +60,7 @@ class TestCatalog(unittest.TestCase):
         lab = BundleLabel(ALabel.ONE_THETA, BShape.ANTI_DIAG)
         self.assertEqual(str(lab), "one_theta/anti_diag")
         self.assertEqual(label_from_string("one_theta/anti_diag"), lab)
-        with self.assertRaises(ValueError):
+        with self.assertRaises(ValidationError):
             label_from_string("bogus/label")
 
 
@@ -132,13 +132,36 @@ class TestValidation(unittest.TestCase):
         v = validate_params(lab, BundleParams(a=2.0, d=2.0))
         self.assertTrue(any("d_identity" in s for s in v))
 
+    def test_non_finite_values_are_refused_by_name(self):
+        inf, nan = math.inf, math.nan
+        for label, kw, says in (
+            ("one_zero/diag_a0", {"a": inf}, "a must be finite"),
+            ("one_zero/diag_a0", {"a": nan}, "a must be finite"),
+            ("one_zero/diag_a0", {"a": -inf}, "a must be positive"),
+            ("one_theta/anti_diag", {"theta": 1.0, "b": inf},
+             "b must be finite"),
+            ("identity/d_identity", {"d": inf}, "d must be finite"),
+            ("tau_form/phase_form",
+             {"tau": 0.5, "phi": nan, "b": 1.0, "zeta": 1j},
+             "phi must be finite"),
+            ("tau_form/phase_form",
+             {"tau": 0.5, "phi": 0.7, "b": 1.0, "zeta": complex(0, inf)},
+             "zeta must be finite"),
+            ("nilpotent/zeta_b_one", {"zeta_star": complex(nan, 0), "b": 1.0},
+             "zeta_star must be finite"),
+            ("tau_form/zero", {"tau": inf}, "tau must lie in (0, 1)"),
+            ("one_theta/zero", {"theta": nan}, "theta must lie in (0, pi)"),
+        ):
+            self.assertEqual(validate_params(label_from_string(label),
+                                             BundleParams(**kw)), [says])
+
     def test_missing_param_reported(self):
         lab = BundleLabel(ALabel.ONE_THETA, BShape.ANTI_DIAG)
         v = validate_params(lab, BundleParams(theta=1.0))
         self.assertTrue(any("b" in s for s in v))
 
     def test_representative_rejects_bad_params(self):
-        with self.assertRaises(ValueError):
+        with self.assertRaises(ValidationError):
             representative(
                 BundleLabel(ALabel.TAU_FORM, BShape.ZERO), BundleParams(tau=2.0)
             )

@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import functools
 import importlib.util
+import json
 import math
 import pathlib
 import unittest
@@ -594,6 +595,45 @@ class TestMonteCarlo(unittest.TestCase):
             self.assertEqual(reports(), cold, (seed, eps, trials))
 
 
+def test_monte_carlo_counts_each_trial_outcome(monkeypatch, capsys):
+    """An AmbiguityError and a noted label count as ambiguous, a
+    ClassificationFailureError as a failure, and only a decided label
+    outside the centre's successors as a violation, which makes the report
+    fail and `mc` exit 3."""
+    from pairbundles import classify, cli
+    from pairbundles.classify import (AmbiguityError, Classification,
+                                      ClassificationFailureError)
+
+    top, low = L("one_theta/full_hermitian_like"), L("zero/zero")
+    g = GroupElement(1.0, Mat2.identity())
+
+    def label(cell, note=()):
+        return Classification(cell, generic_params(cell), g, 0.0, note)
+
+    cycle = (AmbiguityError(["top", "low"]), ClassificationFailureError("off"),
+             label(top, ("near a wall",)), label(low), label(top))
+    calls = []
+
+    def fake_classify_pair(x):
+        out = cycle[len(calls) % len(cycle)]
+        calls.append(x)
+        if isinstance(out, Exception):
+            raise out
+        return out
+
+    monkeypatch.setattr(classify, "classify_pair", fake_classify_pair)
+    rep = monte_carlo_neighborhood(L("zero/rank1"), None, 1e-3, 10, seed=0)
+    assert (rep.ambiguous, rep.failures) == (4, 2)
+    assert rep.violations == [(3, "zero/zero"), (8, "zero/zero")]
+    assert rep.histogram == {str(top): 4, "zero/zero": 2}
+    assert rep.ok is False and rep.to_json()["ok"] is False
+
+    calls.clear()
+    assert cli.main(["mc", "zero/rank1", "--trials", "10"]) == 3
+    assert json.loads(capsys.readouterr().out) == json.loads(
+        json.dumps(rep.to_json()))
+
+
 @pytest.mark.parametrize("cell", CELLS, ids=str)
 def test_generic_params_are_valid(cell):
     rep = representative(cell, generic_params(cell))
@@ -705,7 +745,11 @@ _spec.loader.exec_module(_outcome_corpus)
 _FLOOR_JOBS = _outcome_corpus.FLOOR_JOBS
 
 
-@pytest.mark.parametrize("src,dst,budget,norm", _FLOOR_JOBS)
+# the last two jobs draw random starts for complex and phase fields
+@pytest.mark.parametrize("src,dst,budget,norm", _FLOOR_JOBS + [
+    ("tau_form/zero", "tau_form/phase_form", 2, "max"),
+    ("one_theta/zero", "one_theta/full_hermitian_like", 2, "max"),
+])
 def test_distance_equals_gauge_at_returned_witness(src, dst, budget, norm):
     x = representative(L(src), generic_params(L(src)))
     d, (g, params) = distance_to_bundle(x, L(dst), budget=budget, seed=0,

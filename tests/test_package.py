@@ -68,8 +68,30 @@ def test_classifier_and_closure_graph_import_no_numpy():
 
 
 def test_first_use_of_a_lazy_name_loads_its_module():
+    """The catalogue loads `witnesses` alone; numpy waits for the first
+    evaluation of a family."""
     assert _loaded_after("import pairbundles\npairbundles.CATALOG") == [
+        "pairbundles.witnesses"]
+    assert _loaded_after("import pairbundles as p\n"
+                         "p.witness_eval(p.CATALOG[0], 0.1)") == [
         "numpy", "pairbundles.witnesses"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--input", "pair.json"],
+    ["closure", "path", "identity/zero", "one_theta/zero"],
+    ["dim", "tau_form/zero", "--params", '{"tau": 0.5}'],
+], ids=["classify", "closure-path", "dim"])
+def test_console_commands_that_sample_nothing_import_no_numpy(tmp_path, argv):
+    """`cli` imports `numerics` and `witnesses`, which load numpy only in
+    the functions that draw, search or evaluate a family."""
+    pair = tmp_path / "pair.json"
+    pair.write_text('{"A": [[1, 0], [0, 1]], "B": {"a": 1, "b": 0, "d": 3}}')
+    argv = [str(pair) if a == "pair.json" else a for a in argv]
+    code = ("import contextlib, io\nfrom pairbundles.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main({argv!r}) == 0")
+    assert "numpy" not in _loaded_after(code)
 
 
 @pytest.mark.parametrize("name", sorted(pairbundles._LAZY))

@@ -9,6 +9,7 @@ import pytest
 
 from pairbundles import cli
 from pairbundles.closure import SuspectEdgeWarning, bundle_graph
+from pairbundles.core import ValidationError
 from pairbundles.normal_forms import label_from_string as L
 from pairbundles.witnesses import (
     CATALOG,
@@ -90,11 +91,11 @@ class TestEval(unittest.TestCase):
 
     def test_s_domain(self):
         f = CATALOG[0]
-        with self.assertRaises(ValueError):
+        with self.assertRaises(ValidationError):
             witness_eval(f, 0.0)
-        with self.assertRaises(ValueError):
+        with self.assertRaises(ValidationError):
             witness_eval(f, f.s_max * 1.01)
-        with self.assertRaises(ValueError):
+        with self.assertRaises(ValidationError):
             witness_eval(f, -0.1)
 
     def test_group_element_is_returned(self):
