@@ -2,12 +2,14 @@
 2x2 complex matrices under the action (c, P): (A, B) -> (c P* A P, P^T B P).
 
 `import pairbundles` loads only the numpy-free modules `core`,
-`normal_forms`, `classify` and `closure`, so classifying pairs and querying
-the closure graph never import numpy.  The verification engines
+`normal_forms` and `closure`, so querying the closure graph
+(`bundle_graph`, `is_path`, ...) loads neither the classifier nor
+numpy.  The classifier `classify` and the verification engines
 `numerics` and `witnesses` load on the first use of one of their names
-here (`pairbundles.distance_to_bundle`, `pairbundles.CATALOG`, ...) or of
-the submodule itself; they import numpy only in the functions that draw
-seeded samples, search distances or evaluate a family."""
+here (`pairbundles.classify_pair`, `pairbundles.distance_to_bundle`,
+`pairbundles.CATALOG`, ...) or of the submodule itself.  None of them
+imports numpy when it loads: the engines import it only in the functions
+that draw seeded samples, search distances or evaluate a family."""
 
 from .core import (
     GroupElement,
@@ -40,12 +42,6 @@ from .normal_forms import (
     validate_params,
 )
 
-from .classify import (
-    AmbiguityError,
-    Classification,
-    ClassificationFailureError,
-    classify_pair,
-)
 from .closure import (
     PSI1_GRAPH,
     PSI2_GRAPH,
@@ -63,6 +59,13 @@ from .closure import (
 
 # name -> the submodule that defines it, loaded on first access (PEP 562)
 _LAZY = {
+    **dict.fromkeys((
+        "classify",
+        "AmbiguityError",
+        "Classification",
+        "ClassificationFailureError",
+        "classify_pair",
+    ), "classify"),
     **dict.fromkeys((
         "witnesses",
         "CATALOG",
@@ -93,7 +96,7 @@ _LAZY = {
     ), "numerics"),
 }
 
-# the eager names, the four eager submodules and every lazy name
+# the eager names, the three eager submodules and every lazy name
 __all__ = sorted({n for n in globals() if not n.startswith("_")}
                  | _LAZY.keys())
 

@@ -25,11 +25,6 @@ import sys
 import warnings
 
 from . import core
-from .classify import (
-    AmbiguityError,
-    ClassificationFailureError,
-    classify_pair,
-)
 from .closure import PSI1_GRAPH, PSI2_GRAPH, SuspectEdgeWarning, bundle_graph
 from .core import PairAB, ValidationError
 from .normal_forms import (
@@ -117,6 +112,8 @@ def _check_sampling_args(args) -> None:
         raise ValidationError("--trials must be >= 1")
     if not 0 < getattr(args, "epsilon", 1e-3) <= 0.1:
         raise ValidationError("--epsilon must lie in (0, 0.1]")
+    if not 0 < getattr(args, "tol", 1.0) < math.inf:
+        raise ValidationError("--tol must be finite and > 0")
     if getattr(args, "seed", 0) < 0:
         raise ValidationError("--seed must be >= 0")
 
@@ -155,6 +152,9 @@ def _write(text: str, args) -> None:
 
 def cmd_classify(args) -> int:
     """`classify`, and `reduce`, which also emits the representative."""
+    from .classify import (AmbiguityError, ClassificationFailureError,
+                           classify_pair)
+
     x = _read_pair(args)
     try:
         cls = classify_pair(x)
@@ -257,6 +257,7 @@ def _export_psi2(fmt: str) -> str:
 # witness commands
 
 def cmd_witness(args) -> int:
+    _check_sampling_args(args)
     src, dst = label_from_string(args.src), label_from_string(args.dst)
     fam = witness_lookup(src, dst)
     if fam is None:
@@ -376,6 +377,11 @@ def cmd_verify(args) -> int:
         "witness": _suite_witness,
     }
     wanted = list(suites) if args.suite == "all" else [args.suite]
+    if "graph" in wanted:
+        # the graph suite classifies.  Compiled before the bound suites load
+        # numpy, the classifier leaves its compile memory to later
+        # allocations: with no bytecode cache, `verify all` peaks 1 MB lower
+        from . import classify  # noqa: F401
     checks = []
     counts = {}
     for name in wanted:

@@ -32,7 +32,6 @@ shortest one.
 from __future__ import annotations
 
 import functools
-import json
 import warnings
 from dataclasses import dataclass, field
 
@@ -176,6 +175,7 @@ def is_path_psi1(src: ALabel, dst: ALabel) -> bool:
 # entry (zeta or zeta*) can drop rank on a thin subset and are not pure.
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _generic_rank(shape: BShape) -> int:
     """Rank of the shape's form at the generic parameters."""
     b11, b12, b22 = _representative_B_entries(shape, vars(GENERIC_PARAMS))
@@ -497,6 +497,8 @@ class ClosureGraphPsi(_Graph):
 
     # -- export -----------------------------------------------------------
     def to_json(self) -> str:
+        import json
+
         return json.dumps({
             "nodes": [str(c) for c in CELLS],
             "edges": [_record_json(e) for e in self.base_edges],

@@ -16,7 +16,6 @@ numpy, while one built from an ndarray does.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass, field, fields
 from typing import Union
@@ -394,6 +393,8 @@ def _record_json(record, *properties) -> dict:
 def dumps(obj, **kw) -> str:
     """Serialize any of the core value types (or a plain dict) to JSON.
     NaN and infinities raise ValueError: JSON has no such values."""
+    import json
+
     if hasattr(obj, "to_json"):
         obj = obj.to_json()
     return json.dumps(obj, allow_nan=False, **kw)

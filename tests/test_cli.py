@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from pairbundles import cli, core
+from pairbundles import classify, cli, core
 from pairbundles.cli import main
 from pairbundles.core import Mat2, PairAB, SymMat2
 from pairbundles.numerics import BoundReport
@@ -100,6 +100,41 @@ class TestClassify:
         doc = json.loads(out)
         assert "representative" in doc
         assert doc["label"] == "identity/diag_ad"
+
+
+class TestClassifierContract:
+    """`classify` and `reduce` import the classifier when they run; a
+    result is one JSON document with exit 0, an ambiguity exit 2 and a
+    failure exit 3, with nothing on stderr."""
+
+    @pytest.mark.parametrize("cmd", ["classify", "reduce"])
+    def test_result(self, capsys, identity_pair, cmd):
+        cls = classify.classify_pair(PairAB(Mat2.identity(),
+                                            SymMat2(1.0, 0.0, 3.0)))
+        want = cls.to_json()
+        if cmd == "reduce":
+            want["representative"] = cli.representative(
+                cls.label, cls.params).to_json()
+        code, out, err = run(capsys, [cmd, "--input", identity_pair])
+        assert (code, out, err) == (0, core.dumps(want, indent=2) + "\n", "")
+
+    @pytest.mark.parametrize("cmd", ["classify", "reduce"])
+    @pytest.mark.parametrize("error, exit_code, doc", [
+        (classify.AmbiguityError(("identity/diag_ad", "identity/d_identity")),
+         2, {"ambiguous": ["identity/diag_ad", "identity/d_identity"],
+             "error": "ambiguous classification: "
+                      "('identity/diag_ad', 'identity/d_identity')"}),
+        (classify.ClassificationFailureError("no catalogued shape"),
+         3, {"error": "no catalogued shape"}),
+    ], ids=["ambiguous", "failure"])
+    def test_errors(self, capsys, monkeypatch, identity_pair, cmd, error,
+                    exit_code, doc):
+        def fail(x):
+            raise error
+
+        monkeypatch.setattr(classify, "classify_pair", fail)
+        code, out, err = run(capsys, [cmd, "--input", identity_pair])
+        assert (code, json.loads(out), err) == (exit_code, doc, "")
 
 
 class TestUsageErrors:
@@ -456,8 +491,8 @@ class TestDistAndMc:
 
 
 class TestOutOfRangeOptions:
-    """A bad --epsilon or --seed is refused before any work starts: exit 1,
-    one line on stderr, nothing on stdout."""
+    """A bad --epsilon, --seed or --tol is refused before any work starts:
+    exit 1, one line on stderr, nothing on stdout."""
 
     @pytest.mark.parametrize("argv, says", [
         (["verify", "all", "--epsilon", "0.5"], "--epsilon must lie in (0, 0.1]"),
@@ -471,9 +506,19 @@ class TestOutOfRangeOptions:
         (["mc", "zero/zero", "--seed", "-1"], "--seed must be >= 0"),
         (["mc", "zero/zero", "--epsilon", "0.5"],
          "--epsilon must lie in (0, 0.1]"),
+        (["verify", "witness", "--tol", "nan"], "--tol must be finite and > 0"),
+        (["verify", "bounds", "--tol", "nan"], "--tol must be finite and > 0"),
+        (["verify", "all", "--tol", "0"], "--tol must be finite and > 0"),
+        (["witness", "verify", "one_zero/zero", "tau_form/zero", "--tol", "-1"],
+         "--tol must be finite and > 0"),
+        (["witness", "repair", "one_zero/zero", "tau_form/zero",
+          "--tol", "inf"], "--tol must be finite and > 0"),
     ], ids=["verify-all-epsilon", "verify-graph-epsilon-zero",
             "verify-graph-epsilon-nan", "verify-bounds-seed",
-            "verify-graph-seed", "verify-all-seed", "mc-seed", "mc-epsilon"])
+            "verify-graph-seed", "verify-all-seed", "mc-seed", "mc-epsilon",
+            "verify-witness-tol-nan", "verify-bounds-tol-nan",
+            "verify-all-tol-zero", "witness-verify-tol-negative",
+            "witness-repair-tol-inf"])
     def test_refused(self, capsys, argv, says):
         code, out, err = run(capsys, argv)
         assert (code, out, err) == (1, "", says + "\n")

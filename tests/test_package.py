@@ -36,6 +36,10 @@ PUBLIC_NAMES = {
 
 _HEAVY = ("numpy", "pairbundles.numerics", "pairbundles.witnesses")
 
+# what the closure graph's cold start does without
+_NOT_FOR_THE_GRAPH = ("json", "numpy", "pairbundles.classify",
+                      "pairbundles.numerics", "pairbundles.witnesses")
+
 _COLD_START = """
 import pairbundles
 from pairbundles import Mat2, PairAB, SymMat2, classify_pair
@@ -50,12 +54,13 @@ assert classify_pair(PairAB.from_json(doc)) == classify_pair(x)
 """
 
 
-def _loaded_after(code):
-    """Which of _HEAVY a fresh interpreter has imported after running code."""
+def _loaded_after(code, modules=_HEAVY):
+    """Which of modules a fresh interpreter has imported after running
+    code."""
     src = pathlib.Path(pairbundles.__file__).resolve().parent.parent
     path = os.pathsep.join(filter(None, [str(src),
                                          os.environ.get("PYTHONPATH")]))
-    report = f"import sys\nprint([m for m in {_HEAVY!r} if m in sys.modules])"
+    report = f"import sys\nprint([m for m in {modules!r} if m in sys.modules])"
     proc = subprocess.run([sys.executable, "-c", f"{code}\n{report}"],
                           capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=path))
@@ -63,8 +68,29 @@ def _loaded_after(code):
     return ast.literal_eval(proc.stdout)
 
 
+def _console_main(argv):
+    """Code that runs the console command argv and expects exit 0."""
+    return ("import contextlib, io\nfrom pairbundles.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main({argv!r}) == 0")
+
+
 def test_classifier_and_closure_graph_import_no_numpy():
     assert _loaded_after(_COLD_START) == []
+
+
+def test_closure_graph_loads_no_classifier_and_no_json():
+    code = ("import pairbundles\n"
+            "from pairbundles import label_from_string as L\n"
+            "pairbundles.bundle_graph()\n"
+            "assert pairbundles.is_path(L('zero/zero'), "
+            "L('one_theta/full_hermitian_like'))")
+    assert _loaded_after(code, _NOT_FOR_THE_GRAPH) == []
+
+
+def test_first_use_of_classify_pair_loads_the_classifier_alone():
+    assert _loaded_after("import pairbundles\npairbundles.classify_pair",
+                         _NOT_FOR_THE_GRAPH) == ["pairbundles.classify"]
 
 
 def test_first_use_of_a_lazy_name_loads_its_module():
@@ -88,10 +114,17 @@ def test_console_commands_that_sample_nothing_import_no_numpy(tmp_path, argv):
     pair = tmp_path / "pair.json"
     pair.write_text('{"A": [[1, 0], [0, 1]], "B": {"a": 1, "b": 0, "d": 3}}')
     argv = [str(pair) if a == "pair.json" else a for a in argv]
-    code = ("import contextlib, io\nfrom pairbundles.cli import main\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    assert main({argv!r}) == 0")
-    assert "numpy" not in _loaded_after(code)
+    assert "numpy" not in _loaded_after(_console_main(argv))
+
+
+@pytest.mark.parametrize("argv", [
+    ["closure", "path", "identity/zero", "one_theta/zero"],
+    ["dim", "tau_form/zero", "--params", '{"tau": 0.5}'],
+], ids=["closure-path", "dim"])
+def test_console_graph_and_dim_commands_load_no_classifier(argv):
+    """`cli` loads the classifier only in the commands that classify."""
+    assert _loaded_after(_console_main(argv),
+                         ("pairbundles.classify",)) == []
 
 
 @pytest.mark.parametrize("name", sorted(pairbundles._LAZY))
