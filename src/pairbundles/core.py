@@ -7,18 +7,17 @@ action, the norms and the value types' checks compute on it.  This is the
 one module that knows that storage: the private 4-tuple kernels below
 serve `classify`, `numerics` and `witnesses` too, and `_entries4` converts
 a value type, an array or nested lists at their API edge.  numpy enters
-only to parse ndarray input, where a caller asks for an array, and in the
-4x4 determinant of `det_invariant`.  Each of those places imports numpy
-itself: importing this module, the action and norms on value types, and a
-`Mat2` built from nested lists (`Mat2.from_json` included) do not load
-numpy, while one built from an ndarray does.
+only to parse ndarray input and where a caller asks for an array (the
+`array` properties).  Each of those places imports numpy itself:
+importing this module, the action, norms and invariants on value types,
+and a `Mat2` built from nested lists (`Mat2.from_json` included) do not
+load numpy, while one built from an ndarray does.
 """
 from __future__ import annotations
 
 import cmath
 import math
 from dataclasses import dataclass, field, fields
-from typing import Union
 
 __all__ = [
     "Mat2",
@@ -180,8 +179,8 @@ class Mat2:
         object.__setattr__(self, "entries", _finite4(_entries4(entries)))
 
     @property
-    def array(self) -> np.ndarray:
-        """A fresh read-only 2x2 array of the entries."""
+    def array(self):
+        """A fresh read-only 2x2 numpy array of the entries."""
         import numpy as np
 
         arr = np.array(self.entries, dtype=complex).reshape(2, 2)
@@ -235,7 +234,8 @@ class SymMat2:
             object.__setattr__(self, name, z)
 
     @property
-    def array(self) -> np.ndarray:
+    def array(self):
+        """A fresh 2x2 numpy array of the entries."""
         import numpy as np
 
         return np.array([[self.a, self.b], [self.b, self.d]], dtype=complex)
@@ -408,8 +408,9 @@ def apply_psi1(g: GroupElement, A: Mat2) -> Mat2:
     return _mat4(_star_congruence4(g.c, _entries4(g.P), _entries4(A)))
 
 
-def apply_psi2(P: Union[Mat2, np.ndarray], B: SymMat2) -> SymMat2:
-    """Second projection: B -> P^T B P (re-symmetrized against round-off)."""
+def apply_psi2(P, B: SymMat2) -> SymMat2:
+    """Second projection: B -> P^T B P (re-symmetrized against round-off),
+    for P a Mat2 or 2x2 array data."""
     p = _entries4(P)
     if abs(_det4(p)) <= MIN_ABS_DET:
         raise ValidationError("P must be invertible")
@@ -452,14 +453,26 @@ def cosquare(A: Mat2) -> Mat2:
     return _mat4(_cosquare4(a)[0])
 
 
-def det_invariant(x: PairAB, rtol: float = 1e-9) -> float:
-    """det [[A, conj(B)], [B, conj(A)]] -- always real and action-invariant."""
-    import numpy as np
+# (sign, j, k, m, n) of a Laplace expansion of a 4x4 determinant along its
+# top two rows: the minor of the top rows in columns j < k times the minor
+# of the bottom rows in the complementary columns m < n
+_LAPLACE_TERMS = ((1, 0, 1, 2, 3), (-1, 0, 2, 1, 3), (1, 0, 3, 1, 2),
+                  (1, 1, 2, 0, 3), (-1, 1, 3, 0, 2), (1, 2, 3, 0, 1))
 
-    A = x.A.array
-    B = x.B.array
-    M = np.block([[A, B.conj()], [B, A.conj()]])
-    value = np.linalg.det(M)
+
+def det_invariant(x: PairAB, rtol: float = 1e-9) -> float:
+    """det [[A, conj(B)], [B, conj(A)]] -- always real and action-invariant.
+    Computed by `_LAPLACE_TERMS`' expansion, without numpy."""
+    a0, a1, a2, a3 = x.A.entries
+    B = x.B
+    top = ((a0, a1, B.a.conjugate(), B.b.conjugate()),
+           (a2, a3, B.b.conjugate(), B.d.conjugate()))
+    bottom = ((B.a, B.b, a0.conjugate(), a1.conjugate()),
+              (B.b, B.d, a2.conjugate(), a3.conjugate()))
+    value = 0j
+    for sign, j, k, m, n in _LAPLACE_TERMS:
+        value += (sign * (top[0][j] * top[1][k] - top[0][k] * top[1][j])
+                  * (bottom[0][m] * bottom[1][n] - bottom[0][n] * bottom[1][m]))
     if abs(value.imag) > rtol * (1.0 + abs(value)):
         raise ValidationError(
             f"determinant invariant has non-real residue {value.imag!r}"

@@ -6,6 +6,10 @@ instances (A(s), B(s)) inside the target bundle such that
     c(s) P(s)* A(s) P(s) -> A~   and   P(s)^T B(s) P(s) -> B~
 
 as s -> 0+, where (A~, B~) is the representative of the source bundle.
+A family names its instance by the target's parameters q(s): the instance
+is `representative(target, q(s))`, so it lies in the target bundle by
+construction, and a q(s) outside the target's domain raises
+ValidationError.
 Families are entered with their printed closed-form constants; a few are
 known to carry misprinted constants.  `witness_repair` fixes those by exact
 corrections only: a constant scale on P, a quarter-turn phase on c, or the
@@ -16,11 +20,10 @@ Families are immutable and carry no trust status: `witness_verify` is a
 pure function, and a family's status lives only in the `VerifyReport` that
 `witness_verify` or `witness_repair` returns.
 
-A family's P(s) is closed-form numpy data, so numpy loads on the first
-evaluation of a family, not on import.  `witness_eval` turns P(s) into a
-`GroupElement`, whose check rejects a non-finite or singular P(s), and
-moves the instance with `core`'s 4-tuple action; nothing here multiplies
-2x2 arrays.
+A family's P(s) is closed-form nested rows of Python numbers.
+`witness_eval` turns P(s) into a `GroupElement`, whose check rejects a
+non-finite or singular P(s), and moves the instance with `core`'s 4-tuple
+action; nothing here multiplies 2x2 arrays, and nothing here loads numpy.
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ from .core import (
     GroupElement,
     Mat2,
     PairAB,
-    SymMat2,
     ValidationError,
+    _entries4,
     _record_json,
     apply_action,
     pair_distance,
@@ -72,8 +75,8 @@ class WitnessFamily:
     source: tuple  # (BundleLabel, BundleParams)
     target: BundleLabel
     c_of_s: Callable[[float], complex]
-    P_of_s: Callable[[float], np.ndarray]
-    target_instance_of_s: Callable[[float], PairAB]
+    P_of_s: Callable[[float], list]  # nested rows [[p00, p01], [p10, p11]]
+    target_params_of_s: Callable[[float], dict]  # BundleParams fields
     provenance: str
     s_max: float = DEFAULT_S_MAX
 
@@ -83,6 +86,11 @@ class WitnessFamily:
 
     def source_pair(self) -> PairAB:
         return representative(self.source[0], self.source[1])
+
+    def target_instance_of_s(self, s: float) -> PairAB:
+        """The target's representative at the parameters q(s)."""
+        return representative(self.target,
+                              BundleParams(**self.target_params_of_s(s)))
 
 
 @dataclass
@@ -158,15 +166,20 @@ _PREFERRED_SCALES = (
 _PREFERRED_PHASES = (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)
 
 
+def _scaled(k, rows) -> list:
+    """The rows of k M, for M given by its rows."""
+    return [[k * z for z in row] for row in rows]
+
+
 def _corrected(f: WitnessFamily, t: float, psi: float,
                transpose: bool) -> WitnessFamily:
-    import numpy as np
-
     base_P, base_c = f.P_of_s, f.c_of_s
 
     def P(s, _t=t, _tr=transpose):
-        M = np.asarray(base_P(s), dtype=complex)
-        return _t * (M.T if _tr else M)
+        m00, m01, m10, m11 = _entries4(base_P(s))
+        if _tr:
+            m01, m10 = m10, m01
+        return _scaled(_t, [[m00, m01], [m10, m11]])
 
     def c(s, _psi=psi):
         return cmath.exp(1j * _psi) * base_c(s)
@@ -231,26 +244,11 @@ def witness_lookup(src: BundleLabel, dst: BundleLabel):
 # the catalog
 # ---------------------------------------------------------------------------
 
-def _arr(rows):
-    import numpy as np
-
-    return np.array(rows, dtype=complex)
-
-
-def _pair(A, B) -> PairAB:
-    return PairAB(Mat2(_arr(A)), SymMat2.from_array(_arr(B)))
-
-
-_JI = ((0, 1), (1, 1j))
-_SWAP = ((0, 1), (1, 0))
-_NILP = ((0, 1), (0, 0))
-
-
 def _const_c(s):
     return 1.0
 
 
-def _family(name, src, src_params, dst, P, inst, provenance,
+def _family(name, src, src_params, dst, P, q, provenance,
             c=_const_c) -> WitnessFamily:
     return WitnessFamily(
         name=name,
@@ -258,57 +256,57 @@ def _family(name, src, src_params, dst, P, inst, provenance,
         target=_L(dst),
         c_of_s=c,
         P_of_s=P,
-        target_instance_of_s=inst,
+        target_params_of_s=q,
         provenance=provenance,
     )
 
 
 _SQ2 = math.sqrt(2.0)
-_EPHI = cmath.exp(0.7j)
 
 CATALOG: tuple = (
     # ---- rank chain of the second component --------------------------------
     _family(
         "rank1-in-rank2", "zero/rank1", BundleParams(), "zero/rank2",
-        lambda s: _arr([[1, 0], [0, s]]),
-        lambda s: _pair(((0, 0), (0, 0)), ((1, 0), (0, 1))),
+        lambda s: [[1, 0], [0, s]],
+        lambda s: {},
         "P(s) = 1 (+) s applied to B = I2; P^T P = 1 (+) s^2",
     ),
     # ---- first-component families (B = 0) ----------------------------------
     _family(
         "one-zero-in-one-theta", "one_zero/zero", BundleParams(),
         "one_theta/zero",
-        lambda s: _arr([[1, 0], [0, s]]),
-        lambda s: _pair(((1, 0), (0, cmath.exp(1j))), ((0, 0), (0, 0))),
+        lambda s: [[1, 0], [0, s]],
+        lambda s: {"theta": 1.0},
         "P(s) = 1 (+) s applied to A = 1 (+) e^{i theta}, theta = 1",
     ),
     _family(
         "one-zero-in-tau", "one_zero/zero", BundleParams(), "tau_form/zero",
-        lambda s: (1.0 / math.sqrt(1.5)) * _arr([[1, 0], [1, s]]),
-        lambda s: _pair(((0, 1), (0.5, 0)), ((0, 0), (0, 0))),
+        lambda s: _scaled(1.0 / math.sqrt(1.5), [[1, 0], [1, s]]),
+        lambda s: {"tau": 0.5},
         "P(s) = (1/sqrt(1+tau)) [[1, 0], [1, s]] at tau = 1/2; "
         "residual s/(1+tau)",
     ),
     _family(
         "plus-minus-in-jordan", "one_plus_minus/zero", BundleParams(),
         "jordan_i/zero",
-        lambda s: 0.5 * _arr([[1 / s, 1 / s], [s, -s]]),
-        lambda s: _pair(_JI, ((0, 0), (0, 0))),
+        lambda s: _scaled(0.5, [[1 / s, 1 / s], [s, -s]]),
+        lambda s: {},
         "printed family P(s) = (1/2)[[1/s, 1/s], [s, -s]]; the printed "
         "scale 1/2 leaves the limit at (1/2)(1 (+) -1)",
     ),
     _family(
         "plus-minus-in-tau", "one_plus_minus/zero", BundleParams(),
         "tau_form/zero",
-        lambda s: (1.0 / _SQ2) * _arr([[1, 1], [1, -1]]),
-        lambda s: _pair(((0, 1), (1 - s, 0)), ((0, 0), (0, 0))),
+        lambda s: _scaled(1.0 / _SQ2, [[1, 1], [1, -1]]),
+        lambda s: {"tau": 1 - s},
         "source printed against the anti-diagonal representative with "
         "P = I2; the constant change of basis to 1 (+) -1 is folded into P",
     ),
     _family(
         "jordan-in-tau", "jordan_i/zero", BundleParams(), "tau_form/zero",
-        lambda s: (1.0 / (2 * math.sqrt(s))) * _arr([[s, -2j], [-1j * s, 2]]),
-        lambda s: _pair(((0, 1), (1 - s, 0)), ((0, 0), (0, 0))),
+        lambda s: _scaled(1.0 / (2 * math.sqrt(s)),
+                          [[s, -2j], [-1j * s, 2]]),
+        lambda s: {"tau": 1 - s},
         "A(s) = [[0, 1], [1-s, 0]]; source graph figure prints "
         "(1/(2 sqrt(s)))[[sqrt(s), -2i], [-i sqrt(s), 1]], which does not "
         "converge; constants corrected by rederivation (residual s/2)",
@@ -316,10 +314,9 @@ CATALOG: tuple = (
     _family(
         "jordan-in-one-theta", "jordan_i/zero", BundleParams(),
         "one_theta/zero",
-        lambda s: _arr([[math.sqrt(s) / 2, 1 / math.sqrt(s)],
-                        [math.sqrt(s) / 2, -1 / math.sqrt(s)]]),
-        lambda s: _pair(((1, 0), (0, cmath.exp(1j * (math.pi - s)))),
-                        ((0, 0), (0, 0))),
+        lambda s: [[math.sqrt(s) / 2, 1 / math.sqrt(s)],
+                   [math.sqrt(s) / 2, -1 / math.sqrt(s)]],
+        lambda s: {"theta": math.pi - s},
         "theta(s) = pi - s with c(s) = e^{is/2}; the printed family "
         "(phase phi with cos phi = (sin s)^{3/4}) does not converge and the "
         "printed column scale was corrected by rederivation (residual s^2/8)",
@@ -329,19 +326,17 @@ CATALOG: tuple = (
     _family(
         "identity-diag-in-off-diag-d", "identity/diag_ad",
         BundleParams(a=1.0, d=2.0), "one_theta/off_diag_plus_d",
-        lambda s: (1.0 / math.sqrt(3.0)) * _arr([[-1j * _SQ2, 1],
+        lambda s: _scaled(1.0 / math.sqrt(3.0), [[-1j * _SQ2, 1],
                                                  [1j, _SQ2]]),
-        lambda s: _pair(((1, 0), (0, cmath.exp(1j * s))),
-                        ((0, _SQ2), (_SQ2, 1))),
+        lambda s: {"theta": s, "b": _SQ2, "d": 1.0},
         "constant unitary P = (1/sqrt(a+d))[[-i sqrt(d), sqrt(a)], "
         "[i sqrt(a), sqrt(d)]] with theta(s) = s, a = 1, d = 2",
     ),
     _family(
         "plus-minus-diag-in-a-plus-off-diag", "one_plus_minus/diag_ad",
         BundleParams(a=1.0, d=2.0), "one_theta/a_plus_off_diag",
-        lambda s: _arr([[1j, -_SQ2], [-1j * _SQ2, 1]]),
-        lambda s: _pair(((1, 0), (0, cmath.exp(1j * (math.pi - s)))),
-                        ((3, _SQ2), (_SQ2, 0))),
+        lambda s: [[1j, -_SQ2], [-1j * _SQ2, 1]],
+        lambda s: {"theta": math.pi - s, "a": 3.0, "b": _SQ2},
         "c = -1, P = (1/sqrt(d-a))[[i sqrt(a), -sqrt(d)], "
         "[-i sqrt(d), sqrt(a)]], theta(s) = pi - s, a = 1, d = 2",
         c=lambda s: -1.0,
@@ -349,17 +344,16 @@ CATALOG: tuple = (
     _family(
         "identity-scalar-in-anti-diag", "identity/d_identity",
         BundleParams(d=2.0), "one_theta/anti_diag",
-        lambda s: (1.0 / _SQ2) * _arr([[1, 1j], [1, -1j]]),
-        lambda s: _pair(((1, 0), (0, cmath.exp(1j * s))),
-                        ((0, 2 + s), (2 + s, 0))),
+        lambda s: _scaled(1.0 / _SQ2, [[1, 1j], [1, -1j]]),
+        lambda s: {"theta": s, "b": 2 + s},
         "constant unitary P = (1/sqrt(2))[[1, i], [1, -i]] with "
         "theta(s) = s and b(s) = d + s, d = 2",
     ),
     _family(
         "plus-minus-scalar-in-swap-one-de-itheta", "one_plus_minus/d_identity",
         BundleParams(d=2.0), "one_plus_minus/swap_one_de_itheta",
-        lambda s: _arr([[1, 1], [0.5, -0.5]]),
-        lambda s: _pair(_SWAP, ((1, 0), (0, 4 * cmath.exp(1j * s)))),
+        lambda s: [[1, 1], [0.5, -0.5]],
+        lambda s: {"d": 4.0, "theta": s},
         "constant P = (sqrt(d)/sqrt(2))[[1, 1], [1/d, -1/d]] with "
         "B(s) = 1 (+) d^2 e^{is}, d = 2",
     ),
@@ -367,23 +361,23 @@ CATALOG: tuple = (
         "plus-minus-scalar-in-swap-off-diag-b-one",
         "one_plus_minus/d_identity", BundleParams(d=2.0),
         "one_plus_minus/swap_off_diag_b_one",
-        lambda s: _arr([[1 / (2 * s), -1j / (2 * s)], [s, 1j * s]]),
-        lambda s: _pair(_SWAP, ((0, 2 + s), (2 + s, 1))),
+        lambda s: [[1 / (2 * s), -1j / (2 * s)], [s, 1j * s]],
+        lambda s: {"b": 2 + s},
         "P(s) = [[1/(2s), -i/(2s)], [s, is]] with b(s) = d + s, d = 2",
     ),
     _family(
         "plus-minus-scalar-in-jordan-diag-a-zeta", "one_plus_minus/d_identity",
         BundleParams(d=2.0), "jordan_i/diag_a_zeta",
-        lambda s: (1.0 / _SQ2) * _arr([[1 / s, 1 / s], [s, -s]]),
-        lambda s: _pair(_JI, (((2 + s) * s * s, 0), (0, (2 + s) / (s * s)))),
+        lambda s: _scaled(1.0 / _SQ2, [[1 / s, 1 / s], [s, -s]]),
+        lambda s: {"a": (2 + s) * s * s, "zeta": (2 + s) / (s * s)},
         "P(s) = (1/sqrt(2))[[1/s, 1/s], [s, -s]] with "
         "B(s) = (d + s)(s^2 (+) 1/s^2), d = 2",
     ),
     _family(
         "plus-minus-scalar-in-jordan-anti-diag", "one_plus_minus/d_identity",
         BundleParams(d=2.0), "jordan_i/anti_diag",
-        lambda s: (1.0 / _SQ2) * _arr([[1j / s, 1 / s], [-1j * s, s]]),
-        lambda s: _pair(_JI, ((0, 2 + s), (2 + s, 0))),
+        lambda s: _scaled(1.0 / _SQ2, [[1j / s, 1 / s], [-1j * s, s]]),
+        lambda s: {"b": 2 + s},
         "c = -1, P(s) = (1/sqrt(2))[[i/s, 1/s], [-is, s]] with "
         "b(s) = d + s, d = 2",
         c=lambda s: -1.0,
@@ -391,68 +385,68 @@ CATALOG: tuple = (
     _family(
         "plus-minus-in-jordan-zero-d", "one_plus_minus/zero", BundleParams(),
         "jordan_i/zero_d",
-        lambda s: _arr([[1 / (2 * s), -1 / (2 * s)], [s, s]]),
-        lambda s: _pair(_JI, ((0, 0), (0, 2))),
+        lambda s: [[1 / (2 * s), -1 / (2 * s)], [s, s]],
+        lambda s: {"d": 2.0},
         "P(s) = [[1/(2s), -1/(2s)], [s, s]] against B = 0 (+) d, d = 2",
     ),
     _family(
         "plus-minus-in-swap-one-zero", "one_plus_minus/zero", BundleParams(),
         "one_plus_minus/swap_one_zero",
-        lambda s: 0.5 * _arr([[2 * s, 1 / s], [2 * s, -1 / s]]),
-        lambda s: _pair(_SWAP, ((1, 0), (0, 0))),
+        lambda s: _scaled(0.5, [[2 * s, 1 / s], [2 * s, -1 / s]]),
+        lambda s: {},
         "printed family P(s) = (1/2)[[2s, 1/s], [2s, -1/s]]; the printed "
         "matrix is the transpose of the converging one",
     ),
     _family(
         "swap-one-zero-in-jordan-zero-d", "one_plus_minus/swap_one_zero",
         BundleParams(), "jordan_i/zero_d",
-        lambda s: _arr([[1, 1 / s], [s, 0]]),
-        lambda s: _pair(_JI, ((0, 0), (0, (1 + s) / (s * s)))),
+        lambda s: [[1, 1 / s], [s, 0]],
+        lambda s: {"d": (1 + s) / (s * s)},
         "P(s) = [[1, 1/s], [s, 0]] with B(s) = 0 (+) (1+s)/s^2",
     ),
     # ---- pairs over the nilpotent / tau first components --------------------
     _family(
         "tau-anti-diag-in-off-diag-phase", "tau_form/anti_diag",
         BundleParams(tau=0.5, b=1.0), "tau_form/off_diag_phase",
-        lambda s: _arr([[1 / s, 0], [s * s, s]]),
-        lambda s: _pair(((0, 1), (0.5, 0)), ((0, 1), (1, _EPHI))),
+        lambda s: [[1 / s, 0], [s * s, s]],
+        lambda s: {"tau": 0.5, "b": 1.0, "phi": 0.7},
         "P(s) = [[1/s, 0], [s^2, s]] against the constant instance "
         "B = [[0, b], [b, e^{i phi}]], b = 1, phi = 0.7, tau = 1/2",
     ),
     _family(
         "nilpotent-anti-diag-in-one-b-zero", "nilpotent/anti_diag",
         BundleParams(b=1.0), "nilpotent/one_b_zero",
-        lambda s: _arr([[s, s * s], [0, 1 / s]]),
-        lambda s: _pair(_NILP, ((1, 1), (1, 0))),
+        lambda s: [[s, s * s], [0, 1 / s]],
+        lambda s: {"b": 1.0},
         "P(s) = [[s, s^2], [0, 1/s]] against the constant instance "
         "B = [[1, b], [b, 0]], b = 1",
     ),
     _family(
         "tau-zero-one-in-one-zeta", "tau_form/zero_one",
         BundleParams(tau=0.5), "tau_form/one_zeta",
-        lambda s: _arr([[s, s * s], [0, 1 / s]]),
-        lambda s: _pair(((0, 1), (0.5, 0)), ((1, 0), (0, s * s))),
+        lambda s: [[s, s * s], [0, 1 / s]],
+        lambda s: {"tau": 0.5, "zeta": s * s},
         "P(s) = [[s, s^2], [0, 1/s]] with zeta(s) = s^2, tau = 1/2",
     ),
     _family(
         "nilpotent-one-zero-in-diag-a-one", "nilpotent/one_zero",
         BundleParams(), "nilpotent/diag_a_one",
-        lambda s: _arr([[1 / s, 1], [s * s, s]]),
-        lambda s: _pair(_NILP, ((s * s + s ** 3, 0), (0, 1))),
+        lambda s: [[1 / s, 1], [s * s, s]],
+        lambda s: {"a": s * s + s ** 3},
         "P(s) = [[1/s, 1], [s^2, s]] with a(s) = s^2 + s^3",
     ),
     _family(
         "nilpotent-one-b-zero-in-zeta-b-one", "nilpotent/one_b_zero",
         BundleParams(b=1.0), "nilpotent/zeta_b_one",
-        lambda s: _arr([[1 / s, 1], [s * s, s]]),
-        lambda s: _pair(_NILP, ((s * s - 2 * s ** 3, 1), (1, 1))),
+        lambda s: [[1 / s, 1], [s * s, s]],
+        lambda s: {"zeta_star": s * s - 2 * s ** 3, "b": 1.0},
         "P(s) = [[1/s, 1], [s^2, s]] with zeta*(s) = s^2 - 2s^3, b = 1",
     ),
     _family(
         "nilpotent-off-diag-b-one-in-phase-form", "nilpotent/off_diag_b_one",
         BundleParams(b=1.0), "tau_form/phase_form",
-        lambda s: _arr([[s, s * s], [1, 1 / s]]),
-        lambda s: _pair(((0, 1), (s, 0)), ((_EPHI, 1 + s), (1 + s, s * s))),
+        lambda s: [[s, s * s], [1, 1 / s]],
+        lambda s: {"tau": s, "phi": 0.7, "b": 1 + s, "zeta": s * s},
         "P(s) = [[s, s^2], [1, 1/s]] with tau(s) = s, "
         "B(s) = [[e^{i phi}, b + s], [b + s, s^2]], b = 1, phi = 0.7",
     ),
@@ -460,17 +454,17 @@ CATALOG: tuple = (
     _family(
         "jordan-zero-d-in-anti-diag", "jordan_i/zero_d", BundleParams(d=2.0),
         "jordan_i/anti_diag",
-        lambda s: cmath.exp(-0.25j * math.pi) * _arr(
-            [[cmath.exp(0.25j * math.pi) * s, 1 / s], [s, 1j]]),
-        lambda s: _pair(_JI, ((0, s), (s, 0))),
+        lambda s: _scaled(cmath.exp(-0.25j * math.pi),
+                          [[cmath.exp(0.25j * math.pi) * s, 1 / s], [s, 1j]]),
+        lambda s: {"b": s},
         "P(s) = e^{-i pi/4}[[e^{i pi/4} s, 1/s], [s, i]] with "
         "b(s) = (d/2) s, d = 2",
     ),
     _family(
         "jordan-zero-d-in-tau-one-zeta", "jordan_i/zero_d",
         BundleParams(d=2.0), "tau_form/one_zeta",
-        lambda s: _arr([[0, s], [1 / s, 1j / (s * s)]]),
-        lambda s: _pair(((0, 1), (1 - s, 0)), ((1, 0), (0, -2 * s ** 4))),
+        lambda s: [[0, s], [1 / s, 1j / (s * s)]],
+        lambda s: {"tau": 1 - s, "zeta": -2 * s ** 4},
         "P(s) = [[0, s], [1/s, i/s^2]] with tau(s) = 1 - s, "
         "zeta(s) = -d s^4, d = 2",
     ),
@@ -478,31 +472,30 @@ CATALOG: tuple = (
     _family(
         "rank1-in-identity-diag", "zero/rank1", BundleParams(),
         "identity/diag_ad",
-        lambda s: _arr([[s, 0], [0, s ** 3]]),
-        lambda s: _pair(((1, 0), (0, 1)),
-                        ((1 / (s * s), 0), (0, (1 + s) / (s * s)))),
+        lambda s: [[s, 0], [0, s ** 3]],
+        lambda s: {"a": 1 / (s * s), "d": (1 + s) / (s * s)},
         "P(s) = s (+) s^3 with B(s) = (1/s^2) (+) (1 + (d-a)s)/s^2, "
         "a = 1, d = 2",
     ),
     _family(
         "rank1-in-identity-zero-d", "zero/rank1", BundleParams(),
         "identity/zero_d",
-        lambda s: _arr([[0, s], [s, 0]]),
-        lambda s: _pair(((1, 0), (0, 1)), ((0, 0), (0, 1 / (s * s)))),
+        lambda s: [[0, s], [s, 0]],
+        lambda s: {"d": 1 / (s * s)},
         "P(s) = [[0, s], [s, 0]] with B(s) = 0 (+) 1/s^2",
     ),
     _family(
         "rank1-in-jordan-zero-d", "zero/rank1", BundleParams(),
         "jordan_i/zero_d",
-        lambda s: _arr([[s, 1], [s, s * s]]),
-        lambda s: _pair(_JI, ((0, 0), (0, 1 / (s * s)))),
+        lambda s: [[s, 1], [s, s * s]],
+        lambda s: {"d": 1 / (s * s)},
         "P(s) = [[s, 1], [s, s^2]] with B(s) = 0 (+) 1/s^2",
     ),
     _family(
         "rank1-in-tau-one-zeta", "zero/rank1", BundleParams(),
         "tau_form/one_zeta",
-        lambda s: _arr([[1, 0], [0, s]]),
-        lambda s: _pair(((0, 1), (0.5, 0)), ((1, 0), (0, 0.3 + 0.4j))),
+        lambda s: [[1, 0], [0, s]],
+        lambda s: {"tau": 0.5, "zeta": 0.3 + 0.4j},
         "P(s) = 1 (+) s against the constant instance "
         "B = 1 (+) zeta, zeta = 0.3 + 0.4i, tau = 1/2",
     ),

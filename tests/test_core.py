@@ -32,6 +32,8 @@ from pairbundles.core import (
     _star_congruence4,
     _transpose_congruence3,
 )
+from pairbundles.normal_forms import (BundleParams, label_from_string,
+                                      representative)
 
 
 def rand_complex_matrix(rng, scale=1.0):
@@ -390,6 +392,27 @@ class TestDetInvariant:
             assert v1 == pytest.approx(v0 * scale, rel=1e-7, abs=1e-9)
             if abs(v0) > 1e-9:
                 assert np.sign(v1) == np.sign(v0)
+
+    @pytest.mark.parametrize("cell, params, want", [
+        # 1 - d^2; numpy's LU determinant gave -2.9999999999999996
+        ("identity/zero_d", {"d": 2.0}, -3.0),
+        ("one_zero/zero_one", {}, -1.0),
+        ("nilpotent/zero", {}, 0.0),
+    ])
+    def test_exact_on_representatives(self, cell, params, want):
+        x = representative(label_from_string(cell), BundleParams(**params))
+        assert det_invariant(x) == want
+
+    def test_matches_the_block_determinant(self):
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            B = rand_complex_matrix(rng)
+            x = PairAB(Mat2(rand_complex_matrix(rng)),
+                       SymMat2.from_array(B + B.T))
+            A, B = x.A.array, x.B.array
+            M = np.block([[A, B.conj()], [B, A.conj()]])
+            assert det_invariant(x) == pytest.approx(
+                np.linalg.det(M).real, rel=1e-12, abs=1e-12)
 
 
 class TestGroup:

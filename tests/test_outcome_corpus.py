@@ -308,3 +308,35 @@ def test_mc_steps_change_each_component_alone():
                 for c in centres] for seed, trials, eps in chain]
     for before, after in zip(reports, reports[1:]):
         assert before != after
+
+
+WITNESS = {"case": "witness one-zero-in-tau",
+           "witness": {"status": "verified",
+                       "residuals": [0.2, 0.1, 1.6276041666666667e-05]}}
+
+
+@pytest.mark.parametrize("edit", [
+    # a residual moved by one unit in the last place
+    lambda w: w["residuals"].__setitem__(
+        2, math.nextafter(w["residuals"][2], 1.0)),
+    lambda w: w.update(status="repaired"),
+], ids=["residual-last-bit", "status"])
+def test_changed_witness_report(edit):
+    head = copy.deepcopy(WITNESS)
+    edit(head["witness"])
+    lines = list(outcome_corpus.differences([WITNESS], [head]))
+    assert len(lines) == 1
+    assert lines[0].startswith(f"{WITNESS['case']}: witness ")
+
+
+def test_witness_reports_cover_the_catalogue():
+    """One report per family, in catalogue order, each with one residual
+    per grid point; the two misprinted families are repaired."""
+    from pairbundles.witnesses import CATALOG, default_grid
+
+    reports = list(outcome_corpus.witness_reports())
+    assert [case for case, _ in reports] == [
+        f"witness {f.name}" for f in CATALOG]
+    assert all(len(r["residuals"]) == len(default_grid())
+               for _, r in reports)
+    assert [r["status"] for _, r in reports].count("repaired") == 2

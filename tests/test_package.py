@@ -1,10 +1,12 @@
 """What `import pairbundles` loads, and the names it binds on first use."""
 import ast
 import importlib
+import inspect
 import os
 import pathlib
 import subprocess
 import sys
+import typing
 
 import pytest
 
@@ -94,23 +96,30 @@ def test_first_use_of_classify_pair_loads_the_classifier_alone():
 
 
 def test_first_use_of_a_lazy_name_loads_its_module():
-    """The catalogue loads `witnesses` alone; numpy waits for the first
-    evaluation of a family."""
+    """The catalogue loads `witnesses` alone, and evaluating a family loads
+    no numpy either."""
     assert _loaded_after("import pairbundles\npairbundles.CATALOG") == [
         "pairbundles.witnesses"]
     assert _loaded_after("import pairbundles as p\n"
                          "p.witness_eval(p.CATALOG[0], 0.1)") == [
-        "numpy", "pairbundles.witnesses"]
+        "pairbundles.witnesses"]
 
 
 @pytest.mark.parametrize("argv", [
     ["classify", "--input", "pair.json"],
     ["closure", "path", "identity/zero", "one_theta/zero"],
     ["dim", "tau_form/zero", "--params", '{"tau": 0.5}'],
-], ids=["classify", "closure-path", "dim"])
+    ["verify", "witness"],
+    ["witness", "eval", "one_zero/zero", "tau_form/zero", "--s", "0.1"],
+    ["witness", "verify", "one_zero/zero", "tau_form/zero"],
+    ["witness", "repair", "one_plus_minus/zero", "jordan_i/zero"],
+], ids=["classify", "closure-path", "dim", "verify-witness", "witness-eval",
+        "witness-verify", "witness-repair"])
 def test_console_commands_that_sample_nothing_import_no_numpy(tmp_path, argv):
-    """`cli` imports `numerics` and `witnesses`, which load numpy only in
-    the functions that draw, search or evaluate a family."""
+    """`cli` imports `numerics` and `witnesses`; `numerics` loads numpy
+    only in the functions that draw or search, and `witnesses` never.
+    The repair runs through a misprinted family, so its corrections run
+    too."""
     pair = tmp_path / "pair.json"
     pair.write_text('{"A": [[1, 0], [0, 1]], "B": {"a": 1, "b": 0, "d": 3}}')
     argv = [str(pair) if a == "pair.json" else a for a in argv]
@@ -148,3 +157,44 @@ def test_dir_and_star_import_bind_every_public_name():
 def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'frobnicate'"):
         pairbundles.frobnicate
+
+
+def _public_callables():
+    """(qualified name, object) of every class, method, property getter and
+    function that the package defines and `pairbundles.__all__` reaches,
+    through the submodules' own `__all__`."""
+    seen, out = set(), []
+
+    def visit(obj):
+        if id(obj) in seen:
+            return
+        seen.add(id(obj))
+        if inspect.ismodule(obj):
+            for attr in obj.__all__:
+                visit(getattr(obj, attr))
+        elif (str(getattr(obj, "__module__", "")).startswith("pairbundles")
+              and (inspect.isclass(obj) or inspect.isfunction(obj))):
+            out.append((f"{obj.__module__}.{obj.__qualname__}", obj))
+            for member in vars(obj).values() if inspect.isclass(obj) else ():
+                member = getattr(member, "__func__", member)
+                visit(getattr(member, "fget", member))
+
+    visit(pairbundles)
+    return out
+
+
+def test_every_public_annotation_resolves():
+    """`typing.get_type_hints` resolves every public annotation, and so
+    none names a module, such as numpy, that the package does not import
+    at load."""
+    objects = _public_callables()
+    assert {"pairbundles.core.Mat2.array",
+            "pairbundles.witnesses.WitnessFamily.__init__"} <= {
+        name for name, _ in objects}
+    failures = []
+    for name, obj in objects:
+        try:
+            typing.get_type_hints(obj)
+        except NameError as exc:
+            failures.append(f"{name}: {exc}")
+    assert failures == []

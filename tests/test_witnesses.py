@@ -98,6 +98,16 @@ class TestEval(unittest.TestCase):
         with self.assertRaises(ValidationError):
             witness_eval(f, -0.1)
 
+    def test_target_parameters_outside_the_domain_are_refused(self):
+        # the instance is the target's representative at q(s), so a q(s)
+        # outside the target's domain is refused by name
+        f = dataclasses.replace(_by_name("jordan-in-tau"),
+                                target_params_of_s=lambda s: {"tau": 1 + s})
+        with self.assertRaises(ValidationError) as cm:
+            witness_eval(f, 0.1)
+        self.assertEqual(str(cm.exception), "invalid parameters for "
+                         "tau_form/zero: tau must lie in (0, 1)")
+
     def test_group_element_is_returned(self):
         g, moved, r = witness_eval(_by_name("jordan-in-one-theta"), 0.1)
         self.assertAlmostEqual(abs(g.c), 1.0, places=12)

@@ -42,6 +42,11 @@ among them that only a suspect edge reaches, its sorted predecessors, and
 the `path_edges` chain to each successor as (src, dst) pairs.  These too
 must match exactly.
 
+Then, for each witness family of the catalogue, the status and residuals
+of `witness_repair`'s report: the `witness_verify` residuals of the family
+in its repaired form (the family itself when it verifies).  They must
+match bit for bit, so a changed instance, P(s) or c(s) shows here.
+
 Last come the verification engines' numbers:
 
 - the `verify bounds` checks for seeds 0-1 with 200 trials each;
@@ -55,20 +60,21 @@ Last come the verification engines' numbers:
 Their floats may differ by PARAM_RTOL (1 + |v|), since these engines may
 round differently; everything else in them (check ids, pass flags, skipped
 and redraw counts, hypothesis flags, which pairs match) must match exactly.
-In all, a dump holds 46,296 records: 46,000 calls, 107 Monte Carlo reports,
-21 distance results, 46 cells, 25 shapes, 46 closure records, 10 bound
-checks, 30 table-3 residual lists, 10 table-4 reports and 1 nu fit.
+In all, a dump holds 46,325 records: 46,000 calls, 107 Monte Carlo reports,
+21 distance results, 46 cells, 25 shapes, 46 closure records, 29 witness
+reports, 10 bound checks, 30 table-3 residual lists, 10 table-4 reports and
+1 nu fit.
 
     PYTHONPATH=src python tools/outcome_corpus.py dump OUT.json
     python tools/outcome_corpus.py compare BASE.json HEAD.json
 
 `compare` exits 1 when any label, note list, error type, message, Monte
-Carlo report, distance result or catalogue fact differs, or when a
-parameter or a float of the verification engines differs by more than
-1e-8 (1 + |v|).  Reducers and residuals do not fail the compare, since a
-reducer may differ by an element of the stabilizer; `compare` prints how
-many calls differ in them bit for bit, so that a change meant to keep
-every output shows that it did.
+Carlo report, distance result, catalogue fact or witness report differs,
+or when a parameter or a float of the verification engines differs by
+more than 1e-8 (1 + |v|).  The calls' reducers and residuals do not fail
+the compare, since a reducer may differ by an element of the stabilizer;
+`compare` prints how many calls differ in them bit for bit, so that a
+change meant to keep every output shows that it did.
 """
 from __future__ import annotations
 
@@ -246,6 +252,16 @@ def catalogue_facts():
                                for dst in succ}})
 
 
+def witness_reports():
+    """Yield (case id, report fields) of every family's repair report."""
+    from pairbundles.witnesses import CATALOG, witness_repair
+
+    for f in CATALOG:
+        _fam, report = witness_repair(f)
+        yield (f"witness {f.name}",
+               {"status": report.status, "residuals": list(report.residuals)})
+
+
 def bound_checks():
     """Yield (case id, check fields) of `verify bounds` for each seed."""
     from pairbundles.cli import _suite_bounds
@@ -328,6 +344,8 @@ def dump(out_path: str) -> int:
         records.append({"case": case, "distance": result})
     for case, facts in catalogue_facts():
         records.append({"case": case, "facts": facts})
+    for case, report in witness_reports():
+        records.append({"case": case, "witness": report})
     for results in (bound_checks, table3_results, table4_results,
                      nu_fit_results):
         for case, values in results():
@@ -372,7 +390,7 @@ def differences(base: list, head: list):
             if r0.get(key) != r1.get(key):
                 yield f"{case}: {key} {r0.get(key)!r} -> {r1.get(key)!r}"
         # compared as text, so that even the sign of a zero counts
-        for key in ("distance", "facts"):
+        for key in ("distance", "facts", "witness"):
             d0, d1 = r0.get(key), r1.get(key)
             if json.dumps(d0) != json.dumps(d1):
                 yield f"{case}: {key} {d0!r} -> {d1!r}"
