@@ -22,6 +22,14 @@ what they return: `classify_pair` one `BundleParams`, one `GroupElement`
 `Classification`, its label taken from the catalogue.
 Only `classify_A` measures the stage-1 residual.
 
+Each threshold rule has one home.  `_near` decides a gray-band comparison
+and notes it in `ambiguous`.  `_zero_tol` is the stage-2 zero threshold,
+relative to |B|, and `_zero_flags` its three entry tests, which the six
+reducers that test B's entries read.  `_check_unimodular` refuses a scalar
+or defective cosquare off the unit circle.  The (1,1)-unitary membership
+of a 1(+)-1 reducer is checked once, by the stabilizer check of
+`_stabilizer_reduce3`.
+
 Every kernel is a 2x2 closed form: singular values from M*M and |det M|,
 eigenvalues from the quadratic formula, eigenvectors as null vectors of a
 row (`_eigvec`), the top singular pair of the rank-1 and Jordan reducers
@@ -142,6 +150,11 @@ def _near(q, thresh, amb, note):
     return q <= thresh
 
 
+def _phase_sqrt(z: complex) -> complex:
+    """A unit-modulus x with x^2 * z real positive (z != 0)."""
+    return cmath.exp(-0.5j * cmath.phase(z))
+
+
 # ---------------------------------------------------------------------------
 # stage 1: the A-part
 
@@ -204,11 +217,6 @@ def _reduce_rank2_A(a, amb):
         return _reduce_hermitian_like(a, lam_m, amb)
     if _near(abs(disc) / sd0, _EIG_TOL * max(1.0, sd0), amb,
              "cosquare near defective"):
-        if abs(abs(lam_m) - 1.0) > 100 * _EIG_TOL:
-            raise ClassificationFailureError(
-                "defective cosquare with non-unimodular eigenvalue "
-                f"{lam_m!r}"
-            )
         return _reduce_jordan_A(a, C, lam_m)
     # two separated eigenvalues
     lam = _roots(lam_m, disc, det_c)
@@ -355,7 +363,7 @@ def _reduce_tau_A(a, C, lam):
     s0 = _eigvec(C, lam[0])
     s1 = _eigvec(C, lam[1])
     S = (s0[0], s1[0], s0[1], s1[1])
-    c = cmath.exp(-0.5j * cmath.phase(lam[0]))
+    c = _phase_sqrt(lam[0])
     for cc in (c, -c):
         m = _star_congruence4(cc, S, a)[1]
         if abs(m) < 1e-300:
@@ -369,13 +377,17 @@ def _reduce_tau_A(a, C, lam):
     raise ClassificationFailureError("tau-form reduction failed")
 
 
-def _reduce_hermitian_like(a, lam_m, amb):
+def _check_unimodular(lam_m, kind):
+    """A scalar or defective cosquare must have its one eigenvalue on the
+    unit circle."""
     if abs(abs(lam_m) - 1.0) > 100 * _EIG_TOL:
         raise ClassificationFailureError(
-            "scalar cosquare with non-unimodular eigenvalue "
-            f"{lam_m!r}"
-        )
-    c0 = cmath.exp(-0.5j * cmath.phase(lam_m))
+            f"{kind} cosquare with non-unimodular eigenvalue {lam_m!r}")
+
+
+def _reduce_hermitian_like(a, lam_m, amb):
+    _check_unimodular(lam_m, "scalar")
+    c0 = _phase_sqrt(lam_m)
     # the Hermitian part of c0 A
     h00, h11 = (c0 * a[0]).real, (c0 * a[3]).real
     h01 = 0.5 * (c0 * a[1] + (c0 * a[2]).conjugate())
@@ -394,9 +406,10 @@ def _reduce_hermitian_like(a, lam_m, amb):
 
 
 def _reduce_jordan_A(a, C, lam_m):
+    _check_unimodular(lam_m, "defective")
     # bring the cosquare to the unipotent Jordan form of [[0,1],[1,i]]
     lam = lam_m / abs(lam_m)
-    c = cmath.exp(-0.5j * cmath.phase(lam))
+    c = _phase_sqrt(lam)
     # Jordan chain of the unipotent cosquare: (Cn - I) p2 = 2i p1
     cc2 = c * c
     V = _jordan_chain(tuple(cc2 * z for z in C), 1.0)
@@ -436,7 +449,7 @@ def classify_B(B: SymMat2):
     k0, k1 = 1.0 / math.sqrt(scale), (1.0 if rank1 else 1.0 / math.sqrt(s1))
     P = (U[0].conjugate() * k0, U[1].conjugate() * k1,
          U[2].conjugate() * k0, U[3].conjugate() * k1)
-    res = _gap(_congruent_B(P, (B.a, B.b, B.d)),
+    res = _gap(_transpose_congruence3(P, B.a, B.b, B.d),
                (1.0, 0.0, 0.0 if rank1 else 1.0))
     label = BLabel.RANK1 if rank1 else BLabel.RANK2
     return label, _mat4(P), float(res), tuple(amb)
@@ -445,15 +458,16 @@ def classify_B(B: SymMat2):
 # ---------------------------------------------------------------------------
 # stage 2: stabilizer reduction of the transported B
 
+def _zero_tol(b):
+    """The stage-2 zero threshold of b = (b11, b12, b22): the rank
+    threshold relative to |B|."""
+    return _RANK_TOL * max(_max_abs(b), 1e-300)
+
+
 def _zero_flags(b):
-    """Which of b11, b12, b22 exceed the rank threshold relative to |B|."""
-    zt = _RANK_TOL * max(_max_abs(b), 1e-300)
+    """Which of b11, b12, b22 exceed `_zero_tol`."""
+    zt = _zero_tol(b)
     return (abs(b[0]) > zt, abs(b[1]) > zt, abs(b[2]) > zt)
-
-
-def _phase_sqrt(z: complex) -> complex:
-    """A unit-modulus x with x^2 * z real positive (z != 0)."""
-    return cmath.exp(-0.5j * cmath.phase(z))
 
 
 def _stabilizer_reduce3(a_label, a_params, b, amb):
@@ -495,11 +509,6 @@ def _diag4(x, y) -> tuple:
     return (x, 0j, 0j, y)
 
 
-def _congruent_B(p, b) -> tuple:
-    """(b11, b12, b22) of P^T B P for b = (b11, b12, b22) of B."""
-    return _transpose_congruence3(p, *b)
-
-
 def _reduce_B_zero(b, amb):
     label, P, _, amb2 = classify_B(SymMat2(*b))
     amb.extend(amb2)
@@ -507,21 +516,22 @@ def _reduce_B_zero(b, amb):
 
 
 def _reduce_B_one_zero(b, amb):
-    zt = _RANK_TOL * max(_max_abs(b), 1e-300)
+    f11, f12, f22 = _zero_flags(b)
     b11, b12, b22 = b
-    if abs(b22) > zt:
+    if f22:
         v = 1.0 / cmath.sqrt(b22)
         w = (b11 * b22 - b12 * b12) / b22  # det B / b22
-        if _near(abs(w), zt, amb, "B(1,1) residual near zero over 1(+)0"):
+        if _near(abs(w), _zero_tol(b), amb,
+                 "B(1,1) residual near zero over 1(+)0"):
             P = (1.0, 0.0, -b12 / b22, v)
             return BShape.ZERO_ONE, {}, 1.0, P
         x = _phase_sqrt(w)
         P = (x, 0.0, -x * b12 / b22, v)
         return BShape.DIAG_A_ONE, {"a": abs(w)}, 1.0, P
-    if abs(b12) > zt:
+    if f12:
         P = (1.0, 0.0, -b11 / (2 * b12), 1.0 / b12)
         return BShape.SWAP, {}, 1.0, P
-    if abs(b11) > zt:
+    if f11:
         x = _phase_sqrt(b11)
         return BShape.DIAG_A0, {"a": abs(b11)}, 1.0, _diag4(x, 1.0)
     return BShape.ZERO, {}, 1.0, _I4
@@ -531,8 +541,7 @@ def _reduce_B_identity(b, amb):
     (s_hi, s_lo), U = _takagi((b[0], b[1], b[1], b[2]))
     # conj(U) S12: the Takagi values in ascending order
     p = (U[1].conjugate(), U[0].conjugate(), U[3].conjugate(), U[2].conjugate())
-    scale = max(s_hi, 1e-300)
-    if _near(s_hi, _RANK_TOL * max(1.0, scale), amb, "B near zero over I2"):
+    if _near(s_hi, _RANK_TOL, amb, "B near zero over I2"):
         return BShape.ZERO, {}, 1.0, p
     if _near(s_lo / s_hi, _RANK_TOL, amb, "B near rank-1 over I2"):
         return BShape.ZERO_D, {"d": float(s_hi)}, 1.0, p
@@ -605,12 +614,13 @@ def _reduce_B_tau(b, amb):
 
     if f11 and f12:
         phi, (c, p) = phase_elem(abs(b11) ** -0.5, b11)
-        return (BShape.PHASE_FORM,
-                {"phi": phi, "b": abs(b12), "zeta": _congruent_B(p, b)[2]},
+        zeta = _transpose_congruence3(p, *b)[2]
+        return (BShape.PHASE_FORM, {"phi": phi, "b": abs(b12), "zeta": zeta},
                 c, p)
     if f11:
         c, p = elem(1.0 / cmath.sqrt(b11), 1.0)
-        return BShape.ONE_ZETA, {"zeta": _congruent_B(p, b)[2]}, c, p
+        return (BShape.ONE_ZETA, {"zeta": _transpose_congruence3(p, *b)[2]},
+                c, p)
     if f22 and f12:
         phi, g = phase_elem(abs(b22) ** 0.5, b22)
         return BShape.OFF_DIAG_PHASE, {"b": abs(b12), "phi": phi}, *g
@@ -645,9 +655,8 @@ def _reduce_B_nilpotent(b, amb):
         psi = gamma - 0.5 * a3
         c, p = elem(rho, psi, gamma)
         if f11:
-            return (BShape.ZETA_B_ONE,
-                    {"zeta_star": _congruent_B(p, b)[0], "b": abs(b12)},
-                    c, p)
+            zs = _transpose_congruence3(p, *b)[0]
+            return BShape.ZETA_B_ONE, {"zeta_star": zs, "b": abs(b12)}, c, p
         return BShape.OFF_DIAG_B_ONE, {"b": abs(b12)}, c, p
     if f11 and f12:  # b22 = 0
         x = 1.0 / cmath.sqrt(b11)
@@ -693,8 +702,8 @@ def _reduce_B_jordan(b, amb):
     if f11:
         t = shear(1j * b12 / b11)
         c, p = elem(b11.conjugate() / abs(b11), t)
-        return (BShape.DIAG_A_ZETA,
-                {"a": abs(b11), "zeta": _congruent_B(p, b)[2]}, c, p)
+        zeta = _transpose_congruence3(p, *b)[2]
+        return BShape.DIAG_A_ZETA, {"a": abs(b11), "zeta": zeta}, c, p
     if f12:
         t = shear(1j * b22 / (2 * b12))
         g = elem(b12.conjugate() / abs(b12), t)
@@ -728,7 +737,7 @@ def _star_flip(m):
             m[3].conjugate())
 
 
-def _u11_membership(p, c=1.0):
+def _u11_membership(p, c):
     """Max-norm distance of c P* J P from J."""
     return _gap(_star_congruence4(c, p, _J), _J)
 
@@ -742,8 +751,7 @@ def _jordan_chain(n, lam):
 
 
 def _reduce_B_one_plus_minus(b, amb):
-    zt = _RANK_TOL * max(_max_abs(b), 1e-300)
-    if _max_abs(b) <= zt:
+    if not any(_zero_flags(b)):
         return BShape.ZERO, {}, 1.0, _I4
     # the Takagi values of B are its singular values
     b4 = (b[0], b[1], b[1], b[2])
@@ -846,12 +854,9 @@ def _opm_intertwine(b4, n4, shape, params, bt, lam):
     if len(lam) == 2:
         if min(abs(G[0]), abs(G[2])) > 1e-12 * g_scale:
             Z = _diag4(cmath.sqrt(H[0] / G[0]), cmath.sqrt(H[2] / G[2]))
-    # defective: G00 = 0 up to the near-defective gray band, and Z is
-    # [[z1, z2], [0, z1]]
-    elif abs(G[0]) > 1e-10 * g_scale:
-        z1 = cmath.sqrt(H[0] / G[0])
-        z2 = (H[1] - z1 * z1 * G[1]) / (z1 * G[0])
-        Z = (z1, z2, 0.0, z1)
+    # defective: the chain's first vector is isotropic for B and for B_t,
+    # G00 = H00 = 0 up to rounding, so Z = [[z1, z2], [0, z1]] solves
+    # Z^T G Z = H through G01 and G11
     elif abs(G[1]) > 1e-10 * g_scale:
         z1 = cmath.sqrt(H[1] / G[1])
         z2 = (H[2] - z1 * z1 * G[2]) / (2.0 * z1 * G[1])
@@ -890,12 +895,9 @@ def _opm_scalar(b4, shape, params, s, orth):
     """The reducer of the symmetric B = b4 with scalar invariant: B / s = Q0^2
     with Q0 symmetric, so P = (O Q0)^-1 carries B to the target for every
     complex orthogonal O, and `orth` picks the O that puts P in the (1,1)
-    unitary group."""
+    unitary group; `_stabilizer_reduce3` checks that it does."""
     Q0 = _sqrtm2_symmetric(tuple(z / s for z in b4))
     P = _inv4(_mul4(orth(_star_congruence4(1.0, _inv4(Q0), _J)), Q0))
-    if _u11_membership(P) > 1e-7:
-        raise ClassificationFailureError(
-            f"1(+)-1 reduction to {shape.value} left the (1,1) unitary group")
     return shape, params, 1.0, P
 
 
@@ -921,7 +923,7 @@ def _classify4(a, b):
     amb1, amb2 = [], []
     a_label, a_params, c1, p1 = _classify_A4(a, amb1)
     c1, p1 = _own_check(_group4, c1, p1)
-    b1 = _congruent_B(p1, b)
+    b1 = _transpose_congruence3(p1, *b)
     if not all(map(cmath.isfinite, b1)):
         _own_check(SymMat2, *b1)  # names the first non-finite entry
     try:
@@ -946,7 +948,7 @@ def _classify4(a, b):
     if validate_params(label, params):
         raise ClassificationFailureError(f"incomplete parameters for {label}")
     # residual: max-norm distance of the moved pair to the representative
-    moved = _star_congruence4(c, p, a) + _congruent_B(p, b)
+    moved = _star_congruence4(c, p, a) + _transpose_congruence3(p, *b)
     target = (_representative_A_entries(a_label, merged, shape in _SWAP_SHAPES)
               + _representative_B_entries(shape, merged))
     residual = _gap(moved, target)

@@ -1139,8 +1139,7 @@ def nu_fit(family, row: str, s_grid=None) -> EmpiricalConstants:
     norm over the family's grid."""
     from .witnesses import default_grid, witness_eval
 
-    grid = tuple(s_grid) if s_grid is not None else tuple(
-        s for s in default_grid() if s <= family.s_max)
+    grid = tuple(s_grid) if s_grid is not None else default_grid()
     src = family.source_pair()
     ratios = []
     for s in grid:

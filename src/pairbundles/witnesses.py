@@ -78,7 +78,6 @@ class WitnessFamily:
     P_of_s: Callable[[float], list]  # nested rows [[p00, p01], [p10, p11]]
     target_params_of_s: Callable[[float], dict]  # BundleParams fields
     provenance: str
-    s_max: float = DEFAULT_S_MAX
 
     @property
     def source_label(self) -> BundleLabel:
@@ -105,10 +104,10 @@ class VerifyReport:
         return _record_json(self)
 
 
-def default_grid(s_max: float = DEFAULT_S_MAX) -> tuple:
-    """Geometric grid s_max, s_max*ratio, ... of DEFAULT_GRID_LENGTH points
-    with ratio DEFAULT_GRID_RATIO."""
-    return tuple(s_max * DEFAULT_GRID_RATIO ** k
+def default_grid() -> tuple:
+    """Geometric grid DEFAULT_S_MAX, DEFAULT_S_MAX*ratio, ... of
+    DEFAULT_GRID_LENGTH points with ratio DEFAULT_GRID_RATIO."""
+    return tuple(DEFAULT_S_MAX * DEFAULT_GRID_RATIO ** k
                  for k in range(DEFAULT_GRID_LENGTH))
 
 
@@ -116,11 +115,12 @@ def witness_eval(f: WitnessFamily, s: float):
     """Evaluate a family at one parameter value.
 
     Returns (group element, transported pair, residual to the source
-    representative).  Raises ValidationError on s outside (0, s_max], and
-    the `GroupElement` it builds raises it on a non-finite or singular P(s).
+    representative).  Raises ValidationError on s outside
+    (0, DEFAULT_S_MAX], and the `GroupElement` it builds raises it on a
+    non-finite or singular P(s).
     """
-    if not 0.0 < s <= f.s_max:
-        raise ValidationError(f"s must lie in (0, {f.s_max}] (got {s})")
+    if not 0.0 < s <= DEFAULT_S_MAX:
+        raise ValidationError(f"s must lie in (0, {DEFAULT_S_MAX}] (got {s})")
     g = GroupElement(f.c_of_s(s), Mat2(f.P_of_s(s)))
     moved = apply_action(g, f.target_instance_of_s(s))
     return g, moved, pair_distance(moved, f.source_pair())
@@ -135,7 +135,7 @@ def witness_verify(f: WitnessFamily,
     refuted: residuals bounded away from zero over the whole grid.
     Anything in between is reported unverified.
     """
-    grid = tuple(s_grid) if s_grid is not None else default_grid(f.s_max)
+    grid = tuple(s_grid) if s_grid is not None else default_grid()
     if len(grid) < 2:
         raise ValueError("insufficient grid: need at least 2 points")
     residuals = tuple(witness_eval(f, s)[2] for s in grid)
@@ -217,7 +217,7 @@ def _repair_from(f: WitnessFamily, report: VerifyReport, tol: float):
     for a caller that has already verified f."""
     if report.status == "verified":
         return f, report
-    grid = default_grid(f.s_max)
+    grid = default_grid()
     # misprints are dropped factors, not noise: only exact constants are tried
     for transpose in (False, True):
         for t in _PREFERRED_SCALES:

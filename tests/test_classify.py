@@ -293,6 +293,58 @@ class TestStabilizerReduction(unittest.TestCase):
             self.assertLess(max_norm(Mat2(moved.array - target.array)), 1e-12)
 
 
+# One B entry at 0.5x and 2x the stage-2 zero threshold 1e-6 max|b| (here
+# max|b| = 1): below it the shape treats the entry as zero, above it as
+# nonzero.  ROADMAP item 3b moves these edges on purpose.
+@pytest.mark.parametrize("a_label, b, k, below, above", [
+    (ALabel.ONE_ZERO, (1.0, 0.0, None), 2, BShape.DIAG_A0, BShape.DIAG_A_ONE),
+    (ALabel.ONE_ZERO, (1.0, None, 0.0), 1, BShape.DIAG_A0, BShape.SWAP),
+    (ALabel.ONE_THETA, (1.0, None, 1.0), 1, BShape.DIAG_AD,
+     BShape.FULL_HERMITIAN_LIKE),
+    (ALabel.TAU_FORM, (None, 1.0, 1.0), 0, BShape.OFF_DIAG_PHASE,
+     BShape.PHASE_FORM),
+    (ALabel.NILPOTENT, (1.0, None, 1.0), 1, BShape.DIAG_A_ONE,
+     BShape.ZETA_B_ONE),
+    (ALabel.JORDAN_I, (None, 0.0, 1.0), 0, BShape.ZERO_D, BShape.DIAG_A_ZETA),
+], ids=["one_zero-b22", "one_zero-b12", "one_theta-b12", "tau_form-b11",
+        "nilpotent-b12", "jordan_i-b11"])
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+def test_stage2_zero_rule_at_its_edge(a_label, b, k, below, above, factor):
+    entries = list(b)
+    entries[k] = factor * 1e-6 * cmath.exp(0.7j)
+    shape = stabilizer_reduce_B(a_label, SymMat2(*entries),
+                                a_params=GENERIC_PARAMS)[0]
+    assert shape is (below if factor < 1 else above)
+
+
+def test_perturbed_representatives_raise_only_classifier_errors():
+    """Complex noise of size eps on all seven entries of every cell's
+    generic representative, 60 draws per eps: each call returns a
+    classification or raises AmbiguityError or ClassificationFailureError.
+    The draws include near-defective 1(+)-1 inputs around
+    swap_off_diag_b_one, where the intertwiner once divided by zero."""
+    from pairbundles.numerics import generic_params
+
+    rng = np.random.default_rng(7)
+    leaks = []
+    for cell in CELLS:
+        x0 = representative(cell, generic_params(cell))
+        e0 = (*x0.A.entries, x0.B.a, x0.B.b, x0.B.d)
+        for eps in (1e-11, 1e-9, 1e-7, 1e-5, 1e-3):
+            for _ in range(60):
+                noise = eps * (rng.standard_normal(7)
+                               + 1j * rng.standard_normal(7))
+                e = [complex(z + w) for z, w in zip(e0, noise)]
+                x = PairAB(Mat2([e[0:2], e[2:4]]), SymMat2(*e[4:]))
+                try:
+                    classify_pair(x)
+                except (AmbiguityError, ClassificationFailureError):
+                    pass
+                except Exception as exc:  # collect every leak, then fail
+                    leaks.append((str(cell), eps, repr(exc)))
+    assert leaks == []
+
+
 @pytest.mark.parametrize("label", CELLS, ids=str)
 def test_round_trip_classification(label):
     p0 = canonicalize_params(label, GENERIC_PARAMS)

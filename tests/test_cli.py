@@ -489,6 +489,18 @@ class TestDistAndMc:
                          ["mc", "zero/zero", "--epsilon", "0.5"])
         assert code == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["mc", "one_plus_minus/swap_off_diag_b_one", "--epsilon", "1e-7",
+         "--trials", "50"],
+        ["verify", "graph", "--epsilon", "1e-7", "--trials", "50"],
+    ], ids=["mc", "verify-graph"])
+    def test_near_defective_one_plus_minus_trials(self, capsys, argv):
+        # the trials around swap_off_diag_b_one are near-defective 1(+)-1
+        # inputs, which once leaked a ZeroDivisionError
+        code, out, err = run(capsys, argv)
+        assert code == 0, err
+        assert isinstance(json.loads(out), dict)
+
 
 class TestOutOfRangeOptions:
     """A bad --epsilon, --seed or --tol is refused before any work starts:

@@ -13,6 +13,7 @@ from pairbundles.core import ValidationError
 from pairbundles.normal_forms import label_from_string as L
 from pairbundles.witnesses import (
     CATALOG,
+    DEFAULT_S_MAX,
     WitnessFamily,
     default_grid,
     witness_eval,
@@ -94,7 +95,7 @@ class TestEval(unittest.TestCase):
         with self.assertRaises(ValidationError):
             witness_eval(f, 0.0)
         with self.assertRaises(ValidationError):
-            witness_eval(f, f.s_max * 1.01)
+            witness_eval(f, DEFAULT_S_MAX * 1.01)
         with self.assertRaises(ValidationError):
             witness_eval(f, -0.1)
 
