@@ -869,6 +869,7 @@ def test_search_matches_reference_loop(monkeypatch, src, dst, budget, norm,
     start."""
     x = representative(L(src), generic_params(L(src)))
     got = distance_to_bundle(x, L(dst), budget=budget, seed=seed, norm=norm)
+    numerics._HELD_STARTS.clear()
     monkeypatch.setattr(numerics, "_distance_kernel", _reference_kernel)
     monkeypatch.setattr(numerics, "_pattern_search", _reference_search)
     want = distance_to_bundle(x, L(dst), budget=budget, seed=seed, norm=norm)
@@ -986,6 +987,7 @@ def test_early_sweep_end_in_distance_search(monkeypatch, src, dst, budget,
     x = representative(L(src), generic_params(L(src)))
     runs = {}
     for search in (numerics._pattern_search, _full_sweep_search):
+        numerics._HELD_STARTS.clear()
         counts = [0]
         monkeypatch.setattr(numerics, "_pattern_search",
                             _counted(search, counts))
@@ -995,6 +997,157 @@ def test_early_sweep_end_in_distance_search(monkeypatch, src, dst, budget,
     (got, new), (want, old) = runs.values()
     assert got == want
     assert new < old
+
+
+# ---------------------------------------------------------------------------
+# the held seed-independent start of distance_to_bundle
+
+def _floor_case(src, dst):
+    return representative(L(src), generic_params(L(src))), L(dst)
+
+
+def test_held_start_gives_the_results_of_a_cleared_table():
+    """The floor jobs with the seeds looped outside them, as the benchmark
+    runs them, are bit for bit the calls on a cleared table."""
+    cases = [(*_floor_case(src, dst), budget, norm)
+             for src, dst, budget, norm in _FLOOR_JOBS]
+    held = [(seed, case, _result_bits(distance_to_bundle(
+                case[0], case[1], budget=case[2], seed=seed, norm=case[3])))
+            for seed in range(6) for case in cases]
+    assert len(numerics._HELD_STARTS) == len(cases)
+    for seed, (x, target, budget, norm), got in held:
+        numerics._HELD_STARTS.clear()
+        want = distance_to_bundle(x, target, budget=budget, seed=seed,
+                                  norm=norm)
+        assert got == _result_bits(want), (str(target), norm, seed)
+
+
+def _recording(search, starts):
+    """search with the start of each of its runs appended to starts."""
+    def run(vec, fn, max_sweeps=25):
+        starts.append(tuple(vec))
+        return search(vec, fn, max_sweeps)
+    return run
+
+
+@pytest.mark.parametrize("src,dst,budget,norm", [
+    ("one_theta/zero", "tau_form/zero", 2, "max"),
+    ("zero/rank2", "zero/rank1", 4, "spectral"),
+])
+def test_seed_independent_start_is_searched_once_per_key(
+        monkeypatch, src, dst, budget, norm):
+    x, target = _floor_case(src, dst)
+    starts = []
+    monkeypatch.setattr(numerics, "_pattern_search",
+                        _recording(numerics._pattern_search, starts))
+    runs = []
+    for seed in range(6):
+        before = len(starts)
+        distance_to_bundle(x, target, budget=budget, seed=seed, norm=norm)
+        runs.append(len(starts) - before)
+    # two runs per start: on the surrogate, then on the objective
+    assert runs == [2 * budget] + [2 * (budget - 1)] * 5
+    seedless = tuple([0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0]
+                     + numerics._param_coords(param_fields(target),
+                                              generic_params(target)))
+    # its two runs are the first call's first two, and no later run starts
+    # there
+    assert starts[0] == seedless
+    assert seedless not in starts[2:]
+
+
+def _stub_search(calls):
+    """A search that makes no poll: the start's value and the start."""
+    def run(vec, fn, max_sweeps=25):
+        calls[0] += 1
+        return fn(vec), list(vec)
+    return run
+
+
+def test_held_start_misses_on_norm_target_and_zero_sign(monkeypatch):
+    calls = [0]
+    monkeypatch.setattr(numerics, "_pattern_search", _stub_search(calls))
+    x, target = _floor_case("one_theta/zero", "tau_form/zero")
+    a00, a01, a10, a11 = x.A.entries
+    assert a01 == 0 and math.copysign(1.0, a01.real) == 1.0
+    flipped = PairAB(Mat2(((a00, complex(-0.0, a01.imag)), (a10, a11))), x.B)
+    anew = PairAB(Mat2(((a00, a01), (a10, a11))),
+                  SymMat2(x.B.a, x.B.b, x.B.d))
+
+    def runs(pair, dst=target, norm="max"):
+        before = calls[0]
+        distance_to_bundle(pair, dst, budget=1, seed=3, norm=norm)
+        return calls[0] - before
+
+    assert runs(x) == 2
+    assert runs(anew) == 0
+    assert runs(x, norm="spectral") == 2
+    assert runs(x, dst=L("one_zero/zero")) == 2
+    assert runs(flipped) == 2
+    assert len(numerics._HELD_STARTS) == 4
+
+
+def test_warm_starts_run_and_win_ties_over_the_held_start(monkeypatch):
+    calls = [0]
+    monkeypatch.setattr(numerics, "_pattern_search", _stub_search(calls))
+    x = PairAB(Mat2(((1.0, 0.0), (0.0, 0.0))), SymMat2(0.0, 0.0, 0.0))
+    target = L("zero/zero")
+    # every (c, P) moves zero/zero's zero pair to zero, so each start ties
+    d_held, (g_held, _p) = distance_to_bundle(x, target, budget=1)
+    assert (d_held, calls[0]) == (1.0, 2)
+    warm = GroupElement(1.0, Mat2(((2.0, 0.0), (0.0, 3.0))))
+    d, (g, _p) = distance_to_bundle(x, target, budget=3,
+                                    starts=[(warm, BundleParams())])
+    assert d == d_held
+    # the warm start and the two random ones, not the held one
+    assert calls[0] == 2 + 2 * 3
+    assert g.P.entries == warm.P.entries
+    assert g_held.P.entries == (1, 0, 0, 1)
+
+
+def test_held_table_keeps_its_bound_and_drops_the_oldest(monkeypatch):
+    calls = [0]
+    monkeypatch.setattr(numerics, "_pattern_search", _stub_search(calls))
+    bound = numerics._HELD_STARTS_MAX
+    pairs = [PairAB(Mat2(((float(k), 0.0), (0.0, 0.0))),
+                    SymMat2(1.0, 0.0, 1.0)) for k in range(1, bound + 6)]
+    for pair in pairs:
+        distance_to_bundle(pair, L("zero/rank1"), budget=1)
+        assert len(numerics._HELD_STARTS) <= bound
+    assert len(numerics._HELD_STARTS) == bound
+    before = calls[0]
+    distance_to_bundle(pairs[-1], L("zero/rank1"), budget=1)
+    assert calls[0] == before
+    distance_to_bundle(pairs[0], L("zero/rank1"), budget=1)
+    assert calls[0] == before + 2
+
+
+@pytest.mark.parametrize("kw,name", [
+    ({"cond_max": 0.5}, "cond_max"),
+    ({"cond_max": 0.0}, "cond_max"),
+    ({"cond_max": -1.0}, "cond_max"),
+    ({"cond_max": math.nan}, "cond_max"),
+    ({"spread": math.inf}, "spread"),
+    ({"spread": -math.inf}, "spread"),
+    ({"spread": math.nan}, "spread"),
+])
+def test_sample_group_element_rejects_values_that_never_return(kw, name):
+    class NoDraws:
+        def __getattr__(self, attr):
+            raise AssertionError(f"drew {attr} before validating")
+
+    with pytest.raises(ValidationError, match=f"^{name} must be"):
+        sample_group_element(NoDraws(), **kw)
+
+
+def test_sample_group_element_at_the_edges_of_its_domain():
+    c, P = sample_group_element(np.random.default_rng(0), cond_max=1.0,
+                                spread=0.0)
+    assert abs(abs(c) - 1.0) <= 1e-15
+    assert P.tolist() == [[1, 0], [0, 1]]
+    c, P = sample_group_element(np.random.default_rng(0), cond_max=math.inf)
+    want = sample_group_element(np.random.default_rng(0), cond_max=1e300)
+    assert (c, P.tolist()) == (want[0], want[1].tolist())
 
 
 def _edge_params(cell):
