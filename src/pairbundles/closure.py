@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import _record_json
 from .normal_forms import (
@@ -436,13 +436,10 @@ def _edge_violation(src: BundleLabel, dst: BundleLabel) -> str | None:
     return None
 
 
-@dataclass
 class ClosureGraphPsi(_Graph):
     """Reflexive-transitive closure over the 46-cell catalog."""
 
     nodes = CELLS
-    base_edges: list[Edge] = field(default_factory=list)
-    filtered_edges: list[tuple[Edge, str]] = field(default_factory=list)
 
     def __init__(self) -> None:
         raw = _rule_edges() + _figure_edges() + _witness_edges()

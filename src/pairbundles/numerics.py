@@ -22,11 +22,11 @@ residuals, `nu_fit` and the optimizer's (c, P) encoding work on row-major
 inverse, congruence and max-norm kernels.  The public functions accept
 value types, numpy arrays and nested lists and convert them once, at the
 edge, with `core._entries4`.  numpy stays where the work is not 2x2
-arithmetic: the seeded RNG streams and `sample_group_element` (its array and
-its condition-number test decide which draws are kept, and so the distance
-floors bit for bit).  `sample_group_element`, `distance_to_bundle` and
-`_trial_perturbation` import numpy themselves, so importing this module
-does not load it.
+arithmetic: the seeded RNG streams, and the ndarray `sample_group_element`
+returns (it keeps a draw by `core`'s closed-form singular values, the same
+decisions as numpy's condition number).  `sample_group_element`,
+`distance_to_bundle` and `_trial_perturbation` import numpy themselves, so
+importing this module does not load it.
 
 `distance_to_bundle` holds the search of its seed-independent start in
 ``_HELD_STARTS`` (``_HELD_STARTS.clear()`` empties it), as
@@ -466,53 +466,52 @@ def _allclose4(m, t) -> bool:
     return all(abs(x - y) <= _MATCH_TOL + 1e-5 * abs(y) for x, y in zip(m, t))
 
 
-def _match_alpha_diag0(M):
-    """alpha (+) 0 with alpha in {0, 1}, else None."""
-    if not (_close(M[1], 0) and _close(M[2], 0) and _close(M[3], 0)):
-        return None
-    for alpha in (0.0, 1.0):
-        if _close(M[0], alpha):
-            return alpha
+def _free_entry(M, free, fixed):
+    """M[free] when M's other three entries, in order, are close to
+    ``fixed``, else None."""
+    rest = [z for j, z in enumerate(M) if j != free]
+    if all(_close(z, w) for z, w in zip(rest, fixed)):
+        return complex(M[free])
     return None
 
 
-def _match_one_theta(M, lo=0.0, hi=math.pi, closed=False):
-    """diag(1, e^{i theta}) with theta in the stated range, else None."""
-    if not (_close(M[1], 0) and _close(M[2], 0) and _close(M[0], 1)):
+def _pick(z, values):
+    """The first of ``values`` close to z; None if there is none or z is
+    None."""
+    if z is None:
         return None
-    z = complex(M[3])
-    if abs(abs(z) - 1.0) > _MATCH_TOL:
+    return next((w for w in values if _close(z, w)), None)
+
+
+def _match_alpha_diag0(M):
+    """alpha (+) 0 with alpha in {0, 1}, else None."""
+    return _pick(_free_entry(M, 0, (0, 0, 0)), (0.0, 1.0))
+
+
+def _match_one_theta(M, closed=False):
+    """diag(1, e^{i theta}) with theta in (0, pi), or in [0, pi] if
+    ``closed``, else None."""
+    z = _free_entry(M, 3, (1, 0, 0))
+    if z is None or abs(abs(z) - 1.0) > _MATCH_TOL:
         return None
     th = cmath.phase(z)
     pad = 0.0 if closed else _MATCH_TOL
-    if lo + pad <= th <= hi - pad:
-        return th
-    return None
+    return th if pad <= th <= math.pi - pad else None
 
 
 def _match_swap_omega(M, allowed=(0.0, 1j)):
     """[[0,1],[1,omega]] with omega in ``allowed``, else None."""
-    if not (_close(M[0], 0) and _close(M[1], 1) and _close(M[2], 1)):
-        return None
-    for om in allowed:
-        if _close(M[3], om):
-            return om
-    return None
+    return _pick(_free_entry(M, 3, (0, 1, 1)), allowed)
 
 
 def _match_tau(M, lo_open=False):
     """[[0,1],[tau,0]] with 0 <= tau < 1 (strictly positive if asked)."""
-    if not (_close(M[0], 0) and _close(M[1], 1) and _close(M[3], 0)):
-        return None
-    t = complex(M[2])
-    if abs(t.imag) > _MATCH_TOL:
+    t = _free_entry(M, 2, (0, 1, 0))
+    if t is None or abs(t.imag) > _MATCH_TOL:
         return None
     tau = t.real
-    if -_MATCH_TOL <= tau < 1.0 - _MATCH_TOL:
-        if lo_open and tau <= _MATCH_TOL:
-            return None
-        return max(tau, 0.0)
-    return None
+    low = tau > _MATCH_TOL if lo_open else tau >= -_MATCH_TOL
+    return max(tau, 0.0) if low and tau < 1.0 - _MATCH_TOL else None
 
 
 def _match_sym_discrete(M, combos):
@@ -528,16 +527,15 @@ def _match_sym_discrete(M, combos):
 
 def _match_diag_sign(M):
     """diag(1, sigma), sigma in {1,-1}, else None."""
-    if not (_close(M[1], 0) and _close(M[2], 0) and _close(M[0], 1)):
-        return None
-    for s in (1.0, -1.0):
-        if _close(M[3], s):
-            return s
-    return None
+    return _pick(_free_entry(M, 3, (1, 0, 0)), (1.0, -1.0))
 
 
-def _mismatch(row, what):
-    raise ValueError(f"row {row}: {what} does not match the row's types")
+def _fit(row, types, *matches):
+    """The matches, unless one of them is None or False: then the row's
+    types do not fit.  A match of 0.0 fits."""
+    if any(m is None or m is False for m in matches):
+        raise ValueError(f"row {row}: {types} does not match the row's types")
+    return matches
 
 
 def table3_residuals(row: str, A_tilde, A, c, P) -> list:
@@ -557,17 +555,14 @@ def table3_residuals(row: str, A_tilde, A, c, P) -> list:
         return min(cands, key=max)
 
     if row == "C1":
-        alpha = _match_alpha_diag0(At)
-        if alpha is None or not _allclose4(Am, (1.0, 0.0, 0.0, 1.0)):
-            _mismatch(row, "(alpha(+)0, I2)")
+        alpha, _ = _fit(row, "(alpha(+)0, I2)", _match_alpha_diag0(At),
+                        _allclose4(Am, (1.0, 0.0, 0.0, 1.0)))
         return [abs(abs(x) ** 2 + abs(u) ** 2 - alpha / c),
                 abs(y * y), abs(v * v)]
 
     if row == "C2":
-        alpha = _match_alpha_diag0(At)
-        th = _match_one_theta(Am)
-        if alpha is None or th is None:
-            _mismatch(row, "(alpha(+)0, diag(1,e^{i theta}))")
+        alpha, th = _fit(row, "(alpha(+)0, diag(1,e^{i theta}))",
+                         _match_alpha_diag0(At), _match_one_theta(Am))
         e = cmath.exp(1j * th)
         return [abs(abs(x) ** 2 + e * abs(u) ** 2 - alpha / c),
                 abs(abs(y) ** 2 + e * abs(v) ** 2),
@@ -575,10 +570,8 @@ def table3_residuals(row: str, A_tilde, A, c, P) -> list:
                 abs(xc * y + math.cos(th) * uc * v)]
 
     if row == "C3":
-        om = _match_swap_omega(At)
-        th = _match_one_theta(Am)
-        if om is None or th is None:
-            _mismatch(row, "([[0,1],[1,omega]], diag(1,e^{i theta}))")
+        om, th = _fit(row, "([[0,1],[1,omega]], diag(1,e^{i theta}))",
+                      _match_swap_omega(At), _match_one_theta(Am))
         s = math.sin(th)
 
         def exprs(sign):
@@ -593,20 +586,16 @@ def table3_residuals(row: str, A_tilde, A, c, P) -> list:
         return [abs(e) for e in vals]
 
     if row == "C4":
-        alpha = _match_alpha_diag0(At)
-        tau = _match_tau(Am)
-        if alpha is None or tau is None:
-            _mismatch(row, "(alpha(+)0, [[0,1],[tau,0]])")
+        alpha, tau = _fit(row, "(alpha(+)0, [[0,1],[tau,0]])",
+                          _match_alpha_diag0(At), _match_tau(Am))
         return [abs((yc * v).real), abs((1 - tau) * (yc * v).imag),
                 abs(xc * v), abs(uc * y),
                 abs((1 + tau) * (xc * u).real
                     + 1j * (1 - tau) * (xc * u).imag - alpha / c)]
 
     if row == "C5":
-        om = _match_swap_omega(At)
-        tau = _match_tau(Am, lo_open=True)
-        if om is None or tau is None:
-            _mismatch(row, "([[0,1],[1,omega]], [[0,1],[tau,0]])")
+        om, tau = _fit(row, "([[0,1],[1,omega]], [[0,1],[tau,0]])",
+                       _match_swap_omega(At), _match_tau(Am, lo_open=True))
 
         def exprs(sign):
             return [(xc * u).real, (1 - tau) * (xc * u).imag,
@@ -621,10 +610,10 @@ def table3_residuals(row: str, A_tilde, A, c, P) -> list:
         for alpha in (0.0, 1.0):
             for omega in {0.0, alpha, -alpha}:
                 combos.append((alpha, 0.0, omega))
-        data = _match_sym_discrete(At, combos)
-        if data is None or _match_swap_omega(Am, allowed=(0.0,)) is None:
-            _mismatch(row, "([[alpha,beta],[beta,omega]], [[0,1],[1,0]])")
-        alpha, beta, omega = data
+        (alpha, beta, omega), _ = _fit(
+            row, "([[alpha,beta],[beta,omega]], [[0,1],[1,0]])",
+            _match_sym_discrete(At, combos),
+            _match_swap_omega(Am, allowed=(0.0,)))
 
         def exprs(sign):
             return [2 * (yc * v).real - sign * omega,
@@ -634,28 +623,26 @@ def table3_residuals(row: str, A_tilde, A, c, P) -> list:
         return best_over_k(exprs)
 
     if row == "C7":
-        alpha = _match_alpha_diag0(At)
-        if alpha is None or _match_swap_omega(Am, allowed=(1j,)) is None:
-            _mismatch(row, "(alpha(+)0, [[0,1],[1,i]])")
+        alpha, _ = _fit(row, "(alpha(+)0, [[0,1],[1,i]])",
+                        _match_alpha_diag0(At),
+                        _match_swap_omega(Am, allowed=(1j,)))
         return [abs(xc * v + uc * y), abs(uc * v), abs((yc * u).real),
                 abs(v * v),
                 abs(2 * (xc * u).real + 1j * abs(u) ** 2 - alpha / c)]
 
     if row == "C8":
-        tht = _match_one_theta(At)
-        th = _match_one_theta(Am)
-        if tht is None or th is None:
-            _mismatch(row, "(diag(1,e^{i theta~}), diag(1,e^{i theta}))")
+        _fit(row, "(diag(1,e^{i theta~}), diag(1,e^{i theta}))",
+             _match_one_theta(At), _match_one_theta(Am))
         return [abs(u * u), abs(y * y), abs(abs(x) ** 2 - 1),
                 abs(abs(v) ** 2 - 1)]
 
     if row == "C9":
         combos = [(0.0, 1.0, 0.0), (0.0, 1.0, 1j),
                   (0.0, 0.0, 0.0), (1.0, 0.0, -1.0)]
-        data = _match_sym_discrete(At, combos)
-        if data is None or _match_swap_omega(Am, allowed=(1j,)) is None:
-            _mismatch(row, "([[alpha,beta],[beta,omega]], [[0,1],[1,i]])")
-        alpha, beta, omega = data
+        (alpha, beta, omega), _ = _fit(
+            row, "([[alpha,beta],[beta,omega]], [[0,1],[1,i]])",
+            _match_sym_discrete(At, combos),
+            _match_swap_omega(Am, allowed=(1j,)))
         omega = complex(omega)
 
         def exprs(sign):
@@ -667,26 +654,20 @@ def table3_residuals(row: str, A_tilde, A, c, P) -> list:
         return best_over_k(exprs)
 
     if row == "C10":
-        taut = _match_tau(At)
-        tau = _match_tau(Am)
-        if taut is None or tau is None:
-            _mismatch(row, "([[0,1],[tau~,0]], [[0,1],[tau,0]])")
-        if not (tau > 0 or (tau == 0 and taut == 0)):
-            _mismatch(row, "tau range")
+        taut, tau = _fit(row, "([[0,1],[tau~,0]], [[0,1],[tau,0]])",
+                         _match_tau(At), _match_tau(Am))
+        _fit(row, "tau range", tau > 0 or (tau == 0 and taut == 0))
         out = [abs(xc * u), abs(yc * v), abs(yc * u), abs(vc * x - 1.0 / c)]
         if tau > 0:
             out.append(min(abs(c - 1.0), abs(c + 1.0)))
         return out
 
     if row == "C11":
-        sigma = _match_diag_sign(Am)
-        if sigma is None:
-            _mismatch(row, "second component diag(1,sigma)")
+        sigma = _fit(row, "second component diag(1,sigma)",
+                     _match_diag_sign(Am))[0]
         combos = [(1.0, 0.0, sigma), (1.0, 0.0, 0.0), (0.0, 0.0, 0.0)]
-        data = _match_sym_discrete(At, combos)
-        if data is None:
-            _mismatch(row, "first argument diag(alpha,omega)")
-        alpha, _, omega = data
+        alpha, _, omega = _fit(row, "first argument diag(alpha,omega)",
+                               _match_sym_discrete(At, combos))[0]
         out = [abs(abs(x) ** 2 + sigma * abs(u) ** 2 - alpha / c),
                abs(xc * y + sigma * uc * v),
                abs(abs(y) ** 2 + sigma * abs(v) ** 2 - sigma * omega / c)]
@@ -698,9 +679,9 @@ def table3_residuals(row: str, A_tilde, A, c, P) -> list:
         return out
 
     if row == "C12":
-        if (_match_sym_discrete(At, [(0.0, 1.0, 0.0)]) is None
-                or _match_diag_sign(Am) != -1.0):
-            _mismatch(row, "([[0,1],[1,0]], diag(1,-1))")
+        _fit(row, "([[0,1],[1,0]], diag(1,-1))",
+             _match_sym_discrete(At, [(0.0, 1.0, 0.0)]),
+             _match_diag_sign(Am) == -1.0)
 
         def exprs(sign):
             return [xc * y - uc * v - sign,
@@ -711,24 +692,27 @@ def table3_residuals(row: str, A_tilde, A, c, P) -> list:
     # two further printed rows fall outside the C1..C12 indexing; they are
     # kept available under suffixed names (see the provenance notes)
     if row == "C12a":
-        sigma_t = _match_diag_sign(At)
-        th = _match_one_theta(Am, closed=True)
-        if sigma_t is None or th is None:
-            _mismatch(row, "(diag(1,sigma), diag(1,e^{i theta}))")
+        sigma_t, _ = _fit(row, "(diag(1,sigma), diag(1,e^{i theta}))",
+                          _match_diag_sign(At),
+                          _match_one_theta(Am, closed=True))
         ks = (0,) if sigma_t == 1.0 else (0, 1)
 
+        # c P* A P = A~ with c = sign: the (2,2) entry gives
+        # |y|^2 + sigma~ |v|^2 = sigma~ / c = sigma~ * sign.  Subtracting
+        # sign alone would leave 2 at every exact move of diag(1, -1) onto
+        # itself, such as (c, P) = (1, I) or (-1, [[0,1],[1,0]]); for
+        # sigma~ = +1 the two are the same number.
         def exprs(sign):
             return [abs(x) ** 2 + sigma_t * abs(u) ** 2 - sign,
                     xc * y + sigma_t * uc * v,
-                    abs(y) ** 2 + sigma_t * abs(v) ** 2 - sign,
+                    abs(y) ** 2 + sigma_t * abs(v) ** 2 - sigma_t * sign,
                     c - sign]
 
         return best_over_k(exprs, ks=ks)
 
     if row == "C12b":
-        alpha = _match_alpha_diag0(At)
-        if alpha is None or not _allclose4(Am, (1.0, 0.0, 0.0, 0.0)):
-            _mismatch(row, "(alpha(+)0, diag(1,0))")
+        alpha, _ = _fit(row, "(alpha(+)0, diag(1,0))", _match_alpha_diag0(At),
+                        _allclose4(Am, (1.0, 0.0, 0.0, 0.0)))
         out = [abs(y * y), abs(abs(x) ** 2 - alpha)]
         if alpha == 1.0:
             if _gap(_star_congruence4(c, p, Am), At) <= 0.5:
@@ -741,32 +725,26 @@ def table3_residuals(row: str, A_tilde, A, c, P) -> list:
 # ---------------------------------------------------------------------------
 # tabulated necessary conditions, second component (rows D1..D5)
 
+# each row's shape of B: its text, the entries (row-major) that vanish, the
+# entry that does not, and the rank bound on the limit B~
+_D_SHAPES = {
+    "D1": ("[[0,b],[b,d]]", (0,), 1, 2),
+    "D2": ("[[a,b],[b,0]]", (3,), 1, 2),
+    "D3": ("0(+)d", (0, 1), 3, 1),
+    "D4": ("[[0,b],[b,0]]", (0, 3), 1, 2),
+    "D5": ("a(+)0", (1, 3), 0, 1),
+}
+
+
 def _shape_of_d_row(row, B):
-    """Extract the shape data (a, b, d as applicable) or complain."""
-    a, b, d = complex(B[0]), complex(B[1]), complex(B[3])
-    if not _close(B[1], B[2]):
-        _mismatch(row, "second component not symmetric")
-    if row == "D1":   # [[0,b],[b,d]]
-        if not _close(a, 0) or _close(b, 0):
-            _mismatch(row, "[[0,b],[b,d]]")
-        return {"b": b, "rank": 2}
-    if row == "D2":   # [[a,b],[b,0]]
-        if not _close(d, 0) or _close(b, 0):
-            _mismatch(row, "[[a,b],[b,0]]")
-        return {"b": b, "rank": 2}
-    if row == "D3":   # 0 (+) d
-        if not (_close(a, 0) and _close(b, 0)) or _close(d, 0):
-            _mismatch(row, "0(+)d")
-        return {"rank": 1}
-    if row == "D4":   # [[0,b],[b,0]]
-        if not (_close(a, 0) and _close(d, 0)) or _close(b, 0):
-            _mismatch(row, "[[0,b],[b,0]]")
-        return {"b": b, "rank": 2}
-    if row == "D5":   # a (+) 0
-        if not (_close(b, 0) and _close(d, 0)) or _close(a, 0):
-            _mismatch(row, "a(+)0")
-        return {"rank": 1}
-    raise ValueError(f"unknown row {row!r}")
+    """The rank bound of the row's shape, once B is checked to have it."""
+    _fit(row, "second component not symmetric", _close(B[1], B[2]))
+    if row not in _D_SHAPES:
+        raise ValueError(f"unknown row {row!r}")
+    text, zero, nonzero, rank = _D_SHAPES[row]
+    _fit(row, text, all(_close(B[j], 0) for j in zero)
+         and not _close(B[nonzero], 0))
+    return rank
 
 
 def table4_residuals(row: str, B_tilde, B, P, F=None) -> BoundReport:
@@ -775,7 +753,7 @@ def table4_residuals(row: str, B_tilde, B, P, F=None) -> BoundReport:
     with the printed allowance on the auxiliary off-diagonal terms."""
     row = str(row)
     Bt, Bm, p = _entries4(B_tilde), _entries4(B), _entries4(P)
-    info = _shape_of_d_row(row, Bm)
+    rank_bound = _shape_of_d_row(row, Bm)
     if F is None:
         Fm = [m - t for m, t in zip(_transpose_congruence4(p, Bm), Bt)]
     else:
@@ -792,7 +770,7 @@ def table4_residuals(row: str, B_tilde, B, P, F=None) -> BoundReport:
     # the numeric rank of Bt at the relative cutoff 1e-9 (0 below 1e-9)
     s0, s1 = _singular_values(Bt)
     rank = 0 if s0 <= 1e-9 else 1 + (s1 > 1e-9 * s0)
-    hyp = rank <= info["rank"]
+    hyp = rank <= rank_bound
     root = cmath.sqrt(detBt)
 
     def needed(defect, coef):
@@ -811,9 +789,8 @@ def table4_residuals(row: str, B_tilde, B, P, F=None) -> BoundReport:
                 o = max(needed(x * (dt + e4) - y * (t + bt), abs(y)),
                         needed(y * (at + e1) - x * (-t + bt), abs(x)))
             else:  # D4
-                b = info["b"]
-                o = max(abs(2 * b * v * x - (t + bt)),
-                        abs(2 * b * u * y - (-t + bt)))
+                o = max(abs(2 * Bm[1] * v * x - (t + bt)),
+                        abs(2 * Bm[1] * u * y - (-t + bt)))
             best = min(best, o)
         observed = best
     elif row == "D3":
@@ -828,11 +805,18 @@ def table4_residuals(row: str, B_tilde, B, P, F=None) -> BoundReport:
 # ---------------------------------------------------------------------------
 # distance-to-bundle optimization
 
+_MAX_DRAWS = 10_000
+
+
 def sample_group_element(rng, cond_max: float = 1e3, spread: float = 1.0):
     """Random (c, P) with P of bounded condition number.
 
+    A draw is kept when |det P| > 1e-9 and cond(P) = s0/s1 <= cond_max,
+    tested as s0 <= cond_max * s1 on `core`'s closed-form singular values.
     cond(P) >= 1 always, so a ``cond_max`` below 1 or NaN, or a non-finite
-    ``spread``, would draw forever; they raise ``ValidationError``."""
+    ``spread``, raise ``ValidationError`` before the first draw, and so
+    does a run of ``_MAX_DRAWS`` draws with none kept (cond(P) = 1 needs a
+    scaled unitary P, which the Gaussian draw never gives)."""
     import numpy as np
 
     if not cond_max >= 1:
@@ -840,13 +824,17 @@ def sample_group_element(rng, cond_max: float = 1e3, spread: float = 1.0):
     if not math.isfinite(spread):
         raise ValidationError(f"spread must be finite, got {spread!r}")
     phi = rng.uniform(0.0, 2 * math.pi)
-    while True:
+    for _ in range(_MAX_DRAWS):
         P = (np.eye(2)
              + spread * (rng.standard_normal((2, 2))
                          + 1j * rng.standard_normal((2, 2))) / math.sqrt(2))
-        if abs(_det4(_entries4(P))) > 1e-9 and np.linalg.cond(P) <= cond_max:
-            break
-    return cmath.exp(1j * phi), P
+        p = _entries4(P)
+        s0, s1 = _singular_values(p)
+        if abs(_det4(p)) > 1e-9 and s0 <= cond_max * s1:
+            return cmath.exp(1j * phi), P
+    raise ValidationError(
+        f"no draw kept in {_MAX_DRAWS} with cond_max={cond_max!r} and "
+        f"spread={spread!r}")
 
 
 def _param_coords(fields, params):

@@ -5,6 +5,8 @@ import importlib.util
 import json
 import math
 import pathlib
+import re
+import time
 import unittest
 
 import numpy as np
@@ -16,6 +18,8 @@ from pairbundles.core import (
     PairAB,
     SymMat2,
     ValidationError,
+    _det4,
+    _entries4,
     apply_action,
     max_norm,
 )
@@ -329,21 +333,81 @@ def test_table3_rows_reached_by_the_catalogue():
         "C8", "C12", "C12b"}
 
 
-# With c = -1 the congruence gives |y|^2 - |v|^2 = 1, but the row's third
-# expression subtracts sign = -1, so the residual stays at 2 along a family
-# that verifies.
-_TABLE3_XFAIL = {("C12a", "plus-minus-diag-in-a-plus-off-diag")}
-
-
 @pytest.mark.parametrize("row, fam", [
-    pytest.param(row, fam, id=f"{row}-{fam.name}", marks=(
-        [pytest.mark.xfail(strict=True, reason="C12a misses the c = -1 sign")]
-        if (row, fam.name) in _TABLE3_XFAIL else []))
+    pytest.param(row, fam, id=f"{row}-{fam.name}")
     for row, fam in _TABLE3_MATCHES])
 def test_table3_residual_vanishes_along_family(row, fam):
     coarse = _table3_max_residual(row, fam, 0.1)
     fine = _table3_max_residual(row, fam, 1e-3)
     assert fine <= 2e-2 * coarse or fine <= 1e-12
+
+
+@pytest.mark.parametrize("c, P", [(1.0, [[1, 0], [0, 1]]),
+                                  (-1.0, [[0, 1], [1, 0]])])
+def test_c12a_exact_moves_of_plus_minus_diag(c, P):
+    """c P* A P = A for A = diag(1, -1), so sigma~ = -1 and c = sign; the
+    (2,2) entry gives |y|^2 - |v|^2 = sigma~ * sign, and every residual of
+    the row is exactly zero."""
+    A = [[1, 0], [0, -1]]
+    assert table3_residuals("C12a", A, A, c, P) == [0.0, 0.0, 0.0, 0.0]
+
+
+_D1M1 = [[1, 0], [0, -1]]
+_SWAP = [[0, 1], [1, 0]]
+_TAU0 = [[0, 1], [0, 0]]
+# (row, A~, A, the types they do not fit)
+_TABLE3_TYPES = [
+    ("C1", [[2, 0], [0, 0]], np.eye(2), "(alpha(+)0, I2)"),
+    ("C2", np.diag([1, 0]), np.eye(2), "(alpha(+)0, diag(1,e^{i theta}))"),
+    ("C3", np.diag([1, 0]), np.diag([1, 1j]),
+     "([[0,1],[1,omega]], diag(1,e^{i theta}))"),
+    ("C4", np.diag([1, 0]), _SWAP, "(alpha(+)0, [[0,1],[tau,0]])"),
+    ("C5", _SWAP, _TAU0, "([[0,1],[1,omega]], [[0,1],[tau,0]])"),
+    ("C6", [[1, 2], [2, 0]], _SWAP,
+     "([[alpha,beta],[beta,omega]], [[0,1],[1,0]])"),
+    ("C7", np.diag([1, 0]), _SWAP, "(alpha(+)0, [[0,1],[1,i]])"),
+    ("C8", np.diag([1, 1j]), _D1M1,
+     "(diag(1,e^{i theta~}), diag(1,e^{i theta}))"),
+    ("C9", _SWAP, _SWAP, "([[alpha,beta],[beta,omega]], [[0,1],[1,i]])"),
+    ("C10", np.diag([1, 0]), _TAU0, "([[0,1],[tau~,0]], [[0,1],[tau,0]])"),
+    ("C10", [[0, 1], [0.5, 0]], _TAU0, "tau range"),
+    ("C11", np.diag([1, 0]), np.diag([1, 1j]),
+     "second component diag(1,sigma)"),
+    ("C11", _SWAP, _D1M1, "first argument diag(alpha,omega)"),
+    ("C12", _SWAP, np.eye(2), "([[0,1],[1,0]], diag(1,-1))"),
+    ("C12a", np.diag([1, 0]), np.eye(2),
+     "(diag(1,sigma), diag(1,e^{i theta}))"),
+    ("C12b", np.diag([1, 0]), np.eye(2), "(alpha(+)0, diag(1,0))"),
+]
+_TABLE4_SHAPES = {"D1": "[[0,b],[b,d]]", "D2": "[[a,b],[b,0]]",
+                  "D3": "0(+)d", "D4": "[[0,b],[b,0]]", "D5": "a(+)0"}
+
+
+def _mismatch_cases():
+    """(engine, row, first form, second form, message) for every row."""
+    fits = "does not match the row's types"
+    for row, At, A, what in _TABLE3_TYPES:
+        yield table3_residuals, row, At, A, f"row {row}: {what} {fits}"
+    # symmetry is checked first, so an unknown row reports it too
+    for row in (*_TABLE4_SHAPES, "D9"):
+        yield (table4_residuals, row, np.eye(2), [[0, 1], [0.5, 0]],
+               f"row {row}: second component not symmetric {fits}")
+    for row, what in _TABLE4_SHAPES.items():
+        for B in (np.eye(2), np.zeros((2, 2))):
+            yield (table4_residuals, row, np.eye(2), B,
+                   f"row {row}: {what} {fits}")
+    for engine in (table3_residuals, table4_residuals):
+        for row in ("C99", "D9"):
+            yield engine, row, np.eye(2), np.eye(2), f"unknown row {row!r}"
+
+
+@pytest.mark.parametrize("engine, row, first, second, msg", [
+    pytest.param(*case, id=f"{case[0].__name__[:6]}-{case[1]}-{k}")
+    for k, case in enumerate(_mismatch_cases())])
+def test_mismatch_message(engine, row, first, second, msg):
+    rest = (1.0, np.eye(2)) if engine is table3_residuals else (np.eye(2),)
+    with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+        engine(row, first, second, *rest)
 
 
 @pytest.mark.parametrize("row, A", [
@@ -1138,6 +1202,53 @@ def test_sample_group_element_rejects_values_that_never_return(kw, name):
 
     with pytest.raises(ValidationError, match=f"^{name} must be"):
         sample_group_element(NoDraws(), **kw)
+
+
+def test_sample_group_element_gives_up_after_its_draw_cap():
+    """cond(P) = 1 needs a scaled unitary P, which no Gaussian draw gives:
+    cond_max=1 raises after numerics._MAX_DRAWS draws instead of looping."""
+    class Counted:
+        def __init__(self):
+            self.rng, self.normals = np.random.default_rng(0), 0
+
+        def uniform(self, *args):
+            return self.rng.uniform(*args)
+
+        def standard_normal(self, *args):
+            self.normals += 1
+            return self.rng.standard_normal(*args)
+
+    rng = Counted()
+    start = time.perf_counter()
+    with pytest.raises(ValidationError,
+                       match=r"cond_max=1\.0 and spread=1\.0$"):
+        sample_group_element(rng, cond_max=1.0)
+    assert time.perf_counter() - start < 1.0
+    assert rng.normals == 2 * numerics._MAX_DRAWS
+
+
+def _sample_by_numpy_cond(rng, cond_max, spread):
+    """The sampler's keep rule as numpy's condition number states it."""
+    phi = rng.uniform(0.0, 2 * math.pi)
+    while True:
+        P = (np.eye(2)
+             + spread * (rng.standard_normal((2, 2))
+                         + 1j * rng.standard_normal((2, 2))) / math.sqrt(2))
+        if (abs(_det4(_entries4(P))) > 1e-9
+                and np.linalg.cond(P) <= cond_max):
+            return cmath.exp(1j * phi), P
+
+
+@pytest.mark.parametrize("cond_max", [10, 30, 1e3])
+@pytest.mark.parametrize("spread", [1.0, 0.7, 0.35])
+def test_sample_group_element_keeps_the_draws_numpy_cond_keeps(
+        spread, cond_max):
+    for seed in range(200):
+        c, P = sample_group_element(np.random.default_rng([seed, 5]),
+                                    cond_max=cond_max, spread=spread)
+        want_c, want_P = _sample_by_numpy_cond(
+            np.random.default_rng([seed, 5]), cond_max, spread)
+        assert c == want_c and P.tobytes() == want_P.tobytes(), seed
 
 
 def test_sample_group_element_at_the_edges_of_its_domain():
