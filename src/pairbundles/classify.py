@@ -20,7 +20,12 @@ functions are thin wrappers that build the checked value types only for
 what they return: `classify_pair` one `BundleParams`, one `GroupElement`
 (not checked again, see `core._checked_group_element`) and one
 `Classification`, its label taken from the catalogue.
-Only `classify_A` measures the stage-1 residual.
+Only `classify_A` measures the stage-1 residual.  Stage 2 builds no value
+type: `classify_B` is stage 2 over the zero A-form, a thin wrapper over
+the Takagi rank reducer `_reduce_B_zero`.  Every target a reducer or
+check compares with comes from the form records of `normal_forms`, and
+so do the parameter names of the 1 (+) e^{i theta} reducer, whose shape
+is the `_ONE_THETA_SHAPES` entry of B's nonzero pattern.
 
 Each threshold rule has one home.  `_near` decides a gray-band comparison
 and notes it in `ambiguous`.  `_zero_tol` is the stage-2 zero threshold,
@@ -75,6 +80,7 @@ from .normal_forms import (
     BShape,
     BundleLabel,
     BundleParams,
+    _B_FORMS,
     _CELL_OF,
     _SWAP_SHAPES,
     _canonical_updates,
@@ -414,19 +420,18 @@ def _reduce_jordan_A(a, C, lam_m):
     cc2 = c * c
     V = _jordan_chain(tuple(cc2 * z for z in C), 1.0)
     P0 = (V[0] / 2j, V[1], V[2] / 2j, V[3])
+    target = _representative_A_entries(ALabel.JORDAN_I, {})
     for cc in (c, -c):
         Mt = _star_congruence4(cc, P0, a)
         t = Mt[1]
-        if abs(t.real) < 1e-12 * max(1.0, abs(t)):
-            continue
-        if t.real < 0:
+        if abs(t.real) < 1e-12 * max(1.0, abs(t)) or t.real < 0:
             continue
         tr = t.real
         q = Mt[3].real
         a_scale = 1.0 / math.sqrt(tr)
         b_corr = -a_scale * q / (2.0 * tr)
         P = _mul4(P0, (a_scale, b_corr, 0.0, a_scale))
-        if _gap(_star_congruence4(cc, P, a), (0.0, 1.0, 1.0, 1j)) < 0.1:
+        if _gap(_star_congruence4(cc, P, a), target) < 0.1:
             return ALabel.JORDAN_I, {}, cc, P
     raise ClassificationFailureError("Jordan-type reduction failed")
 
@@ -434,25 +439,34 @@ def _reduce_jordan_A(a, C, lam_m):
 # ---------------------------------------------------------------------------
 # the B-part alone (T-congruence rank normal form)
 
-def classify_B(B: SymMat2):
-    """Returns (b_label, reducer P, residual, ambiguous)."""
-    amb: list[str] = []
-    (scale, s1), U = _takagi((B.a, B.b, B.b, B.d))
+def _reduce_B_zero(b, amb):
+    """Stage 2 over the zero A-form, whose stabilizer is the whole group:
+    the rank normal form through the Takagi factors B = U diag(s0, s1) U^T,
+    P = conj(U) diag(1/sqrt(s0), 1/sqrt(s1)), with 1 for a zero s1."""
+    (scale, s1), U = _takagi((b[0], b[1], b[1], b[2]))
     # squared entries past 1e154 overflow B*B, and so its singular values
     if not scale < math.inf:
         raise ClassificationFailureError(
             f"singular values of B overflow to {scale!r}")
     if _near(scale, _RANK_TOL, amb, "B near zero"):
-        return BLabel.ZERO, Mat2.identity(), float(scale), tuple(amb)
+        return BShape.ZERO, {}, 1.0, _I4
     rank1 = _near(s1 / scale, _RANK_TOL, amb, "B near rank-1 boundary")
-    # P = conj(U) diag(1/sqrt(s0), 1/sqrt(s1)), with 1 for a zero s1
     k0, k1 = 1.0 / math.sqrt(scale), (1.0 if rank1 else 1.0 / math.sqrt(s1))
     P = (U[0].conjugate() * k0, U[1].conjugate() * k1,
          U[2].conjugate() * k0, U[3].conjugate() * k1)
-    res = _gap(_transpose_congruence3(P, B.a, B.b, B.d),
-               (1.0, 0.0, 0.0 if rank1 else 1.0))
-    label = BLabel.RANK1 if rank1 else BLabel.RANK2
-    return label, _mat4(P), float(res), tuple(amb)
+    return BShape.RANK1 if rank1 else BShape.RANK2, {}, 1.0, P
+
+
+def classify_B(B: SymMat2):
+    """Returns (b_label, reducer P, residual, ambiguous): stage 2 over the
+    zero A-form.  The residual is the max-norm distance of the moved B to
+    its form, and for the zero class the spectral norm of B."""
+    amb: list[str] = []
+    b = (B.a, B.b, B.d)
+    shape, _, _, p = _reduce_B_zero(b, amb)
+    res = (_spectral_norm(B.a, B.b, B.b, B.d) if shape is BShape.ZERO else _gap(
+        _transpose_congruence3(p, *b), _representative_B_entries(shape, {})))
+    return BLabel(shape.value), _mat4(p), float(res), tuple(amb)
 
 
 # ---------------------------------------------------------------------------
@@ -509,12 +523,6 @@ def _diag4(x, y) -> tuple:
     return (x, 0j, 0j, y)
 
 
-def _reduce_B_zero(b, amb):
-    label, P, _, amb2 = classify_B(SymMat2(*b))
-    amb.extend(amb2)
-    return BShape(label.value), {}, 1.0, P.entries
-
-
 def _reduce_B_one_zero(b, amb):
     f11, f12, f22 = _zero_flags(b)
     b11, b12, b22 = b
@@ -552,44 +560,42 @@ def _reduce_B_identity(b, amb):
     return BShape.DIAG_AD, {"a": float(s_lo), "d": float(s_hi)}, 1.0, p
 
 
+# the B-form over 1 (+) e^{i theta} of each pattern (b11, b12, b22 nonzero)
+_ONE_THETA_SHAPES = {
+    (True, True, True): BShape.FULL_HERMITIAN_LIKE,
+    (True, True, False): BShape.A_PLUS_OFF_DIAG,
+    (False, True, True): BShape.OFF_DIAG_PLUS_D,
+    (True, False, True): BShape.DIAG_AD,
+    (False, True, False): BShape.ANTI_DIAG,
+    (True, False, False): BShape.DIAG_A0,
+    (False, False, True): BShape.ZERO_D,
+    (False, False, False): BShape.ZERO,
+}
+
+
 def _reduce_B_one_theta(b, amb):
-    f11, f12, f22 = _zero_flags(b)
+    """The stabilizer diag(e^{i phi1}, e^{i phi2}) turns each nonzero
+    diagonal entry real positive by its own phase, and a nonzero b12 by the
+    phase that is left; with both taken, b12 keeps its phase as zeta_star."""
+    pattern = _zero_flags(b)
+    f11, f12, f22 = pattern
     b11, b12, b22 = b
-    phi1 = phi2 = 0.0
-    shape, params = None, {}
+    phi1 = -0.5 * cmath.phase(b11) if f11 else 0.0
+    phi2 = -0.5 * cmath.phase(b22) if f22 else 0.0
+    values = {"a": abs(b11), "b": abs(b12), "d": abs(b22)}
     if f11 and f12 and f22:
-        phi1 = -0.5 * cmath.phase(b11)
-        phi2 = -0.5 * cmath.phase(b22)
         zs = b12 * cmath.exp(1j * (phi1 + phi2))
         # half-angle branches realize the sign identification; canonicalize
         if not (0.0 <= cmath.phase(zs) < math.pi):
             phi1 += math.pi
             zs = -zs
-        shape = BShape.FULL_HERMITIAN_LIKE
-        params = {"a": abs(b11), "d": abs(b22), "zeta_star": zs}
+        values["zeta_star"] = zs
     elif f11 and f12:
-        phi1 = -0.5 * cmath.phase(b11)
         phi2 = -cmath.phase(b12) - phi1
-        shape, params = BShape.A_PLUS_OFF_DIAG, {"a": abs(b11), "b": abs(b12)}
-    elif f12 and f22:
-        phi2 = -0.5 * cmath.phase(b22)
-        phi1 = -cmath.phase(b12) - phi2
-        shape, params = BShape.OFF_DIAG_PLUS_D, {"b": abs(b12), "d": abs(b22)}
-    elif f11 and f22:
-        phi1 = -0.5 * cmath.phase(b11)
-        phi2 = -0.5 * cmath.phase(b22)
-        shape, params = BShape.DIAG_AD, {"a": abs(b11), "d": abs(b22)}
     elif f12:
-        phi1 = -cmath.phase(b12)
-        shape, params = BShape.ANTI_DIAG, {"b": abs(b12)}
-    elif f11:
-        phi1 = -0.5 * cmath.phase(b11)
-        shape, params = BShape.DIAG_A0, {"a": abs(b11)}
-    elif f22:
-        phi2 = -0.5 * cmath.phase(b22)
-        shape, params = BShape.ZERO_D, {"d": abs(b22)}
-    else:
-        shape = BShape.ZERO
+        phi1 = -cmath.phase(b12) - phi2
+    shape = _ONE_THETA_SHAPES[pattern]
+    params = {name: values[name] for name in _B_FORMS[shape][0]}
     return shape, params, 1.0, _diag4(cmath.exp(1j * phi1), cmath.exp(1j * phi2))
 
 
@@ -737,11 +743,6 @@ def _star_flip(m):
             m[3].conjugate())
 
 
-def _u11_membership(p, c):
-    """Max-norm distance of c P* J P from J."""
-    return _gap(_star_congruence4(c, p, _J), _J)
-
-
 def _jordan_chain(n, lam):
     """Columns (v1, v2) with (N - lam I) v2 = v1, for N with the single
     eigenvalue lam; v2 is the top right singular vector of N - lam I."""
@@ -803,19 +804,16 @@ def _reduce_B_one_plus_minus(b, amb):
                 "off the catalog"
             )
         b = math.sqrt(lam_m.real)
-        return _opm_intertwine(b4, n4, BShape.SWAP_OFF_DIAG_B_ONE,
-                               {"b": b},
-                               _mul4(_mul4(_T, (0.0, b, b, 1.0)), _T), (b * b,))
+        return _opm_intertwine(b4, n4, BShape.SWAP_OFF_DIAG_B_ONE, {"b": b},
+                               (b * b,))
     # distinct eigenvalues
     lam = _roots(lam_m, disc, abs(_det4(b4)) ** 2)
     if abs(lam[0].imag) > 1e-6 * n_scale:
         # a conjugate pair d e^{+-i theta}: the 1 (+) d e^{i theta} swap cell
         lam_p = lam[0] if lam[0].imag > 0 else lam[1]
         d, theta = abs(lam_p), abs(cmath.phase(lam_p))
-        B_sw = _diag4(1.0, d * cmath.exp(1j * theta))
         return _opm_intertwine(b4, n4, BShape.SWAP_ONE_DE_ITHETA,
                                {"d": d, "theta": theta},
-                               _mul4(_mul4(_T, B_sw), _T),
                                (lam_p, lam_p.conjugate()))
     lam_r = sorted(l.real for l in lam)
     if lam_r[0] <= 0:
@@ -824,12 +822,12 @@ def _reduce_B_one_plus_minus(b, amb):
             "off the catalog over 1(+)-1"
         )
     a, d = math.sqrt(lam_r[0]), math.sqrt(lam_r[1])
-    return _opm_intertwine(b4, n4, BShape.DIAG_AD, {"a": a, "d": d},
-                           _diag4(a, d), lam_r)
+    return _opm_intertwine(b4, n4, BShape.DIAG_AD, {"a": a, "d": d}, lam_r)
 
 
-def _opm_intertwine(b4, n4, shape, params, bt, lam):
-    """The reducer of the symmetric B = b4 onto the J-frame target bt, whose
+def _opm_intertwine(b4, n4, shape, params, lam):
+    """The reducer of the symmetric B = b4 onto the J-frame target B_t of
+    (shape, params), its form or, for the swap shapes, T form T, whose
     invariant has the eigenvalues lam (one entry when both are one defective
     eigenvalue).
 
@@ -839,6 +837,12 @@ def _opm_intertwine(b4, n4, shape, params, bt, lam):
     eigenvalues, and R^T B R = B_t fixes Z up to signs, which change neither
     residual.  The swap shapes leave the J frame by P = R T.
     """
+    t11, t12, t22 = _representative_B_entries(shape, params)
+    # in Python complex, as b4 is: float zeros would flip the sign of zero
+    # parts of P
+    bt = tuple(map(complex, (t11, t12, t12, t22)))
+    if shape in _SWAP_SHAPES:
+        bt = _mul4(_mul4(_T, bt), _T)
     nt = _mul4(_star_flip(bt), bt)
     if len(lam) == 2:
         (v00, v10), (v01, v11) = (_eigvec(n4, l) for l in lam)
@@ -866,7 +870,8 @@ def _opm_intertwine(b4, n4, shape, params, bt, lam):
         P = _mul4(_mul4(V, Z), _inv4(Uc))
         b_res = _gap(_transpose_congruence3(P, b4[0], b4[1], b4[3]),
                      (bt[0], bt[1], bt[3]))
-        r, c = min(((max(b_res, _u11_membership(P, cc)), cc)
+        # the (1,1)-unitary defect: the gap of c P* J P to J
+        r, c = min(((max(b_res, _gap(_star_congruence4(cc, P, _J), _J)), cc)
                     for cc in (1.0, -1.0)), key=lambda rc: rc[0])
     if not r <= 1e-7 * max(1.0, _max_abs(b4)):
         raise ClassificationFailureError(

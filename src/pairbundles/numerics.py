@@ -5,7 +5,9 @@ Four groups of tools:
 * exact tangent-rank dimension counts for the catalogued bundles (and for
   the symmetric-part orbits alone), in integer arithmetic,
 * quantitative determinant/parameter bounds with explicit hypotheses,
-  reported as pass/fail margins,
+  reported as pass/fail margins (the lemadet modes PAE, cE and part3
+  share one defect limit, `_defect_limit`, and PAE and PBF one
+  square-root bound, `_sqrt_bound`),
 * residual evaluation for the tabulated necessary conditions attached to
   closure-graph edges (rows C1..C12 for the first component, D1..D5 for
   the second),
@@ -318,68 +320,62 @@ def lemadet_verify(src, dst, g: GroupElement, mode: str) -> BoundReport:
     return _lemadet4(mode, at, bt, a, b, complex(g.c), _entries4(g.P))
 
 
+def _defect_limit(det_t, n_t) -> float:
+    """The largest first-component defect max|E| that the bounds assume
+    for a limit At with determinant det_t and max-norm n_t."""
+    return min(abs(det_t) / (8 * n_t + 4), 1.0)
+
+
+def _sqrt_bound(n_def, n_t, det_t, singular) -> float:
+    """The PAE and PBF bound for a defect of max-norm n_def against a limit
+    with max-norm n_t and determinant det_t: a square root at a singular
+    limit, linear in the defect otherwise."""
+    x = n_def * (4 * n_t + 2)
+    return math.sqrt(x) if singular else x / abs(det_t)
+
+
 def _lemadet4(mode, at, bt, a, b, c, p) -> BoundReport:
     """`lemadet_verify` on the 4-tuples of the limit's parts (at, bt), the
     moved object's parts (a, b) and P, with E = c P* A P - At and
     F = P^T B P - Bt."""
-    detP = _det4(p)
-    if mode in ("PAE", "cE"):
+    if mode != "PBF":
         nAt, nE = _max_abs(at), _gap(_star_congruence4(c, p, a), at)
         detAt, detA = _det4(at), _det4(a)
         singular = _is_singular(detAt, nAt)
-        if mode == "PAE":
-            limit = 1.0 if singular else min(abs(detAt) / (8 * nAt + 4), 1.0)
-            if nE > limit:
-                return _short_circuit(mode)
-            observed = abs(math.sqrt(abs(detA)) * abs(detP)
-                           - math.sqrt(abs(detAt)))
-            if singular:
-                bound = math.sqrt(nE * (4 * nAt + 2))
-            else:
-                bound = nE * (4 * nAt + 2) / abs(detAt)
-        else:  # cE: both components nonsingular
-            if singular or _is_singular(detA, _max_abs(a)):
-                return _short_circuit(mode)
-            limit = min(abs(detAt) / (8 * nAt + 4), 1.0)
-            if nE > limit:
-                return _short_circuit(mode)
-            delta = cmath.phase(detAt / detA)
-            observed = min(abs(c - cmath.exp(1j * delta / 2)),
-                           abs(c + cmath.exp(1j * delta / 2)))
-            bound = nE * (8 * nAt + 4) / abs(detAt)
-        return BoundReport(True, bound, observed, bound - observed, name=mode)
-
-    if mode == "PBF":
-        nBt, nB = _max_abs(bt), _max_abs(b)
-        nF = _gap(_transpose_congruence4(p, b), bt)
+        defect, limit = nE, 1.0 if singular else _defect_limit(detAt, nAt)
+    if mode in ("PBF", "part3"):
+        nBt, nF = _max_abs(bt), _gap(_transpose_congruence4(p, b), bt)
         detBt, detB = _det4(bt), _det4(b)
+    if mode == "PBF":
         singular = _is_singular(detBt, nBt)
-        limit = 1.0 if singular else min(abs(detBt) / (4 * nB + 2), 1.0)
-        if nF > limit:
+        defect, limit = nF, 1.0 if singular else min(
+            abs(detBt) / (4 * _max_abs(b) + 2), 1.0)
+    elif mode != "PAE":
+        # cE and part3: both first components nonsingular
+        if singular or _is_singular(detA, _max_abs(a)):
             return _short_circuit(mode)
-        lhs = cmath.sqrt(detB) * detP
-        rhs = cmath.sqrt(detBt)
-        observed = min(abs(lhs - rhs), abs(lhs + rhs))
-        if singular:
-            bound = math.sqrt(nF * (4 * nBt + 2))
-        else:
-            bound = nF * (4 * nBt + 2) / abs(detBt)
-        return BoundReport(True, bound, observed, bound - observed, name=mode)
+        if mode == "part3":
+            limit = min(1.0, 1.0 / _max_abs(_inv4(at)), limit)
+    if defect > limit:
+        return _short_circuit(mode)
 
-    # part3
-    nAt, nE = _max_abs(at), _gap(_star_congruence4(c, p, a), at)
-    nF = _gap(_transpose_congruence4(p, b), bt)
-    detAt, detA = _det4(at), _det4(a)
-    detBt, detB = _det4(bt), _det4(b)
-    if _is_singular(detAt, nAt) or _is_singular(detA, _max_abs(a)):
-        return _short_circuit(mode)
-    inv_norm = _max_abs(_inv4(at))
-    limit = min(1.0, 1.0 / inv_norm, abs(detAt) / (8 * nAt + 4))
-    if nE > limit:
-        return _short_circuit(mode)
-    observed = abs(abs(detAt * detB) - abs(detBt * detA))
-    big = max(nAt, _max_abs(bt), abs(detAt), abs(detBt))
-    bound = (max(nE, nF) * (abs(detA) / abs(detAt)) * (4 * big + 2) ** 2)
+    if mode == "PAE":
+        observed = abs(math.sqrt(abs(detA)) * abs(_det4(p))
+                       - math.sqrt(abs(detAt)))
+        bound = _sqrt_bound(nE, nAt, detAt, singular)
+    elif mode == "PBF":
+        lhs, rhs = cmath.sqrt(detB) * _det4(p), cmath.sqrt(detBt)
+        observed = min(abs(lhs - rhs), abs(lhs + rhs))
+        bound = _sqrt_bound(nF, nBt, detBt, singular)
+    elif mode == "cE":
+        # e^{i delta / 2}, delta the phase of det At / det A
+        half = cmath.exp(1j * cmath.phase(detAt / detA) / 2)
+        observed = min(abs(c - half), abs(c + half))
+        bound = nE * (8 * nAt + 4) / abs(detAt)
+    else:
+        observed = abs(abs(detAt * detB) - abs(detBt * detA))
+        big = max(nAt, nBt, abs(detAt), abs(detBt))
+        bound = max(nE, nF) * (abs(detA) / abs(detAt)) * (4 * big + 2) ** 2
     return BoundReport(True, bound, observed, bound - observed, name=mode)
 
 
@@ -426,7 +422,7 @@ def sample_lemadet_case(mode: str, rng) -> tuple[BoundReport, int]:
         # by (1/c, P^-1)
         if mode in ("PAE", "cE"):
             at = _rand4(rng)
-            limit = min(abs(_det4(at)) / (8 * _max_abs(at) + 4), 1.0)
+            limit = _defect_limit(_det4(at), _max_abs(at))
             a = _star_congruence4(1 / c, pi, _plus_defect(
                 at, rng, _rand4, 0.05, 0.95, limit))
             rep = _lemadet4(mode, at, at, a, a, c, p)
@@ -439,7 +435,7 @@ def sample_lemadet_case(mode: str, rng) -> tuple[BoundReport, int]:
         elif mode == "part3":
             at, bt = _rand4(rng), _rand_sym4(rng)
             limit = min(1.0, 1.0 / _max_abs(_inv4(at)),
-                        abs(_det4(at)) / (8 * _max_abs(at) + 4))
+                        _defect_limit(_det4(at), _max_abs(at)))
             a = _star_congruence4(1 / c, pi, _plus_defect(
                 at, rng, _rand4, 0.05, 0.95, limit))
             b = _transpose_congruence4(pi, _plus_defect(

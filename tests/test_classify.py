@@ -127,26 +127,43 @@ class TestClassifyA(unittest.TestCase):
                 self.assertLess(res, 1e-7 * max(1.0, max_norm(A)))
 
 
+def _bits(entries):
+    return [(z.real.hex(), z.imag.hex()) for z in entries]
+
+
 class TestClassifyB(unittest.TestCase):
+    def assert_is_stage2_over_zero_A(self, B, label, P, amb):
+        """classify_B is stage 2 over the zero A-form: the same shape, the
+        same bits of P and the same notes."""
+        shape, _, g, amb2 = stabilizer_reduce_B(ALabel.ZERO, B)
+        self.assertEqual(shape.value, label.value)
+        self.assertEqual(_bits(g.P.entries), _bits(P.entries))
+        self.assertEqual(amb2, amb)
+
     def test_ranks(self):
-        for B, expect in [
-            (SymMat2.zero(), BLabel.ZERO),
-            (SymMat2(1.0, 1j, -1.0), BLabel.RANK1),  # det = -1 - (i)^2 = 0
-            (SymMat2.identity(), BLabel.RANK2),
+        for B, expect, note in [
+            (SymMat2.zero(), BLabel.ZERO, None),
+            (SymMat2(1e-7, 0.0, 0.0), BLabel.ZERO, "B near zero"),
+            (SymMat2(1.0, 1j, -1.0), BLabel.RANK1, None),  # det = -1 - (i)^2 = 0
+            (SymMat2(1.0, 0.0, 1e-7), BLabel.RANK1, "B near rank-1 boundary"),
+            (SymMat2.identity(), BLabel.RANK2, None),
         ]:
-            label, P, res, _ = classify_B(B)
+            label, P, res, amb = classify_B(B)
             self.assertIs(label, expect)
-            self.assertLess(res, 1e-10)
+            self.assertLess(res, 1e-6)
+            self.assertEqual(amb, (note,) if note else ())
+            self.assert_is_stage2_over_zero_A(B, label, P, amb)
 
     def test_reducer_lands_on_rank_form(self):
         rng = np.random.default_rng(5)
         for _ in range(200):
             M = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             B = SymMat2.from_array(M + M.T)
-            label, P, res, _ = classify_B(B)
+            label, P, res, amb = classify_B(B)
             target = np.diag([1.0, 1.0 if label is BLabel.RANK2 else 0.0])
             out = apply_psi2(P, B)
             self.assertLess(max_norm(Mat2(out.array - target)), 1e-8)
+            self.assert_is_stage2_over_zero_A(B, label, P, amb)
 
 
 class TestStabilizerReduction(unittest.TestCase):
@@ -315,6 +332,22 @@ def test_stage2_zero_rule_at_its_edge(a_label, b, k, below, above, factor):
     shape = stabilizer_reduce_B(a_label, SymMat2(*entries),
                                 a_params=GENERIC_PARAMS)[0]
     assert shape is (below if factor < 1 else above)
+
+
+def test_one_theta_pattern_table_is_the_form_records():
+    """Over 1 (+) e^{i theta} the stage-2 shape is the one whose form has
+    exactly B's nonzero entries: one table key per cell."""
+    from pairbundles.normal_forms import _representative_B_entries
+
+    patterns = {}
+    for cell in CELLS:
+        if cell.a_label is ALabel.ONE_THETA:
+            b = _representative_B_entries(cell.b_shape, vars(GENERIC_PARAMS))
+            patterns.setdefault(tuple(z != 0 for z in b), []).append(
+                cell.b_shape)
+    assert classify_module._ONE_THETA_SHAPES == {
+        key: shapes[0] for key, shapes in patterns.items()}
+    assert all(len(shapes) == 1 for shapes in patterns.values())
 
 
 def test_perturbed_representatives_raise_only_classifier_errors():

@@ -13,8 +13,10 @@ from pairbundles.closure import (
     is_path_psi1,
     is_path_psi2,
     path_edges,
+    predecessors,
     shape_min_rank,
     shape_rank,
+    successors,
 )
 from pairbundles.normal_forms import (
     ALabel,
@@ -175,6 +177,9 @@ class TestPairGraph(unittest.TestCase):
             warnings.simplefilter("ignore", SuspectEdgeWarning)
             for x in CELLS:
                 sx = self.g.successors(x)
+                # the module functions answer from the same graph
+                self.assertEqual(successors(x), sx)
+                self.assertEqual(predecessors(x), self.g.predecessors(x))
                 for y in CELLS:
                     self.assertEqual(y in sx, self.g.is_path(x, y))
                     self.assertEqual(x in self.g.predecessors(y),

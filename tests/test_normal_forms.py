@@ -18,6 +18,7 @@ from pairbundles.normal_forms import (
     PROVENANCE_NOTES,
     _A_FORMS,
     _B_FORMS,
+    _wrap_phase_halfturn,
     canonicalize_params,
     label_from_string,
     param_fields,
@@ -200,6 +201,8 @@ class TestCanonicalization(unittest.TestCase):
         lab = BundleLabel(ALabel.TAU_FORM, BShape.OFF_DIAG_PHASE)
         p = canonicalize_params(lab, BundleParams(tau=0.5, b=1.0, phi=4.0))
         self.assertAlmostEqual(p.phi, 4.0 - math.pi, places=12)
+        # fmod leaves -1e-20, which + pi rounds up to pi: the upper guard
+        self.assertEqual(_wrap_phase_halfturn(-1e-20), 0.0)
 
     def test_phase_form_joint_identification(self):
         lab = BundleLabel(ALabel.TAU_FORM, BShape.PHASE_FORM)

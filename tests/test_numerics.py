@@ -21,6 +21,7 @@ from pairbundles.core import (
     _det4,
     _entries4,
     apply_action,
+    dumps,
     max_norm,
 )
 from pairbundles.closure import shape_min_rank, shape_rank
@@ -578,6 +579,19 @@ class TestNonedgeFloor(unittest.TestCase):
                            budget=2, seed=1)
         self.assertGreater(ec.floor, 1e-2)
         self.assertGreater(ec.mu_estimate, 0.0)
+
+    def test_source_with_params(self):
+        """A (label, params) source, and a (label, None) one for the
+        generic parameters, give the label's floor; the report is JSON."""
+        src, dst = L("one_theta/zero"), L("tau_form/zero")
+        ec = nonedge_floor(src, dst, budget=1)
+        for pair in ((src, generic_params(src)), (src, None)):
+            self.assertEqual(nonedge_floor(pair, dst, budget=1), ec)
+        doc = json.loads(dumps(ec))
+        self.assertEqual(doc["src"], str(src))
+        self.assertEqual(doc["floor"], ec.floor)
+        self.assertEqual(doc["detail"], {"seed": 0, "budget": 1,
+                                         "norm": "max"})
 
 
 class TestMonteCarlo(unittest.TestCase):

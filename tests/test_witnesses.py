@@ -137,6 +137,12 @@ class TestVerify(unittest.TestCase):
             self.assertEqual(rep.status, "verified", msg=rep.message)
             self.assertEqual(rep.family, f.name)
             self.assertLess(rep.residuals[-1], 1e-4)
+            # a tol at the final residual is missed, but not by 100x
+            at_tol = witness_verify(f, tol=rep.residuals[-1])
+            self.assertEqual(at_tol.status, "unverified", msg=at_tol.message)
+            self.assertEqual(at_tol.message,
+                             f"final residual {rep.residuals[-1]:.3e} >= "
+                             f"{rep.residuals[-1]}")
 
     def test_report_is_serializable(self):
         rep = witness_verify(_by_name("rank1-in-rank2"))
