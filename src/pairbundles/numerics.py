@@ -334,48 +334,60 @@ def _sqrt_bound(n_def, n_t, det_t, singular) -> float:
     return math.sqrt(x) if singular else x / abs(det_t)
 
 
+def _first_component4(at, a, c, p) -> tuple:
+    """max|At|, max|E|, det At, det A and whether At is singular."""
+    nAt, detAt = _max_abs(at), _det4(at)
+    return (nAt, _gap(_star_congruence4(c, p, a), at), detAt, _det4(a),
+            _is_singular(detAt, nAt))
+
+
 def _lemadet4(mode, at, bt, a, b, c, p) -> BoundReport:
     """`lemadet_verify` on the 4-tuples of the limit's parts (at, bt), the
     moved object's parts (a, b) and P, with E = c P* A P - At and
     F = P^T B P - Bt."""
-    if mode != "PBF":
-        nAt, nE = _max_abs(at), _gap(_star_congruence4(c, p, a), at)
-        detAt, detA = _det4(at), _det4(a)
-        singular = _is_singular(detAt, nAt)
-        defect, limit = nE, 1.0 if singular else _defect_limit(detAt, nAt)
-    if mode in ("PBF", "part3"):
-        nBt, nF = _max_abs(bt), _gap(_transpose_congruence4(p, b), bt)
-        detBt, detB = _det4(bt), _det4(b)
     if mode == "PBF":
+        nBt, nF = _max_abs(bt), _gap(_transpose_congruence4(p, b), bt)
+        detBt = _det4(bt)
         singular = _is_singular(detBt, nBt)
-        defect, limit = nF, 1.0 if singular else min(
+        limit = 1.0 if singular else min(
             abs(detBt) / (4 * _max_abs(b) + 2), 1.0)
-    elif mode != "PAE":
-        # cE and part3: both first components nonsingular
-        if singular or _is_singular(detA, _max_abs(a)):
+        if nF > limit:
             return _short_circuit(mode)
-        if mode == "part3":
-            limit = min(1.0, 1.0 / _max_abs(_inv4(at)), limit)
-    if defect > limit:
-        return _short_circuit(mode)
+        lhs, rhs = cmath.sqrt(_det4(b)) * _det4(p), cmath.sqrt(detBt)
+        observed = min(abs(lhs - rhs), abs(lhs + rhs))
+        bound = _sqrt_bound(nF, nBt, detBt, singular)
+        return BoundReport(True, bound, observed, bound - observed, name=mode)
 
+    nAt, nE, detAt, detA, singular = _first_component4(at, a, c, p)
     if mode == "PAE":
+        limit = 1.0 if singular else _defect_limit(detAt, nAt)
+        if nE > limit:
+            return _short_circuit(mode)
         observed = abs(math.sqrt(abs(detA)) * abs(_det4(p))
                        - math.sqrt(abs(detAt)))
         bound = _sqrt_bound(nE, nAt, detAt, singular)
-    elif mode == "PBF":
-        lhs, rhs = cmath.sqrt(detB) * _det4(p), cmath.sqrt(detBt)
-        observed = min(abs(lhs - rhs), abs(lhs + rhs))
-        bound = _sqrt_bound(nF, nBt, detBt, singular)
-    elif mode == "cE":
+        return BoundReport(True, bound, observed, bound - observed, name=mode)
+
+    # cE and part3: both first components nonsingular
+    if singular or _is_singular(detA, _max_abs(a)):
+        return _short_circuit(mode)
+    if mode == "cE":
+        if nE > _defect_limit(detAt, nAt):
+            return _short_circuit(mode)
         # e^{i delta / 2}, delta the phase of det At / det A
         half = cmath.exp(1j * cmath.phase(detAt / detA) / 2)
         observed = min(abs(c - half), abs(c + half))
         bound = nE * (8 * nAt + 4) / abs(detAt)
-    else:
-        observed = abs(abs(detAt * detB) - abs(detBt * detA))
-        big = max(nAt, nBt, abs(detAt), abs(detBt))
-        bound = max(nE, nF) * (abs(detA) / abs(detAt)) * (4 * big + 2) ** 2
+        return BoundReport(True, bound, observed, bound - observed, name=mode)
+
+    # part3
+    nBt, nF = _max_abs(bt), _gap(_transpose_congruence4(p, b), bt)
+    detBt, detB = _det4(bt), _det4(b)
+    if nE > min(1.0, 1.0 / _max_abs(_inv4(at)), _defect_limit(detAt, nAt)):
+        return _short_circuit(mode)
+    observed = abs(abs(detAt * detB) - abs(detBt * detA))
+    big = max(nAt, nBt, abs(detAt), abs(detBt))
+    bound = max(nE, nF) * (abs(detA) / abs(detAt)) * (4 * big + 2) ** 2
     return BoundReport(True, bound, observed, bound - observed, name=mode)
 
 
