@@ -9,10 +9,15 @@ failed verification raises rather than returning a wrong answer.
 One raw core does the work: `_classify4` runs stage 1 (`_classify_A4`),
 stage 2 (`_stabilizer_reduce3`, over the `_STAGE2` reducers) and the
 verification tail on row-major 4-tuples of Python complex numbers (see
-`core`), scalars and plain parameter dicts.  Each stage's (c, P) and the
-composed reducer pass `core._group4`, the check a `GroupElement` makes; the
-stage-2 reducer must also fix the canonical A-form, the merged parameters
-must be complete, and the moved pair must land on the representative.  A
+`core`), scalars and plain parameter dicts: `_stage1(a)`, stage 1 with
+its group check, then `_classify_rest(a, b, stage1)`, stage 2 and the
+tail.  A stage-1 result depends on A alone, so `numerics` shares one
+among the Monte Carlo samples of a centre A; a shared result is
+read-only (its notes are a tuple, and no reducer or merge mutates its
+parameter dict).  Each stage's (c, P) and the composed reducer pass
+`core._group4`, the check a `GroupElement` makes; the stage-2 reducer
+must also fix the canonical A-form, the merged parameters must be
+complete, and the moved pair must land on the representative.  A
 reducer that fails the group check, or a moved B that overflows, is the
 classifier's failure on a valid input and raises
 `ClassificationFailureError` with the check's message.  The public
@@ -921,13 +926,28 @@ _STAGE2 = {
 # ---------------------------------------------------------------------------
 # the full pair
 
+def _stage1(a):
+    """Stage 1 on the row-major 4-tuple a of A, its (c, P) checked by
+    `_group4`: (a_label, a_params, c1, p1, notes).  The result may be
+    shared by several calls of `_classify_rest`, which only read it."""
+    amb: list[str] = []
+    a_label, a_params, c1, p1 = _classify_A4(a, amb)
+    c1, p1 = _own_check(_group4, c1, p1)
+    return a_label, a_params, c1, p1, tuple(amb)
+
+
 def _classify4(a, b):
     """The classifier on the row-major 4-tuple a of A and b = (b11, b12,
     b22) of B: (label, params, c, P, residual, ambiguous), with (c, P) the
     reducer as a scalar and a row-major 4-tuple."""
-    amb1, amb2 = [], []
-    a_label, a_params, c1, p1 = _classify_A4(a, amb1)
-    c1, p1 = _own_check(_group4, c1, p1)
+    return _classify_rest(a, b, _stage1(a))
+
+
+def _classify_rest(a, b, stage1):
+    """`_classify4` after stage 1, whose result `_stage1(a)` is stage1:
+    stage 2 and the verification tail."""
+    a_label, a_params, c1, p1, amb1 = stage1
+    amb2: list[str] = []
     b1 = _transpose_congruence3(p1, *b)
     if not all(map(cmath.isfinite, b1)):
         _own_check(SymMat2, *b1)  # names the first non-finite entry
@@ -940,8 +960,7 @@ def _classify4(a, b):
             # ambiguity zone; if B then falls off that class's strata the
             # snap itself is what failed, not the input
             raise AmbiguityError(
-                tuple(amb1),
-                f"B is off the strata of the tentative class {a_label}")
+                amb1, f"B is off the strata of the tentative class {a_label}")
         raise
     # an uncatalogued pair raises BundleLabel's ValueError
     label = _CELL_OF.get((a_label, shape)) or BundleLabel(a_label, shape)
@@ -963,7 +982,7 @@ def _classify4(a, b):
         raise ClassificationFailureError(
             f"classification of {label} failed verification (residual {residual:.3e})"
         )
-    return label, params, c, p, float(residual), tuple(amb1 + amb2)
+    return label, params, c, p, float(residual), amb1 + tuple(amb2)
 
 
 def classify_pair(x: PairAB) -> Classification:

@@ -32,7 +32,9 @@ importing this module does not load it.
 
 `distance_to_bundle` holds the search of its seed-independent start in
 ``_HELD_STARTS`` (``_HELD_STARTS.clear()`` empties it), as
-`_trial_perturbations` holds the Monte Carlo table.
+`_trial_perturbations` holds the Monte Carlo table, and `_trial_stage1`
+the classifier's stage 1 on each trial's A-part around the last centre A
+(105 KB at 200 trials; ``cache_clear()`` empties either).
 """
 
 import cmath
@@ -1025,6 +1027,12 @@ def _pattern_search(vec, fn, max_sweeps=25):
     return val, vec
 
 
+def _bits(values) -> bytes:
+    """The exact bits of complex values, as a table key."""
+    return struct.pack(f"<{2 * len(values)}d",
+                       *(v for z in values for v in (z.real, z.imag)))
+
+
 # the seed-independent start's (value, point), or None where it is
 # infeasible, by (the bits of x's seven entries, target, norm); the oldest
 # entry goes first
@@ -1095,8 +1103,7 @@ def distance_to_bundle(x: PairAB, target: BundleLabel, budget: int = 32,
         return val, tuple(out)
 
     found = [search(encode(g.c, g.P, params)) for g, params in starts]
-    key = (struct.pack("<14d", *(v for z in (*x.A.entries, x.B.a, x.B.b, x.B.d)
-                                 for v in (z.real, z.imag))), target, norm)
+    key = (_bits((*x.A.entries, x.B.a, x.B.b, x.B.d)), target, norm)
     if key not in _HELD_STARTS:
         if len(_HELD_STARTS) >= _HELD_STARTS_MAX:
             del _HELD_STARTS[next(iter(_HELD_STARTS))]
@@ -1216,6 +1223,29 @@ def _trial_perturbations(seed: int, trials: int, epsilon: float) -> tuple:
                  for t in range(trials))
 
 
+@functools.lru_cache(maxsize=1)
+def _trial_stage1(a_bits: bytes, seed: int, trials: int,
+                  epsilon: float) -> tuple:
+    """Stage 1 of the classifier on the perturbed A-part of trials 0 ..
+    trials - 1 around the A whose entries' bits are a_bits: entry t is
+    `classify._stage1` of A plus trial t's perturbation, or the
+    `ClassificationFailureError` it raised.  Centres that share an A share
+    the table, and the callers visit them grouped by A."""
+    from .classify import ClassificationFailureError, _stage1
+
+    v = struct.unpack("<8d", a_bits)
+    a = [complex(re, im) for re, im in zip(v[::2], v[1::2])]
+
+    def stage1(d):
+        try:
+            return _stage1(tuple(x + y for x, y in zip(a, d)))
+        except ClassificationFailureError as exc:
+            return exc
+
+    return tuple(stage1(d[:4])
+                 for d in _trial_perturbations(seed, trials, epsilon))
+
+
 def monte_carlo_neighborhood(label: BundleLabel,
                              params: BundleParams | None,
                              epsilon: float, trials: int,
@@ -1229,9 +1259,12 @@ def monte_carlo_neighborhood(label: BundleLabel,
     Trial t's perturbation depends on (seed, t, epsilon) only, so every
     centre of a run with the same seed, trials and epsilon sees the same
     perturbations.  They are drawn once and the last table is held: about
-    0.35 KB per trial, 70 KB at 200 trials."""
+    0.35 KB per trial, 70 KB at 200 trials.  Stage 1 sees only the A-part,
+    so its results are held per centre A (`_trial_stage1`, 105 KB at 200
+    trials), and each sample goes through `classify._classify_rest`: the
+    counts are those of `classify_pair` on each sample."""
     from .classify import (AmbiguityError, ClassificationFailureError,
-                           classify_pair)
+                           _classify_rest)
 
     if not (0 < epsilon <= 0.1):
         raise ValidationError("epsilon must lie in (0, 0.1]")
@@ -1241,29 +1274,34 @@ def monte_carlo_neighborhood(label: BundleLabel,
     center = representative(label, params)
     a00, a01, a10, a11 = center.A.entries
     B0 = center.B
+    held = _trial_stage1(_bits(center.A.entries), seed, trials, epsilon)
 
     histogram: dict = {}
     violations: list = []
     ambiguous = failures = 0
     # reachability through a suspect edge still counts as reachable
     reachable = bundle_graph().successors(label)
-    for t, d in enumerate(_trial_perturbations(seed, trials, epsilon)):
-        x = PairAB(_mat4((a00 + d[0], a01 + d[1], a10 + d[2], a11 + d[3])),
-                   SymMat2(B0.a + d[4], B0.b + d[5], B0.d + d[6]))
+    for t, (d, stage1) in enumerate(
+            zip(_trial_perturbations(seed, trials, epsilon), held)):
+        if isinstance(stage1, ClassificationFailureError):
+            failures += 1
+            continue
         try:
-            cls = classify_pair(x)
+            cell, *_, notes = _classify_rest(
+                (a00 + d[0], a01 + d[1], a10 + d[2], a11 + d[3]),
+                (B0.a + d[4], B0.b + d[5], B0.d + d[6]), stage1)
         except AmbiguityError:
             ambiguous += 1
             continue
         except ClassificationFailureError:
             failures += 1
             continue
-        name = str(cls.label)
+        name = str(cell)
         histogram[name] = histogram.get(name, 0) + 1
-        if cls.ambiguous:
+        if notes:
             ambiguous += 1
             continue
-        if cls.label not in reachable:
+        if cell not in reachable:
             violations.append((t, name))
     return NeighborhoodReport(
         center=str(label), center_params=params.to_json(),

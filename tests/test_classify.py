@@ -457,6 +457,31 @@ def test_singular_reducer_is_a_classification_failure(s):
     assert type(info.value.__cause__).__name__ == "ValidationError"
 
 
+def test_one_stage1_result_serves_several_B_parts_unchanged():
+    """`_classify4` is `_classify_rest` after `_stage1`, and the rest only
+    reads a stage-1 result: one result, shared by several B-parts (each
+    cell's own, one of each rank and a zero-entry one), gives each the
+    outcome of its own `_classify4`, bit for bit, and stays as it was."""
+    bs = ((1.0, 0.5, 2.0), (1.0, 1.0, 1.0), (0j, 0j, 0j), (0j, 1.0, 0j))
+
+    def outcome(fn, *args):
+        try:
+            return repr(fn(*args))
+        except (AmbiguityError, ClassificationFailureError, ValueError) as exc:
+            return repr(exc)
+
+    for cell in CELLS:
+        x = representative(cell, canonicalize_params(cell, GENERIC_PARAMS))
+        a = x.A.entries
+        s1 = classify_module._stage1(a)
+        before = repr(s1)
+        assert type(s1[4]) is tuple
+        for b in ((x.B.a, x.B.b, x.B.d),) + bs:
+            assert (outcome(classify_module._classify_rest, a, b, s1)
+                    == outcome(classify_module._classify4, a, b)), (cell, b)
+        assert repr(s1) == before, cell
+
+
 def test_singular_stage2_reducer_after_an_ambiguous_stage1(monkeypatch):
     """With stage 1 inside its ambiguity zone, a stage-2 reducer that
     fails the group check makes the snap ambiguous, as any other stage-2

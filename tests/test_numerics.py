@@ -24,7 +24,7 @@ from pairbundles.core import (
     dumps,
     max_norm,
 )
-from pairbundles.closure import shape_min_rank, shape_rank
+from pairbundles.closure import bundle_graph, shape_min_rank, shape_rank
 from pairbundles.normal_forms import (
     CELLS,
     ALabel,
@@ -44,6 +44,7 @@ from pairbundles.numerics import (
     _spectral_norm,
     _trial_perturbation,
     _trial_perturbations,
+    _trial_stage1,
     bundle_dimension_numeric,
     detxe_bound,
     distance_to_bundle,
@@ -648,29 +649,133 @@ class TestMonteCarlo(unittest.TestCase):
                 for t in range(trials))))
 
     def test_reports_do_not_depend_on_the_held_table(self):
-        """Reports from a cold table, a warm one, and one held after a run
-        with another seed, epsilon or trial count are the same.  The first
-        three centres' histograms move with each of the three."""
+        """Every report equals its cold one, made with both held tables
+        emptied: from warm tables, with centres of different A-forms
+        interleaved, over CELLS reversed, and after a run with another
+        seed, epsilon or trial count.  That run moves the histograms."""
         centres = [L(s) for s in ("jordan_i/zero", "one_plus_minus/diag_ad",
                                   "one_zero/zero", "tau_form/zero")]
+        # one_theta, tau_form, one_theta: the third centre shares its A
+        # with the first, whose stage-1 table the second one's replaced
+        interleaved = [L(s) for s in ("one_theta/zero", "tau_form/zero_one",
+                                      "one_theta/anti_diag")]
 
-        def reports():
-            return [monte_carlo_neighborhood(c, None, 1e-2, 40,
-                                             seed=5).to_json()
-                    for c in centres]
+        def reports(cells, seed=5, eps=1e-2, trials=40):
+            return [monte_carlo_neighborhood(c, None, eps, trials,
+                                             seed=seed).to_json()
+                    for c in cells]
 
-        _trial_perturbations.cache_clear()
-        cold = reports()
-        self.assertEqual(reports(), cold)
+        cold = {}
+        for c in CELLS:
+            _trial_perturbations.cache_clear()
+            _trial_stage1.cache_clear()
+            cold[c] = reports([c])[0]
+        for cells in (centres, interleaved, CELLS[::-1]):
+            self.assertEqual(reports(cells), [cold[c] for c in cells])
         for seed, eps, trials in ((6, 1e-2, 40), (5, 1e-1, 40),
                                   (5, 1e-2, 30)):
-            other = [monte_carlo_neighborhood(c, None, eps, trials,
-                                              seed=seed).to_json()
-                     for c in centres]
-            # the interleaved run saw other perturbations
+            # the run ends on a one_theta centre, so the next one finds a
+            # held stage-1 table of its A under the other key
+            other = reports(centres + interleaved, seed, eps, trials)
             self.assertNotEqual([r["histogram"] for r in other],
-                                [r["histogram"] for r in cold])
-            self.assertEqual(reports(), cold, (seed, eps, trials))
+                                [cold[c]["histogram"]
+                                 for c in centres + interleaved])
+            for cells in (interleaved, centres):
+                self.assertEqual(reports(cells), [cold[c] for c in cells],
+                                 (seed, eps, trials))
+
+
+def _reference_report(cell, epsilon, trials, seed, failing=()):
+    """The counts of `monte_carlo_neighborhood`'s report, from the public
+    `classify_pair` on each trial's `_trial_perturbation` around the
+    centre; a trial in failing counts as a failure, as when stage 1 raises
+    on it."""
+    from pairbundles.classify import (AmbiguityError,
+                                      ClassificationFailureError,
+                                      classify_pair)
+
+    center = representative(cell, generic_params(cell))
+    a00, a01, a10, a11 = center.A.entries
+    b0 = center.B
+    reachable = bundle_graph().successors(cell)
+    histogram, violations, ambiguous, failures = {}, [], 0, 0
+    for t in range(trials):
+        d = _trial_perturbation(seed, t, epsilon)
+        x = PairAB(Mat2([[a00 + d[0], a01 + d[1]], [a10 + d[2], a11 + d[3]]]),
+                   SymMat2(b0.a + d[4], b0.b + d[5], b0.d + d[6]))
+        try:
+            if t in failing:
+                raise ClassificationFailureError("stage 1 failed")
+            cls = classify_pair(x)
+        except AmbiguityError:
+            ambiguous += 1
+            continue
+        except ClassificationFailureError:
+            failures += 1
+            continue
+        name = str(cls.label)
+        histogram[name] = histogram.get(name, 0) + 1
+        if cls.ambiguous:
+            ambiguous += 1
+        elif cls.label not in reachable:
+            violations.append((t, name))
+    return histogram, violations, ambiguous, failures
+
+
+def _counts(rep):
+    return rep.histogram, rep.violations, rep.ambiguous, rep.failures
+
+
+@pytest.mark.parametrize("epsilon", [1e-2, 0.1])
+def test_monte_carlo_is_classify_pair_on_each_trial(epsilon):
+    """At every centre, in CELLS order, the report's histogram, violations,
+    ambiguous and failure counts are those of `classify_pair` on the same
+    trial draws."""
+    seed, trials = 3, 40
+    ambiguous = 0
+    for cell in CELLS:
+        rep = monte_carlo_neighborhood(cell, None, epsilon, trials, seed=seed)
+        assert _counts(rep) == _reference_report(cell, epsilon, trials,
+                                                 seed), cell
+        ambiguous += rep.ambiguous
+    # the draws reach the ambiguity bands
+    assert ambiguous > 0
+
+
+def test_a_stage1_failure_fails_its_trial_at_each_centre_of_that_A(
+        monkeypatch):
+    """Stage 1 raising on chosen trials around the one A of the eight
+    one_theta centres makes those trials failures at each of them and at
+    no other centre, visited in CELLS order and reversed."""
+    from pairbundles import classify
+    from pairbundles.classify import ClassificationFailureError
+
+    seed, epsilon, trials, failing = 4, 1e-2, 30, {0, 11, 29}
+    theta = L("one_theta/zero")
+    a = representative(theta, generic_params(theta)).A.entries
+    planted = {tuple(x + y for x, y in zip(
+        a, _trial_perturbation(seed, t, epsilon))) for t in failing}
+    real = classify._stage1
+
+    def stage1(a):
+        if a in planted:
+            raise ClassificationFailureError("planted")
+        return real(a)
+
+    monkeypatch.setattr(classify, "_stage1", stage1)
+    _trial_stage1.cache_clear()
+    shared = [c for c in CELLS if c.a_label is ALabel.ONE_THETA]
+    assert len(shared) == 8
+    for cells in (CELLS, CELLS[::-1]):
+        failures = 0
+        for cell in cells:
+            rep = monte_carlo_neighborhood(cell, None, epsilon, trials,
+                                           seed=seed)
+            assert _counts(rep) == _reference_report(
+                cell, epsilon, trials, seed,
+                failing if cell in shared else ()), cell
+            failures += rep.failures
+        assert failures == len(shared) * len(failing)
 
 
 def test_monte_carlo_counts_each_trial_outcome(monkeypatch, capsys):
@@ -679,27 +784,27 @@ def test_monte_carlo_counts_each_trial_outcome(monkeypatch, capsys):
     outside the centre's successors as a violation, which makes the report
     fail and `mc` exit 3."""
     from pairbundles import classify, cli
-    from pairbundles.classify import (AmbiguityError, Classification,
-                                      ClassificationFailureError)
+    from pairbundles.classify import AmbiguityError, ClassificationFailureError
 
     top, low = L("one_theta/full_hermitian_like"), L("zero/zero")
-    g = GroupElement(1.0, Mat2.identity())
 
     def label(cell, note=()):
-        return Classification(cell, generic_params(cell), g, 0.0, note)
+        return cell, generic_params(cell), 1.0, (1.0, 0.0, 0.0, 1.0), 0.0, note
 
     cycle = (AmbiguityError(["top", "low"]), ClassificationFailureError("off"),
              label(top, ("near a wall",)), label(low), label(top))
     calls = []
 
-    def fake_classify_pair(x):
+    def fake_classify_rest(a, b, stage1):
         out = cycle[len(calls) % len(cycle)]
-        calls.append(x)
+        calls.append((a, b))
         if isinstance(out, Exception):
             raise out
         return out
 
-    monkeypatch.setattr(classify, "classify_pair", fake_classify_pair)
+    monkeypatch.setattr(classify, "_classify_rest", fake_classify_rest)
+    _trial_perturbations.cache_clear()
+    _trial_stage1.cache_clear()
     rep = monte_carlo_neighborhood(L("zero/rank1"), None, 1e-3, 10, seed=0)
     assert (rep.ambiguous, rep.failures) == (4, 2)
     assert rep.violations == [(3, "zero/zero"), (8, "zero/zero")]
