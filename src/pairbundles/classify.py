@@ -12,19 +12,19 @@ verification tail on row-major 4-tuples of Python complex numbers (see
 `core`), scalars and plain parameter dicts: `_stage1(a)`, stage 1 with
 its group check, then `_classify_rest(a, b, stage1)`, stage 2 and the
 tail.  A stage-1 result depends on A alone, so `numerics` shares one
-among the Monte Carlo samples of a centre A; a shared result is
-read-only (its notes are a tuple, and no reducer or merge mutates its
-parameter dict).  Each stage's (c, P) and the composed reducer pass
-`core._group4`, the check a `GroupElement` makes; the stage-2 reducer
-must also fix the canonical A-form, the merged parameters must be
-complete, and the moved pair must land on the representative.  A
-reducer that fails the group check, or a moved B that overflows, is the
-classifier's failure on a valid input and raises
+among the Monte Carlo samples of a centre A; a shared result, which
+also holds the A-form, is read-only (its notes are a tuple, and no
+reducer or merge mutates its parameter dict).  Each stage's (c, P) and
+the composed reducer pass `core._group4`, the check a `GroupElement`
+makes; the stage-2 reducer must also fix the canonical A-form, the merged
+parameters must be complete, and the moved pair must land on the
+representative.  A reducer that fails the group check, or a moved B that
+overflows, is the classifier's failure on a valid input and raises
 `ClassificationFailureError` with the check's message.  The public
-functions are thin wrappers that build the checked value types only for
-what they return: `classify_pair` one `BundleParams`, one `GroupElement`
-(not checked again, see `core._checked_group_element`) and one
-`Classification`, its label taken from the catalogue.
+functions build the checked value types only for what they return: the
+parameters are a dict up to `classify_pair`, which builds one
+`BundleParams`, one `GroupElement` (not checked again, see
+`core._checked_group_element`) and one `Classification`.
 Only `classify_A` measures the stage-1 residual.  Stage 2 builds no value
 type: `classify_B` is stage 2 over the zero A-form, a thin wrapper over
 the Takagi rank reducer `_reduce_B_zero`.  Every target a reducer or
@@ -85,15 +85,16 @@ from .normal_forms import (
     BShape,
     BundleLabel,
     BundleParams,
+    CELLS,
     _B_FORMS,
-    _CELL_OF,
     _SWAP_SHAPES,
     _canonical_updates,
+    _param_violations,
     _representative_A_entries,
     _representative_B_entries,
     _wrap_phase_halfturn,
+    param_fields,
     representative,  # unused here; perfbench/spans.py wraps it in this module
-    validate_params,
 )
 
 __all__ = [
@@ -489,21 +490,27 @@ def _zero_flags(b):
     return (abs(b[0]) > zt, abs(b[1]) > zt, abs(b[2]) > zt)
 
 
-def _stabilizer_reduce3(a_label, a_params, b, amb):
-    """Stage 2 on b = (b11, b12, b22): (b_shape, params, c, P), with the
-    parameters as dicts and (c, P) checked as a group element and as a
-    member of the stabilizer of the canonical A-form."""
+def _a_form(a_label, a_params):
+    """(A0, the stabilizer check's tolerance) of the canonical A-form."""
+    a0 = _representative_A_entries(a_label, a_params)
+    return a0, 1e-7 * max(1.0, _max_abs(a0))
+
+
+def _stabilizer_reduce3(a_label, a_params, a0, a_tol, b, amb):
+    """Stage 2 on b = (b11, b12, b22): (b_shape, params, c, P, A_target),
+    with (c, P) checked as a group element and as a member of the
+    stabilizer of A0: c P* A0 P must be A_target."""
     shape, params, c, p = _STAGE2[a_label](b, amb)
     c, p = _own_check(_group4, c, p)
     # stabilizer membership / A-transport check
-    A0 = _representative_A_entries(a_label, a_params)
-    A_target = _representative_A_entries(a_label, a_params, shape in _SWAP_SHAPES)
-    defect = _gap(_star_congruence4(c, p, A0), A_target)
-    if defect > 1e-7 * max(1.0, _max_abs(A0)):
+    A_target = (_representative_A_entries(a_label, a_params, True)
+                if shape in _SWAP_SHAPES else a0)
+    defect = _gap(_star_congruence4(c, p, a0), A_target)
+    if defect > a_tol:
         raise ClassificationFailureError(
             f"stage-2 reducer leaves the stabilizer of {a_label} (defect {defect:.3e})"
         )
-    return shape, params, c, p
+    return shape, params, c, p, A_target
 
 
 def stabilizer_reduce_B(a_label: ALabel, B: SymMat2,
@@ -516,8 +523,9 @@ def stabilizer_reduce_B(a_label: ALabel, B: SymMat2,
     of the 1(+)-1 class.
     """
     amb: list[str] = []
-    shape, params, c, p = _stabilizer_reduce3(
-        a_label, vars(a_params or BundleParams()), (B.a, B.b, B.d), amb)
+    a_params = vars(a_params or BundleParams())
+    shape, params, c, p, _ = _stabilizer_reduce3(
+        a_label, a_params, *_a_form(a_label, a_params), (B.a, B.b, B.d), amb)
     return shape, BundleParams(**params), GroupElement(c, _mat4(p)), tuple(amb)
 
 
@@ -926,34 +934,43 @@ _STAGE2 = {
 # ---------------------------------------------------------------------------
 # the full pair
 
+# (a_label, b_shape) -> (cell, fields, whether `_canonical_updates` can
+# change the cell's parameters, as it does the probe's)
+_CANON_PROBE = {"phi": 0.0, "zeta_star": 1j, "zeta": 1j, "a": 2.0, "d": 1.0}
+_CELL_RECORDS = {(cell.a_label, cell.b_shape): (
+    cell, param_fields(cell), bool(_canonical_updates(cell, _CANON_PROBE)))
+    for cell in CELLS}
+
+
 def _stage1(a):
-    """Stage 1 on the row-major 4-tuple a of A, its (c, P) checked by
-    `_group4`: (a_label, a_params, c1, p1, notes).  The result may be
-    shared by several calls of `_classify_rest`, which only read it."""
+    """Stage 1 on the 4-tuple a, (c, P) checked by `_group4`: (a_label,
+    a_params, c1, p1, notes, *`_a_form`).  The result may be shared by
+    several calls of `_classify_rest`, which only read it."""
     amb: list[str] = []
     a_label, a_params, c1, p1 = _classify_A4(a, amb)
     c1, p1 = _own_check(_group4, c1, p1)
-    return a_label, a_params, c1, p1, tuple(amb)
+    return (a_label, a_params, c1, p1, tuple(amb),
+            *_a_form(a_label, a_params))
 
 
 def _classify4(a, b):
     """The classifier on the row-major 4-tuple a of A and b = (b11, b12,
-    b22) of B: (label, params, c, P, residual, ambiguous), with (c, P) the
-    reducer as a scalar and a row-major 4-tuple."""
+    b22) of B: (label, params, c, P, residual, ambiguous), params a dict
+    and (c, P) the reducer as a scalar and a row-major 4-tuple."""
     return _classify_rest(a, b, _stage1(a))
 
 
 def _classify_rest(a, b, stage1):
     """`_classify4` after stage 1, whose result `_stage1(a)` is stage1:
     stage 2 and the verification tail."""
-    a_label, a_params, c1, p1, amb1 = stage1
+    a_label, a_params, c1, p1, amb1, a0, a_tol = stage1
     amb2: list[str] = []
     b1 = _transpose_congruence3(p1, *b)
     if not all(map(cmath.isfinite, b1)):
         _own_check(SymMat2, *b1)  # names the first non-finite entry
     try:
-        shape, b_params, c2, p2 = _stabilizer_reduce3(a_label, a_params, b1,
-                                                      amb2)
+        shape, b_params, c2, p2, a_target = _stabilizer_reduce3(
+            a_label, a_params, a0, a_tol, b1, amb2)
     except ClassificationFailureError:
         if amb1:
             # the A part was snapped to a degenerate class inside the
@@ -963,20 +980,20 @@ def _classify_rest(a, b, stage1):
                 amb1, f"B is off the strata of the tentative class {a_label}")
         raise
     # an uncatalogued pair raises BundleLabel's ValueError
-    label = _CELL_OF.get((a_label, shape)) or BundleLabel(a_label, shape)
-    merged = {**a_params, **b_params}
-    merged.update(_canonical_updates(label, merged))
-    params = BundleParams(**merged)
+    label, fields, canon = (_CELL_RECORDS.get((a_label, shape))
+                            or BundleLabel(a_label, shape))
+    params = {**a_params, **b_params}
+    if canon:
+        params.update(_canonical_updates(label, params))
     # the reducer P1 P2, checked as a group element
     c, p = _own_check(_group4, c1 * c2, _mul4(p1, p2))
-    if validate_params(label, params):
+    if _param_violations(label, params, fields):
         raise ClassificationFailureError(f"incomplete parameters for {label}")
-    # residual: max-norm distance of the moved pair to the representative
+    # residual: max-norm distance of the moved pair to the representative,
+    # whose A-part is the stabilizer check's A_target
     moved = _star_congruence4(c, p, a) + _transpose_congruence3(p, *b)
-    target = (_representative_A_entries(a_label, merged, shape in _SWAP_SHAPES)
-              + _representative_B_entries(shape, merged))
-    residual = _gap(moved, target)
-    scale = max(1.0, _max_abs(a), _max_abs(b))
+    residual = _gap(moved, a_target + _representative_B_entries(shape, params))
+    scale = max(1.0, _max_abs(a + b))
     # a NaN residual (an overflowed product) fails too
     if not residual <= 1e-5 * scale:
         raise ClassificationFailureError(
@@ -987,5 +1004,5 @@ def _classify_rest(a, b, stage1):
 
 def classify_pair(x: PairAB) -> Classification:
     label, params, c, p, res, amb = _classify4(x.A.entries, (x.B.a, x.B.b, x.B.d))
-    return Classification(label, params, _checked_group_element(c, p), res,
-                          amb)
+    return Classification(label, BundleParams(**params),
+                          _checked_group_element(c, p), res, amb)

@@ -54,6 +54,15 @@ def _finite4(m) -> tuple:
     return m
 
 
+def _finite3(b) -> tuple:
+    """b = (b11, b12, b22) as Python complex, checked finite as `SymMat2`
+    checks its entries."""
+    b = (complex(b[0]), complex(b[1]), complex(b[2]))
+    if not all(map(cmath.isfinite, b)):
+        SymMat2(*b)  # names the first non-finite entry
+    return b
+
+
 # ---------------------------------------------------------------------------
 # scalar 2x2 kernels on row-major 4-tuples of Python complex numbers
 

@@ -221,8 +221,6 @@ _DIMENSIONS: dict[tuple[ALabel, BShape], int] = {
 CELLS: tuple[BundleLabel, ...] = tuple(
     BundleLabel(a, b) for (a, b) in _DIMENSIONS
 )
-# (a_label, b_shape) -> its cell
-_CELL_OF = {(cell.a_label, cell.b_shape): cell for cell in CELLS}
 
 #: machine-readable notes for every reconstructed / repaired cell
 PROVENANCE_NOTES: dict[BundleLabel, str] = {
@@ -367,18 +365,24 @@ def _representative_B_entries(shape: BShape, p: dict, e=_cis) -> tuple:
     return form(p, e)
 
 
-def representative(label: BundleLabel, params: BundleParams | None = None) -> PairAB:
-    """The literal matrix pair of a catalogued cell."""
-    p = params or BundleParams()
-    violations = validate_params(label, p)
+def _pair_entries(label: BundleLabel, p: dict) -> tuple:
+    """(A's entries, B's entries) of `representative` from the form
+    records, with the parameters as a dict and validated as there; the
+    entries are not yet checked finite."""
+    violations = _param_violations(label, p, param_fields(label))
     if violations:
         raise ValidationError(
             f"invalid parameters for {label}: " + "; ".join(violations)
         )
-    A = representative_A(label.a_label, p,
-                         swap_rep=label.b_shape in _SWAP_SHAPES)
-    return PairAB(A, SymMat2(*_representative_B_entries(label.b_shape,
-                                                        vars(p))))
+    return (_representative_A_entries(label.a_label, p,
+                                      label.b_shape in _SWAP_SHAPES),
+            _representative_B_entries(label.b_shape, p))
+
+
+def representative(label: BundleLabel, params: BundleParams | None = None) -> PairAB:
+    """The literal matrix pair of a catalogued cell."""
+    a, b = _pair_entries(label, vars(params or BundleParams()))
+    return PairAB(_mat4(a), SymMat2(*b))
 
 
 def table_dimension(label: BundleLabel) -> int:
@@ -389,37 +393,34 @@ def table_dimension(label: BundleLabel) -> int:
 # ---------------------------------------------------------------------------
 # parameter validation / canonicalization
 
-def _need(p: BundleParams, name: str, out: list[str]) -> bool:
-    if getattr(p, name) is None:
-        out.append(f"{name} is required")
-        return False
-    return True
-
-
 def validate_params(label: BundleLabel, params: BundleParams) -> list[str]:
     """Return the list of violated domain constraints (empty when valid)."""
+    return _param_violations(label, vars(params), param_fields(label))
+
+
+def _param_violations(label: BundleLabel, p: dict, fields) -> list[str]:
+    """`validate_params` on the parameters as a dict, as for
+    `_representative_A_entries`, with fields the cell's `param_fields`."""
     out: list[str] = []
-    p = params
-    for name in param_fields(label):
-        if not _need(p, name, out):
-            continue
-        if name == "theta" and not (0.0 < p.theta < math.pi):
+    for name in fields:
+        v = p.get(name)
+        if v is None:
+            out.append(f"{name} is required")
+        elif name == "theta" and not (0.0 < v < math.pi):
             out.append("theta must lie in (0, pi)")
-        elif name == "tau" and not (0.0 < p.tau < 1.0):
+        elif name == "tau" and not (0.0 < v < 1.0):
             out.append("tau must lie in (0, 1)")
-        elif name in ("a", "b", "d") and not (
-                0.0 < float(getattr(p, name)) < math.inf):
+        elif name in ("a", "b", "d") and not (0.0 < float(v) < math.inf):
             out.append(f"{name} must be "
-                       + ("positive" if getattr(p, name) <= 0.0 else "finite"))
-        elif name in ("phi", "zeta", "zeta_star") and not cmath.isfinite(
-                getattr(p, name)):
+                       + ("positive" if v <= 0.0 else "finite"))
+        elif name in ("phi", "zeta", "zeta_star") and not cmath.isfinite(v):
             out.append(f"{name} must be finite")
-        elif name == "zeta_star" and complex(p.zeta_star) == 0:
+        elif name == "zeta_star" and complex(v) == 0:
             out.append("zeta_star must be nonzero")
     if not out and label.b_shape is BShape.DIAG_AD and label.a_label in (
         ALabel.IDENTITY, ALabel.ONE_PLUS_MINUS
     ):
-        if not (p.a < p.d):
+        if not (p["a"] < p["d"]):
             out.append("a<d required; use d_identity label for a=d")
     return out
 

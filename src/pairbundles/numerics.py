@@ -34,7 +34,7 @@ importing this module does not load it.
 ``_HELD_STARTS`` (``_HELD_STARTS.clear()`` empties it), as
 `_trial_perturbations` holds the Monte Carlo table, and `_trial_stage1`
 the classifier's stage 1 on each trial's A-part around the last centre A
-(105 KB at 200 trials; ``cache_clear()`` empties either).
+(130 KB at 200 trials; ``cache_clear()`` empties either).
 """
 
 import cmath
@@ -1228,11 +1228,12 @@ def _trial_stage1(a_bits: bytes, seed: int, trials: int,
                   epsilon: float) -> tuple:
     """Stage 1 of the classifier on the perturbed A-part of trials 0 ..
     trials - 1 around the A whose entries' bits are a_bits: entry t is
-    `classify._stage1` of A plus trial t's perturbation, or the
+    `classify._stage1` of A plus trial t's perturbation (0.65 KB), or the
     `ClassificationFailureError` it raised.  Centres that share an A share
     the table, and the callers visit them grouped by A."""
     from .classify import ClassificationFailureError, _stage1
 
+    _trial_stage1.cache_clear()  # the last table goes before the next is built
     v = struct.unpack("<8d", a_bits)
     a = [complex(re, im) for re, im in zip(v[::2], v[1::2])]
 
@@ -1260,7 +1261,7 @@ def monte_carlo_neighborhood(label: BundleLabel,
     centre of a run with the same seed, trials and epsilon sees the same
     perturbations.  They are drawn once and the last table is held: about
     0.35 KB per trial, 70 KB at 200 trials.  Stage 1 sees only the A-part,
-    so its results are held per centre A (`_trial_stage1`, 105 KB at 200
+    so its results are held per centre A (`_trial_stage1`, 130 KB at 200
     trials), and each sample goes through `classify._classify_rest`: the
     counts are those of `classify_pair` on each sample."""
     from .classify import (AmbiguityError, ClassificationFailureError,
@@ -1273,10 +1274,10 @@ def monte_carlo_neighborhood(label: BundleLabel,
     params = params if params is not None else generic_params(label)
     center = representative(label, params)
     a00, a01, a10, a11 = center.A.entries
-    B0 = center.B
+    b11, b12, b22 = center.B.a, center.B.b, center.B.d
     held = _trial_stage1(_bits(center.A.entries), seed, trials, epsilon)
 
-    histogram: dict = {}
+    counts: dict = {}  # cell -> trials, in the order first seen
     violations: list = []
     ambiguous = failures = 0
     # reachability through a suspect edge still counts as reachable
@@ -1289,22 +1290,21 @@ def monte_carlo_neighborhood(label: BundleLabel,
         try:
             cell, *_, notes = _classify_rest(
                 (a00 + d[0], a01 + d[1], a10 + d[2], a11 + d[3]),
-                (B0.a + d[4], B0.b + d[5], B0.d + d[6]), stage1)
+                (b11 + d[4], b12 + d[5], b22 + d[6]), stage1)
         except AmbiguityError:
             ambiguous += 1
             continue
         except ClassificationFailureError:
             failures += 1
             continue
-        name = str(cell)
-        histogram[name] = histogram.get(name, 0) + 1
+        counts[cell] = counts.get(cell, 0) + 1
         if notes:
             ambiguous += 1
             continue
         if cell not in reachable:
-            violations.append((t, name))
+            violations.append((t, str(cell)))
     return NeighborhoodReport(
         center=str(label), center_params=params.to_json(),
         epsilon=float(epsilon), trials=int(trials),
-        histogram=histogram, violations=violations,
+        histogram={str(c): n for c, n in counts.items()}, violations=violations,
         ambiguous=ambiguous, failures=failures)

@@ -20,10 +20,15 @@ Families are immutable and carry no trust status: `witness_verify` is a
 pure function, and a family's status lives only in the `VerifyReport` that
 `witness_verify` or `witness_repair` returns.
 
-A family's P(s) is closed-form nested rows of Python numbers.
-`witness_eval` turns P(s) into a `GroupElement`, whose check rejects a
-non-finite or singular P(s), and moves the instance with `core`'s 4-tuple
-action; nothing here multiplies 2x2 arrays, and nothing here loads numpy.
+A family's P(s) is closed-form nested rows of Python numbers.  One raw
+core, `_witness4`, evaluates a family at one s on `core`'s 4-tuples: it
+checks (c(s), P(s)) with `_group4`, the check a `GroupElement` makes,
+builds the instance's entries with `representative`'s checks and checks
+the moved entries finite, as `Mat2` and `SymMat2` would.  `witness_verify`
+and `witness_repair` read the source's entries once per family and
+build no value type per grid point; `witness_eval` wraps the core's result
+into a `GroupElement` and a `PairAB`.  Nothing here multiplies 2x2 arrays,
+and nothing here loads numpy.
 """
 
 from __future__ import annotations
@@ -33,19 +38,15 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
-from .core import (
-    GroupElement,
-    Mat2,
-    PairAB,
-    ValidationError,
-    _entries4,
-    _record_json,
-    apply_action,
-    pair_distance,
-)
+from .core import (PairAB, SymMat2, ValidationError, _checked_group_element,
+                   _entries4, _finite3, _finite4, _gap, _group4, _mat4,
+                   _record_json, _star_congruence4, _transpose_congruence3)
+# unused here; perfbench/spans.py wraps it in this module
+from .core import apply_action  # noqa: F401
 from .normal_forms import (
     BundleLabel,
     BundleParams,
+    _pair_entries,
     label_from_string as _L,
     representative,
 )
@@ -111,19 +112,39 @@ def default_grid() -> tuple:
                  for k in range(DEFAULT_GRID_LENGTH))
 
 
+def _source7(f: WitnessFamily) -> tuple:
+    """The entries of f's source representative: A's, then b11, b12, b22."""
+    x = f.source_pair()
+    return x.A.entries + (x.B.a, x.B.b, x.B.d)
+
+
+def _witness4(f: WitnessFamily, s: float, src: tuple):
+    """`witness_eval` on raw values, with src = `_source7(f)`: (c, P, moved,
+    residual), with P a row-major 4-tuple and moved laid out as src."""
+    if not 0.0 < s <= DEFAULT_S_MAX:
+        raise ValidationError(f"s must lie in (0, {DEFAULT_S_MAX}] (got {s})")
+    c, p = _group4(f.c_of_s(s), _entries4(f.P_of_s(s)))
+    q = f.target_params_of_s(s)
+    if not q.keys() <= BundleParams.__dataclass_fields__.keys():
+        BundleParams(**q)  # raises TypeError naming the unknown parameter
+    a, b = _pair_entries(f.target, q)
+    a, b = _finite4(a), _finite3(b)
+    moved = (_finite4(_star_congruence4(c, p, a))
+             + _finite3(_transpose_congruence3(p, *b)))
+    return c, p, moved, _gap(moved, src)
+
+
 def witness_eval(f: WitnessFamily, s: float):
     """Evaluate a family at one parameter value.
 
     Returns (group element, transported pair, residual to the source
     representative).  Raises ValidationError on s outside
-    (0, DEFAULT_S_MAX], and the `GroupElement` it builds raises it on a
-    non-finite or singular P(s).
+    (0, DEFAULT_S_MAX], on a non-finite or singular P(s) (the checks of
+    `GroupElement`) and on a q(s) outside the target's domain.
     """
-    if not 0.0 < s <= DEFAULT_S_MAX:
-        raise ValidationError(f"s must lie in (0, {DEFAULT_S_MAX}] (got {s})")
-    g = GroupElement(f.c_of_s(s), Mat2(f.P_of_s(s)))
-    moved = apply_action(g, f.target_instance_of_s(s))
-    return g, moved, pair_distance(moved, f.source_pair())
+    c, p, moved, r = _witness4(f, s, _source7(f))
+    return (_checked_group_element(c, p),
+            PairAB(_mat4(moved[:4]), SymMat2(*moved[4:])), r)
 
 
 def witness_verify(f: WitnessFamily,
@@ -138,7 +159,13 @@ def witness_verify(f: WitnessFamily,
     grid = tuple(s_grid) if s_grid is not None else default_grid()
     if len(grid) < 2:
         raise ValueError("insufficient grid: need at least 2 points")
-    residuals = tuple(witness_eval(f, s)[2] for s in grid)
+    return _verify(f, grid, tol, _source7(f))
+
+
+def _verify(f: WitnessFamily, grid: tuple, tol: float,
+            src: tuple) -> VerifyReport:
+    """`witness_verify` with src = `_source7(f)`."""
+    residuals = tuple(_witness4(f, s, src)[3] for s in grid)
     monotone = all(
         residuals[i + 1] <= residuals[i] * (1.0 + 1e-9) + 1e-15
         for i in range(len(residuals) - 1)
@@ -217,7 +244,7 @@ def _repair_from(f: WitnessFamily, report: VerifyReport, tol: float):
     for a caller that has already verified f."""
     if report.status == "verified":
         return f, report
-    grid = default_grid()
+    grid, src = default_grid(), _source7(f)
     # misprints are dropped factors, not noise: only exact constants are tried
     for transpose in (False, True):
         for t in _PREFERRED_SCALES:
@@ -225,7 +252,7 @@ def _repair_from(f: WitnessFamily, report: VerifyReport, tol: float):
                 if not transpose and t == 1.0 and psi == 0.0:
                     continue
                 cand = _corrected(f, t, psi, transpose)
-                cand_report = witness_verify(cand, grid, tol)
+                cand_report = _verify(cand, grid, tol, src)
                 if cand_report.status == "verified":
                     return cand, replace(cand_report, status="repaired")
     return f, replace(report, status="refuted",

@@ -4,6 +4,8 @@ import unittest
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pairbundles import classify as classify_module
 from pairbundles.classify import (
@@ -45,6 +47,8 @@ from pairbundles.normal_forms import (
     CELLS,
     GENERIC_PARAMS,
     _SWAP_SHAPES,
+    _canonical_updates,
+    _representative_A_entries,
     canonicalize_params,
     param_fields,
     representative,
@@ -504,9 +508,9 @@ def test_singular_composed_reducer_is_a_classification_failure(monkeypatch):
     the composed check as the classifier's failure."""
     stage2 = classify_module._stabilizer_reduce3
 
-    def tiny(a_label, a_params, b, amb):
-        shape, params, c, p = stage2(a_label, a_params, b, amb)
-        return shape, params, c, tuple(1e-160 * z for z in p)
+    def tiny(*args):
+        shape, params, c, p, a_target = stage2(*args)
+        return shape, params, c, tuple(1e-160 * z for z in p), a_target
 
     monkeypatch.setattr(classify_module, "_stabilizer_reduce3", tiny)
     with pytest.raises(ClassificationFailureError,
@@ -904,3 +908,75 @@ class TestOneThetaGridOracle(unittest.TestCase):
             self.assertLess(best, 0.12)
             achieved = max_norm(Mat2(apply_psi2(g.P, B).array - target))
             self.assertLess(achieved, 1e-9 * max(1.0, max_norm(B)))
+
+
+def test_cell_records_are_the_catalogue():
+    """One record per cell: the cell itself, its parameter fields, and
+    whether `_canonical_updates` can change its parameters; exactly the
+    cells with phi, the full_hermitian_like and phase_form cells and the
+    ordered diag_ad cells can."""
+    records = classify_module._CELL_RECORDS
+    assert list(records) == [(c.a_label, c.b_shape) for c in CELLS]
+    canon = set()
+    for (a_label, b_shape), (cell, fields, can) in records.items():
+        assert (cell.a_label, cell.b_shape) == (a_label, b_shape)
+        assert fields == param_fields(cell)
+        if can:
+            canon.add(str(cell))
+    assert canon == {"one_theta/full_hermitian_like", "tau_form/phase_form",
+                     "tau_form/off_diag_phase", "identity/diag_ad",
+                     "one_plus_minus/diag_ad"}
+
+
+_maybe_real = st.none() | st.floats(allow_nan=True, allow_infinity=True)
+_maybe_complex = st.none() | st.complex_numbers(allow_nan=True,
+                                                allow_infinity=True)
+
+
+@given(st.fixed_dictionaries({
+    "theta": _maybe_real, "tau": _maybe_real, "phi": _maybe_real,
+    "a": _maybe_real, "b": _maybe_real, "d": _maybe_real,
+    "zeta": _maybe_complex, "zeta_star": _maybe_complex}))
+@settings(max_examples=200, deadline=None)
+def test_cells_whose_record_says_so_have_no_canonical_updates(p):
+    """The tail skips `_canonical_updates` on the cells whose record says
+    it changes nothing; on those cells it returns {} for any parameters."""
+    for cell, _, can in classify_module._CELL_RECORDS.values():
+        if not can:
+            assert _canonical_updates(cell, p) == {}, cell
+
+
+def test_the_tail_reuses_the_stabilizer_check_A_target(monkeypatch):
+    """The A-target that stage 2's stabilizer check returns is, bit for
+    bit, the representative's A-part at the merged parameters, on every
+    cell's representative and on Monte Carlo samples around it."""
+    from pairbundles.numerics import _trial_perturbation
+
+    seen = []
+    stage2 = classify_module._stabilizer_reduce3
+
+    def spy(*args):
+        out = stage2(*args)
+        seen.append(out)
+        return out
+
+    monkeypatch.setattr(classify_module, "_stabilizer_reduce3", spy)
+    cells = set()
+    for cell in CELLS:
+        x = representative(cell, canonicalize_params(cell, GENERIC_PARAMS))
+        a, b = x.A.entries, (x.B.a, x.B.b, x.B.d)
+        for t in range(-1, 20):
+            d = (0j,) * 7 if t < 0 else _trial_perturbation(0, t, 1e-3)
+            seen.clear()
+            try:
+                label, params, *_ = classify_module._classify4(
+                    tuple(u + v for u, v in zip(a, d)),
+                    tuple(u + v for u, v in zip(b, d[4:])))
+            except (AmbiguityError, ClassificationFailureError):
+                continue
+            (shape, _, _, _, a_target), = seen
+            want = _representative_A_entries(label.a_label, params,
+                                             shape in _SWAP_SHAPES)
+            assert repr(a_target) == repr(want), (cell, t)
+            cells.add(label)
+    assert cells == set(CELLS)

@@ -18,6 +18,7 @@ from pairbundles.normal_forms import (
     PROVENANCE_NOTES,
     _A_FORMS,
     _B_FORMS,
+    _param_violations,
     _wrap_phase_halfturn,
     canonicalize_params,
     label_from_string,
@@ -313,3 +314,41 @@ def test_angles_enter_the_form_records_only_through_e(fields, form):
     assert values[0] == values[1]
     assert set(seen) <= {0.125, 0.375}
     assert bool(seen) == bool(ANGLE_FIELDS & set(fields))
+
+
+_BAD_VALUES = (None, 0.0, -1.0, math.inf, math.nan)
+
+
+@pytest.mark.parametrize("cell", CELLS, ids=str)
+def test_validate_params_is_the_dict_validator(cell):
+    """`validate_params` and the dict validator give the same messages in
+    the same order: for valid parameters, for each field set to each of
+    None, 0, a negative, inf and nan, for every field at once set to each
+    of them, and for a >= d; a name left out of the dict reads as None."""
+    fields = param_fields(cell)
+    good = vars(canonicalize_params(cell, GENERIC_PARAMS))
+    cases = [good, {**good, "a": 3.0, "d": 2.0}, {**good, "a": 2.0, "d": 2.0}]
+    for bad in _BAD_VALUES:
+        cases += [{**good, name: bad} for name in fields]
+        cases.append({**good, **dict.fromkeys(fields, bad)})
+    for p in cases:
+        given = {k: v for k, v in p.items() if v is not None}
+        assert (_param_violations(cell, given, fields)
+                == validate_params(cell, BundleParams(**p))), (cell, p)
+    assert _param_violations(cell, good, fields) == []
+
+
+def test_the_dict_validator_names_each_field_in_order():
+    cell = label_from_string("one_theta/full_hermitian_like")
+    fields = param_fields(cell)
+    assert _param_violations(cell, {"a": 0.0, "zeta_star": 0j}, fields) == [
+        "theta is required", "a must be positive", "d is required",
+        "zeta_star must be nonzero"]
+    nan = dict.fromkeys(fields, math.nan)
+    assert _param_violations(cell, nan, fields) == [
+        "theta must lie in (0, pi)", "a must be finite", "d must be finite",
+        "zeta_star must be finite"]
+    diag = label_from_string("one_plus_minus/diag_ad")
+    assert _param_violations(diag, {"a": 2.0, "d": 2.0},
+                             param_fields(diag)) == [
+        "a<d required; use d_identity label for a=d"]

@@ -1508,3 +1508,67 @@ def test_derived_rank_matches_sampled_forms(shape):
         degenerate = dataclasses.replace(p, **_DEGENERATE[shape](p))
         assert validate_params(cell, degenerate) == []
         assert _numeric_rank(cell, degenerate) == 1
+
+
+def _count_constructions(monkeypatch):
+    """Count the constructions of the checked value types: each call of
+    the `__init__` of `BundleParams`, `GroupElement`, `PairAB` and
+    `Classification`, and each unchecked `GroupElement` that the classifier
+    and the witness engine build through `_checked_group_element`."""
+    from collections import Counter
+
+    from pairbundles import classify, core, witnesses
+
+    counts = Counter()
+    for cls in (BundleParams, GroupElement, PairAB, classify.Classification):
+        def counted(self, *args, _init=cls.__init__, _name=cls.__name__,
+                    **kwargs):
+            counts[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    for module in (classify, witnesses):
+        def checked(c, p, _build=core._checked_group_element):
+            counts["GroupElement"] += 1
+            return _build(c, p)
+
+        monkeypatch.setattr(module, "_checked_group_element", checked)
+    return counts
+
+
+def test_monte_carlo_builds_no_value_type_per_trial(monkeypatch):
+    """A Monte Carlo report builds the same value types for 10 trials as
+    for 40: each trial runs on raw tuples and dicts."""
+    counts = _count_constructions(monkeypatch)
+    centres = ("one_theta/full_hermitian_like", "tau_form/phase_form",
+               "one_plus_minus/diag_ad", "nilpotent/zeta_b_one", "zero/zero")
+
+    def built(trials):
+        _trial_perturbations.cache_clear()
+        _trial_stage1.cache_clear()
+        counts.clear()
+        reports = [monte_carlo_neighborhood(L(c), None, 0.1, trials, seed=2)
+                   for c in centres]
+        return dict(counts), reports
+
+    few, _ = built(10)
+    many, reports = built(40)
+    assert few == many
+    assert few["PairAB"] == len(centres)
+    assert sum(sum(r.histogram.values()) for r in reports) > 100
+
+
+def test_witness_verify_builds_no_pair_per_grid_point(monkeypatch):
+    """`witness_verify` builds the same value types on a 3-point grid as
+    on the 14-point default grid, and one PairAB, the source's."""
+    from pairbundles.witnesses import default_grid, witness_verify
+
+    counts = _count_constructions(monkeypatch)
+    for fam in CATALOG:
+        built = []
+        for grid in (default_grid()[:3], default_grid()):
+            counts.clear()
+            witness_verify(fam, grid)
+            built.append(dict(counts))
+        assert built[0] == built[1], fam.name
+        assert built[0]["PairAB"] == 1, fam.name

@@ -9,7 +9,8 @@ import pytest
 
 from pairbundles import cli
 from pairbundles.closure import SuspectEdgeWarning, bundle_graph
-from pairbundles.core import ValidationError
+from pairbundles.core import (GroupElement, Mat2, ValidationError,
+                              apply_action, pair_distance)
 from pairbundles.normal_forms import label_from_string as L
 from pairbundles.witnesses import (
     CATALOG,
@@ -219,3 +220,78 @@ def test_catalog_is_never_mutated(capsys):
     assert outputs[0] == outputs[1]
     assert [c["status"] for c in outputs[0]["checks"]].count("repaired") == 2
     assert list(CATALOG) == before
+
+
+def _value_type_eval(f, s):
+    """A family at s through the value types: the `GroupElement` of (c(s),
+    P(s)), `apply_action` on the target's representative at q(s) and
+    `pair_distance` to the source's.  It does not check s."""
+    g = GroupElement(f.c_of_s(s), Mat2(f.P_of_s(s)))
+    moved = apply_action(g, f.target_instance_of_s(s))
+    return g, moved, pair_distance(moved, f.source_pair())
+
+
+@pytest.mark.parametrize("family", CATALOG, ids=lambda f: f.name)
+def test_verify_residuals_are_witness_eval_bit_for_bit(family):
+    """For each family and its repaired form, `witness_verify`'s residuals
+    are `witness_eval`'s, and those of the value-type evaluation, bit for
+    bit; `witness_eval` returns the value types' group element and moved
+    pair."""
+    fams = [family]
+    repaired, report = witness_repair(family)
+    if report.status == "repaired":
+        fams.append(repaired)
+    for fam in fams:
+        grid = default_grid()
+        got = [r.hex() for r in witness_verify(fam).residuals]
+        assert got == [witness_eval(fam, s)[2].hex() for s in grid]
+        for s in grid:
+            g, moved, r = witness_eval(fam, s)
+            g0, moved0, r0 = _value_type_eval(fam, s)
+            assert r.hex() == r0.hex()
+            assert repr(g) == repr(g0) and repr(moved) == repr(moved0)
+
+
+def _message(fn, *args):
+    with pytest.raises(ValidationError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("name, change, s, says", [
+    ("one-zero-in-tau", {}, 0.5, "s must lie in (0, 0.3] (got 0.5)"),
+    ("one-zero-in-tau", {"P_of_s": lambda s: [[1, 1], [1, 1]]}, 0.1,
+     "P must be invertible"),
+    ("one-zero-in-tau", {"P_of_s": lambda s: [[math.inf, 0], [0, 1]]}, 0.1,
+     "matrix entries must be finite"),
+    ("one-zero-in-tau", {"c_of_s": lambda s: 2.0}, 0.1,
+     "|c| must be 1 (got |c| = 2.0)"),
+    ("jordan-in-tau", {"target_params_of_s": lambda s: {"tau": 1 + s}}, 0.1,
+     "invalid parameters for tau_form/zero: tau must lie in (0, 1)"),
+    ("jordan-in-tau", {"target_params_of_s": lambda s: {}}, 0.1,
+     "invalid parameters for tau_form/zero: tau is required"),
+    ("one-zero-in-one-theta", {"P_of_s": lambda s: [[1e200, 0], [0, 1]]},
+     0.1, "matrix entries must be finite"),
+    ("rank1-in-rank2", {"P_of_s": lambda s: [[1e200, 0], [0, 1e-200]]}, 0.1,
+     "SymMat2.a must be finite"),
+])
+def test_witness_core_refuses_as_the_value_types_do(name, change, s, says):
+    """`witness_verify` and `witness_eval` give the text of the value
+    types' ValidationError, for an s outside (0, 0.3], a singular or
+    non-finite P(s), a c(s) off the unit circle, an invalid q(s), and a
+    moved A or B that overflows."""
+    fam = dataclasses.replace(_by_name(name), **change)
+    assert _message(witness_eval, fam, s) == says
+    assert _message(witness_verify, fam, (s, 0.01)) == says
+    if 0.0 < s <= DEFAULT_S_MAX:
+        assert _message(_value_type_eval, fam, s) == says
+
+
+def test_an_unknown_target_parameter_is_refused():
+    fam = dataclasses.replace(_by_name("jordan-in-tau"),
+                              target_params_of_s=lambda s: {"tau": 0.5,
+                                                            "rho": 1.0})
+    for fn, arg in ((witness_eval, 0.1), (witness_verify, (0.1, 0.01)),
+                    (_value_type_eval, 0.1)):
+        with pytest.raises(TypeError, match="rho"):
+            fn(fam, arg)
