@@ -46,8 +46,11 @@ class ValidationError(ValueError):
 
 
 def _finite4(m) -> tuple:
-    """m as a 4-tuple of Python complex, checked finite."""
-    m = tuple(map(complex, m))
+    """m = (m00, m01, m10, m11) as a 4-tuple of Python complex, checked
+    finite.  It is built at its exact size: `tuple(map(...))` would move a
+    block from CPython's 10-tuple free list to the 4-tuple one per call."""
+    m0, m1, m2, m3 = m
+    m = (complex(m0), complex(m1), complex(m2), complex(m3))
     # cmath.isfinite(z) tests both float parts with math.isfinite
     if not all(map(cmath.isfinite, m)):
         raise ValidationError("matrix entries must be finite")
@@ -76,7 +79,8 @@ def _entries4(M) -> tuple:
     if isinstance(M, (list, tuple)) and all(isinstance(r, (list, tuple)) for r in M):
         if [len(r) for r in M] != [2, 2]:
             raise ValidationError(f"expected 2x2 matrix, got {M!r}")
-        return tuple(complex(z) for row in M for z in row)
+        (m00, m01), (m10, m11) = M
+        return (complex(m00), complex(m01), complex(m10), complex(m11))
     import numpy as np
 
     arr = np.asarray(M, dtype=complex)

@@ -242,7 +242,8 @@ def bundle_dimension_numeric(label: BundleLabel,
                 + (b11, b12, b12, b22))
 
     p0 = vars(params)
-    base = _gaussian(_finite4(entries(p0)))
+    e0 = entries(p0)
+    base = _gaussian(_finite4(e0[:4]) + _finite4(e0[4:]))
     a, b = base[:4], base[4:]
     rows = [_times(_I, a) + [(0, 0)] * 4]
     for j, k in product((0, 1), repeat=2):
@@ -881,14 +882,15 @@ def _distance_kernel(x: PairAB, target: BundleLabel, norm: str):
     association ((c P*) A) P - xA and (P^T B) P - xB.  The target's
     representative is memoised on its parameter coordinates, since the
     search moves c and P far more often than the parameters; a miss goes
-    through ``validate_params`` and ``representative``.  c is recomputed
-    only when the phase moves.
+    through ``validate_params`` and ``representative``, and a target with
+    no free parameters reads its entries once.  c is recomputed only when
+    the phase moves.
 
     The A-form of a zero/* cell and the B-form of a */zero cell are
-    identically zero.  For finite P, P* 0 P and P^T 0 P are exactly zero,
-    so that block of differences is -x's block, up to the sign of its zero
-    components, which abs, the squares and ``_spectral_norm`` do not see;
-    the kernel takes the block as that constant and skips its products.
+    identically zero, and so is their move for finite P.  Against x's
+    exactly zero block the block's differences are zeros, which no gauge
+    and no sum sees, so it is dropped (one block if both are); otherwise
+    it is the constant -x's block, up to the sign of zero components.
     """
     if norm not in ("max", "spectral"):
         raise ValidationError(f"unknown norm {norm!r}")
@@ -897,6 +899,8 @@ def _distance_kernel(x: PairAB, target: BundleLabel, norm: str):
     y00, y01, y10, y11 = x.B.a, x.B.b, x.B.b, x.B.d
     zero_A = target.a_label is ALabel.ZERO
     zero_B = target.b_shape is BShape.ZERO
+    drop_B = zero_B and not (y00 or y01 or y11)
+    drop_A = zero_A and not (x00 or x01 or x10 or x11)
     minus_xA = (-x00, -x01, -x10, -x11)
     minus_xB = (-y00, -y01, -y10, -y11)
 
@@ -908,22 +912,23 @@ def _distance_kernel(x: PairAB, target: BundleLabel, norm: str):
         rep = representative(target, params)
         return (*rep.A.entries, rep.B.a, rep.B.b, rep.B.b, rep.B.d)
 
+    held = None if fields else target_entries(())
     c_phase, c = math.nan, 0j
 
     def moved(vec):
-        """The 4 + 4 entries of the moved target minus x, or None."""
+        """The moved target minus x, block A then B but no dropped block,
+        or None."""
         nonlocal c_phase, c
         p00, p01 = complex(vec[1], vec[2]), complex(vec[3], vec[4])
         p10, p11 = complex(vec[5], vec[6]), complex(vec[7], vec[8])
         if abs(p00 * p11 - p01 * p10) < 1e-12:
             return None
-        entries = target_entries(tuple(vec[9:]))
+        entries = held or target_entries(tuple(vec[9:]))
         if entries is None:
             return None
         a00, a01, a10, a11, b00, b01, b10, b11 = entries
-        if zero_A:
-            dA = minus_xA
-        else:
+        dA = minus_xA
+        if not zero_A:
             if vec[0] != c_phase:
                 c_phase = vec[0]
                 c = cmath.exp(1j * c_phase)
@@ -935,13 +940,16 @@ def _distance_kernel(x: PairAB, target: BundleLabel, norm: str):
             t10, t11 = s10 * a00 + s11 * a10, s10 * a01 + s11 * a11
             dA = (t00 * p00 + t01 * p10 - x00, t00 * p01 + t01 * p11 - x01,
                   t10 * p00 + t11 * p10 - x10, t10 * p01 + t11 * p11 - x11)
-        if zero_B:
-            return dA + minus_xB
-        # P^T B
-        u00, u01 = p00 * b00 + p10 * b10, p00 * b01 + p10 * b11
-        u10, u11 = p01 * b00 + p11 * b10, p01 * b01 + p11 * b11
-        return dA + (u00 * p00 + u01 * p10 - y00, u00 * p01 + u01 * p11 - y01,
-                     u10 * p00 + u11 * p10 - y10, u10 * p01 + u11 * p11 - y11)
+        if drop_B:
+            return dA
+        dB = minus_xB
+        if not zero_B:
+            # P^T B
+            u00, u01 = p00 * b00 + p10 * b10, p00 * b01 + p10 * b11
+            u10, u11 = p01 * b00 + p11 * b10, p01 * b01 + p11 * b11
+            dB = (u00 * p00 + u01 * p10 - y00, u00 * p01 + u01 * p11 - y01,
+                  u10 * p00 + u11 * p10 - y10, u10 * p01 + u11 * p11 - y11)
+        return dB if drop_A else dA + dB
 
     if norm == "max":
         def objective(vec):
@@ -952,6 +960,8 @@ def _distance_kernel(x: PairAB, target: BundleLabel, norm: str):
             d = moved(vec)
             if d is None:
                 return math.inf
+            if len(d) == 4:
+                return _spectral_norm(*d)
             return max(_spectral_norm(*d[:4]), _spectral_norm(*d[4:]))
 
     def surrogate(vec):
@@ -960,6 +970,12 @@ def _distance_kernel(x: PairAB, target: BundleLabel, norm: str):
         d = moved(vec)
         if d is None:
             return math.inf
+        if len(d) == 4:
+            d0, d1, d2, d3 = d
+            return sum((d0.real * d0.real + d0.imag * d0.imag,
+                        d1.real * d1.real + d1.imag * d1.imag,
+                        d2.real * d2.real + d2.imag * d2.imag,
+                        d3.real * d3.real + d3.imag * d3.imag))
         d0, d1, d2, d3, d4, d5, d6, d7 = d
         return sum((d0.real * d0.real + d0.imag * d0.imag,
                     d1.real * d1.real + d1.imag * d1.imag,
@@ -1067,13 +1083,13 @@ def distance_to_bundle(x: PairAB, target: BundleLabel, budget: int = 32,
       is known to be larger, and ends a sweep at the coordinate from
       which it would only repeat polls that the previous sweep rejected;
     * a target form that is identically zero (the A-form of a zero/* cell,
-      the B-form of a */zero cell) moves to exactly zero for any finite
-      P, so its block of differences is x's block negated, up to the sign
-      of zero components, which no gauge sees; the kernel takes that
-      block as a constant and skips its products.
+      the B-form of a */zero cell) moves to exactly zero for finite P: the
+      kernel drops that block where x's is exactly zero too, and otherwise
+      takes it as x's block negated, so the block costs no products.
 
-    Both keep the order of every reduction, ``sum`` included, so the
-    results match the full evaluation on every Python version.
+    Both keep the order of every reduction, ``sum`` included, and a
+    dropped block adds only exact zeros to them, so the results match the
+    full evaluation on every Python version.
 
     The start (1, I, generic) does not depend on the seed: its (value,
     point), or None, is held in ``_HELD_STARTS`` by (the bits of x's seven
@@ -1235,15 +1251,15 @@ def _trial_stage1(a_bits: bytes, seed: int, trials: int,
 
     _trial_stage1.cache_clear()  # the last table goes before the next is built
     v = struct.unpack("<8d", a_bits)
-    a = [complex(re, im) for re, im in zip(v[::2], v[1::2])]
+    a0, a1, a2, a3 = [complex(re, im) for re, im in zip(v[::2], v[1::2])]
 
     def stage1(d):
         try:
-            return _stage1(tuple(x + y for x, y in zip(a, d)))
+            return _stage1((a0 + d[0], a1 + d[1], a2 + d[2], a3 + d[3]))
         except ClassificationFailureError as exc:
             return exc
 
-    return tuple(stage1(d[:4])
+    return tuple(stage1(d)
                  for d in _trial_perturbations(seed, trials, epsilon))
 
 

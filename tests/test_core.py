@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -34,6 +38,7 @@ from pairbundles.core import (
 )
 from pairbundles.normal_forms import (BundleParams, label_from_string,
                                       representative)
+import pairbundles
 
 
 def rand_complex_matrix(rng, scale=1.0):
@@ -522,3 +527,56 @@ class TestJson:
         m = Mat2([[v, 0], [0, 0]])
         m2 = Mat2.from_json(json.loads(json.dumps(m.to_json())))
         assert m2.array[0, 0] == m.array[0, 0]
+
+
+# In a fresh interpreter: the bytes that tracemalloc sees held after 5,000
+# builds, of each exact-size helper, then of the `tuple(map(...))` build
+# they replace, which CPython allocates at its length-hint size 10 and
+# shrinks to 4, moving one block from the 10-tuple free list to the 4-tuple
+# one until that list holds its cap of 2,000 blocks.  `_trial_stage1` runs
+# on a stand-in stage 1, 25 tables of 200 trials.
+_HELD_BYTES = r"""
+import json, tracemalloc
+from pairbundles import classify, core, numerics
+
+def held(fn, calls):
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for k in range(calls):
+            fn(k)
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+m4, nested = (1.0, 2j, 3.0, 4j), [[1.0, 2j], [3.0, 4j]]
+classify._stage1 = lambda a: None
+numerics._trial_perturbations(0, 200, 1e-3)
+out = {
+    "_finite4": held(lambda k: core._finite4(m4), 5000),
+    "_entries4": held(lambda k: core._entries4(nested), 5000),
+    "_trial_stage1": held(lambda k: numerics._trial_stage1(
+        numerics._bits((complex(k), 0j, 0j, 1j)), 0, 200, 1e-3), 25),
+    "tuple(map(...))": held(lambda k: tuple(map(complex, m4)), 5000),
+}
+print(json.dumps(out))
+"""
+
+
+def test_four_tuples_are_built_at_exact_size():
+    """`core._finite4`, `core._entries4` on nested lists and
+    `numerics._trial_stage1`'s per-trial sums hold no tuple free-list
+    blocks; skipped where the `tuple(map(...))` build holds none either."""
+    src = pathlib.Path(pairbundles.__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(src),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _HELD_BYTES],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    held = json.loads(proc.stdout)
+    reference = held.pop("tuple(map(...))")
+    assert all(n < 16_000 for n in held.values()), held
+    if reference < 64_000:
+        pytest.skip(f"this interpreter keeps no tuple free list ({reference} "
+                    "bytes held by the tuple(map(...)) build)")

@@ -1044,12 +1044,18 @@ def _result_bits(result):
 @pytest.mark.parametrize("src,dst,budget,norm", _FLOOR_JOBS + [
     ("identity/diag_ad", "one_theta/diag_ad", 1, "max"),
     ("one_theta/diag_ad", "identity/diag_ad", 1, "spectral"),
+    ("identity/diag_ad", "one_theta/zero", 1, "max"),
+    ("one_zero/diag_a_one", "zero/rank1", 1, "spectral"),
+    ("one_zero/diag_a_one", "zero/rank1", 1, "max"),
 ])
 def test_search_matches_reference_loop(monkeypatch, src, dst, budget, norm,
                                        seed):
     """Floor, c, P and parameters are bit-identical to the full loop.  On
     seed 4 the identity -> one_plus_minus floor comes from a random
-    start."""
+    start.  The floor jobs drop a zero block; the last three cases hold a
+    zero target form against a non-zero block of x.  The spectral
+    one_zero search stays at its start, where both blocks gauge 1, so only
+    the max one shows an A-block dropped by mistake."""
     x = representative(L(src), generic_params(L(src)))
     got = distance_to_bundle(x, L(dst), budget=budget, seed=seed, norm=norm)
     numerics._HELD_STARTS.clear()
@@ -1400,7 +1406,7 @@ def _edge_params(cell):
 
 def _kernel_sources(rng):
     """Random pairs (both constant blocks nonzero), representatives with
-    exact zero components, and pairs with a zero form."""
+    exact zero components, and pairs with one or two zero forms."""
     zero = Mat2(np.zeros((2, 2)))
     rand_A = Mat2(_rand_mat(rng))
     rand_B = SymMat2.from_array(_rand_sym(rng))
@@ -1409,6 +1415,8 @@ def _kernel_sources(rng):
                  SymMat2.from_array(_rand_sym(rng, 1e3)))
     yield PairAB(zero, rand_B)
     yield PairAB(rand_A, SymMat2(0, 0, 0))
+    yield PairAB(Mat2(((0.0, -0.0), (0j, complex(-0.0, 0.0)))),
+                 SymMat2(0, -0.0, 0))
     for name in ("one_theta/diag_ad", "nilpotent/zero", "zero/rank2",
                  "jordan_i/zero_d"):
         yield representative(L(name), generic_params(L(name)))
@@ -1432,8 +1440,9 @@ def test_zero_labels_name_the_zero_forms(cell):
 def test_kernel_matches_reference_kernel(cell, norm):
     """Objective and surrogate equal the full evaluation bit for bit, on
     random points, on both sides of |det P| = 1e-12 and of the parameter
-    domain, and with the phase of c at +0.0 and -0.0 (every zero/* and */zero
-    target takes the constant-block path)."""
+    domain, and with the phase of c at +0.0 and -0.0.  A zero/* or */zero
+    target drops its zero block where x's block is zero too (one block
+    where both are) and takes it as a constant elsewhere."""
     rng = np.random.default_rng([77, CELLS.index(cell), norm == "spectral"])
     inside, outside = _edge_params(cell)
     for x in _kernel_sources(rng):

@@ -1,5 +1,6 @@
-"""Time `pairbundles verify all`'s four suites and one `_classify_rest`
-call for two source trees, in alternating fresh interpreters.
+"""Time `pairbundles verify all`'s four suites, one `_classify_rest` call
+and the distance floor jobs for two source trees, in alternating fresh
+interpreters.
 
 Usage: python3 tools/suite_times.py BASE_SRC HEAD_SRC [--pairs N]
                                     [--seed S] [--trials T]
@@ -9,8 +10,10 @@ the suites as `verify all --seed S --trials T` runs them (dims, bounds,
 graph, witness, in that order, each once, after loading the classifier as
 `cmd_verify` does), then the mean time of one `classify._classify_rest`
 call over the graph suite's epsilon = 1e-3 trials of seed S around the 46
-generic representatives, with stage 1 computed beforehand.  The pairs
-alternate which tree runs first.  Printed per metric: the median of each
+generic representatives, with stage 1 computed beforehand, and last the
+total time of `distance_to_bundle` on the outcome corpus's `FLOOR_JOBS`
+(tools/outcome_corpus.py) for optimizer seeds 0-1, as `floors_s`.  The
+pairs alternate which tree runs first.  Printed per metric: the median of each
 tree, the change of the medians and in how many pairs the head is lower.
 Standard library only; each tree needs its own dependencies (numpy).
 """
@@ -55,16 +58,31 @@ for at, bt, s1 in calls:
     except errors:
         pass
 out["classify_rest_us"] = 1e6 * (time.perf_counter() - t0) / len(calls)
+import importlib.util
+spec = importlib.util.spec_from_file_location("outcome_corpus", sys.argv[3])
+corpus = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(corpus)
+from pairbundles.normal_forms import label_from_string as L
+jobs = [(numerics.representative(L(src), numerics.generic_params(L(src))),
+         L(dst), budget, norm) for src, dst, budget, norm in corpus.FLOOR_JOBS]
+t0 = time.perf_counter()
+for opt_seed in (0, 1):
+    for x, target, budget, norm in jobs:
+        numerics.distance_to_bundle(x, target, budget=budget, seed=opt_seed,
+                                    norm=norm)
+out["floors_s"] = time.perf_counter() - t0
 print(json.dumps(out))
 """
+_CORPUS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       "outcome_corpus.py")
 
 
 def _run(src: str, seed: int, trials: int) -> dict:
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src),
                PYTHONDONTWRITEBYTECODE="1")
     done = subprocess.run([sys.executable, "-c", _CHILD, str(seed),
-                           str(trials)], env=env, capture_output=True,
-                          text=True, check=True)
+                           str(trials), _CORPUS], env=env,
+                          capture_output=True, text=True, check=True)
     return json.loads(done.stdout.splitlines()[-1])
 
 
