@@ -30,7 +30,8 @@ type: `classify_B` is stage 2 over the zero A-form, a thin wrapper over
 the Takagi rank reducer `_reduce_B_zero`.  Every target a reducer or
 check compares with comes from the form records of `normal_forms`, and
 so do the parameter names of the 1 (+) e^{i theta} reducer, whose shape
-is the `_ONE_THETA_SHAPES` entry of B's nonzero pattern.
+is the `_ONE_THETA_SHAPES` entry of B's nonzero pattern, a table built
+at load from those cells' B-forms at `GENERIC_PARAMS`.
 
 Each threshold rule has one home.  `_near` decides a gray-band comparison
 and notes it in `ambiguous`.  `_zero_tol` is the stage-2 zero threshold,
@@ -86,6 +87,7 @@ from .normal_forms import (
     BundleLabel,
     BundleParams,
     CELLS,
+    GENERIC_PARAMS,
     _B_FORMS,
     _SWAP_SHAPES,
     _canonical_updates,
@@ -575,14 +577,9 @@ def _reduce_B_identity(b, amb):
 
 # the B-form over 1 (+) e^{i theta} of each pattern (b11, b12, b22 nonzero)
 _ONE_THETA_SHAPES = {
-    (True, True, True): BShape.FULL_HERMITIAN_LIKE,
-    (True, True, False): BShape.A_PLUS_OFF_DIAG,
-    (False, True, True): BShape.OFF_DIAG_PLUS_D,
-    (True, False, True): BShape.DIAG_AD,
-    (False, True, False): BShape.ANTI_DIAG,
-    (True, False, False): BShape.DIAG_A0,
-    (False, False, True): BShape.ZERO_D,
-    (False, False, False): BShape.ZERO,
+    tuple(z != 0 for z in _representative_B_entries(
+        cell.b_shape, vars(GENERIC_PARAMS))): cell.b_shape
+    for cell in CELLS if cell.a_label is ALabel.ONE_THETA
 }
 
 

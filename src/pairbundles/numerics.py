@@ -761,7 +761,11 @@ def _shape_of_d_row(row, B):
 def table4_residuals(row: str, B_tilde, B, P, F=None) -> BoundReport:
     """Defects of the tabulated congruence equations for one row of the
     symmetric-component table, minimizing over the sign index l, compared
-    with the printed allowance on the auxiliary off-diagonal terms."""
+    with the printed allowance on the auxiliary off-diagonal terms.
+
+    The allowance is at least 64 ulps of max(1, |P|)^3 max(|B~|, |B|, |F|),
+    the rounding of the observed defects, so that an exact congruence
+    (F = 0, printed allowance 0) is not failed by its rounding."""
     row = str(row)
     Bt, Bm, p = _entries4(B_tilde), _entries4(B), _entries4(P)
     rank_bound = _shape_of_d_row(row, Bm)
@@ -778,6 +782,8 @@ def table4_residuals(row: str, B_tilde, B, P, F=None) -> BoundReport:
         bound = math.sqrt(nF * (4 * nBt + 3))
     else:
         bound = nF * (4 * nBt + 2 + abs(detBt)) / abs(detBt)
+    bound = max(bound, 64 * math.ulp(1.0) * max(1.0, _max_abs(p)) ** 3
+                * max(nBt, _max_abs(Bm), nF))
     # the numeric rank of Bt at the relative cutoff 1e-9 (0 below 1e-9)
     s0, s1 = _singular_values(Bt)
     rank = 0 if s0 <= 1e-9 else 1 + (s1 > 1e-9 * s0)
@@ -886,23 +892,20 @@ def _distance_kernel(x: PairAB, target: BundleLabel, norm: str):
     no free parameters reads its entries once.  c is recomputed only when
     the phase moves.
 
-    The A-form of a zero/* cell and the B-form of a */zero cell are
-    identically zero, and so is their move for finite P.  Against x's
-    exactly zero block the block's differences are zeros, which no gauge
-    and no sum sees, so it is dropped (one block if both are); otherwise
-    it is the constant -x's block, up to the sign of zero components.
+    One rule spares a block: the A-form of a zero/* cell and the B-form of
+    a */zero cell are identically zero, and so is their move for finite P.
+    Against x's exactly zero block the block's differences are zeros,
+    which no gauge and no sum sees, so it is dropped (A's only where B's
+    is not); every other block goes through the products.
     """
     if norm not in ("max", "spectral"):
         raise ValidationError(f"unknown norm {norm!r}")
     fields = param_fields(target)
     x00, x01, x10, x11 = x.A.entries
     y00, y01, y10, y11 = x.B.a, x.B.b, x.B.b, x.B.d
-    zero_A = target.a_label is ALabel.ZERO
-    zero_B = target.b_shape is BShape.ZERO
-    drop_B = zero_B and not (y00 or y01 or y11)
-    drop_A = zero_A and not (x00 or x01 or x10 or x11)
-    minus_xA = (-x00, -x01, -x10, -x11)
-    minus_xB = (-y00, -y01, -y10, -y11)
+    drop_B = target.b_shape is BShape.ZERO and not (y00 or y01 or y11)
+    drop_A = (target.a_label is ALabel.ZERO and not drop_B
+              and not (x00 or x01 or x10 or x11))
 
     @functools.lru_cache(maxsize=8)
     def target_entries(coords):
@@ -927,8 +930,7 @@ def _distance_kernel(x: PairAB, target: BundleLabel, norm: str):
         if entries is None:
             return None
         a00, a01, a10, a11, b00, b01, b10, b11 = entries
-        dA = minus_xA
-        if not zero_A:
+        if not drop_A:
             if vec[0] != c_phase:
                 c_phase = vec[0]
                 c = cmath.exp(1j * c_phase)
@@ -940,15 +942,13 @@ def _distance_kernel(x: PairAB, target: BundleLabel, norm: str):
             t10, t11 = s10 * a00 + s11 * a10, s10 * a01 + s11 * a11
             dA = (t00 * p00 + t01 * p10 - x00, t00 * p01 + t01 * p11 - x01,
                   t10 * p00 + t11 * p10 - x10, t10 * p01 + t11 * p11 - x11)
-        if drop_B:
-            return dA
-        dB = minus_xB
-        if not zero_B:
-            # P^T B
-            u00, u01 = p00 * b00 + p10 * b10, p00 * b01 + p10 * b11
-            u10, u11 = p01 * b00 + p11 * b10, p01 * b01 + p11 * b11
-            dB = (u00 * p00 + u01 * p10 - y00, u00 * p01 + u01 * p11 - y01,
-                  u10 * p00 + u11 * p10 - y10, u10 * p01 + u11 * p11 - y11)
+            if drop_B:
+                return dA
+        # P^T B
+        u00, u01 = p00 * b00 + p10 * b10, p00 * b01 + p10 * b11
+        u10, u11 = p01 * b00 + p11 * b10, p01 * b01 + p11 * b11
+        dB = (u00 * p00 + u01 * p10 - y00, u00 * p01 + u01 * p11 - y01,
+              u10 * p00 + u11 * p10 - y10, u10 * p01 + u11 * p11 - y11)
         return dB if drop_A else dA + dB
 
     if norm == "max":
@@ -1084,8 +1084,9 @@ def distance_to_bundle(x: PairAB, target: BundleLabel, budget: int = 32,
       which it would only repeat polls that the previous sweep rejected;
     * a target form that is identically zero (the A-form of a zero/* cell,
       the B-form of a */zero cell) moves to exactly zero for finite P: the
-      kernel drops that block where x's is exactly zero too, and otherwise
-      takes it as x's block negated, so the block costs no products.
+      kernel drops that block where x's is exactly zero too, so the block
+      costs no products.  That is its one zero-block rule: any other block
+      goes through the products, a zero form's exact zeros included.
 
     Both keep the order of every reduction, ``sum`` included, and a
     dropped block adds only exact zeros to them, so the results match the

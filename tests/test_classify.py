@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import unittest
 
@@ -356,6 +357,8 @@ def test_one_theta_pattern_table_is_the_form_records():
     assert classify_module._ONE_THETA_SHAPES == {
         key: shapes[0] for key, shapes in patterns.items()}
     assert all(len(shapes) == 1 for shapes in patterns.values())
+    assert sorted(patterns) == sorted(itertools.product((False, True),
+                                                        repeat=3))
 
 
 def test_perturbed_representatives_raise_only_classifier_errors():

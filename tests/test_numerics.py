@@ -497,6 +497,20 @@ class TestTable4(unittest.TestCase):
             self.assertLess(rep.observed_value, 1e-10, msg=row)
             self.assertTrue(rep.hypothesis_ok, msg=row)
 
+    def test_exact_congruence_passes_with_its_rounding(self):
+        """An exact congruence passes although its observed defect is
+        rounding: with F = 0 the printed allowance is 0, and D2's observed
+        6.9e-17 used to fail it.  The floor stays at rounding size."""
+        P = np.array([[1.0, 0.4j], [0.2, 1.1]])
+        for row, B in self.ROWS.items():
+            for F in (None, np.zeros((2, 2))):
+                rep = table4_residuals(row, P.T @ B @ P, B, P, F)
+                self.assertTrue(rep.ok, msg=row)
+                self.assertLess(rep.bound_value, 1e-13, msg=row)
+        B = self.ROWS["D2"]
+        rep = table4_residuals("D2", P.T @ B @ P, B, P, np.zeros((2, 2)))
+        self.assertGreater(rep.observed_value, 0.0)
+
     def test_row_shape_mismatch(self):
         with self.assertRaises(ValueError):
             table4_residuals("D4", np.eye(2), np.diag([1.0, 2.0]), np.eye(2))
@@ -1440,9 +1454,10 @@ def test_zero_labels_name_the_zero_forms(cell):
 def test_kernel_matches_reference_kernel(cell, norm):
     """Objective and surrogate equal the full evaluation bit for bit, on
     random points, on both sides of |det P| = 1e-12 and of the parameter
-    domain, and with the phase of c at +0.0 and -0.0.  A zero/* or */zero
-    target drops its zero block where x's block is zero too (one block
-    where both are) and takes it as a constant elsewhere."""
+    domain, and with the phase of c at +0.0 and -0.0.  The kernel's one
+    zero-block rule: a zero/* or */zero target drops its zero block where
+    x's block is zero too (one block where both are), and computes every
+    other block by the products, a zero form's included."""
     rng = np.random.default_rng([77, CELLS.index(cell), norm == "spectral"])
     inside, outside = _edge_params(cell)
     for x in _kernel_sources(rng):

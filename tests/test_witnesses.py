@@ -195,6 +195,26 @@ class TestRepair(unittest.TestCase):
         self.assertEqual(rep.status, "refuted")
 
 
+def test_witness_edges_keep_their_certificates():
+    """`closure` cannot import `witnesses` when it loads, so it restates
+    its three witness edges by hand: each must still be a catalogued
+    family that ends verified or repaired, as its provenance says."""
+    from pairbundles.closure import _WITNESS_EDGES
+
+    statuses = {}
+    for src, dst, provenance in _WITNESS_EDGES:
+        family = witness_lookup(L(src), L(dst))
+        assert family is not None, (src, dst)
+        fixed, report = witness_repair(family)
+        assert witness_verify(fixed).status == "verified", family.name
+        assert ("(constants repaired)" in provenance) == \
+            (report.status == "repaired"), family.name
+        statuses[family.name] = report.status
+    assert statuses == {"plus-minus-in-swap-one-zero": "repaired",
+                        "plus-minus-in-jordan": "repaired",
+                        "jordan-in-tau": "verified"}
+
+
 @pytest.mark.parametrize("family", CATALOG, ids=lambda f: f.name)
 def test_full_catalog_verifies_after_repair(family):
     """Every family ends verified or repaired, monotone along the grid."""
