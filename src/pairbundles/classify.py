@@ -503,11 +503,20 @@ def _stabilizer_reduce3(a_label, a_params, a0, a_tol, b, amb):
     with (c, P) checked as a group element and as a member of the
     stabilizer of A0: c P* A0 P must be A_target."""
     shape, params, c, p = _STAGE2[a_label](b, amb)
-    c, p = _own_check(_group4, c, p)
+    try:
+        c, p = _group4(c, p)
+    except ValidationError as exc:  # `_own_check`, inlined on the hot path
+        raise ClassificationFailureError(str(exc)) from exc
     # stabilizer membership / A-transport check
     A_target = (_representative_A_entries(a_label, a_params, True)
                 if shape in _SWAP_SHAPES else a0)
-    defect = _gap(_star_congruence4(c, p, a0), A_target)
+    m0, m1, m2, m3 = _star_congruence4(c, p, a0)
+    t0, t1, t2, t3 = A_target
+    mods = (abs(m0 - t0), abs(m1 - t1), abs(m2 - t2), abs(m3 - t3))
+    # `core._gap` in place: NaN if any modulus is, else their max
+    defect = sum(mods)
+    if defect == defect:
+        defect = max(mods)
     if defect > a_tol:
         raise ClassificationFailureError(
             f"stage-2 reducer leaves the stabilizer of {a_label} (defect {defect:.3e})"
@@ -983,14 +992,30 @@ def _classify_rest(a, b, stage1):
     if canon:
         params.update(_canonical_updates(label, params))
     # the reducer P1 P2, checked as a group element
-    c, p = _own_check(_group4, c1 * c2, _mul4(p1, p2))
+    try:
+        c, p = _group4(c1 * c2, _mul4(p1, p2))
+    except ValidationError as exc:  # `_own_check`, inlined on the hot path
+        raise ClassificationFailureError(str(exc)) from exc
     if _param_violations(label, params, fields):
         raise ClassificationFailureError(f"incomplete parameters for {label}")
     # residual: max-norm distance of the moved pair to the representative,
-    # whose A-part is the stabilizer check's A_target
-    moved = _star_congruence4(c, p, a) + _transpose_congruence3(p, *b)
-    residual = _gap(moved, a_target + _representative_B_entries(shape, params))
-    scale = max(1.0, _max_abs(a + b))
+    # whose A-part is the stabilizer check's A_target; scale: max(1, the
+    # pair's max-norm).  Both take `core._max_abs`'s max in place, NaN if
+    # any modulus is NaN (and a NaN scale reads 1, as max(1.0, nan) does)
+    m0, m1, m2, m3 = _star_congruence4(c, p, a)
+    n0, n1, n2 = _transpose_congruence3(p, *b)
+    t0, t1, t2, t3 = a_target
+    u0, u1, u2 = _representative_B_entries(shape, params)
+    mods = (abs(m0 - t0), abs(m1 - t1), abs(m2 - t2), abs(m3 - t3),
+            abs(n0 - u0), abs(n1 - u1), abs(n2 - u2))
+    residual = sum(mods)
+    if residual == residual:
+        residual = max(mods)
+    x0, x1, x2, x3 = a
+    y0, y1, y2 = b
+    mods = (abs(x0), abs(x1), abs(x2), abs(x3), abs(y0), abs(y1), abs(y2))
+    scale = sum(mods)
+    scale = max(1.0, max(mods)) if scale == scale else 1.0
     # a NaN residual (an overflowed product) fails too
     if not residual <= 1e-5 * scale:
         raise ClassificationFailureError(

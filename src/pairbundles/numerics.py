@@ -25,10 +25,11 @@ inverse, congruence and max-norm kernels.  The public functions accept
 value types, numpy arrays and nested lists and convert them once, at the
 edge, with `core._entries4`.  numpy stays where the work is not 2x2
 arithmetic: the seeded RNG streams, and the ndarray `sample_group_element`
-returns (it keeps a draw by `core`'s closed-form singular values, the same
-decisions as numpy's condition number).  `sample_group_element`,
-`distance_to_bundle` and `_trial_perturbation` import numpy themselves, so
-importing this module does not load it.
+returns (`_group_draw` forms its entries on scalars in numpy's complex
+arithmetic, bit for bit, and keeps a draw by `core`'s closed-form singular
+values, the same decisions as numpy's condition number).
+`sample_group_element`, `distance_to_bundle` and `_trial_perturbation`
+import numpy themselves, so importing this module does not load it.
 
 `distance_to_bundle` holds the search of its seed-independent start in
 ``_HELD_STARTS`` (``_HELD_STARTS.clear()`` empties it), as
@@ -430,8 +431,7 @@ def sample_lemadet_case(mode: str, rng) -> tuple[BoundReport, int]:
     hypothesis holds up to resampling: a draw outside it is redrawn, up to
     20 draws in all."""
     for attempts in range(1, 21):
-        c, P = sample_group_element(rng)
-        p = _entries4(P)
+        c, p = _group_draw(rng, 1e3, 1.0)
         pi = _inv4(p)
         # the moved object is the limit plus a planted defect, moved back
         # by (1/c, P^-1)
@@ -471,9 +471,11 @@ def _close(z, w, tol=_MATCH_TOL) -> bool:
 
 
 def _allclose4(m, t) -> bool:
-    """``np.allclose(m, t, atol=_MATCH_TOL)`` on 4-tuples, with numpy's
-    default rtol=1e-5 kept: an entry of t equal to 1 accepts an m entry
-    off by about 1e-5, far more than _MATCH_TOL."""
+    """Whether every entry of the 4-tuple m lies within _MATCH_TOL + 1e-5
+    |t_k| of the entry t_k of t (numpy's allclose rule with atol =
+    _MATCH_TOL and rtol = 1e-5, not symmetric in m and t; a NaN entry is
+    never close): an entry of t equal to 1 accepts an m entry off by about
+    1e-5, far more than _MATCH_TOL."""
     return all(abs(x - y) <= _MATCH_TOL + 1e-5 * abs(y) for x, y in zip(m, t))
 
 
@@ -823,6 +825,41 @@ def table4_residuals(row: str, B_tilde, B, P, F=None) -> BoundReport:
 # distance-to-bundle optimization
 
 _MAX_DRAWS = 10_000
+# numpy divides a complex array by the scalar sqrt(2) as by (sqrt(2), 0):
+# Smith's rule with ratio 0, which multiplies by this reciprocal
+_INV_SQRT2 = 1.0 / math.sqrt(2)
+_EYE4 = (1.0, 0.0, 0.0, 1.0)
+
+
+def _group_draw(rng, cond_max: float, spread: float) -> tuple:
+    """`sample_group_element`'s (c, P), with P a row-major 4-tuple of
+    Python complex.  Each draw of 8 normals (G's entries, then H's) forms
+    eye(2) + spread (G + 1j H) / sqrt(2) on scalars in numpy's complex
+    arithmetic, step by step: a real operand enters as (x, 0.0), and
+    (a, b)(c, d) = (ac - bd, ad + bc).  So every entry, signed zeros
+    included, is the bit of numpy's array expression."""
+    if not cond_max >= 1:
+        raise ValidationError(f"cond_max must be >= 1, got {cond_max!r}")
+    if not math.isfinite(spread):
+        raise ValidationError(f"spread must be finite, got {spread!r}")
+    phi = rng.uniform(0.0, 2 * math.pi)
+    for _ in range(_MAX_DRAWS):
+        z = rng.standard_normal(8).tolist()
+        p = []
+        for e, g, h in zip(_EYE4, z[:4], z[4:]):
+            # G + 1j H, with 1j H = (0, 1)(h, 0) = (0 h - 1 0, 0 0 + 1 h)
+            re, im = g + (0.0 * h - 0.0), 0.0 + (0.0 + h)
+            # spread (G + 1j H), then / sqrt(2)
+            re, im = spread * re - 0.0 * im, spread * im + 0.0 * re
+            re, im = (re + im * 0.0) * _INV_SQRT2, (im - re * 0.0) * _INV_SQRT2
+            p.append(complex(e + re, 0.0 + im))
+        p = tuple(p)
+        s0, s1 = _singular_values(p)
+        if abs(_det4(p)) > 1e-9 and s0 <= cond_max * s1:
+            return cmath.exp(1j * phi), p
+    raise ValidationError(
+        f"no draw kept in {_MAX_DRAWS} with cond_max={cond_max!r} and "
+        f"spread={spread!r}")
 
 
 def sample_group_element(rng, cond_max: float = 1e3, spread: float = 1.0):
@@ -833,25 +870,13 @@ def sample_group_element(rng, cond_max: float = 1e3, spread: float = 1.0):
     cond(P) >= 1 always, so a ``cond_max`` below 1 or NaN, or a non-finite
     ``spread``, raise ``ValidationError`` before the first draw, and so
     does a run of ``_MAX_DRAWS`` draws with none kept (cond(P) = 1 needs a
-    scaled unitary P, which the Gaussian draw never gives)."""
+    scaled unitary P, which the Gaussian draw never gives).  P is the
+    ndarray of `_group_draw`'s entries, numpy's
+    ``eye(2) + spread * (G + 1j * H) / sqrt(2)`` bit for bit."""
     import numpy as np
 
-    if not cond_max >= 1:
-        raise ValidationError(f"cond_max must be >= 1, got {cond_max!r}")
-    if not math.isfinite(spread):
-        raise ValidationError(f"spread must be finite, got {spread!r}")
-    phi = rng.uniform(0.0, 2 * math.pi)
-    for _ in range(_MAX_DRAWS):
-        P = (np.eye(2)
-             + spread * (rng.standard_normal((2, 2))
-                         + 1j * rng.standard_normal((2, 2))) / math.sqrt(2))
-        p = _entries4(P)
-        s0, s1 = _singular_values(p)
-        if abs(_det4(p)) > 1e-9 and s0 <= cond_max * s1:
-            return cmath.exp(1j * phi), P
-    raise ValidationError(
-        f"no draw kept in {_MAX_DRAWS} with cond_max={cond_max!r} and "
-        f"spread={spread!r}")
+    c, p = _group_draw(rng, cond_max, spread)
+    return c, np.array((p[:2], p[2:]))
 
 
 def _param_coords(fields, params):
@@ -1294,10 +1319,11 @@ def monte_carlo_neighborhood(label: BundleLabel,
     b11, b12, b22 = center.B.a, center.B.b, center.B.d
     held = _trial_stage1(_bits(center.A.entries), seed, trials, epsilon)
 
-    counts: dict = {}  # cell -> trials, in the order first seen
+    # cell -> [trials, reachable from the centre], in the order first seen;
+    # reachability through a suspect edge still counts as reachable
+    counts: dict = {}
     violations: list = []
     ambiguous = failures = 0
-    # reachability through a suspect edge still counts as reachable
     reachable = bundle_graph().successors(label)
     for t, (d, stage1) in enumerate(
             zip(_trial_perturbations(seed, trials, epsilon), held)):
@@ -1305,7 +1331,7 @@ def monte_carlo_neighborhood(label: BundleLabel,
             failures += 1
             continue
         try:
-            cell, *_, notes = _classify_rest(
+            result = _classify_rest(
                 (a00 + d[0], a01 + d[1], a10 + d[2], a11 + d[3]),
                 (b11 + d[4], b12 + d[5], b22 + d[6]), stage1)
         except AmbiguityError:
@@ -1314,14 +1340,18 @@ def monte_carlo_neighborhood(label: BundleLabel,
         except ClassificationFailureError:
             failures += 1
             continue
-        counts[cell] = counts.get(cell, 0) + 1
-        if notes:
+        cell = result[0]
+        entry = counts.get(cell)
+        if entry is None:
+            entry = counts[cell] = [0, cell in reachable]
+        entry[0] += 1
+        if result[5]:  # the ambiguity notes
             ambiguous += 1
-            continue
-        if cell not in reachable:
+        elif not entry[1]:
             violations.append((t, str(cell)))
     return NeighborhoodReport(
         center=str(label), center_params=params.to_json(),
         epsilon=float(epsilon), trials=int(trials),
-        histogram={str(c): n for c, n in counts.items()}, violations=violations,
+        histogram={str(c): n for c, (n, _) in counts.items()},
+        violations=violations,
         ambiguous=ambiguous, failures=failures)

@@ -983,3 +983,126 @@ def test_the_tail_reuses_the_stabilizer_check_A_target(monkeypatch):
             assert repr(a_target) == repr(want), (cell, t)
             cells.add(label)
     assert cells == set(CELLS)
+
+
+# ---------------------------------------------------------------------------
+# the verification tail takes `core._gap` and `core._max_abs` in place
+
+_ENTRIES = (0.0, -0.0, complex(-0.0, -0.0), 1.5 - 2j, -3.0, 1e308 + 1e308j,
+            math.inf, -math.inf, complex(0.0, -math.inf), math.nan,
+            complex(math.nan, 1.0))
+_I4 = (1 + 0j, 0j, 0j, 1 + 0j)
+
+
+def _bits(x):
+    return repr(x) if x != x else math.copysign(1.0, x), x
+
+
+@pytest.mark.parametrize("c, p", [
+    (1.0, _I4),
+    (1j, (2.0, 0j, 0j, 0.5j)),
+    (cmath.exp(0.3j), (0.6, 0.8, -0.8, 0.6)),
+    # P* A P overflows, to inf - inf off the diagonal for finite A
+    (1.0, (1e200, 1e200, 1e200, -1e200)),
+], ids=["identity", "diagonal", "rotation", "overflowing"])
+def test_stabilizer_defect_is_the_gap_bit_for_bit(monkeypatch, c, p):
+    """On A-forms with NaN, infinite and signed-zero entries, the defect
+    is `core._gap` of the moved A-form and its target: the check passes
+    at a tolerance equal to it and raises, naming it, one step below.  A
+    NaN defect passes any tolerance, as NaN > tol is false; the residual
+    check fails it later."""
+    from pairbundles.core import _gap, _group4, _star_congruence4
+
+    monkeypatch.setitem(classify_module._STAGE2, ALabel.IDENTITY,
+                        lambda b, amb: (BShape.ZERO, {}, c, p))
+    reduce3 = classify_module._stabilizer_reduce3
+    rng = np.random.default_rng(11)
+    b = (1.0, 0.0, 1.0)
+    for _ in range(300):
+        a0 = tuple(_ENTRIES[k] for k in rng.integers(len(_ENTRIES), size=4))
+        want = _gap(_star_congruence4(*_group4(c, p), a0), a0)
+        if want != want:
+            reduce3(ALabel.IDENTITY, {}, a0, -math.inf, b, [])
+            continue
+        reduce3(ALabel.IDENTITY, {}, a0, want, b, [])
+        with pytest.raises(ClassificationFailureError) as info:
+            reduce3(ALabel.IDENTITY, {}, a0, math.nextafter(want, -math.inf),
+                    b, [])
+        assert str(info.value) == (
+            f"stage-2 reducer leaves the stabilizer of {ALabel.IDENTITY} "
+            f"(defect {want:.3e})"), a0
+
+
+def _tail_cases():
+    """(a, b) pairs for a planted one_theta/diag_ad tail whose residual is
+    |b12|: the pair's largest modulus L = 1e3 in each of the six places
+    that are not b12, with b12 at 1e-5 L and one step above it; and
+    A-parts with NaN, infinite and signed-zero entries."""
+    L = 1e3
+    for k in (0, 1, 2, 3, 4, 6):
+        for b12 in (1e-5 * L, math.nextafter(1e-5 * L, math.inf)):
+            a = [0.5, -0.0, 0.25j, -1.0]
+            b = [2.0, b12, 3.0]
+            if k < 4:
+                a[k] = complex(0.6 * L, -0.8 * L)
+            else:
+                b[k - 4] = L
+            yield tuple(a), tuple(b)
+    rng = np.random.default_rng(12)
+    for _ in range(100):
+        a = tuple(_ENTRIES[k] for k in rng.integers(len(_ENTRIES), size=4))
+        yield a, (2.0, rng.choice([-0.0, 0.0, 1e-9]), 3.0)
+
+
+def test_tail_residual_and_scale_are_the_max_abs_bit_for_bit(monkeypatch):
+    """With stage 1 and stage 2 planted so that the residual is |b12| for
+    finite A, every outcome of the tail is the one of `core._gap` and
+    `core._max_abs`: the returned residual bit for bit, or the failure
+    that names it.  At b12 = 1e-5 L the check passes and one step above
+    it fails, so the scale is the pair's max-norm L wherever L sits."""
+    from pairbundles.core import (_gap, _max_abs, _star_congruence4,
+                                  _transpose_congruence3)
+
+    label = BundleLabel(ALabel.ONE_THETA, BShape.DIAG_AD)
+    monkeypatch.setitem(
+        classify_module._STAGE2, ALabel.ONE_THETA,
+        lambda b, amb: (BShape.DIAG_AD, {"a": b[0].real, "d": b[2].real},
+                        1 + 0j, _I4))
+    passed = failed = 0
+    for a, b in _tail_cases():
+        stage1 = (ALabel.ONE_THETA, {"theta": 1.0}, 1 + 0j, _I4, (), a, 1e-7)
+        rep_b = (b[0].real, 0.0, b[2].real)
+        want = _gap(_star_congruence4(1 + 0j, _I4, a)
+                    + _transpose_congruence3(_I4, *b), a + rep_b)
+        scale = max(1.0, _max_abs(a + b))
+        if want <= 1e-5 * scale:
+            got = classify_module._classify_rest(a, b, stage1)
+            assert got[0] == label and _bits(got[4]) == _bits(want), (a, b)
+            passed += 1
+            continue
+        with pytest.raises(ClassificationFailureError) as info:
+            classify_module._classify_rest(a, b, stage1)
+        assert str(info.value) == (f"classification of {label} failed "
+                                   f"verification (residual {want:.3e})")
+        failed += 1
+    assert passed >= 6 + 5 and failed >= 6 + 50
+
+
+@pytest.mark.parametrize("p, message", [
+    # c P* A P overflows to inf on the diagonal
+    ((1e200, 0j, 0j, 1e200),
+     "stage-2 reducer leaves the stabilizer of ALabel.IDENTITY (defect inf)"),
+    # P* P's off-diagonal is inf - inf: a NaN defect passes the stabilizer
+    # check, and the NaN residual fails the pair
+    ((1e200, 1e200, 1e200, -1e200),
+     "classification of identity/zero failed verification (residual nan)"),
+], ids=["inf", "nan"])
+def test_an_overflowing_stage2_reducer_fails_with_its_message(
+        monkeypatch, p, message):
+    monkeypatch.setitem(classify_module._STAGE2, ALabel.IDENTITY,
+                        lambda b, amb: (BShape.ZERO, {}, 1.0, p))
+    x = representative(BundleLabel(ALabel.IDENTITY, BShape.ZERO),
+                       GENERIC_PARAMS)
+    with pytest.raises(ClassificationFailureError) as info:
+        classify_pair(x)
+    assert str(info.value) == message

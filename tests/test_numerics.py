@@ -6,6 +6,7 @@ import json
 import math
 import pathlib
 import re
+import struct
 import time
 import unittest
 
@@ -20,6 +21,7 @@ from pairbundles.core import (
     ValidationError,
     _det4,
     _entries4,
+    _singular_values,
     apply_action,
     dumps,
     max_norm,
@@ -1353,9 +1355,9 @@ def test_sample_group_element_gives_up_after_its_draw_cap():
         def uniform(self, *args):
             return self.rng.uniform(*args)
 
-        def standard_normal(self, *args):
-            self.normals += 1
-            return self.rng.standard_normal(*args)
+        def standard_normal(self, size):
+            self.normals += int(np.prod(size))
+            return self.rng.standard_normal(size)
 
     rng = Counted()
     start = time.perf_counter()
@@ -1363,7 +1365,7 @@ def test_sample_group_element_gives_up_after_its_draw_cap():
                        match=r"cond_max=1\.0 and spread=1\.0$"):
         sample_group_element(rng, cond_max=1.0)
     assert time.perf_counter() - start < 1.0
-    assert rng.normals == 2 * numerics._MAX_DRAWS
+    assert rng.normals == 8 * numerics._MAX_DRAWS
 
 
 def _sample_by_numpy_cond(rng, cond_max, spread):
@@ -1398,6 +1400,45 @@ def test_sample_group_element_at_the_edges_of_its_domain():
     c, P = sample_group_element(np.random.default_rng(0), cond_max=math.inf)
     want = sample_group_element(np.random.default_rng(0), cond_max=1e300)
     assert (c, P.tolist()) == (want[0], want[1].tolist())
+
+
+def _draw_by_numpy_arrays(rng, cond_max, spread):
+    """The draw as a numpy array expression, kept by `core`'s closed-form
+    singular values: the sampler before it drew on scalars."""
+    phi = rng.uniform(0.0, 2 * math.pi)
+    while True:
+        P = (np.eye(2)
+             + spread * (rng.standard_normal((2, 2))
+                         + 1j * rng.standard_normal((2, 2))) / math.sqrt(2))
+        p = _entries4(P)
+        s0, s1 = _singular_values(p)
+        if abs(_det4(p)) > 1e-9 and s0 <= cond_max * s1:
+            return cmath.exp(1j * phi), P
+
+
+@pytest.mark.parametrize("cond_max", [10, 1e3])
+@pytest.mark.parametrize("spread", [0.7, 1.0, 3.0])
+def test_scalar_group_draw_is_numpys_array_arithmetic_bit_for_bit(
+        spread, cond_max):
+    """`_group_draw` forms each entry on Python scalars; every entry, the
+    sign of a zero included, is the bit of numpy's array expression, so the
+    same draws are kept, and `sample_group_element` returns the same
+    complex128 array."""
+    def bits(values):
+        return struct.pack(f"<{2 * len(values)}d", *(
+            w for z in values for w in (z.real, z.imag)))
+
+    for seed in range(500):
+        want_c, want_P = _draw_by_numpy_arrays(
+            np.random.default_rng([seed, 9]), cond_max, spread)
+        c, p = numerics._group_draw(np.random.default_rng([seed, 9]),
+                                    cond_max, spread)
+        assert all(type(z) is complex for z in p)
+        assert c == want_c and bits(p) == want_P.tobytes(), seed
+        c, P = sample_group_element(np.random.default_rng([seed, 9]),
+                                    cond_max=cond_max, spread=spread)
+        assert (P.dtype, P.shape) == (want_P.dtype, want_P.shape)
+        assert c == want_c and P.tobytes() == want_P.tobytes(), seed
 
 
 def _edge_params(cell):

@@ -340,3 +340,58 @@ def test_witness_reports_cover_the_catalogue():
     assert all(len(r["residuals"]) == len(default_grid())
                for _, r in reports)
     assert [r["status"] for _, r in reports].count("repaired") == 2
+
+
+VERIFY = {"case": "verify mc-jordan_i/zero seed=0",
+          "verify": {"pass": True, "margin": -0.0, "failures": 2,
+                     "ambiguous": 31}}
+
+
+@pytest.mark.parametrize("edit, lines", [
+    (lambda v: None, []),
+    (lambda v: v.update(margin=-1.0, failures=3),
+     ["margin -0.0 -> -1.0", "failures 2 -> 3"]),
+    # the sign of a zero counts, and no tolerance applies
+    (lambda v: v.update(margin=0.0), ["margin -0.0 -> 0.0"]),
+    (lambda v: v.update(margin=math.nextafter(-0.0, 1.0)),
+     ["margin -0.0 -> 5e-324"]),
+    (lambda v: v.update({"pass": False}), ["pass True -> False"]),
+    (lambda v: v.update(margin=None, margin_reason="no residuals"),
+     ["margin -0.0 -> None", "margin_reason None -> 'no residuals'"]),
+    (lambda v: v.pop("ambiguous"), ["ambiguous 31 -> None"]),
+], ids=["same", "margin-and-failures", "zero-sign", "last-bit", "pass",
+        "null-margin", "dropped-field"])
+def test_changed_verify_check_is_reported_by_its_id(edit, lines):
+    head = copy.deepcopy(VERIFY)
+    edit(head["verify"])
+    assert list(outcome_corpus.differences([VERIFY], [head])) == [
+        f"{VERIFY['case']}: {line}" for line in lines]
+
+
+def test_verify_checks_are_the_cli_output_keyed_by_id(monkeypatch):
+    """One `verify all --trials 200` run per seed; each printed check
+    becomes one record keyed by its id and seed, with every other field."""
+    from pairbundles import cli
+
+    argvs = []
+
+    def fake_main(argv):
+        argvs.append(argv)
+        seed = int(argv[argv.index("--seed") + 1])
+        print(json.dumps({"seed": seed, "checks": [
+            {"id": "dim-zero/zero", "pass": True, "margin": -0.0},
+            {"id": "mc-zero/zero", "pass": seed == 0, "margin": -1.0 * seed,
+             "failures": 0, "ambiguous": 1}]}))
+        return 0
+
+    monkeypatch.setattr(cli, "main", fake_main)
+    records = list(outcome_corpus.verify_checks())
+    assert argvs == [["verify", "all", "--seed", str(seed), "--trials", "200"]
+                     for seed in outcome_corpus.VERIFY_SEEDS]
+    assert outcome_corpus.VERIFY_SEEDS == (0, 1)
+    assert [case for case, _ in records] == [
+        "verify dim-zero/zero seed=0", "verify mc-zero/zero seed=0",
+        "verify dim-zero/zero seed=1", "verify mc-zero/zero seed=1"]
+    assert json.dumps(records[0][1]) == '{"pass": true, "margin": -0.0}'
+    assert records[3][1] == {"pass": False, "margin": -1.0, "failures": 0,
+                             "ambiguous": 1}

@@ -60,16 +60,24 @@ Last come the verification engines' numbers:
 Their floats may differ by PARAM_RTOL (1 + |v|), since these engines may
 round differently; everything else in them (check ids, pass flags, skipped
 and redraw counts, hypothesis flags, which pairs match) must match exactly.
-In all, a dump holds 46,325 records: 46,000 calls, 107 Monte Carlo reports,
+
+Last of all come the 128 checks of `pairbundles verify all --seed S
+--trials 200` for S = 0-1, as the CLI prints them, keyed by check id.
+Every field of every check must match as text, the sign of a zero
+included, and `compare` names each changed field by its check id.  The
+checks have no timing field to leave out.
+
+In all, a dump holds 46,581 records: 46,000 calls, 107 Monte Carlo reports,
 21 distance results, 46 cells, 25 shapes, 46 closure records, 29 witness
-reports, 10 bound checks, 30 table-3 residual lists, 10 table-4 reports and
-1 nu fit.
+reports, 10 bound checks, 30 table-3 residual lists, 10 table-4 reports,
+1 nu fit and 256 `verify all` checks.
 
     PYTHONPATH=src python tools/outcome_corpus.py dump OUT.json
     python tools/outcome_corpus.py compare BASE.json HEAD.json
 
 `compare` exits 1 when any label, note list, error type, message, Monte
-Carlo report, distance result, catalogue fact or witness report differs,
+Carlo report, distance result, catalogue fact, witness report or `verify
+all` check field differs,
 or when a parameter or a float of the verification engines differs by
 more than 1e-8 (1 + |v|).  The calls' reducers and residuals do not fail
 the compare, since a reducer may differ by an element of the stabilizer;
@@ -80,6 +88,8 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
+import io
 import json
 import math
 import sys
@@ -114,6 +124,8 @@ FLOOR_JOBS = [(src, dst, 2, "max") for src, dst in (
 FLOOR_SEEDS = (0, 1, 2)
 BOUND_SEEDS = (0, 1)
 BOUND_TRIALS = 200
+VERIFY_SEEDS = (0, 1)
+VERIFY_TRIALS = 200
 TABLE3_ROWS = tuple(f"C{k}" for k in range(1, 13)) + ("C12a", "C12b")
 TABLE3_S = 0.1
 # the shapes of tests/test_numerics.py's TestTable4.ROWS, a congruence P
@@ -319,6 +331,21 @@ def nu_fit_results():
     yield f"nu_fit C4 {fam.name}", nu_fit(fam, "C4").to_json()
 
 
+def verify_checks():
+    """Yield (case id, check fields) of every check that `pairbundles
+    verify all` prints for each seed."""
+    from pairbundles.cli import main
+
+    for seed in VERIFY_SEEDS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            main(["verify", "all", "--seed", str(seed),
+                  "--trials", str(VERIFY_TRIALS)])
+        for check in json.loads(out.getvalue())["checks"]:
+            fields = {k: v for k, v in check.items() if k != "id"}
+            yield f"verify {check['id']} seed={seed}", fields
+
+
 def dump(out_path: str) -> int:
     import pairbundles
     from pairbundles.classify import (AmbiguityError,
@@ -350,6 +377,8 @@ def dump(out_path: str) -> int:
                      nu_fit_results):
         for case, values in results():
             records.append({"case": case, "values": values})
+    for case, fields in verify_checks():
+        records.append({"case": case, "verify": fields})
     with open(out_path, "w") as fh:
         json.dump(records, fh, indent=0)
     print(f"{len(records)} records of {pairbundles.__file__} -> {out_path}",
@@ -394,6 +423,12 @@ def differences(base: list, head: list):
             d0, d1 = r0.get(key), r1.get(key)
             if json.dumps(d0) != json.dumps(d1):
                 yield f"{case}: {key} {d0!r} -> {d1!r}"
+        # one line per changed field of a `verify all` check, as text
+        c0, c1 = r0.get("verify") or {}, r1.get("verify") or {}
+        for name in [*c0, *(k for k in c1 if k not in c0)]:
+            f0, f1 = c0.get(name), c1.get(name)
+            if json.dumps(f0) != json.dumps(f1):
+                yield f"{case}: {name} {f0!r} -> {f1!r}"
         v0, v1 = r0.get("values"), r1.get("values")
         if not _close_values(v0, v1):
             yield f"{case}: values {v0!r} -> {v1!r}"
