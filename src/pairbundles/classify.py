@@ -503,10 +503,7 @@ def _stabilizer_reduce3(a_label, a_params, a0, a_tol, b, amb):
     with (c, P) checked as a group element and as a member of the
     stabilizer of A0: c P* A0 P must be A_target."""
     shape, params, c, p = _STAGE2[a_label](b, amb)
-    try:
-        c, p = _group4(c, p)
-    except ValidationError as exc:  # `_own_check`, inlined on the hot path
-        raise ClassificationFailureError(str(exc)) from exc
+    c, p = _own_check(_group4, c, p)
     # stabilizer membership / A-transport check
     A_target = (_representative_A_entries(a_label, a_params, True)
                 if shape in _SWAP_SHAPES else a0)
@@ -992,10 +989,7 @@ def _classify_rest(a, b, stage1):
     if canon:
         params.update(_canonical_updates(label, params))
     # the reducer P1 P2, checked as a group element
-    try:
-        c, p = _group4(c1 * c2, _mul4(p1, p2))
-    except ValidationError as exc:  # `_own_check`, inlined on the hot path
-        raise ClassificationFailureError(str(exc)) from exc
+    c, p = _own_check(_group4, c1 * c2, _mul4(p1, p2))
     if _param_violations(label, params, fields):
         raise ClassificationFailureError(f"incomplete parameters for {label}")
     # residual: max-norm distance of the moved pair to the representative,
