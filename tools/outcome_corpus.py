@@ -77,12 +77,12 @@ reports, 10 bound checks, 30 table-3 residual lists, 10 table-4 reports,
 
 `compare` exits 1 when any label, note list, error type, message, Monte
 Carlo report, distance result, catalogue fact, witness report or `verify
-all` check field differs,
-or when a parameter or a float of the verification engines differs by
-more than 1e-8 (1 + |v|).  The calls' reducers and residuals do not fail
-the compare, since a reducer may differ by an element of the stabilizer;
-`compare` prints how many calls differ in them bit for bit, so that a
-change meant to keep every output shows that it did.
+all` check field differs, or when a parameter or a float of the
+verification engines differs by more than 1e-8 (1 + |v|).  The calls'
+reducers and residuals do not fail the compare, since a reducer may differ
+by an element of the stabilizer; `compare` prints how many calls differ in
+them bit for bit, so that a change meant to keep every output shows that
+it did.
 """
 from __future__ import annotations
 
