@@ -210,9 +210,14 @@ def cmd_closure(args) -> int:
     if which == "psi":
         text = g.to_json() if fmt == "json" else g.to_dot()
     elif which == "psi1":
-        text = _export_psi1(fmt)
+        text = _export(
+            "psi1", [{"label": a.value, "dim": _a_dim(a)} for a in ALabel],
+            sorted((s.value, d.value) for s, d in PSI1_GRAPH.edges), fmt)
     else:
-        text = _export_psi2(fmt)
+        text = _export(
+            "psi2", [{"label": b.value, "rank": b.rank}
+                     for b in PSI2_GRAPH.nodes],
+            [(s.value, d.value) for s, d in PSI2_GRAPH.edges], fmt)
     _write(text, args)
     return EXIT_OK
 
@@ -221,34 +226,21 @@ def _a_dim(a: ALabel) -> int:
     return table_dimension(BundleLabel(a, BShape.ZERO))
 
 
-def _export_psi1(fmt: str) -> str:
-    edges = sorted((s.value, d.value) for s, d in PSI1_GRAPH.edges)
+def _export(name: str, nodes: list, edges: list, fmt: str) -> str:
+    """A graph as JSON (nodes as dicts with a "label", edges as (src, dst)
+    label pairs) or as a DOT digraph, in which a node's "dim" joins its
+    label."""
     if fmt == "json":
         return json.dumps({
-            "nodes": [{"label": a.value, "dim": _a_dim(a)} for a in ALabel],
+            "nodes": nodes,
             "edges": [{"src": s, "dst": d} for s, d in edges],
         }, indent=2) + "\n"
-    lines = ["digraph psi1 {"]
-    for a in ALabel:
-        lines.append(f'  "{a.value}" [label="{a.value} (dim {_a_dim(a)})"];')
-    for s, d in edges:
-        lines.append(f'  "{s}" -> "{d}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def _export_psi2(fmt: str) -> str:
-    nodes, edges = PSI2_GRAPH.nodes, PSI2_GRAPH.edges
-    if fmt == "json":
-        return json.dumps({
-            "nodes": [{"label": b.value, "rank": b.rank} for b in nodes],
-            "edges": [{"src": s.value, "dst": d.value} for s, d in edges],
-        }, indent=2) + "\n"
-    lines = ["digraph psi2 {"]
-    for b in nodes:
-        lines.append(f'  "{b.value}";')
-    for s, d in edges:
-        lines.append(f'  "{s.value}" -> "{d.value}";')
+    lines = [f"digraph {name} {{"]
+    for n in nodes:
+        label = n["label"]
+        dim = f' [label="{label} (dim {n["dim"]})"]' if "dim" in n else ""
+        lines.append(f'  "{label}"{dim};')
+    lines += [f'  "{s}" -> "{d}";' for s, d in edges]
     lines.append("}")
     return "\n".join(lines) + "\n"
 

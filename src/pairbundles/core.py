@@ -285,7 +285,7 @@ def _group4(c, p) -> tuple:
     with `GroupElement`'s checks: |c| = 1 within UNIT_CIRCLE_TOL, P finite
     and |det P| > MIN_ABS_DET."""
     c = complex(c)
-    if abs(abs(c) - 1.0) > UNIT_CIRCLE_TOL:
+    if not abs(abs(c) - 1.0) <= UNIT_CIRCLE_TOL:
         raise ValidationError(f"|c| must be 1 (got |c| = {abs(c)!r})")
     p = _finite4(p)
     if abs(_det4(p)) <= MIN_ABS_DET:

@@ -10,7 +10,9 @@ Four groups of tools:
   square-root bound, `_sqrt_bound`),
 * residual evaluation for the tabulated necessary conditions attached to
   closure-graph edges (rows C1..C12 for the first component, D1..D5 for
-  the second),
+  the second); a row's first-component types are A-forms read from the
+  normal-form records, and a matrix matches a form when each of its
+  entries lies within _MATCH_TOL of the form's,
 * a derivative-free distance-to-bundle optimizer and a Monte Carlo
   neighborhood validator for the closure graph.
 
@@ -466,81 +468,48 @@ def sample_lemadet_case(mode: str, rng) -> tuple[BoundReport, int]:
 # ---------------------------------------------------------------------------
 # tabulated necessary conditions, first component (rows C1..C12)
 
-def _close(z, w, tol=_MATCH_TOL) -> bool:
-    return abs(complex(z) - complex(w)) <= tol
+def _close(z, w) -> bool:
+    return abs(complex(z) - complex(w)) <= _MATCH_TOL
 
 
-def _allclose4(m, t) -> bool:
-    """Whether every entry of the 4-tuple m lies within _MATCH_TOL + 1e-5
-    |t_k| of the entry t_k of t (numpy's allclose rule with atol =
-    _MATCH_TOL and rtol = 1e-5, not symmetric in m and t; a NaN entry is
-    never close): an entry of t equal to 1 accepts an m entry off by about
-    1e-5, far more than _MATCH_TOL."""
-    return all(abs(x - y) <= _MATCH_TOL + 1e-5 * abs(y) for x, y in zip(m, t))
+# the A-forms that the rows name, read from the normal-form records
+_ZERO = _representative_A_entries(ALabel.ZERO, {})
+_ONE_ZERO = _representative_A_entries(ALabel.ONE_ZERO, {})
+_IDENTITY = _representative_A_entries(ALabel.IDENTITY, {})
+_ONE_PLUS_MINUS = _representative_A_entries(ALabel.ONE_PLUS_MINUS, {})
+_JORDAN_I = _representative_A_entries(ALabel.JORDAN_I, {})
+_SWAP = _representative_A_entries(ALabel.ONE_PLUS_MINUS, {}, swap_rep=True)
+# the types that several rows share: alpha (+) 0 with alpha in {0, 1},
+# [[0,1],[1,omega]] with omega in {0, i}, and diag(1, sigma) with sigma = +-1
+_ALPHA_0 = (_ZERO, _ONE_ZERO)
+_SWAP_OMEGA = (_SWAP, _JORDAN_I)
+_DIAG_SIGN = (_IDENTITY, _ONE_PLUS_MINUS)
 
 
-def _free_entry(M, free, fixed):
-    """M[free] when M's other three entries, in order, are close to
-    ``fixed``, else None."""
-    rest = [z for j, z in enumerate(M) if j != free]
-    if all(_close(z, w) for z, w in zip(rest, fixed)):
-        return complex(M[free])
-    return None
-
-
-def _pick(z, values):
-    """The first of ``values`` close to z; None if there is none or z is
-    None."""
-    if z is None:
-        return None
-    return next((w for w in values if _close(z, w)), None)
-
-
-def _match_alpha_diag0(M):
-    """alpha (+) 0 with alpha in {0, 1}, else None."""
-    return _pick(_free_entry(M, 0, (0, 0, 0)), (0.0, 1.0))
+def _match(M, forms):
+    """The first of ``forms`` (row-major entry tuples) that M matches, each
+    entry within _MATCH_TOL of the form's; None if there is none."""
+    return next((f for f in forms
+                 if all(_close(z, w) for z, w in zip(M, f))), None)
 
 
 def _match_one_theta(M, closed=False):
-    """diag(1, e^{i theta}) with theta in (0, pi), or in [0, pi] if
-    ``closed``, else None."""
-    z = _free_entry(M, 3, (1, 0, 0))
-    if z is None or abs(abs(z) - 1.0) > _MATCH_TOL:
-        return None
-    th = cmath.phase(z)
+    """theta when M is diag(1, e^{i theta}) with theta in (0, pi), or in
+    [0, pi] if ``closed``, else None."""
+    th = cmath.phase(M[3])
     pad = 0.0 if closed else _MATCH_TOL
-    return th if pad <= th <= math.pi - pad else None
-
-
-def _match_swap_omega(M, allowed=(0.0, 1j)):
-    """[[0,1],[1,omega]] with omega in ``allowed``, else None."""
-    return _pick(_free_entry(M, 3, (0, 1, 1)), allowed)
+    form = _representative_A_entries(ALabel.ONE_THETA, {"theta": th})
+    return th if pad <= th <= math.pi - pad and _match(M, (form,)) else None
 
 
 def _match_tau(M, lo_open=False):
-    """[[0,1],[tau,0]] with 0 <= tau < 1 (strictly positive if asked)."""
-    t = _free_entry(M, 2, (0, 1, 0))
-    if t is None or abs(t.imag) > _MATCH_TOL:
-        return None
-    tau = t.real
+    """tau when M is [[0,1],[tau,0]] with 0 <= tau < 1 (strictly positive
+    if asked), else None."""
+    tau = M[2].real
     low = tau > _MATCH_TOL if lo_open else tau >= -_MATCH_TOL
-    return max(tau, 0.0) if low and tau < 1.0 - _MATCH_TOL else None
-
-
-def _match_sym_discrete(M, combos):
-    """[[alpha,beta],[beta,omega]] against a list of (alpha, beta, omega)."""
-    if not _close(M[1], M[2]):
-        return None
-    for alpha, beta, omega in combos:
-        if (_close(M[0], alpha) and _close(M[1], beta)
-                and _close(M[3], omega)):
-            return (alpha, beta, omega)
-    return None
-
-
-def _match_diag_sign(M):
-    """diag(1, sigma), sigma in {1,-1}, else None."""
-    return _pick(_free_entry(M, 3, (1, 0, 0)), (1.0, -1.0))
+    form = _representative_A_entries(ALabel.TAU_FORM, {"tau": tau})
+    fits = low and tau < 1.0 - _MATCH_TOL and _match(M, (form,))
+    return max(tau, 0.0) if fits else None
 
 
 def _fit(row, types, *matches):
@@ -557,7 +526,7 @@ def table3_residuals(row: str, A_tilde, A, c, P) -> list:
     (only its parity matters)."""
     At, Am, p = _entries4(A_tilde), _entries4(A), _entries4(P)
     c = complex(c)
-    if abs(abs(c) - 1.0) > 1e-9:
+    if not abs(abs(c) - 1.0) <= 1e-9:
         raise ValidationError("c must be unimodular")
     x, y, u, v = p
     xc, yc, uc, vc = x.conjugate(), y.conjugate(), u.conjugate(), v.conjugate()
@@ -568,14 +537,14 @@ def table3_residuals(row: str, A_tilde, A, c, P) -> list:
         return min(cands, key=max)
 
     if row == "C1":
-        alpha, _ = _fit(row, "(alpha(+)0, I2)", _match_alpha_diag0(At),
-                        _allclose4(Am, (1.0, 0.0, 0.0, 1.0)))
+        (alpha, *_), _ = _fit(row, "(alpha(+)0, I2)", _match(At, _ALPHA_0),
+                              _match(Am, (_IDENTITY,)))
         return [abs(abs(x) ** 2 + abs(u) ** 2 - alpha / c),
                 abs(y * y), abs(v * v)]
 
     if row == "C2":
-        alpha, th = _fit(row, "(alpha(+)0, diag(1,e^{i theta}))",
-                         _match_alpha_diag0(At), _match_one_theta(Am))
+        (alpha, *_), th = _fit(row, "(alpha(+)0, diag(1,e^{i theta}))",
+                               _match(At, _ALPHA_0), _match_one_theta(Am))
         e = cmath.exp(1j * th)
         return [abs(abs(x) ** 2 + e * abs(u) ** 2 - alpha / c),
                 abs(abs(y) ** 2 + e * abs(v) ** 2),
@@ -583,8 +552,8 @@ def table3_residuals(row: str, A_tilde, A, c, P) -> list:
                 abs(xc * y + math.cos(th) * uc * v)]
 
     if row == "C3":
-        om, th = _fit(row, "([[0,1],[1,omega]], diag(1,e^{i theta}))",
-                      _match_swap_omega(At), _match_one_theta(Am))
+        (*_, om), th = _fit(row, "([[0,1],[1,omega]], diag(1,e^{i theta}))",
+                            _match(At, _SWAP_OMEGA), _match_one_theta(Am))
         s = math.sin(th)
 
         def exprs(sign):
@@ -599,16 +568,17 @@ def table3_residuals(row: str, A_tilde, A, c, P) -> list:
         return [abs(e) for e in vals]
 
     if row == "C4":
-        alpha, tau = _fit(row, "(alpha(+)0, [[0,1],[tau,0]])",
-                          _match_alpha_diag0(At), _match_tau(Am))
+        (alpha, *_), tau = _fit(row, "(alpha(+)0, [[0,1],[tau,0]])",
+                                _match(At, _ALPHA_0), _match_tau(Am))
         return [abs((yc * v).real), abs((1 - tau) * (yc * v).imag),
                 abs(xc * v), abs(uc * y),
                 abs((1 + tau) * (xc * u).real
                     + 1j * (1 - tau) * (xc * u).imag - alpha / c)]
 
     if row == "C5":
-        om, tau = _fit(row, "([[0,1],[1,omega]], [[0,1],[tau,0]])",
-                       _match_swap_omega(At), _match_tau(Am, lo_open=True))
+        (*_, om), tau = _fit(row, "([[0,1],[1,omega]], [[0,1],[tau,0]])",
+                             _match(At, _SWAP_OMEGA),
+                             _match_tau(Am, lo_open=True))
 
         def exprs(sign):
             return [(xc * u).real, (1 - tau) * (xc * u).imag,
@@ -619,14 +589,9 @@ def table3_residuals(row: str, A_tilde, A, c, P) -> list:
         return best_over_k(exprs)
 
     if row == "C6":
-        combos = [(0.0, 1.0, 0.0)]
-        for alpha in (0.0, 1.0):
-            for omega in {0.0, alpha, -alpha}:
-                combos.append((alpha, 0.0, omega))
-        (alpha, beta, omega), _ = _fit(
+        (alpha, beta, _, omega), _ = _fit(
             row, "([[alpha,beta],[beta,omega]], [[0,1],[1,0]])",
-            _match_sym_discrete(At, combos),
-            _match_swap_omega(Am, allowed=(0.0,)))
+            _match(At, (_SWAP, *_ALPHA_0, *_DIAG_SIGN)), _match(Am, (_SWAP,)))
 
         def exprs(sign):
             return [2 * (yc * v).real - sign * omega,
@@ -636,9 +601,8 @@ def table3_residuals(row: str, A_tilde, A, c, P) -> list:
         return best_over_k(exprs)
 
     if row == "C7":
-        alpha, _ = _fit(row, "(alpha(+)0, [[0,1],[1,i]])",
-                        _match_alpha_diag0(At),
-                        _match_swap_omega(Am, allowed=(1j,)))
+        (alpha, *_), _ = _fit(row, "(alpha(+)0, [[0,1],[1,i]])",
+                              _match(At, _ALPHA_0), _match(Am, (_JORDAN_I,)))
         return [abs(xc * v + uc * y), abs(uc * v), abs((yc * u).real),
                 abs(v * v),
                 abs(2 * (xc * u).real + 1j * abs(u) ** 2 - alpha / c)]
@@ -650,12 +614,10 @@ def table3_residuals(row: str, A_tilde, A, c, P) -> list:
                 abs(abs(v) ** 2 - 1)]
 
     if row == "C9":
-        combos = [(0.0, 1.0, 0.0), (0.0, 1.0, 1j),
-                  (0.0, 0.0, 0.0), (1.0, 0.0, -1.0)]
-        (alpha, beta, omega), _ = _fit(
+        (alpha, beta, _, omega), _ = _fit(
             row, "([[alpha,beta],[beta,omega]], [[0,1],[1,i]])",
-            _match_sym_discrete(At, combos),
-            _match_swap_omega(Am, allowed=(1j,)))
+            _match(At, (*_SWAP_OMEGA, _ZERO, _ONE_PLUS_MINUS)),
+            _match(Am, (_JORDAN_I,)))
         omega = complex(omega)
 
         def exprs(sign):
@@ -676,14 +638,16 @@ def table3_residuals(row: str, A_tilde, A, c, P) -> list:
         return out
 
     if row == "C11":
-        sigma = _fit(row, "second component diag(1,sigma)",
-                     _match_diag_sign(Am))[0]
-        combos = [(1.0, 0.0, sigma), (1.0, 0.0, 0.0), (0.0, 0.0, 0.0)]
-        alpha, _, omega = _fit(row, "first argument diag(alpha,omega)",
-                               _match_sym_discrete(At, combos))[0]
+        diag_sigma = _fit(row, "second component diag(1,sigma)",
+                          _match(Am, _DIAG_SIGN))[0]
+        sigma = diag_sigma[3]
+        alpha, _, _, omega = _fit(
+            row, "first argument diag(alpha,omega)",
+            _match(At, (diag_sigma, _ONE_ZERO, _ZERO)))[0]
+        # the (2,2) entry of c P* diag(1, sigma) P = diag(alpha, omega)
         out = [abs(abs(x) ** 2 + sigma * abs(u) ** 2 - alpha / c),
                abs(xc * y + sigma * uc * v),
-               abs(abs(y) ** 2 + sigma * abs(v) ** 2 - sigma * omega / c)]
+               abs(abs(y) ** 2 + sigma * abs(v) ** 2 - omega / c)]
         if alpha == 1.0 and omega == sigma:
             if sigma == 1.0:
                 out.append(abs(c - 1.0))
@@ -693,8 +657,7 @@ def table3_residuals(row: str, A_tilde, A, c, P) -> list:
 
     if row == "C12":
         _fit(row, "([[0,1],[1,0]], diag(1,-1))",
-             _match_sym_discrete(At, [(0.0, 1.0, 0.0)]),
-             _match_diag_sign(Am) == -1.0)
+             _match(At, (_SWAP,)), _match(Am, (_ONE_PLUS_MINUS,)))
 
         def exprs(sign):
             return [xc * y - uc * v - sign,
@@ -705,9 +668,9 @@ def table3_residuals(row: str, A_tilde, A, c, P) -> list:
     # two further printed rows fall outside the C1..C12 indexing; they are
     # kept available under suffixed names (see the provenance notes)
     if row == "C12a":
-        sigma_t, _ = _fit(row, "(diag(1,sigma), diag(1,e^{i theta}))",
-                          _match_diag_sign(At),
-                          _match_one_theta(Am, closed=True))
+        (*_, sigma_t), _ = _fit(row, "(diag(1,sigma), diag(1,e^{i theta}))",
+                                _match(At, _DIAG_SIGN),
+                                _match_one_theta(Am, closed=True))
         ks = (0,) if sigma_t == 1.0 else (0, 1)
 
         # c P* A P = A~ with c = sign: the (2,2) entry gives
@@ -724,8 +687,8 @@ def table3_residuals(row: str, A_tilde, A, c, P) -> list:
         return best_over_k(exprs, ks=ks)
 
     if row == "C12b":
-        alpha, _ = _fit(row, "(alpha(+)0, diag(1,0))", _match_alpha_diag0(At),
-                        _allclose4(Am, (1.0, 0.0, 0.0, 0.0)))
+        (alpha, *_), _ = _fit(row, "(alpha(+)0, diag(1,0))",
+                              _match(At, _ALPHA_0), _match(Am, (_ONE_ZERO,)))
         out = [abs(y * y), abs(abs(x) ** 2 - alpha)]
         if alpha == 1.0:
             if _gap(_star_congruence4(c, p, Am), At) <= 0.5:

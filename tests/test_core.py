@@ -150,12 +150,24 @@ class TestGroupCheck:
         (1.0, [[1, 2], [2, 4]], "^P must be invertible$"),
         (1.0, [[1, 0], [0, math.nan]], "^matrix entries must be finite$"),
         (1j, [[1, math.inf], [0, 1]], "^matrix entries must be finite$"),
-    ], ids=["unit-circle", "singular", "nan", "inf"])
+        # |c| - 1 is NaN, which no comparison with the tolerance passes
+        (math.nan, [[1, 0], [0, 1]], r"^\|c\| must be 1 \(got \|c\| = nan\)$"),
+        (complex(1.0, math.nan), [[1, 0], [0, 1]],
+         r"^\|c\| must be 1 \(got \|c\| = nan\)$"),
+    ], ids=["unit-circle", "singular", "nan", "inf", "nan-c", "nan-imag-c"])
     def test_same_message(self, c, P, message):
         with pytest.raises(ValidationError, match=message):
             GroupElement(c, P)
         with pytest.raises(ValidationError, match=message):
             _group4(c, [z for row in P for z in row])
+
+    @pytest.mark.parametrize("c", ["NaN", "[1.0, NaN]"])
+    def test_from_json_refuses_a_nan_c(self, c):
+        """Python's json reads NaN, and a NaN c fails the check as it fails
+        every comparison; accepted, it would fail `dumps` later."""
+        doc = json.loads(f'{{"c": {c}, "P": [[1, 0], [0, 1]]}}')
+        with pytest.raises(ValidationError, match=r"^\|c\| must be 1 "):
+            GroupElement.from_json(doc)
 
     def test_returns_python_complex(self):
         c, p = _group4(-1, (1.0, 0, 0, 2))

@@ -35,6 +35,7 @@ from pairbundles.normal_forms import (
     label_from_string as L,
     param_fields,
     representative,
+    representative_A,
     table_dimension,
     validate_params,
 )
@@ -418,20 +419,72 @@ def test_mismatch_message(engine, row, first, second, msg):
     ("C1", [[1.0, 0.0], [0.0, 1.0]]),
     ("C12b", [[1.0, 0.0], [0.0, 0.0]]),
 ])
-def test_identity_matchers_keep_numpys_default_rtol(row, A):
-    """C1 and C12b test "A is I2" and "A is diag(1, 0)" as np.allclose does
-    with atol=1e-9 and numpy's default rtol=1e-5: a diagonal 1 may be off
-    by about 1e-5, a zero by 1e-9 only."""
+def test_identity_matchers_use_the_one_matching_rule(row, A):
+    """C1 and C12b test "A is I2" and "A is diag(1, 0)" by the rule of every
+    row: each entry within 1e-9 of the form's, a diagonal 1 as a zero."""
     def residuals(j, k, delta):
         M = np.array(A, dtype=complex)
         M[j, k] += delta
         return table3_residuals(row, np.diag([1.0, 0.0]), M, 1.0, np.eye(2))
 
-    assert residuals(0, 0, 9e-6)
+    assert residuals(0, 0, 9e-10)
     assert residuals(0, 1, 9e-10)
-    for j, k, delta in ((0, 0, 1.1e-5), (0, 1, 2e-9), (1, 0, 2e-9j)):
-        with pytest.raises(ValueError, match=f"row {row}"):
+    for j, k, delta in ((0, 0, 9e-6), (0, 1, 2e-9), (1, 0, 2e-9j)):
+        with pytest.raises(ValueError, match=f"^row {row}: .* does not match"):
             residuals(j, k, delta)
+
+
+@pytest.mark.parametrize("name, label, swap_rep", [
+    ("_ZERO", ALabel.ZERO, False),
+    ("_ONE_ZERO", ALabel.ONE_ZERO, False),
+    ("_IDENTITY", ALabel.IDENTITY, False),
+    ("_ONE_PLUS_MINUS", ALabel.ONE_PLUS_MINUS, False),
+    ("_JORDAN_I", ALabel.JORDAN_I, False),
+    ("_SWAP", ALabel.ONE_PLUS_MINUS, True),
+])
+def test_table3_forms_are_the_representatives(name, label, swap_rep):
+    form = getattr(numerics, name)
+    assert form == representative_A(label, swap_rep=swap_rep).entries
+
+
+def test_symmetric_rows_match_each_entry():
+    """C6, C9, C11 and C12 match their first argument entry by entry, as
+    every row does, not by "symmetric, and its upper triangle matches": an
+    off-diagonal pair 1 +- 8e-10 is within 1e-9 of the form's 1s, and a
+    pair 1 + 8e-10, 1 + 1.5e-9 is not, though the two differ by less."""
+    Am, P = np.diag([1.0, -1.0]), np.eye(2)
+    At = [[0, 1 + 8e-10], [1 - 8e-10, 0]]
+    assert table3_residuals("C12", At, Am, 1.0, P) == [1.0, 1.0, 1.0]
+    with pytest.raises(ValueError, match="^row C12: "):
+        table3_residuals("C12", [[0, 1 + 8e-10], [1 + 1.5e-9, 0]], Am, 1.0, P)
+
+
+def test_c3_at_omega_zero():
+    """C3 at omega = 0, A~ = [[0,1],[1,0]], which no family reaches."""
+    res = table3_residuals("C3", _SWAP, np.diag([1.0, cmath.exp(1j)]),
+                           1.0, np.eye(2))
+    assert res == [1.0, 1.0, 1.0, math.sin(1.0)]
+
+
+@pytest.mark.parametrize("A, c, P, residuals", [
+    ([[1, 0], [0, -1]], 1.0, [[1, 0], [0, 1]], [0.0, 0.0, 0.0, 0.0]),
+    ([[1, 0], [0, -1]], -1.0, [[0, 1], [1, 0]], [0.0, 0.0, 0.0, 0.0]),
+    ([[1, 0], [0, 1]], 1.0, [[1, 0], [0, 1]], [0.0, 0.0, 0.0, 0.0]),
+    ([[1, 0], [0, 1]], 1.0, [[0, 1], [1, 0]], [0.0, 0.0, 0.0, 0.0]),
+    # x = y = v = 1, u = 0: x~ y + u~ v = 1 and |y|^2 + |v|^2 - 1 = 1
+    ([[1, 0], [0, 1]], 1.0, [[1, 1], [0, 1]], [0.0, 1.0, 1.0, 0.0]),
+])
+def test_c11_at_alpha_one_and_omega_sigma(A, c, P, residuals):
+    """A~ = A = diag(1, sigma): the (2,2) entry of c P* A P = A~ gives
+    |y|^2 + sigma |v|^2 = omega / c, so every exact self-move has zero
+    residuals, for sigma = -1 as for sigma = 1."""
+    assert table3_residuals("C11", A, A, c, P) == residuals
+
+
+@pytest.mark.parametrize("c", [math.nan, complex(1.0, math.nan), 2.0])
+def test_table3_refuses_a_c_off_the_unit_circle(c):
+    with pytest.raises(ValidationError, match="^c must be unimodular$"):
+        table3_residuals("C1", np.diag([1.0, 0.0]), np.eye(2), c, np.eye(2))
 
 
 def test_engines_take_value_types_arrays_and_lists():

@@ -395,3 +395,34 @@ def test_verify_checks_are_the_cli_output_keyed_by_id(monkeypatch):
     assert json.dumps(records[0][1]) == '{"pass": true, "margin": -0.0}'
     assert records[3][1] == {"pass": False, "margin": -1.0, "failures": 0,
                              "ambiguous": 1}
+
+
+EXPORT = {"case": "export psi1 dot",
+          "export": 'digraph psi1 {\n  "zero";\n}\n'}
+
+
+@pytest.mark.parametrize("text, differs", [
+    ('digraph psi1 {\n  "zero";\n}\n', False),
+    ('digraph psi1 {\n  "zero";\n}', True),
+    ('digraph psi1 {\n  "zero" ;\n}\n', True),
+], ids=["same", "no-final-newline", "space"])
+def test_changed_export_text(text, differs):
+    head = dict(EXPORT, export=text)
+    lines = list(outcome_corpus.differences([EXPORT], [head]))
+    assert lines == ([f"{EXPORT['case']}: export {EXPORT['export']!r} -> "
+                      f"{text!r}"] if differs else [])
+
+
+def test_export_texts_are_the_cli_output(capsys):
+    """One record per graph and format, the text `closure export`
+    prints."""
+    from pairbundles.cli import main
+
+    records = list(outcome_corpus.export_texts())
+    assert [case for case, _ in records] == [
+        f"export {which} {fmt}" for which in ("psi1", "psi2", "psi")
+        for fmt in ("json", "dot")]
+    for case, text in records:
+        _, which, fmt = case.split()
+        assert main(["closure", "export", which, "--format", fmt]) == 0
+        assert capsys.readouterr().out == text

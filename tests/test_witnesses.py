@@ -294,12 +294,14 @@ def _message(fn, *args):
      0.1, "matrix entries must be finite"),
     ("rank1-in-rank2", {"P_of_s": lambda s: [[1e200, 0], [0, 1e-200]]}, 0.1,
      "SymMat2.a must be finite"),
+    ("one-zero-in-tau", {"c_of_s": lambda s: math.nan}, 0.1,
+     "|c| must be 1 (got |c| = nan)"),
 ])
 def test_witness_core_refuses_as_the_value_types_do(name, change, s, says):
     """`witness_verify` and `witness_eval` give the text of the value
     types' ValidationError, for an s outside (0, 0.3], a singular or
-    non-finite P(s), a c(s) off the unit circle, an invalid q(s), and a
-    moved A or B that overflows."""
+    non-finite P(s), a c(s) off the unit circle or NaN, an invalid q(s),
+    and a moved A or B that overflows."""
     fam = dataclasses.replace(_by_name(name), **change)
     assert _message(witness_eval, fam, s) == says
     assert _message(witness_verify, fam, (s, 0.01)) == says

@@ -42,6 +42,9 @@ among them that only a suspect edge reaches, its sorted predecessors, and
 the `path_edges` chain to each successor as (src, dst) pairs.  These too
 must match exactly.
 
+Then come the six texts of `pairbundles closure export` (psi1, psi2 and
+psi, each as json and dot), which must match exactly.
+
 Then, for each witness family of the catalogue, the status and residuals
 of `witness_repair`'s report: the `witness_verify` residuals of the family
 in its repaired form (the family itself when it verifies).  They must
@@ -67,17 +70,17 @@ Every field of every check must match as text, the sign of a zero
 included, and `compare` names each changed field by its check id.  The
 checks have no timing field to leave out.
 
-In all, a dump holds 46,581 records: 46,000 calls, 107 Monte Carlo reports,
-21 distance results, 46 cells, 25 shapes, 46 closure records, 29 witness
-reports, 10 bound checks, 30 table-3 residual lists, 10 table-4 reports,
-1 nu fit and 256 `verify all` checks.
+In all, a dump holds 46,587 records: 46,000 calls, 107 Monte Carlo reports,
+21 distance results, 46 cells, 25 shapes, 46 closure records, 6 export
+texts, 29 witness reports, 10 bound checks, 30 table-3 residual lists, 10
+table-4 reports, 1 nu fit and 256 `verify all` checks.
 
     PYTHONPATH=src python tools/outcome_corpus.py dump OUT.json
     python tools/outcome_corpus.py compare BASE.json HEAD.json
 
 `compare` exits 1 when any label, note list, error type, message, Monte
-Carlo report, distance result, catalogue fact, witness report or `verify
-all` check field differs, or when a parameter or a float of the
+Carlo report, distance result, catalogue fact, export text, witness report
+or `verify all` check field differs, or when a parameter or a float of the
 verification engines differs by more than 1e-8 (1 + |v|).  The calls'
 reducers and residuals do not fail the compare, since a reducer may differ
 by an element of the stabilizer; `compare` prints how many calls differ in
@@ -264,6 +267,19 @@ def catalogue_facts():
                                for dst in succ}})
 
 
+def export_texts():
+    """Yield (case id, text) of `closure export` for each graph and
+    format."""
+    from pairbundles.cli import main
+
+    for which in ("psi1", "psi2", "psi"):
+        for fmt in ("json", "dot"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                main(["closure", "export", which, "--format", fmt])
+            yield f"export {which} {fmt}", out.getvalue()
+
+
 def witness_reports():
     """Yield (case id, report fields) of every family's repair report."""
     from pairbundles.witnesses import CATALOG, witness_repair
@@ -371,6 +387,8 @@ def dump(out_path: str) -> int:
         records.append({"case": case, "distance": result})
     for case, facts in catalogue_facts():
         records.append({"case": case, "facts": facts})
+    for case, text in export_texts():
+        records.append({"case": case, "export": text})
     for case, report in witness_reports():
         records.append({"case": case, "witness": report})
     for results in (bound_checks, table3_results, table4_results,
@@ -419,7 +437,7 @@ def differences(base: list, head: list):
             if r0.get(key) != r1.get(key):
                 yield f"{case}: {key} {r0.get(key)!r} -> {r1.get(key)!r}"
         # compared as text, so that even the sign of a zero counts
-        for key in ("distance", "facts", "witness"):
+        for key in ("distance", "facts", "export", "witness"):
             d0, d1 = r0.get(key), r1.get(key)
             if json.dumps(d0) != json.dumps(d1):
                 yield f"{case}: {key} {d0!r} -> {d1!r}"
