@@ -977,16 +977,17 @@ def _distance_kernel(x: PairAB, target: BundleLabel, norm: str):
     return objective, surrogate
 
 
-def _pattern_search(vec, fn, max_sweeps=25):
+def _pattern_search(vec, fn, max_sweeps=25, *, min_step=1e-9, first=0):
     """Coordinate pattern search on ``fn`` from ``vec``: returns (value,
     point).
 
-    The step halves from 0.5 while it is at least 1e-9.  At each step a
-    sweep polls every coordinate at +step and then at -step from wherever
-    the +step poll left it, keeping each poll that lowers the value; the
-    sweeps repeat, at most ``max_sweeps`` times, until one improves
-    nothing.  A poll changes its coordinate in place and restores it when
-    rejected.
+    The step halves from 0.5 while it is at least ``min_step``.  At each
+    step a sweep polls every coordinate from ``first`` on at +step and
+    then at -step from wherever the +step poll left it, keeping each poll
+    that lowers the value; the coordinates before ``first`` are never
+    moved.  The sweeps repeat, at most ``max_sweeps`` times, until one
+    improves nothing.  A poll changes its coordinate in place and restores
+    it when rejected.
 
     After an accepted +step poll, the -step poll is skipped when
     (x + step) - step rounds back to x: that is the point just left, and
@@ -1003,12 +1004,12 @@ def _pattern_search(vec, fn, max_sweeps=25):
     vec = list(vec)
     val = fn(vec)
     step = 0.5
-    while step >= 1e-9:
+    while step >= min_step:
         # the coordinate after the last accepted poll at this step
         settled = None
         for _ in range(max_sweeps):
             improved = False
-            for i in range(len(vec)):
+            for i in range(first, len(vec)):
                 if i == settled and not improved:
                     break
                 here = vec[i]
@@ -1037,6 +1038,12 @@ def _bits(values) -> bytes:
                        *(v for z in values for v in (z.real, z.imag)))
 
 
+# the smallest steps of distance_to_bundle's two passes: the smoothing pass
+# on the surrogate, whose point only starts the polish (again at step 0.5),
+# and the polish on the objective
+_SMOOTH_MIN_STEP = 1e-6
+_POLISH_MIN_STEP = 1e-9
+
 # the seed-independent start's (value, point), or None where it is
 # infeasible, by (the bits of x's seven entries, target, norm); the oldest
 # entry goes first
@@ -1057,14 +1064,19 @@ def distance_to_bundle(x: PairAB, target: BundleLabel, budget: int = 32,
     which the rank-drop separation constant of the symmetric component is
     sharp; see the provenance notes on the non-edge floors).  Each start
     is searched first on the smooth surrogate (the sum of squared moduli
-    of the differences) and then on the objective in the chosen gauge.
+    of the differences), down to step ``_SMOOTH_MIN_STEP`` = 1e-6, and
+    then on the objective in the chosen gauge, down to step
+    ``_POLISH_MIN_STEP`` = 1e-9.  The smoothing pass only finds the
+    polish's start, and the polish begins again at step 0.5; where the
+    surrogate stalls, its levels below 1e-6 each use every sweep to creep
+    down by about ``step`` relative, so they are not run.
 
     Each evaluation runs in Python complex scalars (``_distance_kernel``):
     the target's representative is memoised on the parameter coordinates,
     so ``representative`` runs only when the search moves a parameter,
     and the spectral gauge uses the closed-form largest singular value of
-    a 2x2 matrix.  Two shortcuts leave every result bit for bit the same
-    as evaluating every poll in full:
+    a 2x2 matrix.  Three shortcuts leave every result bit for bit the
+    same as evaluating every poll of the two passes in full:
 
     * the search (``_pattern_search``) skips the -step poll that would
       return to the point an accepted +step poll just left, whose value
@@ -1074,9 +1086,12 @@ def distance_to_bundle(x: PairAB, target: BundleLabel, budget: int = 32,
       the B-form of a */zero cell) moves to exactly zero for finite P: the
       kernel drops that block where x's is exactly zero too, so the block
       costs no products.  That is its one zero-block rule: any other block
-      goes through the products, a zero form's exact zeros included.
+      goes through the products, a zero form's exact zeros included;
+    * against a zero/* target neither pass polls the phase of c
+      (``first=1``): c multiplies only the zero A-form, so each such
+      poll returns the current value and is rejected.
 
-    Both keep the order of every reduction, ``sum`` included, and a
+    They keep the order of every reduction, ``sum`` included, and a
     dropped block adds only exact zeros to them, so the results match the
     full evaluation on every Python version.
 
@@ -1099,12 +1114,18 @@ def distance_to_bundle(x: PairAB, target: BundleLabel, budget: int = 32,
                 + [w for z in _entries4(P) for w in (z.real, z.imag)]
                 + _param_coords(fields, params))
 
+    # c multiplies only the A-form, which is identically zero on a zero/*
+    # target: there every poll of its phase repeats the current value
+    first = 1 if target.a_label is ALabel.ZERO else 0
+
     def search(vec):
         """(value, point) of the start vec, or None where it is infeasible."""
         if objective(vec) == math.inf:
             return None
-        _sv, smoothed = _pattern_search(vec, surrogate)
-        val, out = _pattern_search(smoothed, objective)
+        _sv, smoothed = _pattern_search(vec, surrogate,
+                                        min_step=_SMOOTH_MIN_STEP, first=first)
+        val, out = _pattern_search(smoothed, objective,
+                                   min_step=_POLISH_MIN_STEP, first=first)
         return val, tuple(out)
 
     found = [search(encode(g.c, g.P, params)) for g, params in starts]

@@ -1019,14 +1019,14 @@ def test_distance_equals_gauge_at_returned_witness(src, dst, budget, norm):
 # copies the vector and is evaluated in full, and both reductions run over
 # all eight differences
 
-def _reference_search(vec, fn, max_sweeps=25):
+def _reference_search(vec, fn, max_sweeps=25, *, min_step=1e-9, first=0):
     vec = list(vec)
     val = fn(vec)
     step = 0.5
-    while step >= 1e-9:
+    while step >= min_step:
         for _ in range(max_sweeps):
             improved = False
-            for i in range(len(vec)):
+            for i in range(first, len(vec)):
                 for sgn in (1.0, -1.0):
                     trial = list(vec)
                     trial[i] += sgn * step
@@ -1182,16 +1182,29 @@ def test_pattern_search_matches_reference_loop_on_test_functions():
         assert _bits(got) == _bits(want)
 
 
+@pytest.mark.parametrize("min_step,first", [(1e-6, 0), (1e-9, 1),
+                                             (1e-3, 2)])
+def test_pattern_search_honours_step_floor_and_first_coordinate(min_step,
+                                                                first):
+    for start, fn, max_sweeps in _search_cases():
+        want = _reference_search(start, fn, max_sweeps=max_sweeps,
+                                 min_step=min_step, first=first)
+        got = numerics._pattern_search(start, fn, max_sweeps=max_sweeps,
+                                       min_step=min_step, first=first)
+        assert _bits(got) == _bits(want)
+        assert got[1][:first] == list(start[:first])
+
+
 # the search as it was before its sweeps ended early: every sweep polls
 # every coordinate, skipping only the -step poll back to the point left
-def _full_sweep_search(vec, fn, max_sweeps=25):
+def _full_sweep_search(vec, fn, max_sweeps=25, *, min_step=1e-9, first=0):
     vec = list(vec)
     val = fn(vec)
     step = 0.5
-    while step >= 1e-9:
+    while step >= min_step:
         for _ in range(max_sweeps):
             improved = False
-            for i in range(len(vec)):
+            for i in range(first, len(vec)):
                 here = vec[i]
                 vec[i] = up = here + step
                 tv = fn(vec)
@@ -1214,11 +1227,12 @@ def _full_sweep_search(vec, fn, max_sweeps=25):
 
 def _counted(search, counts):
     """search with each of its evaluations counted in counts[0]."""
-    def run(vec, fn, max_sweeps=25):
+    def run(vec, fn, max_sweeps=25, *, min_step=1e-9, first=0):
         def counted_fn(v):
             counts[0] += 1
             return fn(v)
-        return search(vec, counted_fn, max_sweeps)
+        return search(vec, counted_fn, max_sweeps, min_step=min_step,
+                      first=first)
     return run
 
 
@@ -1257,6 +1271,44 @@ def test_early_sweep_end_in_distance_search(monkeypatch, src, dst, budget,
     assert new < old
 
 
+def _polling_from(search, forced):
+    """search with every run polling from coordinate forced on."""
+    def run(vec, fn, max_sweeps=25, *, min_step=1e-9, first=0):
+        return search(vec, fn, max_sweeps, min_step=min_step, first=forced)
+    return run
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("src,dst,norm", [
+    ("zero/rank2", "zero/rank1", "max"),
+    ("zero/rank2", "zero/rank1", "spectral"),
+    ("one_zero/diag_a_one", "zero/rank1", "max"),
+    ("one_zero/diag_a_one", "zero/rank1", "spectral"),
+    ("identity/diag_ad", "zero/rank2", "max"),
+    ("one_theta/zero", "zero/zero", "max"),
+])
+def test_phase_of_c_is_not_polled_against_a_zero_a_form(monkeypatch, src,
+                                                        dst, norm, seed):
+    """A zero/* target's A-form is identically zero, so every poll of the
+    phase of c returns the current value: skipping them keeps every
+    result bit and saves evaluations.  The zero/rank2 source drops the A
+    block; the other sources face the zero form with a nonzero one."""
+    x = representative(L(src), generic_params(L(src)))
+    runs = []
+    for search in (numerics._pattern_search,
+                   _polling_from(numerics._pattern_search, 0)):
+        numerics._HELD_STARTS.clear()
+        counts = [0]
+        monkeypatch.setattr(numerics, "_pattern_search",
+                            _counted(search, counts))
+        result = distance_to_bundle(x, L(dst), budget=2, seed=seed,
+                                    norm=norm)
+        runs.append((_result_bits(result), counts[0]))
+    (got, new), (want, old) = runs
+    assert got == want
+    assert new < old
+
+
 # ---------------------------------------------------------------------------
 # the held seed-independent start of distance_to_bundle
 
@@ -1282,9 +1334,9 @@ def test_held_start_gives_the_results_of_a_cleared_table():
 
 def _recording(search, starts):
     """search with the start of each of its runs appended to starts."""
-    def run(vec, fn, max_sweeps=25):
+    def run(vec, fn, max_sweeps=25, *, min_step=1e-9, first=0):
         starts.append(tuple(vec))
-        return search(vec, fn, max_sweeps)
+        return search(vec, fn, max_sweeps, min_step=min_step, first=first)
     return run
 
 
@@ -1316,7 +1368,7 @@ def test_seed_independent_start_is_searched_once_per_key(
 
 def _stub_search(calls):
     """A search that makes no poll: the start's value and the start."""
-    def run(vec, fn, max_sweeps=25):
+    def run(vec, fn, max_sweeps=25, *, min_step=1e-9, first=0):
         calls[0] += 1
         return fn(vec), list(vec)
     return run
@@ -1378,6 +1430,63 @@ def test_held_table_keeps_its_bound_and_drops_the_oldest(monkeypatch):
     assert calls[0] == before
     distance_to_bundle(pairs[0], L("zero/rank1"), budget=1)
     assert calls[0] == before + 2
+
+
+# ---------------------------------------------------------------------------
+# the step floors of distance_to_bundle's two passes
+
+@pytest.mark.parametrize("src,dst,budget,norm,first", [
+    ("one_theta/zero", "tau_form/zero", 2, "max", 0),
+    ("identity/diag_ad", "one_theta/diag_ad", 1, "spectral", 0),
+    ("zero/rank2", "zero/rank1", 4, "spectral", 1),
+    ("one_theta/zero", "zero/zero", 1, "max", 1),
+])
+def test_each_pass_gets_its_step_floor(monkeypatch, src, dst, budget, norm,
+                                       first):
+    """The smoothing pass on the surrogate stops below step 1e-6, the
+    polish on the objective below 1e-9; both poll from coordinate 1 (past
+    the phase of c) exactly on a zero/* target."""
+    x, target = _floor_case(src, dst)
+    passes = []
+    search = numerics._pattern_search
+
+    def recording(vec, fn, max_sweeps=25, *, min_step=1e-9, first=0):
+        passes.append((max_sweeps, min_step, first))
+        return search(vec, fn, max_sweeps, min_step=min_step, first=first)
+
+    monkeypatch.setattr(numerics, "_pattern_search", recording)
+    numerics._HELD_STARTS.clear()
+    distance_to_bundle(x, target, budget=budget, seed=0, norm=norm)
+    assert passes == [(25, 1e-6, first), (25, 1e-9, first)] * budget
+
+
+# the floor jobs' floors at seeds 0-2 before the smoothing pass stopped at
+# step 1e-6, as the outcome corpus recorded them
+_EARLIER_FLOORS = {
+    ("one_theta/zero", "tau_form/zero", "max"): ["0x1.c4390c2c2a351p-2"] * 3,
+    ("tau_form/zero", "one_theta/zero", "max"): ["0x1.0b0290d0d8089p-3"] * 3,
+    ("identity/zero", "one_plus_minus/zero", "max"):
+        ["0x1.0330ec6b045dcp-1"] * 3,
+    ("nilpotent/zero", "jordan_i/zero", "max"): ["0x1.0000000000000p-2"] * 3,
+    ("one_theta/zero", "one_zero/zero", "max"): ["0x1.23b5dfcc02273p-1"] * 3,
+    ("zero/rank2", "zero/rank1", "max"):
+        ["0x1.0000000995764p-1", "0x1.0000000f7aa0cp-1",
+         "0x1.0000000390348p-1"],
+    ("zero/rank2", "zero/rank1", "spectral"): ["0x1.fffffffffffffp-1"] * 3,
+}
+
+
+@pytest.mark.parametrize("src,dst,budget,norm", _FLOOR_JOBS)
+def test_floor_rises_at_most_2e_3_over_the_earlier_floor(src, dst, budget,
+                                                         norm):
+    """Each floor is an upper bound on a distance, so a lower one is no
+    fault (it is a finding); a rise past the search's own rounding
+    sensitivity (1.2e-3 relative) is."""
+    x, target = _floor_case(src, dst)
+    for seed, earlier in enumerate(_EARLIER_FLOORS[(src, dst, norm)]):
+        floor, _best = distance_to_bundle(x, target, budget=budget,
+                                          seed=seed, norm=norm)
+        assert floor <= float.fromhex(earlier) * (1 + 2e-3), seed
 
 
 @pytest.mark.parametrize("kw,name", [

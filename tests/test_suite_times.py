@@ -22,4 +22,4 @@ def test_one_pair_of_the_same_tree(capsys):
     assert suite_times.main([src, src, "--pairs", "1", "--trials", "2"]) == 0
     keys = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
     assert keys == ["dims_s", "bounds_s", "graph_s", "witness_s",
-                    "classify_rest_us", "floors_s"]
+                    "classify_rest_us", "floors_s", "floor_evals"]

@@ -12,10 +12,19 @@ graph, witness, in that order, each once, after loading the classifier as
 call over the graph suite's epsilon = 1e-3 trials of seed S around the 46
 generic representatives, with stage 1 computed beforehand, and last the
 total time of `distance_to_bundle` on the outcome corpus's `FLOOR_JOBS`
-(tools/outcome_corpus.py) for optimizer seeds 0-1, as `floors_s`.  The
-pairs alternate which tree runs first.  Printed per metric: the median of each
-tree, the change of the medians and in how many pairs the head is lower.
-Standard library only; each tree needs its own dependencies (numpy).
+(tools/outcome_corpus.py) for optimizer seeds 0-1, as `floors_s`.  After
+the timed floors the child empties `numerics._HELD_STARTS` and runs the
+same jobs again with the two functions of `numerics._distance_kernel`
+(objective and surrogate) wrapped, untimed, to count their evaluations as
+`floor_evals`.  The search is deterministic, so that count is the same on
+every run of a tree and shows a change in the search's work without the
+host's timing noise.  (perfbench's `numerics.distance_to_bundle.evals`
+counts something else: the `representative` calls under a distance
+search, which are misses of the kernel's parameter memo, not
+evaluations.)  The pairs alternate which tree runs first.  Printed per
+metric: the median of each tree, the change of the medians and in how many
+pairs the head is lower.  Standard library only; each tree needs its own
+dependencies (numpy).
 """
 import argparse
 import json
@@ -71,6 +80,21 @@ for opt_seed in (0, 1):
         numerics.distance_to_bundle(x, target, budget=budget, seed=opt_seed,
                                     norm=norm)
 out["floors_s"] = time.perf_counter() - t0
+evals = 0
+kernel = numerics._distance_kernel
+def counted(fn):
+    def run(vec):
+        global evals
+        evals += 1
+        return fn(vec)
+    return run
+numerics._distance_kernel = lambda *a: tuple(map(counted, kernel(*a)))
+numerics._HELD_STARTS.clear()
+for opt_seed in (0, 1):
+    for x, target, budget, norm in jobs:
+        numerics.distance_to_bundle(x, target, budget=budget, seed=opt_seed,
+                                    norm=norm)
+out["floor_evals"] = evals
 print(json.dumps(out))
 """
 _CORPUS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
