@@ -28,14 +28,17 @@ parameters are a dict up to `classify_pair`, which builds one
 Only `classify_A` measures the stage-1 residual.  Stage 2 builds no value
 type: `classify_B` is stage 2 over the zero A-form, a thin wrapper over
 the Takagi rank reducer `_reduce_B_zero`.  Every target a reducer or
-check compares with comes from the form records of `normal_forms`, and
-so do the parameter names of the 1 (+) e^{i theta} reducer, whose shape
-is the `_ONE_THETA_SHAPES` entry of B's nonzero pattern, a table built
-at load from those cells' B-forms at `GENERIC_PARAMS`.
+check compares with comes from the form records of `normal_forms`.  The
+stabilizers of 1 (+) e^{i theta}, the tau-form and the nilpotent form are
+diagonal, and one reducer, `_reduce_B_diagonal`, serves all three: it
+reads each cell's shape, entry kinds and parameters from the cell's
+B-form record, in a plan per nonzero pattern of B built at load, and it
+decides each parameter identification once, by `_canonical_updates`; the
+tail does not canonicalize.
 
 Each threshold rule has one home.  `_near` decides a gray-band comparison
 and notes it in `ambiguous`.  `_zero_tol` is the stage-2 zero threshold,
-relative to |B|, and `_zero_flags` its three entry tests, which the six
+relative to |B|, and `_zero_flags` its three entry tests, which the four
 reducers that test B's entries read.  `_check_unimodular` refuses a scalar
 or defective cosquare off the unit circle.  The (1,1)-unitary membership
 of a 1(+)-1 reducer is checked once, by the stabilizer check of
@@ -55,8 +58,10 @@ square root of B.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 
 from .core import (
     GroupElement,
@@ -87,14 +92,13 @@ from .normal_forms import (
     BundleLabel,
     BundleParams,
     CELLS,
-    GENERIC_PARAMS,
+    COMPLEX_FIELDS,
     _B_FORMS,
     _SWAP_SHAPES,
     _canonical_updates,
     _param_violations,
     _representative_A_entries,
     _representative_B_entries,
-    _wrap_phase_halfturn,
     param_fields,
     representative,  # unused here; perfbench/spans.py wraps it in this module
 )
@@ -581,127 +585,115 @@ def _reduce_B_identity(b, amb):
     return BShape.DIAG_AD, {"a": float(s_lo), "d": float(s_hi)}, 1.0, p
 
 
-# the B-form over 1 (+) e^{i theta} of each pattern (b11, b12, b22 nonzero)
-_ONE_THETA_SHAPES = {
-    tuple(z != 0 for z in _representative_B_entries(
-        cell.b_shape, vars(GENERIC_PARAMS))): cell.b_shape
-    for cell in CELLS if cell.a_label is ALabel.ONE_THETA
-}
+# --- the diagonal stabilizers -----------------------------------------------
+# Over 1 (+) e^{i theta}, the tau-form and the nilpotent form, stage 2 moves B
+# by P = diag(x, y) with x = rho e^{i alpha} and y = e^{i beta} / rho, which
+# takes (b11, b12, b22) to (x^2 b11, x y b12, y^2 b22).
+# - Over 1 (+) e^{i theta}: c = 1 and rho = 1.  Its half turn alpha += pi
+#   negates b12.
+# - Over the tau-form: beta = alpha and c = 1.  Its half turn alpha += pi/2,
+#   beta -= pi/2 costs c = -1 and negates b11 and b22.
+# - Over the nilpotent form: c = e^{i (alpha - beta)}, with no half turn.
+# The cell is the one whose form record has B's nonzero pattern.  rho gives
+# modulus 1 to b11 or b22 where that entry is 1 or e^{i phi}.  alpha and beta
+# turn each entry that is 1 or real into a positive real: the diagonal
+# entries first, then b12 by the phase that is left (over the tau-form the
+# one phase comes from the first such entry); a free phase is 0.  Each
+# parameter is read from its moved entry: its modulus, phase or value.
+# Where `_canonical_updates` can change a parameter, the reducer takes its
+# values and applies the half turn exactly when the canonical form's entry
+# lies nearer -moved than moved.
+# The (x, y, c) factors of each half turn, exact (e^{i pi} would give c =
+# -1 + 1.2e-16i); the nilpotent form has none.
+_HALF_TURNS = {ALabel.ONE_THETA: (-1.0, 1.0, 1.0),
+               ALabel.TAU_FORM: (1j, -1j, -1.0), ALabel.NILPOTENT: None}
 
 
-def _reduce_B_one_theta(b, amb):
-    """The stabilizer diag(e^{i phi1}, e^{i phi2}) turns each nonzero
-    diagonal entry real positive by its own phase, and a nonzero b12 by the
-    phase that is left; with both taken, b12 keeps its phase as zeta_star."""
-    pattern = _zero_flags(b)
-    f11, f12, f22 = pattern
+def _diagonal_plan(cell, kinds, pattern):
+    """(shape, rho rule, alpha and beta weights, whether c is free, the
+    parameter readers, the canonical decision) of a cell at a nonzero
+    pattern of its form, whose entries are `kinds`: 0.0, 1.0, a parameter
+    name, or (name,) for e^{i name}.  alpha is -(wa . arg b), beta
+    -(wb . arg b)."""
+    a_label = cell.a_label
+    names = [kind[0] if type(kind) is tuple else kind for kind in kinds]
+    # the entries to turn real positive, b11 and b22 first: a nonzero 1 or
+    # real parameter
+    turned = [k for k in (0, 2, 1) if pattern[k] and (kinds[k] == 1.0 or (
+        type(kinds[k]) is str and kinds[k] not in COMPLEX_FIELDS))]
+    wa, wb = [0.0] * 3, [0.0] * 3
+    for k in turned:
+        if a_label is ALabel.TAU_FORM:  # alpha = beta = -arg(b_k) / 2
+            wa[k] = wb[k] = 0.5
+            break
+        if k == 0:
+            wa[0] = 0.5
+        elif k == 2:
+            wb[2] = 0.5
+        elif not any(wa):  # alpha = -arg(b12) - beta
+            wa = [-wb[0], 1.0 - wb[1], -wb[2]]
+        else:
+            wb = [-wa[0], 1.0 - wa[1], -wa[2]]
+    rho = None if a_label is ALabel.ONE_THETA else next(
+        ((k, 0.5 if k else -0.5) for k in (0, 2)
+         if pattern[k] and (kinds[k] == 1.0 or type(kinds[k]) is tuple)),
+        None)
+    fields = _B_FORMS[cell.b_shape][0]
+    read = tuple((name, names.index(name),
+                  cmath.phase if (name,) in kinds
+                  else complex if name in COMPLEX_FIELDS else abs)
+                 for name in fields)
+    probe = {f: -1j if f in COMPLEX_FIELDS else -1.0 for f in fields}
+    changed = {f for f, v in _canonical_updates(cell, probe).items()
+               if v != probe[f]}
+    decide = None
+    if changed:
+        hx, hy, hc = _HALF_TURNS[a_label]
+        flips = (hx * hx, hx * hy, hy * hy)
+        decide = (next(k for k in range(3) if pattern[k] and flips[k] == -1
+                       and names[k] in changed), cell, (hx, hy, hc))
+    return (cell.b_shape, rho, tuple(wa), tuple(wb),
+            a_label is ALabel.NILPOTENT, read, decide)
+
+
+def _diagonal_plans(a_label):
+    """The plan of each nonzero pattern (b11, b12, b22) over a_label's form,
+    from its cells' form records: a parameter entry that may be 0 (a zeta)
+    gives its cell two patterns."""
+    plans = {}
+    for cell in CELLS:
+        if cell.a_label is a_label:
+            fields, form = _B_FORMS[cell.b_shape]
+            kinds = form({f: f for f in fields}, lambda v: (v,))
+            options = [(False,) if kind == 0.0 else (True, False)
+                       if kind in fields and not _param_violations(
+                           cell, {kind: 0.0}, (kind,)) else (True,)
+                       for kind in kinds]
+            for pattern in itertools.product(*options):
+                plans[pattern] = _diagonal_plan(cell, kinds, pattern)
+    return plans
+
+
+def _reduce_B_diagonal(plans, b, amb):
+    """Stage 2 over a diagonal stabilizer, by the plan of B's nonzero
+    pattern (see the model above)."""
+    shape, rho, wa, wb, c_free, read, decide = plans[_zero_flags(b)]
     b11, b12, b22 = b
-    phi1 = -0.5 * cmath.phase(b11) if f11 else 0.0
-    phi2 = -0.5 * cmath.phase(b22) if f22 else 0.0
-    values = {"a": abs(b11), "b": abs(b12), "d": abs(b22)}
-    if f11 and f12 and f22:
-        zs = b12 * cmath.exp(1j * (phi1 + phi2))
-        # half-angle branches realize the sign identification; canonicalize
-        if not (0.0 <= cmath.phase(zs) < math.pi):
-            phi1 += math.pi
-            zs = -zs
-        values["zeta_star"] = zs
-    elif f11 and f12:
-        phi2 = -cmath.phase(b12) - phi1
-    elif f12:
-        phi1 = -cmath.phase(b12) - phi2
-    shape = _ONE_THETA_SHAPES[pattern]
-    params = {name: values[name] for name in _B_FORMS[shape][0]}
-    return shape, params, 1.0, _diag4(cmath.exp(1j * phi1), cmath.exp(1j * phi2))
-
-
-def _reduce_B_tau(b, amb):
-    f11, f12, f22 = _zero_flags(b)
-    b11, b12, b22 = b
-
-    def elem(p, c):
-        return c, _diag4(p, c / p.conjugate())
-
-    def phase_elem(rho, b_diag):
-        """The phase phi of b_diag against b12 and the element of modulus
-        rho that realises it; an odd half-turn costs c = -1."""
-        psi = -0.5 * cmath.phase(b12)
-        phi_raw = cmath.phase(b_diag) - cmath.phase(b12)
-        phi = _wrap_phase_halfturn(phi_raw)
-        c = 1.0
-        if round((phi_raw - phi) / math.pi) % 2:
-            psi += 0.5 * math.pi
-            c = -1.0
-        return phi, elem(rho * cmath.exp(1j * psi), c)
-
-    if f11 and f12:
-        phi, (c, p) = phase_elem(abs(b11) ** -0.5, b11)
-        zeta = _transpose_congruence3(p, *b)[2]
-        return (BShape.PHASE_FORM, {"phi": phi, "b": abs(b12), "zeta": zeta},
-                c, p)
-    if f11:
-        c, p = elem(1.0 / cmath.sqrt(b11), 1.0)
-        return (BShape.ONE_ZETA, {"zeta": _transpose_congruence3(p, *b)[2]},
-                c, p)
-    if f22 and f12:
-        phi, g = phase_elem(abs(b22) ** 0.5, b22)
-        return BShape.OFF_DIAG_PHASE, {"b": abs(b12), "phi": phi}, *g
-    if f22:
-        rho = abs(b22) ** 0.5
-        psi = -0.5 * cmath.phase(b22)
-        return (BShape.ZERO_ONE, {},
-                *elem(rho * cmath.exp(1j * psi), 1.0))
-    if f12:
-        psi = -0.5 * cmath.phase(b12)
-        return (BShape.ANTI_DIAG, {"b": abs(b12)},
-                *elem(cmath.exp(1j * psi), 1.0))
-    return BShape.ZERO, {}, 1.0, _I4
-
-
-def _reduce_B_nilpotent(b, amb):
-    f11, f12, f22 = _zero_flags(b)
-    b11, b12, b22 = b
-    a1 = cmath.phase(b11) if f11 else 0.0
-    a2 = cmath.phase(b12) if f12 else 0.0
-    a3 = cmath.phase(b22) if f22 else 0.0
-
-    def stab(x, c):
-        return c, _diag4(x, 1.0 / (c * x.conjugate()))
-
-    def elem(rho, psi, gamma):
-        return stab(rho * cmath.exp(1j * psi), cmath.exp(1j * gamma))
-
-    if f22 and f12:
-        rho = abs(b22) ** 0.5
-        gamma = a3 - a2
-        psi = gamma - 0.5 * a3
-        c, p = elem(rho, psi, gamma)
-        if f11:
-            zs = _transpose_congruence3(p, *b)[0]
-            return BShape.ZETA_B_ONE, {"zeta_star": zs, "b": abs(b12)}, c, p
-        return BShape.OFF_DIAG_B_ONE, {"b": abs(b12)}, c, p
-    if f11 and f12:  # b22 = 0
-        x = 1.0 / cmath.sqrt(b11)
-        psi = cmath.phase(x)
-        gamma = 2 * psi + a2
-        g = elem(abs(x), psi, gamma)
-        return BShape.ONE_B_ZERO, {"b": abs(b12)}, *g
-    if f11 and f22:  # b12 = 0
-        rho = abs(b22) ** 0.5
-        psi = -0.5 * a1
-        x = rho * cmath.exp(1j * psi)
-        g = stab(x, cmath.sqrt(b22) / x.conjugate())
-        return BShape.DIAG_A_ONE, {"a": abs(b11) * abs(b22)}, *g
-    if f11:
-        return (BShape.ONE_ZERO, {},
-                *stab(1.0 / cmath.sqrt(b11), 1.0))
-    if f22:
-        rho = abs(b22) ** 0.5
-        return (BShape.ZERO_ONE, {},
-                *stab(rho, cmath.sqrt(b22) / rho))
-    if f12:
-        return BShape.ANTI_DIAG, {"b": abs(b12)}, *elem(1.0, 0.0, a2)
-    return BShape.ZERO, {}, 1.0, _I4
+    p0, p1, p2 = cmath.phase(b11), cmath.phase(b12), cmath.phase(b22)
+    alpha = -(wa[0] * p0 + wa[1] * p1 + wa[2] * p2)
+    beta = -(wb[0] * p0 + wb[1] * p1 + wb[2] * p2)
+    r = abs(b[rho[0]]) ** rho[1] if rho else 1.0
+    x, y = cmath.rect(r, alpha), cmath.rect(1.0 / r, beta)
+    c = cmath.rect(1.0, alpha - beta) if c_free else 1.0
+    m = (x * x * b11, x * y * b12, y * y * b22)
+    params = {name: f(m[k]) for name, k, f in read}
+    if decide:
+        k, cell, (hx, hy, hc) = decide
+        params.update(_canonical_updates(cell, params))
+        t = _representative_B_entries(shape, params)[k]
+        if abs(t + m[k]) < abs(t - m[k]):
+            x, y, c = x * hx, y * hy, c * hc
+    return shape, params, c, _diag4(x, y)
 
 
 def _reduce_B_jordan(b, amb):
@@ -927,22 +919,18 @@ _STAGE2 = {
     ALabel.ONE_ZERO: _reduce_B_one_zero,
     ALabel.IDENTITY: _reduce_B_identity,
     ALabel.ONE_PLUS_MINUS: _reduce_B_one_plus_minus,
-    ALabel.ONE_THETA: _reduce_B_one_theta,
-    ALabel.TAU_FORM: _reduce_B_tau,
-    ALabel.NILPOTENT: _reduce_B_nilpotent,
     ALabel.JORDAN_I: _reduce_B_jordan,
+    **{a_label: partial(_reduce_B_diagonal, _diagonal_plans(a_label))
+       for a_label in _HALF_TURNS},
 }
 
 
 # ---------------------------------------------------------------------------
 # the full pair
 
-# (a_label, b_shape) -> (cell, fields, whether `_canonical_updates` can
-# change the cell's parameters, as it does the probe's)
-_CANON_PROBE = {"phi": 0.0, "zeta_star": 1j, "zeta": 1j, "a": 2.0, "d": 1.0}
-_CELL_RECORDS = {(cell.a_label, cell.b_shape): (
-    cell, param_fields(cell), bool(_canonical_updates(cell, _CANON_PROBE)))
-    for cell in CELLS}
+# (a_label, b_shape) -> (cell, fields)
+_CELL_RECORDS = {(cell.a_label, cell.b_shape): (cell, param_fields(cell))
+                 for cell in CELLS}
 
 
 def _stage1(a):
@@ -983,11 +971,9 @@ def _classify_rest(a, b, stage1):
                 amb1, f"B is off the strata of the tentative class {a_label}")
         raise
     # an uncatalogued pair raises BundleLabel's ValueError
-    label, fields, canon = (_CELL_RECORDS.get((a_label, shape))
-                            or BundleLabel(a_label, shape))
+    label, fields = (_CELL_RECORDS.get((a_label, shape))
+                     or BundleLabel(a_label, shape))
     params = {**a_params, **b_params}
-    if canon:
-        params.update(_canonical_updates(label, params))
     # the reducer P1 P2, checked as a group element
     c, p = _own_check(_group4, c1 * c2, _mul4(p1, p2))
     if _param_violations(label, params, fields):

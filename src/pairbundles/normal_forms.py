@@ -436,10 +436,11 @@ def _wrap_phase_halfturn(x: float) -> float:
 
 
 def _canonical_zeta_star(z: complex) -> complex:
-    """Representative of the identification z ~ -z: argument in [0, pi)."""
+    """Representative of the identification z ~ -z: argument in [0, pi),
+    decided by the signs of z's parts, so that it is idempotent."""
     if z == 0:
         return z
-    return z if 0.0 <= cmath.phase(z) < math.pi else -z
+    return z if z.imag > 0.0 or z.imag == 0.0 and z.real >= 0.0 else -z
 
 
 def _canonical_updates(label: BundleLabel, p: dict) -> dict:

@@ -2,11 +2,10 @@ import cmath
 import itertools
 import math
 import unittest
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from pairbundles import classify as classify_module
 from pairbundles.classify import (
@@ -48,7 +47,6 @@ from pairbundles.normal_forms import (
     CELLS,
     GENERIC_PARAMS,
     _SWAP_SHAPES,
-    _canonical_updates,
     _representative_A_entries,
     canonicalize_params,
     param_fields,
@@ -343,22 +341,32 @@ def test_stage2_zero_rule_at_its_edge(a_label, b, k, below, above, factor):
     assert shape is (below if factor < 1 else above)
 
 
-def test_one_theta_pattern_table_is_the_form_records():
-    """Over 1 (+) e^{i theta} the stage-2 shape is the one whose form has
-    exactly B's nonzero entries: one table key per cell."""
+def test_diagonal_pattern_tables_are_the_form_records():
+    """Over 1 (+) e^{i theta}, the tau-form and the nilpotent form the
+    stage-2 shape is the one whose form has exactly B's nonzero entries:
+    each of the 8 patterns belongs to one cell.  A zeta may be 0, so
+    tau_form/phase_form and tau_form/one_zeta each hold two patterns."""
     from pairbundles.normal_forms import _representative_B_entries
 
-    patterns = {}
-    for cell in CELLS:
-        if cell.a_label is ALabel.ONE_THETA:
-            b = _representative_B_entries(cell.b_shape, vars(GENERIC_PARAMS))
-            patterns.setdefault(tuple(z != 0 for z in b), []).append(
-                cell.b_shape)
-    assert classify_module._ONE_THETA_SHAPES == {
-        key: shapes[0] for key, shapes in patterns.items()}
-    assert all(len(shapes) == 1 for shapes in patterns.values())
-    assert sorted(patterns) == sorted(itertools.product((False, True),
-                                                        repeat=3))
+    for a_label in (ALabel.ONE_THETA, ALabel.TAU_FORM, ALabel.NILPOTENT):
+        patterns = {}
+        for cell in CELLS:
+            if cell.a_label is a_label:
+                for zeta in {GENERIC_PARAMS.zeta, 0.0} if "zeta" in param_fields(
+                        cell) else {GENERIC_PARAMS.zeta}:
+                    b = _representative_B_entries(cell.b_shape, {
+                        **vars(GENERIC_PARAMS), "zeta": zeta})
+                    patterns.setdefault(tuple(z != 0 for z in b), []).append(
+                        cell.b_shape)
+        plans = classify_module._STAGE2[a_label].args[0]
+        assert {key: plan[0] for key, plan in plans.items()} == {
+            key: shapes[0] for key, shapes in patterns.items()}, a_label
+        assert all(len(shapes) == 1 for shapes in patterns.values()), a_label
+        assert sorted(patterns) == sorted(itertools.product((False, True),
+                                                            repeat=3))
+    tau = classify_module._STAGE2[ALabel.TAU_FORM].args[0]
+    assert tau[(True, True, False)][0] is BShape.PHASE_FORM
+    assert tau[(True, False, False)][0] is BShape.ONE_ZETA
 
 
 def test_perturbed_representatives_raise_only_classifier_errors():
@@ -914,39 +922,81 @@ class TestOneThetaGridOracle(unittest.TestCase):
 
 
 def test_cell_records_are_the_catalogue():
-    """One record per cell: the cell itself, its parameter fields, and
-    whether `_canonical_updates` can change its parameters; exactly the
-    cells with phi, the full_hermitian_like and phase_form cells and the
-    ordered diag_ad cells can."""
+    """One record per cell: the cell itself and its parameter fields."""
     records = classify_module._CELL_RECORDS
     assert list(records) == [(c.a_label, c.b_shape) for c in CELLS]
-    canon = set()
-    for (a_label, b_shape), (cell, fields, can) in records.items():
+    for (a_label, b_shape), (cell, fields) in records.items():
         assert (cell.a_label, cell.b_shape) == (a_label, b_shape)
         assert fields == param_fields(cell)
-        if can:
-            canon.add(str(cell))
-    assert canon == {"one_theta/full_hermitian_like", "tau_form/phase_form",
-                     "tau_form/off_diag_phase", "identity/diag_ad",
-                     "one_plus_minus/diag_ad"}
 
 
-_maybe_real = st.none() | st.floats(allow_nan=True, allow_infinity=True)
-_maybe_complex = st.none() | st.complex_numbers(allow_nan=True,
-                                                allow_infinity=True)
+@pytest.mark.parametrize("cell", CELLS, ids=str)
+def test_classified_parameters_are_canonical(cell):
+    """The parameters that `classify_pair` returns are a fixed point of
+    `canonicalize_params`, on moved representatives (at the generic
+    parameters and at parameters off the canonical domain) and on Monte
+    Carlo samples around them; the tail does not canonicalize, so the
+    stage-2 reducer's one decision must."""
+    from pairbundles.numerics import _trial_perturbation
+
+    k = CELLS.index(cell)
+    p0 = canonicalize_params(cell, GENERIC_PARAMS)
+    # a half turn of phi, a negated zeta_star, and the parameters of the
+    # other side of each identification
+    p1 = replace(p0, phi=p0.phi + math.pi, zeta=-p0.zeta,
+                 zeta_star=-p0.zeta_star)
+    seen = 0
+    for j, params in enumerate((p0, p1)):
+        x0 = representative(cell, params)
+        e0 = (*x0.A.entries, x0.B.a, x0.B.b, x0.B.d)
+        inputs = []
+        for t in range(10):
+            inputs.append(apply_action(rand_group_element(
+                np.random.default_rng([k, j, t]), max_cond=30), x0))
+            e = [u + v for u, v in zip(e0, _trial_perturbation(t, k, 1e-3))]
+            inputs.append(PairAB(Mat2([e[0:2], e[2:4]]), SymMat2(*e[4:])))
+        for x in inputs:
+            try:
+                cl = classify_pair(x)
+            except (AmbiguityError, ClassificationFailureError):
+                continue
+            assert canonicalize_params(cl.label, cl.params) == cl.params, cl
+            seen += 1
+    assert seen >= 30, seen
 
 
-@given(st.fixed_dictionaries({
-    "theta": _maybe_real, "tau": _maybe_real, "phi": _maybe_real,
-    "a": _maybe_real, "b": _maybe_real, "d": _maybe_real,
-    "zeta": _maybe_complex, "zeta_star": _maybe_complex}))
-@settings(max_examples=200, deadline=None)
-def test_cells_whose_record_says_so_have_no_canonical_updates(p):
-    """The tail skips `_canonical_updates` on the cells whose record says
-    it changes nothing; on those cells it returns {} for any parameters."""
-    for cell, _, can in classify_module._CELL_RECORDS.values():
-        if not can:
-            assert _canonical_updates(cell, p) == {}, cell
+@pytest.mark.parametrize("a", [1.0, 0.5])
+@pytest.mark.parametrize("zeta_star", [1.0, -1.0, 2.0, 1.0 - 1e-17j])
+def test_real_zeta_star_representatives_classify_to_their_cell(a, zeta_star):
+    """one_theta/full_hermitian_like at a real zeta_star: the stage-2
+    reducer and the canonical rule once disagreed there, and the
+    representative failed verification with residual 2 |zeta_star|."""
+    cell = BundleLabel(ALabel.ONE_THETA, BShape.FULL_HERMITIAN_LIKE)
+    cl = classify_pair(representative(
+        cell, replace(GENERIC_PARAMS, a=a, zeta_star=zeta_star)))
+    assert cl.label == cell
+    assert cl.residual <= 1e-12
+    assert abs(cl.params.zeta_star - abs(zeta_star.real)) <= 1e-12
+    assert canonicalize_params(cell, cl.params) == cl.params
+
+
+@pytest.mark.parametrize("shape", [BShape.PHASE_FORM, BShape.OFF_DIAG_PHASE])
+@pytest.mark.parametrize("phi, want_phi, half_turn", [
+    (0.0, 0.0, False), (1e-17, 1e-17, False), (-1e-17, 0.0, False),
+    (math.pi, 0.0, True)])
+def test_tau_phases_at_the_half_turn_boundary(shape, phi, want_phi,
+                                              half_turn):
+    """The tau-form's phase cells at phi in {0, +-1e-17, pi}: phi wraps
+    into [0, pi), and a removed half turn costs c = -1 and negates zeta."""
+    cell = BundleLabel(ALabel.TAU_FORM, shape)
+    cl = classify_pair(representative(cell, replace(GENERIC_PARAMS, phi=phi)))
+    assert cl.label == cell
+    assert cl.params.phi == want_phi
+    assert cl.reducer.c == (-1.0 if half_turn else 1.0)
+    if shape is BShape.PHASE_FORM:
+        want_zeta = -GENERIC_PARAMS.zeta if half_turn else GENERIC_PARAMS.zeta
+        assert abs(cl.params.zeta - want_zeta) <= 1e-15
+    assert cl.residual <= 1e-15
 
 
 def test_the_tail_reuses_the_stabilizer_check_A_target(monkeypatch):

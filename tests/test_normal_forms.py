@@ -198,6 +198,21 @@ class TestCanonicalization(unittest.TestCase):
             )
             self.assertEqual(p.zeta_star, q.zeta_star)
 
+    def test_zeta_star_sign_is_idempotent_at_the_real_axis(self):
+        # the argument of -1 + 1e-17i rounds to pi; the rule reads the
+        # signs of the parts, so that value stays and its negation maps to it
+        lab = BundleLabel(ALabel.ONE_THETA, BShape.FULL_HERMITIAN_LIKE)
+        for z in (1 - 1e-17j, -1 + 1e-17j, -1 - 1e-17j, 1 + 1e-17j, 1.0,
+                  -1.0, complex(-1.0, -0.0), complex(1.0, -0.0), 2.0,
+                  complex(-0.0, 1e-300), complex(0.0, -1e-300)):
+            p = canonicalize_params(
+                lab, BundleParams(theta=1.0, a=1.0, d=1.0, zeta_star=z))
+            self.assertIn(p.zeta_star, (z, -z))
+            self.assertEqual(repr(canonicalize_params(lab, p)), repr(p), z)
+        p = canonicalize_params(
+            lab, BundleParams(theta=1.0, a=1.0, d=1.0, zeta_star=1 - 1e-17j))
+        self.assertEqual(p.zeta_star, -1 + 1e-17j)
+
     def test_phi_mod_pi(self):
         lab = BundleLabel(ALabel.TAU_FORM, BShape.OFF_DIAG_PHASE)
         p = canonicalize_params(lab, BundleParams(tau=0.5, b=1.0, phi=4.0))

@@ -1,14 +1,19 @@
 """Dump and compare classifier and optimizer outcomes on a fixed, seeded
 corpus.
 
-The corpus has 46,000 `classify_pair` calls:
+The corpus has 46,068 `classify_pair` calls:
 
 - every cell's generic representative moved by 100 group moves for each
   seed S = 0-2 and cond_max in {10, 1e3}, with (c, P) drawn from
   `default_rng([S, 1, k])` for the k-th cell, as the benchmark's
   `orbit-classify` draws them;
 - the epsilon = 1e-3 Monte Carlo trials around every generic representative
-  for seeds 0-1, 200 trials each, as `monte_carlo_neighborhood` draws them.
+  for seeds 0-1, 200 trials each, as `monte_carlo_neighborhood` draws them;
+- 68 exact representatives at the canonical boundaries of the 22 cells over
+  1 (+) e^{i theta}, the tau-form and the nilpotent form: the generic
+  representative with each combination of `BOUNDARY_VALUES` for the
+  parameters the cell has (phi on and near 0, pi/2 and pi, real,
+  imaginary and zero zeta, real zeta_star, and two values of a).
 
 The draws and the group action are computed here with numpy, so the inputs
 depend on the package under test only through its cell list, generic
@@ -70,7 +75,7 @@ Every field of every check must match as text, the sign of a zero
 included, and `compare` names each changed field by its check id.  The
 checks have no timing field to leave out.
 
-In all, a dump holds 46,587 records: 46,000 calls, 107 Monte Carlo reports,
+In all, a dump holds 46,655 records: 46,068 calls, 107 Monte Carlo reports,
 21 distance results, 46 cells, 25 shapes, 46 closure records, 6 export
 texts, 29 witness reports, 10 bound checks, 30 table-3 residual lists, 10
 table-4 reports, 1 nu fit and 256 `verify all` checks.
@@ -93,9 +98,11 @@ import argparse
 import cmath
 import contextlib
 import io
+import itertools
 import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -141,6 +148,19 @@ TABLE4_ROWS = {
     "D5": [[1.7, 0.0], [0.0, 0.0]],
 }
 TABLE4_P = [[1.0, 0.4j], [0.2, 1.1]]
+# the boundary values that a canonical identification or a zero entry
+# decides, each put into the generic representative of every cell over
+# 1 (+) e^{i theta}, the tau-form and the nilpotent form that has the
+# parameter (the largest float below pi stands for pi - 1e-16, which rounds
+# to pi)
+BOUNDARY_VALUES = {
+    "phi": (0.0, 1e-17, -1e-17, math.pi / 2, math.nextafter(math.pi, 0.0),
+            math.pi, -math.pi / 2, 3.0),
+    "zeta": (0.3, 0.4j, 0.0),
+    "zeta_star": (1.0, -1.0, 2.0, 1.0 - 1e-17j),
+    "a": (1.0, 0.5),
+}
+BOUNDARY_A_LABELS = ("one_theta", "tau_form", "nilpotent")
 TABLE4_DEFECT = [[3e-3, -2e-3j], [-2e-3j, 5e-3]]
 
 
@@ -164,7 +184,7 @@ def _disc(rng, radius):
 def corpus():
     """Yield (case id, PairAB) for every call of the corpus."""
     from pairbundles.core import Mat2, PairAB, SymMat2
-    from pairbundles.normal_forms import CELLS, representative
+    from pairbundles.normal_forms import CELLS, param_fields, representative
     from pairbundles.numerics import generic_params
 
     centres = [representative(cell, generic_params(cell)) for cell in CELLS]
@@ -191,6 +211,15 @@ def corpus():
                        PairAB(Mat2(A0 + dA),
                               SymMat2(B0[0, 0] + db[0], B0[0, 1] + db[1],
                                       B0[1, 1] + db[2])))
+    for cell in CELLS:
+        if cell.a_label.value not in BOUNDARY_A_LABELS:
+            continue
+        fields = [f for f in param_fields(cell) if f in BOUNDARY_VALUES]
+        for values in itertools.product(*(BOUNDARY_VALUES[f] for f in fields)):
+            params = replace(generic_params(cell), **dict(zip(fields, values)))
+            yield (" ".join([f"boundary {cell}", *(
+                       f"{f}={v!r}" for f, v in zip(fields, values))]),
+                   representative(cell, params))
 
 
 def mc_reports():
