@@ -352,8 +352,9 @@ def test_diagonal_pattern_tables_are_the_form_records():
         patterns = {}
         for cell in CELLS:
             if cell.a_label is a_label:
-                for zeta in {GENERIC_PARAMS.zeta, 0.0} if "zeta" in param_fields(
-                        cell) else {GENERIC_PARAMS.zeta}:
+                zetas = ((GENERIC_PARAMS.zeta, 0.0) if "zeta" in param_fields(
+                    cell) else (GENERIC_PARAMS.zeta,))
+                for zeta in zetas:
                     b = _representative_B_entries(cell.b_shape, {
                         **vars(GENERIC_PARAMS), "zeta": zeta})
                     patterns.setdefault(tuple(z != 0 for z in b), []).append(

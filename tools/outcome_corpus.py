@@ -148,6 +148,7 @@ TABLE4_ROWS = {
     "D5": [[1.7, 0.0], [0.0, 0.0]],
 }
 TABLE4_P = [[1.0, 0.4j], [0.2, 1.1]]
+TABLE4_DEFECT = [[3e-3, -2e-3j], [-2e-3j, 5e-3]]
 # the boundary values that a canonical identification or a zero entry
 # decides, each put into the generic representative of every cell over
 # 1 (+) e^{i theta}, the tau-form and the nilpotent form that has the
@@ -161,7 +162,6 @@ BOUNDARY_VALUES = {
     "a": (1.0, 0.5),
 }
 BOUNDARY_A_LABELS = ("one_theta", "tau_form", "nilpotent")
-TABLE4_DEFECT = [[3e-3, -2e-3j], [-2e-3j, 5e-3]]
 
 
 def _group_move(rng, cond_max):
