@@ -977,17 +977,19 @@ def _distance_kernel(x: PairAB, target: BundleLabel, norm: str):
     return objective, surrogate
 
 
-def _pattern_search(vec, fn, max_sweeps=25, *, min_step=1e-9, first=0):
+def _pattern_search(vec, fn, max_sweeps=25, *, min_step=1e-9, rtol=0.0,
+                    first=0):
     """Coordinate pattern search on ``fn`` from ``vec``: returns (value,
     point).
 
-    The step halves from 0.5 while it is at least ``min_step``.  At each
-    step a sweep polls every coordinate from ``first`` on at +step and
-    then at -step from wherever the +step poll left it, keeping each poll
-    that lowers the value; the coordinates before ``first`` are never
-    moved.  The sweeps repeat, at most ``max_sweeps`` times, until one
-    improves nothing.  A poll changes its coordinate in place and restores
-    it when rejected.
+    The step halves from 0.5 while it is at least ``min_step`` and
+    ``rtol`` times the value at the start of its level.  At each step a
+    sweep polls every coordinate from ``first`` on at +step and then at
+    -step from wherever the +step poll left it, keeping each poll that
+    lowers the value; the coordinates before ``first`` are never moved.
+    The sweeps repeat, at most ``max_sweeps`` times, until one improves
+    nothing.  A poll changes its coordinate in place and restores it when
+    rejected.
 
     After an accepted +step poll, the -step poll is skipped when
     (x + step) - step rounds back to x: that is the point just left, and
@@ -1004,7 +1006,7 @@ def _pattern_search(vec, fn, max_sweeps=25, *, min_step=1e-9, first=0):
     vec = list(vec)
     val = fn(vec)
     step = 0.5
-    while step >= min_step:
+    while step >= max(min_step, rtol * val):
         # the coordinate after the last accepted poll at this step
         settled = None
         for _ in range(max_sweeps):
@@ -1038,11 +1040,11 @@ def _bits(values) -> bytes:
                        *(v for z in values for v in (z.real, z.imag)))
 
 
-# the smallest steps of distance_to_bundle's two passes: the smoothing pass
-# on the surrogate, whose point only starts the polish (again at step 0.5),
-# and the polish on the objective
+# the step floors of distance_to_bundle's smoothing pass and polish, and
+# the polish's floor relative to its value
 _SMOOTH_MIN_STEP = 1e-6
 _POLISH_MIN_STEP = 1e-9
+_POLISH_RTOL = 2e-6
 
 # the seed-independent start's (value, point), or None where it is
 # infeasible, by (the bits of x's seven entries, target, norm); the oldest
@@ -1064,12 +1066,9 @@ def distance_to_bundle(x: PairAB, target: BundleLabel, budget: int = 32,
     which the rank-drop separation constant of the symmetric component is
     sharp; see the provenance notes on the non-edge floors).  Each start
     is searched first on the smooth surrogate (the sum of squared moduli
-    of the differences), down to step ``_SMOOTH_MIN_STEP`` = 1e-6, and
-    then on the objective in the chosen gauge, down to step
-    ``_POLISH_MIN_STEP`` = 1e-9.  The smoothing pass only finds the
-    polish's start, and the polish begins again at step 0.5; where the
-    surrogate stalls, its levels below 1e-6 each use every sweep to creep
-    down by about ``step`` relative, so they are not run.
+    of the differences) down to step 1e-6, whose point only starts the
+    polish, then on the objective in the chosen gauge, again from step
+    0.5, down to step 1e-9 or 2e-6 times its value (1e-9 below 5e-4).
 
     Each evaluation runs in Python complex scalars (``_distance_kernel``):
     the target's representative is memoised on the parameter coordinates,
@@ -1082,11 +1081,9 @@ def distance_to_bundle(x: PairAB, target: BundleLabel, budget: int = 32,
       return to the point an accepted +step poll just left, whose value
       is known to be larger, and ends a sweep at the coordinate from
       which it would only repeat polls that the previous sweep rejected;
-    * a target form that is identically zero (the A-form of a zero/* cell,
-      the B-form of a */zero cell) moves to exactly zero for finite P: the
-      kernel drops that block where x's is exactly zero too, so the block
-      costs no products.  That is its one zero-block rule: any other block
-      goes through the products, a zero form's exact zeros included;
+    * the kernel drops a target form that is identically zero (the
+      A-form of a zero/* cell, the B-form of a */zero cell) where x's
+      block is exactly zero too (``_distance_kernel``);
     * against a zero/* target neither pass polls the phase of c
       (``first=1``): c multiplies only the zero A-form, so each such
       poll returns the current value and is rejected.
@@ -1125,7 +1122,8 @@ def distance_to_bundle(x: PairAB, target: BundleLabel, budget: int = 32,
         _sv, smoothed = _pattern_search(vec, surrogate,
                                         min_step=_SMOOTH_MIN_STEP, first=first)
         val, out = _pattern_search(smoothed, objective,
-                                   min_step=_POLISH_MIN_STEP, first=first)
+                                   min_step=_POLISH_MIN_STEP,
+                                   rtol=_POLISH_RTOL, first=first)
         return val, tuple(out)
 
     found = [search(encode(g.c, g.P, params)) for g, params in starts]

@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import functools
 import importlib.util
+import itertools
 import json
 import math
 import pathlib
@@ -1019,11 +1020,12 @@ def test_distance_equals_gauge_at_returned_witness(src, dst, budget, norm):
 # copies the vector and is evaluated in full, and both reductions run over
 # all eight differences
 
-def _reference_search(vec, fn, max_sweeps=25, *, min_step=1e-9, first=0):
+def _reference_search(vec, fn, max_sweeps=25, *, min_step=1e-9, rtol=0.0,
+                      first=0):
     vec = list(vec)
     val = fn(vec)
     step = 0.5
-    while step >= min_step:
+    while step >= min_step and step >= rtol * val:
         for _ in range(max_sweeps):
             improved = False
             for i in range(first, len(vec)):
@@ -1186,22 +1188,26 @@ def test_pattern_search_matches_reference_loop_on_test_functions():
                                              (1e-3, 2)])
 def test_pattern_search_honours_step_floor_and_first_coordinate(min_step,
                                                                 first):
-    for start, fn, max_sweeps in _search_cases():
+    """Also with a floor relative to the value at a level's start."""
+    for (start, fn, max_sweeps), rtol in itertools.product(
+            _search_cases(), (0.0, 2e-6, 1e-3)):
         want = _reference_search(start, fn, max_sweeps=max_sweeps,
-                                 min_step=min_step, first=first)
+                                 min_step=min_step, rtol=rtol, first=first)
         got = numerics._pattern_search(start, fn, max_sweeps=max_sweeps,
-                                       min_step=min_step, first=first)
+                                       min_step=min_step, rtol=rtol,
+                                       first=first)
         assert _bits(got) == _bits(want)
         assert got[1][:first] == list(start[:first])
 
 
 # the search as it was before its sweeps ended early: every sweep polls
 # every coordinate, skipping only the -step poll back to the point left
-def _full_sweep_search(vec, fn, max_sweeps=25, *, min_step=1e-9, first=0):
+def _full_sweep_search(vec, fn, max_sweeps=25, *, min_step=1e-9, rtol=0.0,
+                       first=0):
     vec = list(vec)
     val = fn(vec)
     step = 0.5
-    while step >= min_step:
+    while step >= min_step and step >= rtol * val:
         for _ in range(max_sweeps):
             improved = False
             for i in range(first, len(vec)):
@@ -1227,12 +1233,12 @@ def _full_sweep_search(vec, fn, max_sweeps=25, *, min_step=1e-9, first=0):
 
 def _counted(search, counts):
     """search with each of its evaluations counted in counts[0]."""
-    def run(vec, fn, max_sweeps=25, *, min_step=1e-9, first=0):
+    def run(vec, fn, max_sweeps=25, *, min_step=1e-9, rtol=0.0, first=0):
         def counted_fn(v):
             counts[0] += 1
             return fn(v)
         return search(vec, counted_fn, max_sweeps, min_step=min_step,
-                      first=first)
+                      rtol=rtol, first=first)
     return run
 
 
@@ -1273,8 +1279,9 @@ def test_early_sweep_end_in_distance_search(monkeypatch, src, dst, budget,
 
 def _polling_from(search, forced):
     """search with every run polling from coordinate forced on."""
-    def run(vec, fn, max_sweeps=25, *, min_step=1e-9, first=0):
-        return search(vec, fn, max_sweeps, min_step=min_step, first=forced)
+    def run(vec, fn, max_sweeps=25, *, min_step=1e-9, rtol=0.0, first=0):
+        return search(vec, fn, max_sweeps, min_step=min_step, rtol=rtol,
+                      first=forced)
     return run
 
 
@@ -1334,9 +1341,10 @@ def test_held_start_gives_the_results_of_a_cleared_table():
 
 def _recording(search, starts):
     """search with the start of each of its runs appended to starts."""
-    def run(vec, fn, max_sweeps=25, *, min_step=1e-9, first=0):
+    def run(vec, fn, max_sweeps=25, *, min_step=1e-9, rtol=0.0, first=0):
         starts.append(tuple(vec))
-        return search(vec, fn, max_sweeps, min_step=min_step, first=first)
+        return search(vec, fn, max_sweeps, min_step=min_step, rtol=rtol,
+                      first=first)
     return run
 
 
@@ -1368,7 +1376,7 @@ def test_seed_independent_start_is_searched_once_per_key(
 
 def _stub_search(calls):
     """A search that makes no poll: the start's value and the start."""
-    def run(vec, fn, max_sweeps=25, *, min_step=1e-9, first=0):
+    def run(vec, fn, max_sweeps=25, *, min_step=1e-9, rtol=0.0, first=0):
         calls[0] += 1
         return fn(vec), list(vec)
     return run
@@ -1444,20 +1452,97 @@ def test_held_table_keeps_its_bound_and_drops_the_oldest(monkeypatch):
 def test_each_pass_gets_its_step_floor(monkeypatch, src, dst, budget, norm,
                                        first):
     """The smoothing pass on the surrogate stops below step 1e-6, the
-    polish on the objective below 1e-9; both poll from coordinate 1 (past
-    the phase of c) exactly on a zero/* target."""
+    polish on the objective below 1e-9 or 2e-6 times its value; both poll
+    from coordinate 1 (past the phase of c) exactly on a zero/* target."""
     x, target = _floor_case(src, dst)
     passes = []
     search = numerics._pattern_search
 
-    def recording(vec, fn, max_sweeps=25, *, min_step=1e-9, first=0):
-        passes.append((max_sweeps, min_step, first))
-        return search(vec, fn, max_sweeps, min_step=min_step, first=first)
+    def recording(vec, fn, max_sweeps=25, *, min_step=1e-9, rtol=0.0,
+                  first=0):
+        passes.append((max_sweeps, min_step, rtol, first))
+        return search(vec, fn, max_sweeps, min_step=min_step, rtol=rtol,
+                      first=first)
 
     monkeypatch.setattr(numerics, "_pattern_search", recording)
     numerics._HELD_STARTS.clear()
     distance_to_bundle(x, target, budget=budget, seed=0, norm=norm)
-    assert passes == [(25, 1e-6, first), (25, 1e-9, first)] * budget
+    assert passes == [(25, 1e-6, 0.0, first),
+                      (25, 1e-9, 2e-6, first)] * budget
+
+
+def _polish_levels(start, fn):
+    """fn wrapped to record the polish's levels as [step, value at the
+    level's start, value at its end]: each poll moves one coordinate of
+    the last accepted point by the step (up to the rounding of x + step),
+    and a poll is accepted exactly when it lowers the value."""
+    levels, point, best = [], list(start), [None]
+
+    def run(vec):
+        value = fn(vec)
+        if best[0] is None:
+            best[0] = value
+            return value
+        moved = [abs(v - p) for v, p in zip(vec, point) if v != p]
+        assert len(moved) == 1
+        step = 2.0 ** round(math.log2(moved[0]))
+        if not levels or step != levels[-1][0]:
+            assert not levels or step == levels[-1][0] / 2
+            levels.append([step, best[0], best[0]])
+        if value < best[0]:
+            best[0] = levels[-1][2] = value
+            point[:] = vec
+        return value
+
+    return run, levels
+
+
+@pytest.mark.parametrize("src,dst,budget,norm", [
+    ("one_theta/zero", "tau_form/zero", 2, "max"),
+    ("identity/zero", "one_plus_minus/zero", 2, "max"),
+    ("zero/rank2", "zero/rank1", 4, "spectral"),
+    ("identity/zero", "identity/zero_d", 2, "max"),
+])
+def test_polish_runs_each_level_its_relative_floor_allows(monkeypatch, src,
+                                                          dst, budget, norm):
+    """Each polish level that runs has step >= max(1e-9, 2e-6 * the value
+    at its start), and the next level, the first that fails the rule, does
+    not run.  The floor jobs end at a step of about 1e-6 (their values are
+    0.1-1), the near-zero identity/zero -> identity/zero_d search at the
+    last step >= 1e-9."""
+    x, target = _floor_case(src, dst)
+    runs = []
+    search = numerics._pattern_search
+
+    def recording(vec, fn, max_sweeps=25, *, min_step=1e-9, rtol=0.0,
+                  first=0):
+        if rtol:
+            fn, levels = _polish_levels(vec, fn)
+            runs.append(levels)
+        return search(vec, fn, max_sweeps, min_step=min_step, rtol=rtol,
+                      first=first)
+
+    monkeypatch.setattr(numerics, "_pattern_search", recording)
+    numerics._HELD_STARTS.clear()
+    distance_to_bundle(x, target, budget=budget, seed=0, norm=norm)
+    assert len(runs) == budget
+    for levels in runs:
+        assert levels[0][0] == 0.5
+        for step, start_value, _end in levels:
+            assert step >= max(1e-9, 2e-6 * start_value)
+        step, _start, end_value = levels[-1]
+        assert step / 2 < max(1e-9, 2e-6 * end_value)
+
+
+def test_polish_keeps_the_1e_9_floor_on_near_zero_hits():
+    """Below a value of 5e-4 the relative floor is under 1e-9, so these
+    searches return the bits they returned with the 1e-9 floor alone."""
+    for dst, want in (("identity/zero_d", "0x1.08544fbc86d85p-30"),
+                      ("one_theta/zero", "0x1.ffffffffffeabp-21")):
+        x, target = _floor_case("identity/zero", dst)
+        numerics._HELD_STARTS.clear()
+        d, _best = distance_to_bundle(x, target, budget=2, seed=0)
+        assert d.hex() == want, dst
 
 
 # the floor jobs' floors at seeds 0-2 before the smoothing pass stopped at

@@ -58,6 +58,38 @@ def test_parameter_bound(name, base, factor, differs):
         assert lines == []
 
 
+_SEAM = math.pi - 4.4e-16
+
+
+@pytest.mark.parametrize("label, p0, p1, changed", [
+    # either side of the seam of [0, pi), zeta negated with the half turn
+    ("tau_form/phase_form", {"phi": _SEAM, "zeta": [0.3, -0.4]},
+     {"phi": 0.0, "zeta": [-0.3, 0.4]}, []),
+    ("tau_form/phase_form", {"phi": 0.0, "zeta": [-0.3, 0.4]},
+     {"phi": _SEAM, "zeta": [0.3, -0.4]}, []),
+    ("tau_form/off_diag_phase", {"phi": _SEAM}, {"phi": 0.0}, []),
+    ("tau_form/off_diag_phase", {"phi": 0.0}, {"phi": _SEAM}, []),
+    # across the seam a zeta that keeps its sign is another class
+    ("tau_form/phase_form", {"phi": _SEAM, "zeta": [0.3, -0.4]},
+     {"phi": 0.0, "zeta": [0.3, -0.4]}, ["zeta"]),
+    ("tau_form/phase_form", {"phi": 0.0, "zeta": [0.3, 0.0]},
+     {"phi": _SEAM, "zeta": [0.3, 0.0]}, ["zeta"]),
+    # away from the seam phi and zeta are compared as numbers
+    ("tau_form/phase_form", {"phi": 0.2, "zeta": [0.3, -0.4]},
+     {"phi": 3.0, "zeta": [-0.3, 0.4]}, ["phi"]),
+    ("tau_form/phase_form", {"phi": 1.0, "zeta": [0.3, -0.4]},
+     {"phi": 1.0, "zeta": [-0.3, 0.4]}, ["zeta"]),
+])
+def test_phi_is_compared_modulo_its_half_turn(label, p0, p1, changed):
+    base = [{"case": "move x #0", "label": label, "params": p0}]
+    head = [{"case": "move x #0", "label": label, "params": p1}]
+    lines = list(outcome_corpus.differences(base, head))
+    assert [line.split()[3] for line in lines] == changed
+    for line, name in zip(lines, changed):
+        # the line shows the returned values, not the aligned ones
+        assert line.endswith(f"-> {outcome_corpus._as_complex(p1[name])!r}")
+
+
 def test_changed_note():
     def edit(head):
         head[0]["notes"] = ["cosquare near scalar"]

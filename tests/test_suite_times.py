@@ -20,6 +20,11 @@ def test_summary_gives_medians_change_and_wins():
 def test_one_pair_of_the_same_tree(capsys):
     src = str(_ROOT / "src")
     assert suite_times.main([src, src, "--pairs", "1", "--trials", "2"]) == 0
-    keys = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+    lines = capsys.readouterr().out.splitlines()
+    keys = [line.split()[0] for line in lines]
     assert keys == ["dims_s", "bounds_s", "graph_s", "witness_s",
-                    "classify_rest_us", "floors_s", "floor_evals"]
+                    "classify_rest_us", "floors_s", "floor_smooth_evals",
+                    "floor_polish_evals"]
+    # the search is deterministic: each pass's count is the same per tree
+    for line in lines[-2:]:
+        assert line.split()[5] == "+0.0%"

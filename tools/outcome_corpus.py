@@ -86,11 +86,13 @@ table-4 reports, 1 nu fit and 256 `verify all` checks.
 `compare` exits 1 when any label, note list, error type, message, Monte
 Carlo report, distance result, catalogue fact, export text, witness report
 or `verify all` check field differs, or when a parameter or a float of the
-verification engines differs by more than 1e-8 (1 + |v|).  The calls'
-reducers and residuals do not fail the compare, since a reducer may differ
-by an element of the stabilizer; `compare` prints how many calls differ in
-them bit for bit, so that a change meant to keep every output shows that
-it did.
+verification engines differs by more than 1e-8 (1 + |v|).  A returned phi
+is compared modulo its half turn, with zeta negated for an odd number of
+half turns, as the package identifies them.  The calls' reducers and
+residuals do not fail the compare, since a reducer may differ by an
+element of the stabilizer; `compare` prints how many calls differ in them
+bit for bit, so that a change meant to keep every output shows that it
+did.
 """
 from __future__ import annotations
 
@@ -437,6 +439,27 @@ def _as_complex(v) -> complex:
     return complex(v[0], v[1]) if isinstance(v, list) else complex(v)
 
 
+def _phi_aligned(p0: dict, p1: dict) -> dict:
+    """p1 with its phi moved by the whole half turns that bring it nearest
+    p0's, and its zeta negated for an odd number of them.  The package
+    identifies phi ~ phi + pi, and (phi, zeta) ~ (phi + pi, -zeta) on the
+    phase form (the one B-form with both), so a phi on the seam of
+    [0, pi) that one tree returns as pi - 4.4e-16 and the other as 0, with
+    zeta negated, is one class."""
+    phi0, phi1 = p0.get("phi"), p1.get("phi")
+    if not (isinstance(phi0, float) and isinstance(phi1, float)
+            and math.isfinite(phi0 - phi1)):
+        return p1
+    turns = round((phi0 - phi1) / math.pi)
+    if not turns:
+        return p1
+    p1 = dict(p1, phi=phi1 + turns * math.pi)
+    if turns % 2 and "zeta" in p1:
+        zeta = -_as_complex(p1["zeta"])
+        p1["zeta"] = [zeta.real, zeta.imag]
+    return p1
+
+
 def _close_values(v0, v1) -> bool:
     """Floats within PARAM_RTOL (1 + |v|) of each other (NaN matches NaN,
     an infinity only itself); anything else exactly, nested alike."""
@@ -483,10 +506,11 @@ def differences(base: list, head: list):
         if set(p0) != set(p1):
             yield f"{case}: parameters {sorted(p0)} -> {sorted(p1)}"
             continue
+        aligned = _phi_aligned(p0, p1)
         for name in p0:
-            v0, v1 = _as_complex(p0[name]), _as_complex(p1[name])
+            v0, v1 = _as_complex(p0[name]), _as_complex(aligned[name])
             if abs(v1 - v0) > PARAM_RTOL * (1.0 + abs(v0)):
-                yield f"{case}: {name} {v0!r} -> {v1!r}"
+                yield f"{case}: {name} {v0!r} -> {_as_complex(p1[name])!r}"
 
 
 def reducer_differences(base: list, head: list) -> int:

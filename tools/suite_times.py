@@ -15,10 +15,12 @@ total time of `distance_to_bundle` on the outcome corpus's `FLOOR_JOBS`
 (tools/outcome_corpus.py) for optimizer seeds 0-1, as `floors_s`.  After
 the timed floors the child empties `numerics._HELD_STARTS` and runs the
 same jobs again with the two functions of `numerics._distance_kernel`
-(objective and surrogate) wrapped, untimed, to count their evaluations as
-`floor_evals`.  The search is deterministic, so that count is the same on
-every run of a tree and shows a change in the search's work without the
-host's timing noise.  (perfbench's `numerics.distance_to_bundle.evals`
+wrapped, untimed, to count their evaluations: the surrogate's, which only
+the smoothing pass makes, as `floor_smooth_evals`, and the objective's, the
+polish's and one feasibility test per start, as `floor_polish_evals`.  The
+search is deterministic, so these counts are the same on every run of a
+tree and show which pass a change to the search moved, without the host's
+timing noise.  (perfbench's `numerics.distance_to_bundle.evals`
 counts something else: the `representative` calls under a distance
 search, which are misses of the kernel's parameter memo, not
 evaluations.)  The pairs alternate which tree runs first.  Printed per
@@ -80,21 +82,24 @@ for opt_seed in (0, 1):
         numerics.distance_to_bundle(x, target, budget=budget, seed=opt_seed,
                                     norm=norm)
 out["floors_s"] = time.perf_counter() - t0
-evals = 0
+evals = {"floor_smooth_evals": 0, "floor_polish_evals": 0}
 kernel = numerics._distance_kernel
-def counted(fn):
+def counted(fn, key):
     def run(vec):
-        global evals
-        evals += 1
+        evals[key] += 1
         return fn(vec)
     return run
-numerics._distance_kernel = lambda *a: tuple(map(counted, kernel(*a)))
+def counted_kernel(*args):
+    objective, surrogate = kernel(*args)
+    return (counted(objective, "floor_polish_evals"),
+            counted(surrogate, "floor_smooth_evals"))
+numerics._distance_kernel = counted_kernel
 numerics._HELD_STARTS.clear()
 for opt_seed in (0, 1):
     for x, target, budget, norm in jobs:
         numerics.distance_to_bundle(x, target, budget=budget, seed=opt_seed,
                                     norm=norm)
-out["floor_evals"] = evals
+out.update(evals)
 print(json.dumps(out))
 """
 _CORPUS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
